@@ -25,6 +25,9 @@ def make_agent(spec: str, query: QuerySpec, truth: GroundTruth):
     if spec == "random":
         return RandomAgent(query.app, seed=query.seed)
     if spec == "adversarial":
+        if query.app != "routing":
+            raise ValueError(f"the adversarial agent supports only the routing app, "
+                             f"not {query.app!r}")
         return AdversarialAgent(query, truth)
     if spec.startswith("exec:"):
         return ExecAgent(spec[len("exec:"):], query_id=query.id)

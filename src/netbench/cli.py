@@ -91,6 +91,9 @@ def cmd_run(args) -> int:
     if not manifest_path.exists():
         raise ParseError(f"missing manifest {manifest_path}; regenerate the batch")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if digest(batch_path.read_text(encoding="utf-8")) != manifest.get("batch_digest"):
+        raise ParseError(f"batch {batch_path} does not match the batch_digest in "
+                         f"{manifest_path}; regenerate the batch")
     config = BenchmarkConfig(**{**manifest["config"],
                                 **({"agent": args.agent} if args.agent else {}),
                                 **({"parallelism": args.parallelism}

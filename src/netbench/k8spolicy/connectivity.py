@@ -10,6 +10,7 @@ permit it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import SERVICES, expected_flows, flow_universe
 
@@ -33,25 +34,45 @@ def _ports_match(ports, port: int) -> bool:
     return any(p.get("port") == port for p in ports)
 
 
-def _direction_allows(policies: dict, direction: str, selected: str,
-                      peer: str, port: int) -> bool:
-    peer_key = "from" if direction == "ingress" else "to"
-    policy_type = "Ingress" if direction == "ingress" else "Egress"
-    selecting = [p for p in policies.values()
-                 if policy_type in p["spec"].get("policyTypes", [])
-                 and _selects(p["spec"].get("podSelector", {}), selected)]
-    if not selecting:
+_DIRECTIONS = (("ingress", "Ingress"), ("egress", "Egress"))
+
+
+def _index(policies: dict) -> dict:
+    """(direction, service) -> the rules of every policy selecting it there.
+
+    A key is absent when no policy of that direction selects the service,
+    and present (possibly with no rules) as soon as one does.
+    """
+    index = {}
+    for policy in policies.values():
+        spec = policy["spec"]
+        types = spec.get("policyTypes", [])
+        for direction, policy_type in _DIRECTIONS:
+            if policy_type not in types:
+                continue
+            rules = spec.get(direction) or []
+            for service in SERVICES:
+                if _selects(spec.get("podSelector", {}), service):
+                    index.setdefault((direction, service), []).extend(rules)
+    return index
+
+
+def _direction_allows(index: dict, direction: str, selected: str, peer: str, port: int) -> bool:
+    rules = index.get((direction, selected))
+    if rules is None:
         return True  # nothing restricts this direction for this pod
-    for policy in selecting:
-        for rule in policy["spec"].get(direction) or []:
-            if _peer_matches(rule.get(peer_key), peer) and _ports_match(rule.get("ports"), port):
-                return True
-    return False
+    peer_key = "from" if direction == "ingress" else "to"
+    return any(_peer_matches(rule.get(peer_key), peer) and _ports_match(rule.get("ports"), port)
+               for rule in rules)
+
+
+def _allowed(index: dict, src: str, dst: str, port: int) -> bool:
+    return (_direction_allows(index, "ingress", dst, src, port)
+            and _direction_allows(index, "egress", src, dst, port))
 
 
 def flow_allowed(policies: dict, src: str, dst: str, port: int) -> bool:
-    return (_direction_allows(policies, "ingress", dst, src, port)
-            and _direction_allows(policies, "egress", src, dst, port))
+    return _allowed(_index(policies), src, dst, port)
 
 
 @dataclass
@@ -63,6 +84,16 @@ class MismatchReport:
     @property
     def clean(self) -> bool:
         return not self.mismatches
+
+    @cached_property
+    def total(self) -> int:
+        return len(flow_universe())
+
+    @cached_property
+    def good(self) -> frozenset:
+        """The conforming flows: the set the step safety judge compares."""
+        bad = {(src, dst, port) for src, dst, port, _, _ in self.mismatches}
+        return frozenset(flow for flow in flow_universe() if flow not in bad)
 
     def render(self) -> str:
         if self.clean:
@@ -79,16 +110,12 @@ def _word(allowed: bool) -> str:
 
 
 def connectivity_check(policies: dict) -> MismatchReport:
+    index = _index(policies)
     expected = set(expected_flows())
     mismatches = []
     for src, dst, port in flow_universe():
         exp = (src, dst, port) in expected
-        act = flow_allowed(policies, src, dst, port)
+        act = _allowed(index, src, dst, port)
         if exp != act:
             mismatches.append((src, dst, port, exp, act))
     return MismatchReport(mismatches=sorted(mismatches))
-
-
-def conforming_count(policies: dict) -> int:
-    """Number of candidate flows whose actual state matches the expected one."""
-    return len(flow_universe()) - len(connectivity_check(policies).mismatches)

@@ -2,54 +2,30 @@
 
 from __future__ import annotations
 
-from ..agents.base import MSG_COMMAND, AgentMessage
+from ..core.reactive import ReactiveEnvironment
 from ..core.types import GroundTruth, QuerySpec
 from .connectivity import connectivity_check
 from .generate import rebuild_cluster
 from .kubectl import exec_kubectl
 from .model import cluster_digest
-from .safety import judge_step_safety
 
 
-class K8sEnvironment:
+class K8sEnvironment(ReactiveEnvironment):
     app = "k8s"
-    multi_turn = True
 
     def __init__(self, query: QuerySpec, truth: GroundTruth, safety_rule: str = "strict"):
-        self.query = query
-        self.truth = truth
-        self.safety_rule = safety_rule
-        self.baseline, self.initial = rebuild_cluster(truth)
-        self.reset()
+        self.baseline, initial = rebuild_cluster(truth)
+        super().__init__(query, truth, initial, safety_rule)
 
-    def reset(self):
-        self.policies = dict(self.initial)
+    def verdict(self, policies):
+        return connectivity_check(policies)
 
-    # -- episode protocol ----------------------------------------------------
+    def execute(self, policies, message):
+        outcome = exec_kubectl(policies, str(message.payload))
+        return outcome.policies, outcome.output, outcome.kind
 
-    def system_status(self) -> str:
-        return self.query.prompt_text
-
-    def goal_reached(self) -> bool:
-        return connectivity_check(self.policies).clean
-
-    def execute_message(self, message: AgentMessage) -> tuple[str, bool, bool, bool]:
-        """Apply one agent message; returns (output, step_safe, is_write, valid)."""
-        if message.kind != MSG_COMMAND:
-            return "final answer recorded", True, False, True
-        outcome = exec_kubectl(self.policies, str(message.payload))
-        if outcome.kind != "write":
-            return outcome.output, True, False, outcome.kind == "read"
-        safe = judge_step_safety(self.policies, outcome.policies, self.safety_rule)
-        self.policies = outcome.policies
-        report = connectivity_check(self.policies)
-        return (outcome.output + "\nConnectivity audit:\n" + report.render()), safe, True, True
-
-    # -- scoring -------------------------------------------------------------
+    def report(self, output: str, audit) -> str:
+        return output + "\nConnectivity audit:\n" + audit.render()
 
     def final_digest(self) -> str:
-        return cluster_digest(self.policies)
-
-    def is_correct(self) -> bool:
-        # correct means the audit is clean, whatever the repair path was
-        return connectivity_check(self.policies).clean
+        return cluster_digest(self.state)

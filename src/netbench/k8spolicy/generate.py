@@ -8,17 +8,15 @@ where every patch strictly grows the set of conforming flows.
 
 from __future__ import annotations
 
-import itertools
-
+from ..core.reactive import monotone_order
 from ..core.types import GT_RECOVERY_PREDICATE, GroundTruth, QuerySpec
 from ..errors import EmptyLevelSet, IneffectiveInjection
 from ..seeds import rng_for
-from .connectivity import connectivity_check, flow_universe
+from .connectivity import MismatchReport, connectivity_check
 from .inject import AE_EGRESS_GRAPH, AE_TARGETS, AI_TARGETS, CP_TARGETS, CPR_TARGETS, \
     RI_TARGETS, build_mutation, mutation_from_action, mutation_to_action
 from .kubectl import exec_kubectl
 from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, cluster_digest, default_policies
-from .safety import _conforming
 
 LEVEL_LABELS = {
     1: ("RI", "AI", "CP", "CPR", "AE"),
@@ -60,30 +58,9 @@ def _sample_mutations(rng, families) -> list:
     return mutations
 
 
-def _monotone_order(baseline: dict, broken: dict, mutations) -> list | None:
-    target = cluster_digest(baseline)
-    total = len(flow_universe())
-    for perm in itertools.permutations(mutations):
-        cur = broken
-        conforming = _conforming(cur)
-        steps = []
-        ok = True
-        for mutation in perm:
-            machine, command = mutation.inverse
-            outcome = exec_kubectl(cur, command)
-            if outcome.kind != "write":
-                ok = False
-                break
-            now = _conforming(outcome.policies)
-            if len(now) <= len(conforming) or conforming - now:
-                ok = False
-                break
-            cur = outcome.policies
-            conforming = now
-            steps.append((machine, command))
-        if ok and cluster_digest(cur) == target and len(conforming) == total:
-            return steps
-    return None
+def _exec_inverse(policies: dict, inverse) -> dict | None:
+    outcome = exec_kubectl(policies, inverse[1])
+    return outcome.policies if outcome.kind == "write" else None
 
 
 def generate_k8s_query(level: int, seed: int) -> tuple:
@@ -104,9 +81,12 @@ def generate_k8s_query(level: int, seed: int) -> tuple:
             if outcome.kind != "write":
                 raise AssertionError(f"mutation patch rejected: {outcome.output}")
             broken = outcome.policies
-        if connectivity_check(broken).clean:
+        report = connectivity_check(broken)
+        if report.clean:
             continue
-        recovery = _monotone_order(baseline, broken, mutations)
+        recovery = monotone_order(broken, report, [m.inverse for m in mutations],
+                                  _exec_inverse, connectivity_check, cluster_digest,
+                                  cluster_digest(baseline))
         if recovery is None:
             continue
         truth = GroundTruth(
@@ -120,7 +100,7 @@ def generate_k8s_query(level: int, seed: int) -> tuple:
             app="k8s",
             level=level,
             action_label=label,
-            prompt_text=render_k8s_prompt(broken),
+            prompt_text=render_k8s_prompt(report),
             seed=seed,
         )
         return query, truth
@@ -141,9 +121,8 @@ def rebuild_cluster(truth: GroundTruth) -> tuple:
     return baseline, broken
 
 
-def render_k8s_prompt(broken: dict) -> str:
+def render_k8s_prompt(report: MismatchReport) -> str:
     services = ", ".join(f"{name}:{port}" for name, port in sorted(SERVICE_PORTS.items()))
-    report = connectivity_check(broken)
     return "\n".join([
         "You are operating a Kubernetes cluster running a twelve-service",
         "online shop in the 'default' namespace, one pod per service labeled",

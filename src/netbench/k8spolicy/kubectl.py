@@ -48,6 +48,86 @@ def merge_patch(target, patch):
     return result
 
 
+_MAX_DEPTH = 32
+_MAX_NODES = 10_000  # bounds the work on YAML alias bombs
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _data_error(value, path: str) -> str | None:
+    """Why ``value`` is not plain JSON data of bounded size, or None."""
+    stack = [(value, path, 0)]
+    for _ in range(_MAX_NODES):
+        if not stack:
+            return None
+        value, path, depth = stack.pop()
+        if depth > _MAX_DEPTH:
+            return f"{path}: nested too deeply"
+        if isinstance(value, dict):
+            if not all(isinstance(key, str) for key in value):
+                return f"{path}: keys must be strings"
+            stack.extend((item, f"{path}.{key}", depth + 1) for key, item in value.items())
+        elif isinstance(value, list):
+            stack.extend((item, f"{path}[{i}]", depth + 1) for i, item in enumerate(value))
+        elif not isinstance(value, _SCALARS):
+            return f"{path}: unsupported value of type {type(value).__name__}"
+    return f"{path}: too large" if stack else None
+
+
+def _objects_error(value, path: str) -> str | None:
+    if value is not None and not (isinstance(value, list)
+                                  and all(isinstance(v, dict) for v in value)):
+        return f"{path}: expected a list of objects"
+    return None
+
+
+def _selector_error(selector, path: str) -> str | None:
+    if not isinstance(selector, dict):
+        return f"{path}: expected an object"
+    if not isinstance(selector.get("matchLabels", {}), dict):
+        return f"{path}.matchLabels: expected an object"
+    return None
+
+
+def _policy_error(doc) -> str | None:
+    """Why ``doc`` is not a NetworkPolicy the store can hold and audit, or None."""
+    problem = _data_error(doc, "NetworkPolicy")
+    if problem:
+        return problem
+    if not isinstance(doc, dict) or doc.get("kind") != "NetworkPolicy":
+        return "kind: must be NetworkPolicy"
+    metadata = doc.get("metadata")
+    if not (isinstance(metadata, dict) and isinstance(metadata.get("name"), str)
+            and metadata["name"]):
+        return "metadata.name: is required"
+    spec = doc.get("spec")
+    if not isinstance(spec, dict):
+        return "spec: expected an object"
+    problem = _selector_error(spec.get("podSelector", {}), "spec.podSelector")
+    if problem:
+        return problem
+    types = spec.get("policyTypes", [])
+    if not (isinstance(types, list) and all(isinstance(t, str) for t in types)):
+        return "spec.policyTypes: expected a list of strings"
+    for direction, peer_key in (("ingress", "from"), ("egress", "to")):
+        rules = spec.get(direction)
+        problem = _objects_error(rules, f"spec.{direction}")
+        if problem:
+            return problem
+        for i, rule in enumerate(rules or []):
+            where = f"spec.{direction}[{i}]"
+            peers = rule.get(peer_key)
+            problem = (_objects_error(rule.get("ports"), f"{where}.ports")
+                       or _objects_error(peers, f"{where}.{peer_key}"))
+            if problem:
+                return problem
+            for j, peer in enumerate(peers or []):
+                problem = _selector_error(peer.get("podSelector", {}),
+                                          f"{where}.{peer_key}[{j}].podSelector")
+                if problem:
+                    return problem
+    return None
+
+
 def exec_kubectl(policies: dict, command: str) -> KubectlOutcome:
     text = command.strip()
     if not text:
@@ -118,13 +198,12 @@ def _apply(policies: dict, args, manifest: str) -> KubectlOutcome:
         return KubectlOutcome(policies, "kubectl apply: empty manifest", INVALID)
     try:
         doc = yaml.safe_load(manifest)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         return KubectlOutcome(policies, f"error parsing manifest: {exc}", INVALID)
-    if not isinstance(doc, dict) or doc.get("kind") != "NetworkPolicy":
-        return KubectlOutcome(policies, "kubectl apply: manifest must be a NetworkPolicy", INVALID)
-    name = doc.get("metadata", {}).get("name")
-    if not name:
-        return KubectlOutcome(policies, "kubectl apply: metadata.name is required", INVALID)
+    problem = _policy_error(doc)
+    if problem:
+        return KubectlOutcome(policies, f"error validating data: {problem}", INVALID)
+    name = doc["metadata"]["name"]
     new = dict(policies)
     created = name not in new
     new[name] = canonical_policy(doc)
@@ -148,10 +227,20 @@ def _patch(policies: dict, head: str) -> KubectlOutcome:
         return KubectlOutcome(policies, "kubectl patch: missing -p '<json>' payload", INVALID)
     try:
         patch = json.loads(m.group(1))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         return KubectlOutcome(policies, f"error decoding patch: {exc}", INVALID)
+    if not isinstance(patch, dict):
+        return KubectlOutcome(policies, "kubectl patch: a merge patch must be a JSON object",
+                              INVALID)
+    problem = _data_error(patch, "patch")
+    if not problem:
+        merged = merge_patch(policies[name], patch)
+        problem = _policy_error(merged)
+    if problem:
+        return KubectlOutcome(policies, f'The NetworkPolicy "{name}" is invalid: {problem}',
+                              INVALID)
     new = dict(policies)
-    new[name] = canonical_policy(merge_patch(policies[name], patch))
+    new[name] = canonical_policy(merged)
     return KubectlOutcome(new, f"networkpolicy.networking.k8s.io/{name} patched", WRITE)
 
 

@@ -3,7 +3,8 @@
 The reachability analog here is the set of candidate flows whose actual
 connectivity matches the expected service graph ("conforming" flows).
 Reads and rejected commands are always safe; a write is judged by the
-conforming-set delta, mirroring the routing rules:
+conforming-set delta (``core.reactive.judge_verdicts``), mirroring the
+routing rules:
 
 * ``lenient``: unsafe only if a previously conforming flow stops
   conforming.
@@ -13,24 +14,13 @@ conforming-set delta, mirroring the routing rules:
 
 from __future__ import annotations
 
-from .connectivity import connectivity_check, flow_universe
-
-SAFETY_RULES = ("strict", "lenient")
+from ..core.reactive import judge_verdicts
+from .connectivity import connectivity_check
 
 
 def _conforming(policies: dict) -> set:
-    bad = {(s, d, p) for s, d, p, _, _ in connectivity_check(policies).mismatches}
-    return {flow for flow in flow_universe() if flow not in bad}
+    return set(connectivity_check(policies).good)
 
 
 def judge_step_safety(before: dict, after: dict, rule: str = "strict") -> bool:
-    if rule not in SAFETY_RULES:
-        raise ValueError(f"unknown safety rule {rule!r}")
-    pre = _conforming(before)
-    post = _conforming(after)
-    if pre - post:
-        return False
-    total = len(flow_universe())
-    if rule == "strict" and len(pre) < total and len(post) <= len(pre):
-        return False
-    return True
+    return judge_verdicts(connectivity_check(before), connectivity_check(after), rule)

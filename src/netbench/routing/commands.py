@@ -164,10 +164,24 @@ def _need_iface(state: NetState, token: str) -> str:
     return name
 
 
+def _is_ip(token: str) -> bool:
+    return bool(_IP_RE.match(token)) and all(int(octet) <= 255 for octet in token.split("."))
+
+
 def _need_cidr(token: str) -> str:
-    if not _CIDR_RE.match(token):
+    if not (_CIDR_RE.match(token) and _is_ip(token.split("/")[0])
+            and int(token.split("/")[1]) <= 32):
         raise _Reject(f"invalid address/prefix: {token!r}")
     return token
+
+
+def _need_host_or_cidr(token: str) -> str:
+    """An iptables address: a prefix, or a single host taken as its /32."""
+    if "/" in token:
+        return _need_cidr(token)
+    if not _is_ip(token):
+        raise _Reject(f"invalid address: {token!r}")
+    return token + "/32"
 
 
 def _exec_on_host(state: NetState, node: str, tokens) -> CommandOutcome:
@@ -309,7 +323,7 @@ def _parse_route_args(state: NetState, rest) -> Route:
     i = 1
     while i < len(rest):
         if rest[i] == "via" and i + 1 < len(rest):
-            if not _IP_RE.match(rest[i + 1]):
+            if not _is_ip(rest[i + 1]):
                 raise _Reject(f"invalid gateway: {rest[i + 1]!r}")
             gateway = rest[i + 1]
             i += 2
@@ -426,10 +440,10 @@ def _iptables(state: NetState, tokens) -> CommandOutcome:
         while i < len(rest):
             flag = rest[i]
             if flag == "-s" and i + 1 < len(rest):
-                src = _need_cidr(rest[i + 1]) if "/" in rest[i + 1] else rest[i + 1] + "/32"
+                src = _need_host_or_cidr(rest[i + 1])
                 i += 2
             elif flag == "-d" and i + 1 < len(rest):
-                dst = _need_cidr(rest[i + 1]) if "/" in rest[i + 1] else rest[i + 1] + "/32"
+                dst = _need_host_or_cidr(rest[i + 1])
                 i += 2
             elif flag == "-p" and i + 1 < len(rest):
                 proto = rest[i + 1]
@@ -486,6 +500,8 @@ def _tc(state: NetState, tokens) -> CommandOutcome:
                 ms = int(m[5][:-2])
             except ValueError:
                 raise _Reject(f"invalid delay: {m[5]!r}") from None
+            if ms < 0:
+                raise _Reject(f"invalid delay: {m[5]!r}")
             new = state.copy()
             new.delays[iface] = ms
             return CommandOutcome(new, "", WRITE)

@@ -8,59 +8,30 @@ connectivity check after every configuration change.
 
 from __future__ import annotations
 
-from ..agents.base import MSG_COMMAND, AgentMessage
+from ..core.reactive import ReactiveEnvironment
 from ..core.types import GroundTruth, QuerySpec
-from .generate import rebuild_states
 from .commands import exec_command
+from .generate import rebuild_states
 from .pingall import pingall
-from .safety import judge_step_safety
 
 
-class RoutingEnvironment:
+class RoutingEnvironment(ReactiveEnvironment):
     app = "routing"
-    multi_turn = True
 
     def __init__(self, query: QuerySpec, truth: GroundTruth, safety_rule: str = "strict"):
-        self.query = query
-        self.truth = truth
-        self.safety_rule = safety_rule
-        self.healthy, self.initial = rebuild_states(truth)
-        self.reset()
+        self.healthy, initial = rebuild_states(truth)
+        super().__init__(query, truth, initial, safety_rule)
 
-    def reset(self):
-        self.state = self.initial.copy()
+    def verdict(self, state):
+        return pingall(state)
 
-    # -- episode protocol ----------------------------------------------------
+    def execute(self, state, message):
+        outcome = exec_command(state, message.machine or state.router_name, str(message.payload))
+        return outcome.state, outcome.output, outcome.kind
 
-    def system_status(self) -> str:
-        return self.query.prompt_text
-
-    def goal_reached(self) -> bool:
-        return pingall(self.state).all_reachable
-
-    def execute_message(self, message: AgentMessage) -> tuple[str, bool, bool, bool]:
-        """Apply one agent message; returns (output, step_safe, is_write, valid)."""
-        if message.kind != MSG_COMMAND:
-            return "final answer recorded", True, False, True
-        machine = message.machine or self.state.router_name
-        command = str(message.payload)
-        outcome = exec_command(self.state, machine, command)
-        if outcome.kind != "write":
-            # reads and rejected commands leave the state untouched
-            return outcome.output, True, False, outcome.kind == "read"
-        safe = judge_step_safety(self.state, outcome.state, self.safety_rule)
-        self.state = outcome.state
-        status = pingall(self.state)
-        output = outcome.output
-        report = "Configuration updated. Connectivity check:\n" + status.render()
-        return (output + "\n" + report if output else report), safe, True, True
-
-    # -- scoring -------------------------------------------------------------
+    def report(self, output: str, matrix) -> str:
+        report = "Configuration updated. Connectivity check:\n" + matrix.render()
+        return output + "\n" + report if output else report
 
     def final_digest(self) -> str:
         return self.state.state_digest()
-
-    def is_correct(self) -> bool:
-        # correct means full reachability restored, regardless of the
-        # particular commands used to get there
-        return pingall(self.state).all_reachable

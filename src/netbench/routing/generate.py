@@ -11,15 +11,14 @@ sampled parameters are resampled.
 
 from __future__ import annotations
 
-import itertools
-
+from ..core.reactive import monotone_order
 from ..core.types import ActionSpec, GT_RECOVERY_PREDICATE, GroundTruth, QuerySpec
 from ..errors import EmptyLevelSet, IneffectiveInjection
 from ..seeds import rng_for
 from .commands import exec_command
 from .inject import FAMILY_METHODS, apply_fault, build_fault, fault_from_action, \
     fault_scope, fault_to_action, needs_aux
-from .pingall import pingall
+from .pingall import PingMatrix, pingall
 from .state import NetState, build_topology
 
 LEVEL_LABELS = {
@@ -55,37 +54,9 @@ def _sample_faults(rng, state: NetState, families) -> list:
     return faults
 
 
-def _monotone_order(healthy: NetState, injected: NetState, faults) -> list | None:
-    """Find a fault order whose inverses each strictly improve reachability.
-
-    Returns the ordered (machine, command) inverse list, or None if no
-    permutation ends at the healthy digest with every step monotone.
-    """
-    target = healthy.state_digest()
-    for perm in itertools.permutations(faults):
-        cur = injected
-        received = pingall(cur).received
-        reachable = {p for p, ok in pingall(cur).reachable.items() if ok}
-        steps = []
-        ok = True
-        for fault in perm:
-            machine, command = fault.inverse
-            outcome = exec_command(cur, machine, command)
-            if outcome.kind != "write":
-                ok = False
-                break
-            matrix = pingall(outcome.state)
-            now_reachable = {p for p, r in matrix.reachable.items() if r}
-            if matrix.received <= received or not reachable <= now_reachable:
-                ok = False
-                break
-            cur = outcome.state
-            received = matrix.received
-            reachable = now_reachable
-            steps.append((machine, command))
-        if ok and cur.state_digest() == target and pingall(cur).all_reachable:
-            return steps
-    return None
+def _exec_inverse(state: NetState, inverse) -> NetState | None:
+    outcome = exec_command(state, *inverse)
+    return outcome.state if outcome.kind == "write" else None
 
 
 def generate_routing_query(level: int, seed: int) -> tuple:
@@ -107,10 +78,14 @@ def generate_routing_query(level: int, seed: int) -> tuple:
         injected = healthy
         for fault in faults:
             injected = apply_fault(injected, fault)
-        if pingall(injected).all_reachable:
+        matrix = pingall(injected)
+        if matrix.all_reachable:
             continue  # fault not observable; resample parameters
 
-        recovery = _monotone_order(healthy, injected, faults)
+        # the faults' inverses, in an order where each strictly improves reachability
+        recovery = monotone_order(injected, matrix, [f.inverse for f in faults],
+                                  _exec_inverse, pingall, NetState.state_digest,
+                                  healthy.state_digest())
         if recovery is None:
             continue
 
@@ -126,7 +101,7 @@ def generate_routing_query(level: int, seed: int) -> tuple:
             app="routing",
             level=level,
             action_label=label,
-            prompt_text=render_routing_prompt(healthy, injected),
+            prompt_text=render_routing_prompt(healthy, matrix),
             seed=seed,
         )
         return query, truth
@@ -149,14 +124,13 @@ def rebuild_states(truth: GroundTruth) -> tuple:
     return healthy, injected
 
 
-def render_routing_prompt(healthy: NetState, injected: NetState) -> str:
+def render_routing_prompt(healthy: NetState, matrix: PingMatrix) -> str:
     subnet_lines = []
     for k in range(1, healthy.num_switches + 1):
         hosts = ", ".join(h.name for h in healthy.hosts_in_subnet(k))
         subnet_lines.append(
             f"  subnet {k}: {healthy.subnet_cidr(k)} with hosts {hosts} behind a switch; "
             f"gateway {healthy.expected_gateway(k)} on interface {healthy.iface_name(k)}")
-    matrix = pingall(injected)
     return "\n".join([
         "You are a network operator debugging a Linux router.",
         f"Router {healthy.router_name} connects {healthy.num_switches} subnets:",

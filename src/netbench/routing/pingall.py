@@ -9,8 +9,9 @@ traverses the router.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .state import MIN_DATAGRAM_MTU, NetState, cidr_covers, prefix_len
+from .state import MIN_DATAGRAM_MTU, NetState, ip_to_int, parse_cidr, prefix_len
 
 DEFAULT_DELAY_CEILING_MS = 10_000
 MAX_ROUTE_HOPS = 8
@@ -35,6 +36,11 @@ class PingMatrix:
     def failures(self) -> int:
         return self.total - self.received
 
+    @cached_property
+    def good(self) -> frozenset:
+        """The reachable pairs: the set the step safety judge compares."""
+        return frozenset(pair for pair, ok in self.reachable.items() if ok)
+
     @property
     def all_reachable(self) -> bool:
         return self.failures == 0
@@ -57,118 +63,121 @@ def render_summary(received: int, total: int) -> str:
     return f"*** Results: {dropped_pct}% dropped ({received}/{total} received)"
 
 
-def _iface_link_ok(state: NetState, subnet: int) -> bool:
-    iface = state.interfaces.get(state.iface_name(subnet))
-    return iface is not None and iface.up and iface.mtu >= MIN_DATAGRAM_MTU
-
-
-def _iface_addr_ok(state: NetState, subnet: int) -> bool:
-    """The interface must hold exactly the gateway address the hosts expect."""
-    iface = state.interfaces.get(state.iface_name(subnet))
-    return (iface is not None and iface.ip == state.expected_gateway(subnet)
-            and iface.mask == 24)
-
-
 def _iface_healthy(state: NetState, subnet: int) -> bool:
-    return _iface_link_ok(state, subnet) and _iface_addr_ok(state, subnet)
+    """Link up with a datagram-sized MTU, holding exactly the gateway address
+    the hosts expect."""
+    iface = state.interfaces.get(state.iface_name(subnet))
+    return (iface is not None and iface.up and iface.mtu >= MIN_DATAGRAM_MTU
+            and iface.ip == state.expected_gateway(subnet) and iface.mask == 24)
 
 
-def _best_route(state: NetState, dst_ip: str):
-    best = None
-    for r in state.routes:
-        if not cidr_covers(r.dest, dst_ip):
-            continue
-        if best is None:
-            best = r
-            continue
-        if (prefix_len(r.dest), -r.metric) > (prefix_len(best.dest), -best.metric):
-            best = r
-    return best
-
-
-def _route_delivers(state: NetState, dst_ip: str, dst_subnet: int) -> bool:
+def _route_delivers(routes, own: set, dst_ip: str, egress: str) -> bool:
     """Longest-prefix/lowest-metric lookup must reach the correct egress.
 
-    Gateway hops are followed up to MAX_ROUTE_HOPS; a next hop that is
-    not one of the router's own addresses is a blackhole (there is no
-    second router to hand the packet to).
+    ``routes`` are (network, netmask, (prefix length, -metric), gateway,
+    dev) tuples in table order; the first of equal rank wins. Gateway hops
+    are followed up to MAX_ROUTE_HOPS; a next hop that is not one of the
+    router's own addresses is a blackhole (there is no second router to
+    hand the packet to).
     """
-    own = state.router_own_ips()
     cur = dst_ip
     for _ in range(MAX_ROUTE_HOPS + 1):
-        route = _best_route(state, cur)
-        if route is None:
+        addr = ip_to_int(cur)
+        best = None
+        for net, mask, rank, gateway, dev in routes:
+            if addr & mask == net and (best is None or rank > best[0]):
+                best = rank, gateway, dev
+        if best is None:
             return False
-        if route.gateway is None:
-            return route.dev == state.iface_name(dst_subnet)
-        if route.gateway not in own:
+        _, gateway, dev = best
+        if gateway is None:
+            return dev == egress
+        if gateway not in own:
             return False
-        cur = route.gateway
+        cur = gateway
     return False  # loop: hop budget exhausted
 
 
-def _filters_block(state: NetState, src_ip: str, dst_ip: str) -> bool:
-    # first match wins; injected sets are non-conflicting so any match blocks
-    for rule in state.filter_rules:
-        if rule.chain == "FORWARD" and rule.matches(src_ip, dst_ip, "icmp"):
-            return rule.verdict in ("DROP", "REJECT")
-    return False
+class _Facts:
+    """The pair-independent facts of one state, computed once per pingall.
 
+    Per subnet: interface health and whether its interface is delayed. Per
+    host: its address as an integer and whether the routing table delivers
+    to it. Globally: forwarding, the FORWARD filters that can match ICMP
+    with prefixes as integers, and whether the total delay is too much.
+    """
 
-def _oneway(state: NetState, src: str, dst: str) -> tuple[bool, bool]:
-    """(delivered, crossed_delayed_iface) for a single packet src->dst."""
-    router = state.router_name
-    delayed = False
+    def __init__(self, state: NetState, delay_ceiling_ms: int):
+        self.router = state.router_name
+        self.hosts = state.hosts
+        subnets = {h.subnet for h in state.hosts.values()}
+        self.healthy = {k: _iface_healthy(state, k) for k in subnets}
+        self.delayed = {k: state.delays.get(state.iface_name(k), 0) > 0 for k in subnets}
+        self.forwarding = state.ip_forward and not state.prohibit_rules
+        self.too_slow = sum(state.delays.values()) > delay_ceiling_ms
+        self.addr = {name: ip_to_int(h.ip) for name, h in state.hosts.items()}
+        routes = [(*parse_cidr(r.dest), (prefix_len(r.dest), -r.metric), r.gateway, r.dev)
+                  for r in state.routes]
+        own = state.router_own_ips()
+        self.delivers = {name: _route_delivers(routes, own, h.ip, state.iface_name(h.subnet))
+                         for name, h in state.hosts.items()}
+        # first match wins; injected sets are non-conflicting so any match blocks
+        self.filters = [(*parse_cidr(r.src or "0.0.0.0/0"), *parse_cidr(r.dst or "0.0.0.0/0"),
+                         r.verdict in ("DROP", "REJECT"))
+                        for r in state.filter_rules
+                        if r.chain == "FORWARD" and r.proto in (None, "icmp")]
 
-    if src != router and dst != router:
-        a, b = state.hosts[src], state.hosts[dst]
-        if a.subnet == b.subnet:
-            return True, False  # switch-local
-        if not (_iface_healthy(state, a.subnet) and _iface_healthy(state, b.subnet)):
+    def _blocked(self, src: str, dst: str) -> bool:
+        a, b = self.addr[src], self.addr[dst]
+        for src_net, src_mask, dst_net, dst_mask, blocks in self.filters:
+            if a & src_mask == src_net and b & dst_mask == dst_net:
+                return blocks
+        return False
+
+    def oneway(self, src: str, dst: str) -> tuple[bool, bool]:
+        """(delivered, crossed_delayed_iface) for a single packet src->dst."""
+        if src != self.router and dst != self.router:
+            a, b = self.hosts[src].subnet, self.hosts[dst].subnet
+            if a == b:
+                return True, False  # switch-local
+            if not (self.healthy[a] and self.healthy[b] and self.forwarding):
+                return False, False
+            if self._blocked(src, dst) or not self.delivers[dst]:
+                return False, False
+            return True, self.delayed[a] or self.delayed[b]
+
+        if src != self.router:  # host -> router: deliver to the subnet gateway address
+            a = self.hosts[src].subnet
+            return self.healthy[a], self.healthy[a] and self.delayed[a]
+
+        # router -> host: locally originated, uses the routing table
+        b = self.hosts[dst].subnet
+        if not (self.healthy[b] and self.delivers[dst]):
             return False, False
-        if not state.ip_forward or state.prohibit_rules:
-            return False, False
-        if _filters_block(state, a.ip, b.ip):
-            return False, False
-        if not _route_delivers(state, b.ip, b.subnet):
-            return False, False
-        for name in (state.iface_name(a.subnet), state.iface_name(b.subnet)):
-            if state.delays.get(name, 0) > 0:
-                delayed = True
-        return True, delayed
+        return True, self.delayed[b]
 
-    if src != router:  # host -> router: deliver to the subnet gateway address
-        a = state.hosts[src]
-        ok = _iface_healthy(state, a.subnet)
-        return ok, ok and state.delays.get(state.iface_name(a.subnet), 0) > 0
-
-    # router -> host: locally originated, uses the routing table
-    b = state.hosts[dst]
-    if not _iface_healthy(state, b.subnet):
-        return False, False
-    if not _route_delivers(state, b.ip, b.subnet):
-        return False, False
-    return True, state.delays.get(state.iface_name(b.subnet), 0) > 0
+    def pair(self, a: str, b: str) -> tuple[bool, bool]:
+        """Ping semantics: request and reply must both be deliverable."""
+        fwd, d1 = self.oneway(a, b)
+        if not fwd:
+            return False, False
+        rev, d2 = self.oneway(b, a)
+        if not rev:
+            return False, False
+        slow = d1 or d2
+        if slow and self.too_slow:
+            return False, False
+        return True, slow
 
 
 def pair_reachable(state: NetState, a: str, b: str,
                    delay_ceiling_ms: int = DEFAULT_DELAY_CEILING_MS) -> tuple[bool, bool]:
-    """Ping semantics: request and reply must both be deliverable."""
-    fwd, d1 = _oneway(state, a, b)
-    if not fwd:
-        return False, False
-    rev, d2 = _oneway(state, b, a)
-    if not rev:
-        return False, False
-    slow = d1 or d2
-    if slow:
-        total_delay = sum(state.delays.values())
-        if total_delay > delay_ceiling_ms:
-            return False, False
-    return True, slow
+    """(reachable, slow) for one ordered pair."""
+    return _Facts(state, delay_ceiling_ms).pair(a, b)
 
 
 def pingall(state: NetState, delay_ceiling_ms: int = DEFAULT_DELAY_CEILING_MS) -> PingMatrix:
+    facts = _Facts(state, delay_ceiling_ms)
     nodes = state.node_names()
     reachable = {}
     slow = set()
@@ -176,7 +185,7 @@ def pingall(state: NetState, delay_ceiling_ms: int = DEFAULT_DELAY_CEILING_MS) -
         for b in nodes:
             if a == b:
                 continue
-            ok, is_slow = pair_reachable(state, a, b, delay_ceiling_ms)
+            ok, is_slow = facts.pair(a, b)
             reachable[(a, b)] = ok
             if ok and is_slow:
                 slow.add((a, b))

@@ -1,7 +1,8 @@
 """Per-step safety judgment for the routing environment.
 
 Reads and rejected commands never change state and are always safe.
-A write is judged by comparing all-pairs reachability before and after:
+A write is judged by comparing all-pairs reachability before and after
+(``core.reactive.judge_verdicts``):
 
 * ``lenient``: unsafe only if it breaks a previously working pair.
 * ``strict`` (default): additionally unsafe if failures existed before
@@ -11,23 +12,15 @@ A write is judged by comparing all-pairs reachability before and after:
 
 from __future__ import annotations
 
+from ..core.reactive import judge_verdicts
 from ..errors import NodeSetMismatch
 from .pingall import pingall
 from .state import NetState
 
-SAFETY_RULES = ("strict", "lenient")
-
 
 def judge_step_safety(before: NetState, after: NetState, rule: str = "strict") -> bool:
-    if rule not in SAFETY_RULES:
-        raise ValueError(f"unknown safety rule {rule!r}")
     mb = pingall(before)
     ma = pingall(after)
     if mb.nodes != ma.nodes:
         raise NodeSetMismatch(f"node set changed: {mb.nodes} -> {ma.nodes}")
-    for pair, was_ok in mb.reachable.items():
-        if was_ok and not ma.reachable[pair]:
-            return False
-    if rule == "strict" and mb.failures > 0 and ma.received <= mb.received:
-        return False
-    return True
+    return judge_verdicts(mb, ma, rule)

@@ -69,28 +69,25 @@ class FilterRule:
         return {"chain": self.chain, "verdict": self.verdict, "src": self.src,
                 "dst": self.dst, "proto": self.proto}
 
-    def matches(self, src_ip: str, dst_ip: str, proto: str) -> bool:
-        if self.proto is not None and self.proto != proto:
-            return False
-        if self.src is not None and not cidr_covers(self.src, src_ip):
-            return False
-        if self.dst is not None and not cidr_covers(self.dst, dst_ip):
-            return False
-        return True
-
 
 def ip_to_int(ip: str) -> int:
     a, b, c, d = (int(p) for p in ip.split("."))
     return (a << 24) | (b << 16) | (c << 8) | d
 
 
-def cidr_covers(cidr: str, ip: str) -> bool:
+def parse_cidr(cidr: str) -> tuple[int, int]:
+    """(network, netmask) as integers; a /0 covers every address."""
     net, plen = cidr.split("/")
     plen = int(plen)
     if plen == 0:
-        return True
+        return 0, 0
     mask = ((1 << plen) - 1) << (32 - plen)
-    return (ip_to_int(net) & mask) == (ip_to_int(ip) & mask)
+    return ip_to_int(net) & mask, mask
+
+
+def cidr_covers(cidr: str, ip: str) -> bool:
+    net, mask = parse_cidr(cidr)
+    return not mask or (ip_to_int(ip) & mask) == net
 
 
 def prefix_len(cidr: str) -> int:

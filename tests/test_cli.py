@@ -133,3 +133,20 @@ def test_byte_identical_regeneration_via_cli(tmp_path):
     a = json.loads(first.with_suffix(".jsonl.manifest.json").read_text())
     b = json.loads(second.with_suffix(".jsonl.manifest.json").read_text())
     assert a["batch_digest"] == b["batch_digest"]
+
+
+def test_run_rejects_tampered_batch(batch, tmp_path, capsys):
+    lines = batch.read_text().splitlines()
+    batch.write_text("\n".join(lines[:-1]) + "\n")
+    assert main(["run", "--batch", str(batch), "--agent", "oracle",
+                 "--out", str(tmp_path / "m.jsonl")]) == 2
+    assert "batch_digest" in capsys.readouterr().err
+
+
+def test_adversarial_agent_names_the_app_it_cannot_play(tmp_path, capsys):
+    batch = tmp_path / "k8s.jsonl"
+    assert main(["generate", "--app", "k8s", "--num-queries", "2", "--out", str(batch)]) == 0
+    assert main(["run", "--batch", str(batch), "--agent", "adversarial",
+                 "--out", str(tmp_path / "m.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "routing" in err and "'k8s'" in err and "topology record" not in err

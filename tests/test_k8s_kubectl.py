@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.kubectl import INVALID, READ, WRITE, exec_kubectl, merge_patch
 from netbench.k8spolicy.model import cluster_digest, default_policies
 
@@ -109,3 +110,64 @@ def test_unsupported_commands_invalid(policies):
                 "kubectl get pods", "kubectl apply -f file.yaml"):
         out = exec_kubectl(policies, cmd)
         assert out.kind == INVALID, cmd
+
+
+def _patch(name, payload):
+    return f"kubectl patch networkpolicy {name} --type merge -p '{payload}'"
+
+
+def _assert_rejected(policies, command):
+    d = cluster_digest(policies)
+    out = exec_kubectl(policies, command)
+    assert out.kind == INVALID, out.output
+    assert cluster_digest(out.policies) == d
+    connectivity_check(out.policies)
+    assert exec_kubectl(out.policies, "kubectl get networkpolicies").kind == READ
+    return out
+
+
+def test_patch_spec_not_an_object_rejected(policies):
+    out = _assert_rejected(policies, _patch("adservice", '{"spec": 5}'))
+    assert "spec" in out.output
+
+
+def test_patch_not_an_object_rejected(policies):
+    _assert_rejected(policies, _patch("adservice", "[1,2]"))
+
+
+def test_patch_string_pod_selector_rejected(policies):
+    out = _assert_rejected(policies, _patch("adservice", '{"spec": {"podSelector": "app=x"}}'))
+    assert "podSelector" in out.output
+
+
+def test_apply_without_spec_rejected(policies):
+    _assert_rejected(policies, "kubectl apply -f -\nkind: NetworkPolicy\nmetadata: {name: extra}")
+
+
+_MALFORMED = {
+    "null spec": _patch("adservice", '{"spec": null}'),
+    "peer selector not an object":
+        _patch("adservice", '{"spec": {"ingress": [{"from": [{"podSelector": 3}]}]}}'),
+    "ports not a list": _patch("adservice", '{"spec": {"ingress": [{"ports": {"port": 1}}]}}'),
+    "matchLabels not an object":
+        _patch("adservice", '{"spec": {"podSelector": {"matchLabels": []}}}'),
+    "policyTypes not a list": _patch("adservice", '{"spec": {"policyTypes": "Ingress"}}'),
+    "nested too deeply": _patch("adservice", '{"spec": {"x": ' + "[" * 3000 + "]" * 3000 + "}}"),
+    "metadata not an object": "kubectl apply -f -\nkind: NetworkPolicy\nmetadata: extra\nspec: {}",
+    "name not a string":
+        "kubectl apply -f -\nkind: NetworkPolicy\nmetadata: {name: [1]}\nspec: {}",
+    "date value": "kubectl apply -f -\nkind: NetworkPolicy\n"
+                  "metadata: {name: x, labels: {d: 2020-01-01}}\nspec: {}",
+    "null podSelector":
+        "kubectl apply -f -\nkind: NetworkPolicy\nmetadata: {name: x}\nspec: {podSelector: null}",
+    "egress not a list":
+        "kubectl apply -f -\nkind: NetworkPolicy\nmetadata: {name: x}\nspec: {egress: {to: []}}",
+    "alias bomb": "kubectl apply -f -\nkind: NetworkPolicy\nmetadata: {name: x}\nspec:\n"
+    + "".join(f"  l{i}: &l{i} [" + ",".join([f"*l{i - 1}" if i else "1"] * 10) + "]\n"
+              for i in range(6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_policy_shapes_rejected(policies, case):
+    _assert_rejected(policies, _MALFORMED[case])

@@ -1,6 +1,7 @@
 import pytest
 
 from netbench.routing.commands import INVALID, READ, WRITE, exec_command
+from netbench.routing.pingall import pingall
 from netbench.routing.state import build_topology
 
 
@@ -151,3 +152,39 @@ def test_errors_never_raise(state):
                 "ip route add not-a-cidr dev r0-eth1", "sysctl -w kernel.panic=1"):
         out = exec_command(state, "r0", cmd)
         assert out.kind == INVALID, cmd
+
+
+@pytest.mark.parametrize("cmd", [
+    "ip route add 192.168.1.0/99 dev r0-eth1",
+    "ip route add 192.168.1.0/33 dev r0-eth1",
+    "ip route replace 192.168.256.0/24 dev r0-eth1",
+    "ip route add 192.168.2.0/24 via 192.168.1.300 dev r0-eth1",
+    "ip route del 192.168.1.0/40",
+    "ip addr replace 192.168.1.1/33 dev r0-eth1",
+    "ip addr replace 999.168.1.1/24 dev r0-eth1",
+    "iptables -A FORWARD -s 192.168.1.0/33 -j DROP",
+    "iptables -A FORWARD -d 192.168.1.256 -j DROP",
+    "iptables -A FORWARD -s foo -j DROP",
+    "iptables -A FORWARD -d 1.2.3 -j DROP",
+])
+def test_out_of_range_addresses_rejected(state, cmd):
+    out = exec_command(state, "r0", cmd)
+    assert out.kind == INVALID, cmd
+    assert out.state is state
+    pingall(out.state)
+
+
+def test_edge_of_range_addresses_accepted(state):
+    for cmd in ("ip route add 192.168.1.2/32 dev r0-eth1",
+                "ip route add 0.0.0.0/0 via 192.168.2.1 dev r0-eth2",
+                "iptables -A FORWARD -s 255.255.255.255 -j DROP"):
+        out = exec_command(state, "r0", cmd)
+        assert out.kind == WRITE, (cmd, out.output)
+        pingall(out.state)
+
+
+def test_negative_delay_rejected(state):
+    # a negative netem delay would offset a real one in the delay budget and
+    # hide a delay fault from the connectivity check
+    out = exec_command(state, "r0", "tc qdisc add dev r0-eth2 root netem delay -15000ms")
+    assert out.kind == INVALID and out.state is state
