@@ -31,12 +31,11 @@ class AgentMessage:
 class Observation:
     """What the agent sees each turn: current status plus full history."""
 
-    prompt_header: str
     system_status: str
     history: list = field(default_factory=list)  # (message dict, output text) pairs
 
     def render(self) -> str:
-        parts = [self.prompt_header, "", self.system_status]
+        parts = [self.system_status]
         if self.history:
             parts.append("")
             parts.append("Previous actions and results:")

@@ -90,23 +90,19 @@ class AdversarialAgent(_ScriptedAgent):
         super().__init__(script, "done")
 
 
-_ROUTING_PROBES = (
-    "ip route", "ip addr", "ip link", "ifconfig", "iptables -L",
-    "sysctl net.ipv4.ip_forward", "ip rule", "tc qdisc show",
-)
-_K8S_PROBES = (
-    "kubectl get networkpolicies",
-    "kubectl describe networkpolicy frontend",
-    "kubectl get networkpolicy default-deny -o yaml",
-    "kubectl describe networkpolicy cartservice",
-)
-
-
 class RandomAgent:
-    """Seeded, grammar-valid but strategy-free behavior."""
+    """Seeded, grammar-valid but strategy-free behavior.
+
+    It issues its app's probe commands in random order; for an app
+    without probes (cp) it answers at once with a random scalar.
+    """
 
     def __init__(self, app: str, seed: int = 0, num_commands: int = 4):
-        self.app = app
+        # imported here: core.generate imports the environments, which import agents
+        from ..core.generate import app_entry
+        entry = app_entry(app)
+        self.probes = entry.probes
+        self.machine = entry.probe_machine
         self.seed = seed
         self.num_commands = num_commands
         self.reset()
@@ -116,12 +112,10 @@ class RandomAgent:
         self._turn = 0
 
     def step(self, observation: Observation) -> AgentMessage:
-        if self.app == "cp":
+        if not self.probes:
             return AgentMessage(MSG_FINAL, {"answer": {"kind": "scalar",
                                                        "value": float(self._rng.randint(0, 10))}})
         if self._turn >= self.num_commands:
             return AgentMessage(MSG_FINAL, "done")
         self._turn += 1
-        probes = _ROUTING_PROBES if self.app == "routing" else _K8S_PROBES
-        machine = None if self.app == "routing" else "master"
-        return AgentMessage(MSG_COMMAND, self._rng.choice(probes), machine)
+        return AgentMessage(MSG_COMMAND, self._rng.choice(self.probes), self.machine)

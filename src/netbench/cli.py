@@ -10,13 +10,14 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 from .agents import BUILTIN_AGENTS, make_agent
-from .core.config import load_config
+from .core.config import load_config, parse_levels
 from .core.episode import run_episode
-from .core.generate import cp_base_graph, generate_batch, make_environment, \
-    read_batch_jsonl, write_batch_jsonl
+from .core.generate import app_entry, generate_batch, make_environment, read_batch_jsonl, \
+    write_batch_jsonl
 from .core.types import APPS, BenchmarkConfig
 from .cp.sft import export_sft_records
 from .digest import canonical_json, digest
@@ -30,6 +31,12 @@ def _manifest_path(batch_path: Path) -> Path:
     return batch_path.with_suffix(batch_path.suffix + ".manifest.json")
 
 
+def _flag_values(args) -> dict:
+    """The config fields the command line sets."""
+    return {f.name: getattr(args, f.name) for f in fields(BenchmarkConfig)
+            if getattr(args, f.name, None) is not None}
+
+
 def _config_from_args(args) -> BenchmarkConfig:
     if args.config:
         config = load_config(args.config)
@@ -38,14 +45,7 @@ def _config_from_args(args) -> BenchmarkConfig:
         return config
     if not args.app:
         raise ParseError("either --config or --app is required")
-    kwargs = {"app": args.app}
-    for key in ("num_queries", "seed", "max_turns", "agent", "parallelism", "safety_rule"):
-        value = getattr(args, key, None)
-        if value is not None:
-            kwargs[key] = value
-    if getattr(args, "levels", None):
-        kwargs["levels"] = tuple(int(p) for p in args.levels.split(","))
-    return BenchmarkConfig(**kwargs)
+    return BenchmarkConfig(**_flag_values(args))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -69,8 +69,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _run_one(config, query, truth, agent_spec, base_graph):
-    env = make_environment(config, query, truth, base_graph=base_graph)
+def _run_one(config, query, truth, agent_spec, context):
+    env = make_environment(config, query, truth, base_graph=context)
     agent = make_agent(agent_spec, query, truth)
     try:
         result = run_episode(env, agent, query, max_turns=config.max_turns)
@@ -94,12 +94,7 @@ def cmd_run(args) -> int:
     if digest(batch_path.read_text(encoding="utf-8")) != manifest.get("batch_digest"):
         raise ParseError(f"batch {batch_path} does not match the batch_digest in "
                          f"{manifest_path}; regenerate the batch")
-    config = BenchmarkConfig(**{**manifest["config"],
-                                **({"agent": args.agent} if args.agent else {}),
-                                **({"parallelism": args.parallelism}
-                                   if args.parallelism else {}),
-                                **({"safety_rule": args.safety_rule}
-                                   if args.safety_rule else {})})
+    config = BenchmarkConfig(**{**manifest["config"], **_flag_values(args)})
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -110,30 +105,26 @@ def cmd_run(args) -> int:
         out.unlink()
 
     todo = [(q, t) for q, t in pairs if q.id not in done]
-    base_graph = cp_base_graph(config) if config.app == "cp" else None
+    context = app_entry(config.app).context(config)
     failures = 0
     with out.open("a", encoding="utf-8") as fh:
-        def emit(record):
-            fh.write(canonical_json(record.to_json()) + "\n")
-            fh.flush()
-
-        if config.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                futures = [pool.submit(_run_one, config, q, t, config.agent, base_graph)
-                           for q, t in todo]
-                for future in futures:
-                    try:
-                        emit(future.result())
-                    except NetbenchError as exc:
-                        print(f"episode failed: {exc}", file=sys.stderr)
-                        failures += 1
-        else:
-            for query, truth in todo:
+        pool = ThreadPoolExecutor(max_workers=config.parallelism)
+        try:
+            futures = [(query.id, pool.submit(_run_one, config, query, truth, config.agent,
+                                              context))
+                       for query, truth in todo]
+            for query_id, future in futures:
                 try:
-                    emit(_run_one(config, query, truth, config.agent, base_graph))
+                    record = future.result()
                 except NetbenchError as exc:
-                    print(f"episode failed ({query.id}): {exc}", file=sys.stderr)
+                    print(f"episode failed ({query_id}): {exc}", file=sys.stderr)
                     failures += 1
+                    continue
+                fh.write(canonical_json(record.to_json()) + "\n")
+                fh.flush()
+        finally:
+            # when an exception leaves the loop, episodes not yet started never run
+            pool.shutdown(cancel_futures=True)
 
     print(f"ran {len(todo) - failures} episodes ({len(done)} resumed, {failures} failed); "
           f"metrics in {out}")
@@ -162,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--config", help="key=value configuration file")
     gen.add_argument("--app", choices=APPS)
     gen.add_argument("--num-queries", dest="num_queries", type=int)
-    gen.add_argument("--levels", help="comma-separated complexity levels, e.g. 1,2,3")
+    gen.add_argument("--levels", type=parse_levels,
+                     help="comma-separated complexity levels, e.g. 1,2,3")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True, help="output JSONL path")
     gen.add_argument("--sft", help="also export constructive fine-tuning records (cp only)")

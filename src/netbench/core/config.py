@@ -16,14 +16,22 @@ typo cannot silently fall back to a default.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from ..errors import ParseError
 from .types import BenchmarkConfig
 
-_INT_KEYS = ("num_queries", "seed", "max_turns", "parallelism")
-_KNOWN = ("app", "num_queries", "levels", "seed", "max_turns", "agent",
-          "parallelism", "safety_rule")
+
+def parse_levels(text: str) -> tuple:
+    """Comma-separated complexity levels, e.g. ``1,2,3``."""
+    return tuple(int(p) for p in text.split(",") if p.strip())
+
+
+# field name -> annotated type, e.g. "int"; the keys are the known keys
+_FIELD_TYPES = {f.name: f.type for f in fields(BenchmarkConfig)}
+# annotated type -> (parser, what a bad value needed); other fields stay strings
+_PARSERS = {"int": (int, "an integer"), "tuple": (parse_levels, "integers")}
 
 
 def parse_config(text: str) -> BenchmarkConfig:
@@ -37,7 +45,7 @@ def parse_config(text: str) -> BenchmarkConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN:
+        if key not in _FIELD_TYPES:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
@@ -45,20 +53,13 @@ def parse_config(text: str) -> BenchmarkConfig:
 
     if "app" not in values:
         raise ParseError("missing required key 'app'")
-    kwargs = {"app": values.pop("app")}
+    kwargs = {}
     for key, value in values.items():
-        if key in _INT_KEYS:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ParseError(f"key {key!r} needs an integer, got {value!r}") from None
-        elif key == "levels":
-            try:
-                kwargs[key] = tuple(int(p) for p in value.split(",") if p.strip())
-            except ValueError:
-                raise ParseError(f"key 'levels' needs integers, got {value!r}") from None
-        else:
-            kwargs[key] = value
+        parse, needed = _PARSERS.get(_FIELD_TYPES[key], (str, ""))
+        try:
+            kwargs[key] = parse(value)
+        except ValueError:
+            raise ParseError(f"key {key!r} needs {needed}, got {value!r}") from None
     try:
         return BenchmarkConfig(**kwargs)
     except ValueError as exc:

@@ -24,8 +24,7 @@ def run_episode(env, agent, query: QuerySpec, max_turns: int = 20) -> EpisodeRes
     started = time.perf_counter()
 
     for _ in range(max_turns):
-        observation = Observation(prompt_header="", system_status=env.system_status(),
-                                  history=history)
+        observation = Observation(system_status=env.system_status(), history=history)
         try:
             message = agent.step(observation)
         except (AgentTimeout, TransportError) as exc:

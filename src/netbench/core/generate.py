@@ -1,5 +1,8 @@
 """Batch query generation and environment construction.
 
+Each application is one entry of ``REGISTRY``; nothing else here names
+an app.
+
 Per-query seeds are derived from the master seed and the query index,
 so a batch is reproducible as a whole and every query is reproducible
 on its own. Batches serialize to JSONL in canonical form: regenerating
@@ -9,7 +12,9 @@ with the same configuration yields byte-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from ..cp.env import CpEnvironment
 from ..cp.generate import generate_cp_query
@@ -33,38 +38,77 @@ def cp_base_graph(config: BenchmarkConfig):
     return generate_synthetic_topology(DESK_SCALE, seed=derive_seed(config.seed, _CP_BASE_INDEX))
 
 
+@dataclass(frozen=True)
+class App:
+    """How the framework generates, runs and probes one application.
+
+    The callables name the generators and environment classes as globals
+    of this module, looked up at call time, so that code which rebinds
+    those names (tracing, host sampling) sees every call.
+    """
+
+    context: Callable  # config -> the input shared by a whole batch
+    generate: Callable  # (context, level, seed) -> (QuerySpec, GroundTruth)
+    environment: Callable  # (context, query, truth, safety_rule) -> environment
+    probes: tuple = ()  # the random agent's read-only commands; none: it answers at once
+    probe_machine: str | None = None  # where the probes run
+
+
+REGISTRY = {
+    "cp": App(
+        context=lambda config: cp_base_graph(config),
+        generate=lambda base, level, seed: generate_cp_query(base, level, seed),
+        environment=lambda base, query, truth, rule: CpEnvironment(
+            base, query, truth, safety_rule=rule)),
+    "routing": App(
+        context=lambda config: None,
+        generate=lambda _, level, seed: generate_routing_query(level, seed),
+        environment=lambda _, query, truth, rule: RoutingEnvironment(
+            query, truth, safety_rule=rule),
+        probes=("ip route", "ip addr", "ip link", "ifconfig", "iptables -L",
+                "sysctl net.ipv4.ip_forward", "ip rule", "tc qdisc show")),
+    "k8s": App(
+        context=lambda config: None,
+        generate=lambda _, level, seed: generate_k8s_query(level, seed),
+        environment=lambda _, query, truth, rule: K8sEnvironment(
+            query, truth, safety_rule=rule),
+        probes=("kubectl get networkpolicies",
+                "kubectl describe networkpolicy frontend",
+                "kubectl get networkpolicy default-deny -o yaml",
+                "kubectl describe networkpolicy cartservice"),
+        probe_machine="master"),
+}
+
+
+def app_entry(app: str) -> App:
+    try:
+        return REGISTRY[app]
+    except KeyError:
+        raise UnknownApp(app) from None
+
+
 def generate_batch(config: BenchmarkConfig) -> list:
     """Generate ``config.num_queries`` (QuerySpec, GroundTruth) pairs.
 
     Levels are assigned round-robin so every requested level gets an
     equal share (up to remainder).
     """
+    app = app_entry(config.app)
+    context = app.context(config)
     pairs = []
-    base = cp_base_graph(config) if config.app == "cp" else None
     for index in range(config.num_queries):
         level = config.levels[index % len(config.levels)]
-        seed = derive_seed(config.seed, index)
-        if config.app == "cp":
-            pairs.append(generate_cp_query(base, level, seed))
-        elif config.app == "routing":
-            pairs.append(generate_routing_query(level, seed))
-        elif config.app == "k8s":
-            pairs.append(generate_k8s_query(level, seed))
-        else:
-            raise UnknownApp(config.app)
+        pairs.append(app.generate(context, level, derive_seed(config.seed, index)))
     return pairs
 
 
 def make_environment(config: BenchmarkConfig, query: QuerySpec, truth: GroundTruth,
                      base_graph=None):
-    if config.app == "cp":
-        base = base_graph if base_graph is not None else cp_base_graph(config)
-        return CpEnvironment(base, query, truth, safety_rule=config.safety_rule)
-    if config.app == "routing":
-        return RoutingEnvironment(query, truth, safety_rule=config.safety_rule)
-    if config.app == "k8s":
-        return K8sEnvironment(query, truth, safety_rule=config.safety_rule)
-    raise UnknownApp(config.app)
+    """The query's environment; ``base_graph`` is the batch's shared
+    context (``App.context``), computed from ``config`` when not given."""
+    app = app_entry(config.app)
+    context = app.context(config) if base_graph is None else base_graph
+    return app.environment(context, query, truth, config.safety_rule)
 
 
 def write_batch_jsonl(pairs, path) -> int:

@@ -197,13 +197,4 @@ class BenchmarkConfig:
             raise ValueError("safety_rule must be 'strict' or 'lenient'")
 
     def to_json(self):
-        return {
-            "app": self.app,
-            "num_queries": self.num_queries,
-            "levels": list(self.levels),
-            "seed": self.seed,
-            "max_turns": self.max_turns,
-            "agent": self.agent,
-            "parallelism": self.parallelism,
-            "safety_rule": self.safety_rule,
-        }
+        return {**asdict(self), "levels": list(self.levels)}

@@ -8,8 +8,6 @@ and compares the outcome against the golden program's result.
 
 from __future__ import annotations
 
-import time
-
 from ..agents.base import MSG_FINAL, AgentMessage
 from ..core.types import ActionSpec, GroundTruth, QuerySpec
 from ..errors import NetbenchError
@@ -21,7 +19,6 @@ from .safety import check_safety_cp
 
 class CpEnvironment:
     app = "cp"
-    multi_turn = False
 
     def __init__(self, base_graph: CpGraph, query: QuerySpec, truth: GroundTruth,
                  safety_rule: str = "strict"):
@@ -34,8 +31,6 @@ class CpEnvironment:
         self.state = self.base.copy()
         self.result: CpResult | None = None
         self.answered = False
-        self.execution_error: str | None = None
-        self.exec_wall = 0.0
 
     # -- episode protocol ----------------------------------------------------
 
@@ -55,7 +50,6 @@ class CpEnvironment:
         payload = message.payload if isinstance(message.payload, dict) else {}
 
         if "program" in payload:
-            started = time.perf_counter()
             try:
                 program = [ActionSpec(a["name"], tuple(a.get("operands", ()))) for a in payload["program"]]
                 state = self.base.copy()
@@ -63,10 +57,7 @@ class CpEnvironment:
                 for action in program:
                     state, result = apply_basic_op(state, action)
             except (NetbenchError, KeyError, TypeError, ValueError) as exc:
-                self.exec_wall = time.perf_counter() - started
-                self.execution_error = str(exc)
                 return f"program rejected: {exc}", True, False, False
-            self.exec_wall = time.perf_counter() - started
             self.state = state
             self.result = result
             safe = not check_safety_cp(state)
@@ -77,12 +68,10 @@ class CpEnvironment:
             try:
                 self.result = CpResult(ans["kind"], ans["value"])
             except (KeyError, TypeError, ValueError) as exc:
-                self.execution_error = str(exc)
                 return f"malformed answer: {exc}", True, False, False
             return "answer recorded", True, False, True
 
-        self.execution_error = "final answer carries neither a program nor an answer"
-        return self.execution_error, True, False, False
+        return "final answer carries neither a program nor an answer", True, False, False
 
     # -- scoring -------------------------------------------------------------
 

@@ -27,15 +27,6 @@ class ArityMismatch(NetbenchError):
                          + (f" (index {index})" if index is not None else ""))
 
 
-class ApplicationRejected(NetbenchError):
-    """An action's own precondition failed while composing a program."""
-
-    def __init__(self, index, cause):
-        self.index = index
-        self.cause = cause
-        super().__init__(f"action at index {index} rejected: {cause}")
-
-
 # --- generation -------------------------------------------------------------
 
 class UnknownApp(NetbenchError):
@@ -93,14 +84,6 @@ class UnknownFamily(NetbenchError):
 
 
 class MethodOutOfRange(NetbenchError):
-    pass
-
-
-class UnknownMachine(NetbenchError):
-    pass
-
-
-class UnsupportedCommand(NetbenchError):
     pass
 
 

@@ -126,4 +126,5 @@ def default_policies() -> dict:
 
 
 def cluster_digest(policies: dict) -> str:
-    return digest({name: canonical_policy(p) for name, p in sorted(policies.items())})
+    # canonical_json sorts keys at every depth, which is all canonical_policy does
+    return digest(policies)

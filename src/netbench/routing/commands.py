@@ -28,10 +28,6 @@ class CommandOutcome:
     output: str
     kind: str  # read | write | invalid
 
-    @property
-    def is_write(self) -> bool:
-        return self.kind == WRITE
-
 
 def _resolve_machine(state: NetState, machine: str) -> str | None:
     """Accept node names with or without the topology prefix."""

@@ -1,12 +1,14 @@
 """Reference verdict kernels: the straightforward per-pair implementations.
 
 These are the original ``pingall`` and ``connectivity_check``, which
-re-derive every pair-independent fact for every pair. The differential
+re-derive every pair-independent fact for every pair, and the original
+``cluster_digest``, which re-canonicalises every policy. The differential
 tests hold the optimized kernels in ``netbench`` to the same answers.
 """
 
+from netbench.digest import digest
 from netbench.k8spolicy.connectivity import MismatchReport
-from netbench.k8spolicy.model import expected_flows, flow_universe
+from netbench.k8spolicy.model import canonical_policy, expected_flows, flow_universe
 from netbench.routing.pingall import DEFAULT_DELAY_CEILING_MS, MAX_ROUTE_HOPS, PingMatrix
 from netbench.routing.state import MIN_DATAGRAM_MTU, cidr_covers, prefix_len
 
@@ -186,3 +188,7 @@ def ref_connectivity_check(policies):
         if exp != act:
             mismatches.append((src, dst, port, exp, act))
     return MismatchReport(mismatches=sorted(mismatches))
+
+
+def ref_cluster_digest(policies):
+    return digest({name: canonical_policy(p) for name, p in sorted(policies.items())})

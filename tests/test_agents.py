@@ -15,7 +15,7 @@ from netbench.k8spolicy.generate import generate_k8s_query
 from netbench.routing.generate import generate_routing_query
 
 
-OBS = Observation(prompt_header="header", system_status="status")
+OBS = Observation(system_status="status")
 
 
 def routing_config(**kw):

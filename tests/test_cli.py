@@ -1,8 +1,14 @@
 import json
+import time
+from dataclasses import fields
 
 import pytest
 
-from netbench.cli import main
+from netbench import cli
+from netbench.cli import build_parser, main
+from netbench.core.config import parse_config
+from netbench.core.types import BenchmarkConfig
+from netbench.errors import TransportError
 from netbench.evaluation.aggregate import CSV_HEADER
 from netbench.evaluation.report import read_metrics_jsonl
 
@@ -150,3 +156,106 @@ def test_adversarial_agent_names_the_app_it_cannot_play(tmp_path, capsys):
                  "--out", str(tmp_path / "m.jsonl")]) == 2
     err = capsys.readouterr().err
     assert "routing" in err and "'k8s'" in err and "topology record" not in err
+
+
+def _batch_ids(batch):
+    return [json.loads(line)["query"]["id"] for line in batch.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_run_names_a_failed_episode_and_keeps_batch_order(batch, tmp_path, capsys,
+                                                          monkeypatch, parallelism):
+    ids = _batch_ids(batch)
+    failing = ids[2]
+    original = cli.run_episode
+
+    def episode(env, agent, query, **kw):
+        if query.id == failing:
+            raise TransportError("agent went away")
+        return original(env, agent, query, **kw)
+
+    monkeypatch.setattr(cli, "run_episode", episode)
+    metrics = tmp_path / "metrics.jsonl"
+    assert main(["run", "--batch", str(batch), "--agent", "oracle",
+                 "--parallelism", parallelism, "--out", str(metrics)]) == 1
+    assert f"episode failed ({failing}): agent went away" in capsys.readouterr().err
+    assert [r.query_id for r in read_metrics_jsonl(metrics)] == [i for i in ids if i != failing]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_abort_cancels_episodes_not_started(batch, tmp_path, monkeypatch, parallelism):
+    first = _batch_ids(batch)[0]
+    started = []
+
+    def episode(env, agent, query, **kw):
+        if query.id == first:
+            raise RuntimeError("framework bug")
+        started.append(query.id)
+        time.sleep(0.2)  # still running when the failure reaches the loop
+        raise TransportError("slow episode")
+
+    monkeypatch.setattr(cli, "run_episode", episode)
+    with pytest.raises(RuntimeError):
+        main(["run", "--batch", str(batch), "--agent", "oracle",
+              "--parallelism", str(parallelism), "--out", str(tmp_path / "m.jsonl")])
+    # only the episodes the free workers picked up; the other 5 - parallelism never run
+    assert len(started) <= parallelism
+
+
+# one value per config field, none of them the default, and another for the flags
+CONFIG = {"app": "k8s", "num_queries": 3, "levels": (1, 3), "seed": 5, "max_turns": 7,
+          "agent": "noop", "parallelism": 2, "safety_rule": "lenient"}
+OTHER = {"app": "routing", "num_queries": 2, "levels": (2,), "seed": 8, "max_turns": 9,
+         "agent": "oracle", "parallelism": 1, "safety_rule": "strict"}
+
+
+def _text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _flag_argv(command):
+    """(config fields ``command`` has a flag for, flags setting them to OTHER's values)."""
+    argv = [command, "--out", "x"] + (["--batch", "x"] if command == "run" else [])
+    names = set(vars(build_parser().parse_args(argv))) & set(OTHER)
+    return names, [arg for name in sorted(names)
+                   for arg in ("--" + name.replace("_", "-"), _text(OTHER[name]))]
+
+
+def _generate(tmp_path, argv):
+    """Generate a batch; returns its path and the config its manifest records."""
+    out = tmp_path / f"batch{len(list(tmp_path.glob('*.jsonl')))}.jsonl"
+    assert main(["generate", *argv, "--out", str(out)]) == 0
+    manifest = json.loads(out.with_suffix(".jsonl.manifest.json").read_text())
+    return out, BenchmarkConfig(**manifest["config"])
+
+
+def _config_file(tmp_path):
+    path = tmp_path / "bench.cfg"
+    path.write_text("\n".join(f"{key} = {_text(value)}" for key, value in CONFIG.items()))
+    return path
+
+
+def test_every_config_field_is_parsed_and_kept_in_the_manifest(tmp_path):
+    assert set(CONFIG) == set(OTHER) == {f.name for f in fields(BenchmarkConfig)}
+    config_file = _config_file(tmp_path)
+    assert parse_config(config_file.read_text()) == BenchmarkConfig(**CONFIG)
+    assert _generate(tmp_path, ["--config", str(config_file)])[1] == BenchmarkConfig(**CONFIG)
+    names, argv = _flag_argv("generate")
+    assert _generate(tmp_path, argv)[1] == BenchmarkConfig(**{k: OTHER[k] for k in names})
+
+
+def test_run_flags_override_the_manifest_config(tmp_path, monkeypatch):
+    batch, _ = _generate(tmp_path, ["--config", str(_config_file(tmp_path))])
+    names, argv = _flag_argv("run")
+    seen = []
+    original = cli._run_one
+
+    def spy(config, *rest):
+        seen.append(config)
+        return original(config, *rest)
+
+    monkeypatch.setattr(cli, "_run_one", spy)
+    assert main(["run", "--batch", str(batch), *argv, "--out", str(tmp_path / "m.jsonl")]) == 0
+    assert names and len(seen) == CONFIG["num_queries"]
+    assert all(config == BenchmarkConfig(**{**CONFIG, **{k: OTHER[k] for k in names}})
+               for config in seen)

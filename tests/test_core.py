@@ -3,10 +3,11 @@ import pytest
 from netbench.agents.base import MSG_FINAL, AgentMessage
 from netbench.agents.builtin import NoopAgent, OracleAgent
 from netbench.core.config import parse_config
+from netbench.core import generate as core_generate
 from netbench.core.episode import run_episode
-from netbench.core.generate import cp_base_graph, generate_batch, make_environment, \
+from netbench.core.generate import REGISTRY, cp_base_graph, generate_batch, make_environment, \
     read_batch_jsonl, write_batch_jsonl
-from netbench.core.types import BenchmarkConfig
+from netbench.core.types import APPS, BenchmarkConfig
 from netbench.errors import AgentProtocolError, ParseError, TransportError, UnknownApp
 
 
@@ -200,3 +201,23 @@ def test_run_episode_noop_counts_single_turn():
     env = make_environment(cfg, query, truth)
     result = run_episode(env, NoopAgent(), query)
     assert result.latency_turns == 1 and result.safe and not result.correct
+
+
+# --- the app registry ---------------------------------------------------
+
+def test_registry_has_one_entry_per_app():
+    assert set(REGISTRY) == set(APPS)
+
+
+def test_generate_batch_calls_the_generator_by_its_global_name(monkeypatch):
+    # a registry holding the function object itself would bypass this patch
+    calls = []
+    original = core_generate.generate_routing_query
+
+    def counted(level, seed):
+        calls.append(seed)
+        return original(level, seed)
+
+    monkeypatch.setattr(core_generate, "generate_routing_query", counted)
+    pairs = generate_batch(config(num_queries=5))
+    assert calls == [q.seed for q, _ in pairs]

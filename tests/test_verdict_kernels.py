@@ -20,7 +20,7 @@ from netbench.k8spolicy.env import K8sEnvironment
 from netbench.k8spolicy.generate import generate_k8s_query, rebuild_cluster
 from netbench.k8spolicy.inject import MUTATIONS, build_mutation
 from netbench.k8spolicy.kubectl import exec_kubectl
-from netbench.k8spolicy.model import SERVICE_PORTS, SERVICES, flow_universe
+from netbench.k8spolicy.model import SERVICE_PORTS, SERVICES, cluster_digest, flow_universe
 from netbench.k8spolicy.safety import judge_step_safety as k8s_judge
 from netbench.routing import env as routing_env
 from netbench.routing.commands import exec_command
@@ -29,8 +29,8 @@ from netbench.routing.generate import generate_routing_query, rebuild_states
 from netbench.routing.inject import FAMILY_METHODS, build_fault
 from netbench.routing.pingall import pair_reachable, pingall
 from netbench.routing.safety import judge_step_safety as routing_judge
-from reference_kernels import ref_connectivity_check, ref_flow_allowed, ref_pair_reachable, \
-    ref_pingall
+from reference_kernels import ref_cluster_digest, ref_connectivity_check, ref_flow_allowed, \
+    ref_pair_reachable, ref_pingall
 
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -189,6 +189,35 @@ def test_connectivity_check_matches_reference_on_reachable_states(data, level, s
         assert connectivity_check(policies) == ref_connectivity_check(policies)
         src, dst, port = data.draw(st.sampled_from(flow_universe()))
         assert flow_allowed(policies, src, dst, port) == ref_flow_allowed(policies, src, dst, port)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12)
+
+
+def _shuffled(data, value):
+    """``value`` rebuilt with the keys of every dict in a drawn order."""
+    if isinstance(value, dict):
+        return {k: _shuffled(data, value[k]) for k in data.draw(st.permutations(list(value)))}
+    if isinstance(value, list):
+        return [_shuffled(data, v) for v in value]
+    return value
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+def test_cluster_digest_matches_reference_under_shuffled_keys(data, level, seed):
+    _, truth = generate_k8s_query(level, seed)
+    policies = data.draw(st.sampled_from(rebuild_cluster(truth)))
+    for _ in range(data.draw(st.integers(0, 4))):
+        policies = exec_kubectl(policies, data.draw(kubectl_command(policies, truth.recovery))).policies
+    # a store built through kubectl, and one that was not
+    for store in (policies, data.draw(st.dictionaries(st.text(max_size=6), _JSON, max_size=4))):
+        shuffled = _shuffled(data, store)
+        assert cluster_digest(shuffled) == ref_cluster_digest(shuffled) == ref_cluster_digest(store)
 
 
 # --- verdicts per turn ---------------------------------------------------------
