@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .agents import BUILTIN_AGENTS, make_agent
@@ -42,7 +42,7 @@ def _config_from_args(args) -> BenchmarkConfig:
         config = load_config(args.config)
         if args.app and args.app != config.app:
             raise ParseError(f"--app {args.app} conflicts with config app {config.app}")
-        return config
+        return replace(config, **_flag_values(args))
     if not args.app:
         raise ParseError("either --config or --app is required")
     return BenchmarkConfig(**_flag_values(args))

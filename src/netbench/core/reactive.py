@@ -9,6 +9,12 @@ is solved when every member of the universe is good.
 A verdict is a pure function of its state, and states are never mutated
 in place (commands return new ones), so each state's verdict is
 computed once and held next to it.
+
+Each app's interpreter classifies a command as a read, a write or an
+invalid turn. ``write(state, machine, command)`` is an app's adapter
+over it: the state the command writes, or None when it is not accepted
+as a write. Generation, injection replay and the recovery-order search
+all go through it.
 """
 
 from __future__ import annotations
@@ -16,8 +22,13 @@ from __future__ import annotations
 import itertools
 
 from ..agents.base import MSG_COMMAND
+from ..errors import EmptyLevelSet, IneffectiveInjection
+from ..seeds import rng_for
+from .types import GT_RECOVERY_PREDICATE, GroundTruth, QuerySpec
 
+READ, WRITE, INVALID = "read", "write", "invalid"  # the kinds of an interpreted command
 SAFETY_RULES = ("strict", "lenient")
+MAX_RESAMPLES = 16
 
 
 def solved(verdict) -> bool:
@@ -40,19 +51,28 @@ def judge_verdicts(before, after, rule: str = "strict") -> bool:
     return True
 
 
-def monotone_order(start, start_verdict, inverses, execute, verdict, state_digest,
+def replay(state, commands, write):
+    """Apply (machine, command) ``commands`` in order; each must be a write."""
+    for machine, command in commands:
+        nxt = write(state, machine, command)
+        if nxt is None:
+            raise AssertionError(f"injection command was not accepted as a write: {command!r}")
+        state = nxt
+    return state
+
+
+def monotone_order(start, start_verdict, inverses, write, verdict, state_digest,
                    target_digest: str) -> list | None:
     """Find an order of ``inverses`` whose every step strictly grows the good set.
 
-    ``execute(state, inverse)`` returns the next state, or None when the
-    inverse is not accepted as a write; ``verdict(state)`` judges a state.
-    Returns the inverses in the first permutation that loses no good
-    member on any step and ends solved at ``target_digest``, else None.
+    ``verdict(state)`` judges a state. Returns the inverses in the first
+    permutation that loses no good member on any step and ends solved at
+    ``target_digest``, else None.
     """
     for perm in itertools.permutations(inverses):
         cur, cur_verdict = start, start_verdict
         for inverse in perm:
-            nxt = execute(cur, inverse)
+            nxt = write(cur, *inverse)
             if nxt is None:
                 break
             nxt_verdict = verdict(nxt)
@@ -64,6 +84,43 @@ def monotone_order(start, start_verdict, inverses, execute, verdict, state_diges
             if state_digest(cur) == target_digest and solved(cur_verdict):
                 return list(perm)
     return None
+
+
+def generate_reactive_query(app, labels, level, seed, attempts, write, verdict, state_digest,
+                            prompt) -> tuple:
+    """Build one reactive query; returns (QuerySpec, GroundTruth).
+
+    A label is drawn from ``labels[level]`` and its ``+``-joined families
+    are passed to ``attempts(rng, families)``, a lazy generator of
+    candidates (healthy state, forward commands, inverse commands,
+    recorded injection). The first of at most ``MAX_RESAMPLES`` candidates
+    whose injection is observable and whose inverses have a monotone
+    order becomes the query, prompted with ``prompt(healthy, verdict)``.
+    """
+    if level not in labels:
+        raise EmptyLevelSet(f"no {app} injections defined for level {level}")
+    rng = rng_for(seed)
+    label = rng.choice(labels[level])
+    candidates = attempts(rng, label.split("+"))
+    for healthy, forward, inverses, injection in itertools.islice(candidates, MAX_RESAMPLES):
+        broken = replay(healthy, forward, write)
+        broken_verdict = verdict(broken)
+        if solved(broken_verdict):
+            continue  # the injection is not observable; resample
+        target_digest = state_digest(healthy)
+        recovery = monotone_order(broken, broken_verdict, inverses, write, verdict,
+                                  state_digest, target_digest)
+        if recovery is None:
+            continue
+        truth = GroundTruth(kind=GT_RECOVERY_PREDICATE, target_digest=target_digest,
+                            hidden_injection=injection, recovery=recovery)
+        query = QuerySpec(id=f"{app}-L{level}-{seed:016x}", app=app, level=level,
+                          action_label=label, prompt_text=prompt(healthy, broken_verdict),
+                          seed=seed)
+        return query, truth
+    raise IneffectiveInjection(
+        f"no observable, monotonically recoverable {app} injection for {label} after "
+        f"{MAX_RESAMPLES} attempts (seed {seed})")
 
 
 class ReactiveEnvironment:
@@ -100,8 +157,8 @@ class ReactiveEnvironment:
         if message.kind != MSG_COMMAND:
             return "final answer recorded", True, False, True
         state, output, kind = self.execute(self.state, message)
-        if kind != "write":
-            return output, True, False, kind == "read"
+        if kind != WRITE:
+            return output, True, False, kind == READ
         verdict = self.verdict(state)
         safe = judge_verdicts(self.current, verdict, self.safety_rule)
         self.state, self.current = state, verdict

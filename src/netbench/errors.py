@@ -13,18 +13,15 @@ class NetbenchError(Exception):
 # --- action composition -----------------------------------------------------
 
 class UnknownAction(NetbenchError):
-    def __init__(self, name, index=None):
+    def __init__(self, name):
         self.name = name
-        self.index = index
-        super().__init__(f"unknown action {name!r}" + (f" at index {index}" if index is not None else ""))
+        super().__init__(f"unknown action {name!r}")
 
 
 class ArityMismatch(NetbenchError):
-    def __init__(self, name, got, expected, index=None):
+    def __init__(self, name, got, expected):
         self.name = name
-        self.index = index
-        super().__init__(f"action {name!r} takes {expected} operands, got {got}"
-                         + (f" (index {index})" if index is not None else ""))
+        super().__init__(f"action {name!r} takes {expected} operands, got {got}")
 
 
 # --- generation -------------------------------------------------------------
@@ -47,23 +44,19 @@ class IneffectiveInjection(NetbenchError):
 
 # --- capacity planning ------------------------------------------------------
 
-class CpError(NetbenchError):
+class UnknownNode(NetbenchError):
     pass
 
 
-class UnknownNode(CpError):
+class DuplicateName(NetbenchError):
     pass
 
 
-class DuplicateName(CpError):
+class HierarchyViolation(NetbenchError):
     pass
 
 
-class HierarchyViolation(CpError):
-    pass
-
-
-class InvariantViolation(CpError):
+class InvariantViolation(NetbenchError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(str(v) for v in self.violations))

@@ -14,8 +14,7 @@ class K8sEnvironment(ReactiveEnvironment):
     app = "k8s"
 
     def __init__(self, query: QuerySpec, truth: GroundTruth, safety_rule: str = "strict"):
-        self.baseline, initial = rebuild_cluster(truth)
-        super().__init__(query, truth, initial, safety_rule)
+        super().__init__(query, truth, rebuild_cluster(truth)[1], safety_rule)
 
     def verdict(self, policies):
         return connectivity_check(policies)

@@ -8,14 +8,12 @@ where every patch strictly grows the set of conforming flows.
 
 from __future__ import annotations
 
-from ..core.reactive import monotone_order
-from ..core.types import GT_RECOVERY_PREDICATE, GroundTruth, QuerySpec
-from ..errors import EmptyLevelSet, IneffectiveInjection
-from ..seeds import rng_for
+from ..core.reactive import generate_reactive_query, replay
+from ..core.types import GroundTruth
 from .connectivity import MismatchReport, connectivity_check
 from .inject import AE_EGRESS_GRAPH, AE_TARGETS, AI_TARGETS, CP_TARGETS, CPR_TARGETS, \
     RI_TARGETS, build_mutation, mutation_from_action, mutation_to_action
-from .kubectl import exec_kubectl
+from .kubectl import write_kubectl
 from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, cluster_digest, default_policies
 
 LEVEL_LABELS = {
@@ -23,8 +21,6 @@ LEVEL_LABELS = {
     2: ("RI+AI", "RI+CP", "RI+CPR", "AI+CP", "AI+CPR", "CP+CPR"),
     3: ("CP+AE", "CPR+AE", "RI+AE", "AI+AE"),
 }
-
-MAX_RESAMPLES = 16
 
 _TARGET_POOLS = {"RI": RI_TARGETS, "AI": AI_TARGETS, "CP": CP_TARGETS,
                  "CPR": CPR_TARGETS, "AE": AE_TARGETS}
@@ -58,67 +54,27 @@ def _sample_mutations(rng, families) -> list:
     return mutations
 
 
-def _exec_inverse(policies: dict, inverse) -> dict | None:
-    outcome = exec_kubectl(policies, inverse[1])
-    return outcome.policies if outcome.kind == "write" else None
+def _attempts(rng, families):
+    """Candidates: the baseline with mutations of ``families`` sampled into it."""
+    baseline = default_policies()
+    while True:
+        mutations = _sample_mutations(rng, families)
+        yield (baseline, [m.forward for m in mutations], [m.inverse for m in mutations],
+               tuple(map(mutation_to_action, mutations)))
 
 
 def generate_k8s_query(level: int, seed: int) -> tuple:
     """Build one reactive policy query; returns (QuerySpec, GroundTruth)."""
-    if level not in LEVEL_LABELS:
-        raise EmptyLevelSet(f"no mutation combinations defined for level {level}")
-    rng = rng_for(seed)
-    label = rng.choice(LEVEL_LABELS[level])
-    families = label.split("+")
-    baseline = default_policies()
-
-    for _ in range(MAX_RESAMPLES):
-        mutations = _sample_mutations(rng, families)
-        broken = baseline
-        for mutation in mutations:
-            _, command = mutation.forward
-            outcome = exec_kubectl(broken, command)
-            if outcome.kind != "write":
-                raise AssertionError(f"mutation patch rejected: {outcome.output}")
-            broken = outcome.policies
-        report = connectivity_check(broken)
-        if report.clean:
-            continue
-        recovery = monotone_order(broken, report, [m.inverse for m in mutations],
-                                  _exec_inverse, connectivity_check, cluster_digest,
-                                  cluster_digest(baseline))
-        if recovery is None:
-            continue
-        truth = GroundTruth(
-            kind=GT_RECOVERY_PREDICATE,
-            target_digest=cluster_digest(baseline),
-            hidden_injection=tuple(mutation_to_action(m) for m in mutations),
-            recovery=tuple(recovery),
-        )
-        query = QuerySpec(
-            id=f"k8s-L{level}-{seed:016x}",
-            app="k8s",
-            level=level,
-            action_label=label,
-            prompt_text=render_k8s_prompt(report),
-            seed=seed,
-        )
-        return query, truth
-
-    raise IneffectiveInjection(
-        f"no observable, monotonically recoverable mutation set for {label} after "
-        f"{MAX_RESAMPLES} attempts (seed {seed})")
+    return generate_reactive_query("k8s", LEVEL_LABELS, level, seed, _attempts,
+                                   write_kubectl, connectivity_check, cluster_digest,
+                                   lambda _, report: render_k8s_prompt(report))
 
 
 def rebuild_cluster(truth: GroundTruth) -> tuple:
     """Reconstruct (baseline, broken) policy stores from a ground truth."""
     baseline = default_policies()
-    broken = baseline
-    for action in truth.hidden_injection:
-        mutation = mutation_from_action(action)
-        outcome = exec_kubectl(broken, mutation.forward[1])
-        broken = outcome.policies
-    return baseline, broken
+    mutations = map(mutation_from_action, truth.hidden_injection)
+    return baseline, replay(baseline, [m.forward for m in mutations], write_kubectl)
 
 
 def render_k8s_prompt(report: MismatchReport) -> str:

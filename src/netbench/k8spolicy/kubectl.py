@@ -14,11 +14,8 @@ from dataclasses import dataclass
 
 import yaml
 
+from ..core.reactive import INVALID, READ, WRITE
 from .model import canonical_policy, policy_yaml
-
-READ = "read"
-WRITE = "write"
-INVALID = "invalid"
 
 _KINDS = ("networkpolicy", "networkpolicies", "netpol")
 _PATCH_RE = re.compile(r"-p\s+'(.*)'\s*$", re.DOTALL)
@@ -154,6 +151,12 @@ def exec_kubectl(policies: dict, command: str) -> KubectlOutcome:
     if verb == "delete":
         return _delete(policies, tokens[2:])
     return KubectlOutcome(policies, f"kubectl: unsupported verb {verb!r}", INVALID)
+
+
+def write_kubectl(policies: dict, machine: str, command: str) -> dict | None:
+    """The store ``command`` writes, or None when it is not a write; ``machine`` is unused."""
+    outcome = exec_kubectl(policies, command)
+    return outcome.policies if outcome.kind == WRITE else None
 
 
 def _want_kind(args):

@@ -12,11 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ..core.reactive import INVALID, READ, WRITE
 from .state import DEFAULT_MTU, FilterRule, NetState, Route
-
-READ = "read"
-WRITE = "write"
-INVALID = "invalid"
 
 _CIDR_RE = re.compile(r"^(\d{1,3}\.){3}\d{1,3}/\d{1,2}$")
 _IP_RE = re.compile(r"^(\d{1,3}\.){3}\d{1,3}$")
@@ -144,9 +141,15 @@ def exec_command(state: NetState, machine: str, command: str) -> CommandOutcome:
         return _exec_on_host(state, node, tokens)
 
     try:
-        return _exec_on_router(state, tokens, text)
+        return _exec_on_router(state, tokens)
     except _Reject as exc:
         return CommandOutcome(state, str(exc), INVALID)
+
+
+def write_command(state: NetState, machine: str, command: str) -> NetState | None:
+    """The state ``command`` writes, or None when it is not accepted as a write."""
+    outcome = exec_command(state, machine, command)
+    return outcome.state if outcome.kind == WRITE else None
 
 
 class _Reject(Exception):
@@ -191,7 +194,7 @@ def _exec_on_host(state: NetState, node: str, tokens) -> CommandOutcome:
         INVALID)
 
 
-def _exec_on_router(state: NetState, tokens, text: str) -> CommandOutcome:
+def _exec_on_router(state: NetState, tokens) -> CommandOutcome:
     cmd = tokens[0]
 
     if cmd == "ifconfig":

@@ -19,8 +19,7 @@ class RoutingEnvironment(ReactiveEnvironment):
     app = "routing"
 
     def __init__(self, query: QuerySpec, truth: GroundTruth, safety_rule: str = "strict"):
-        self.healthy, initial = rebuild_states(truth)
-        super().__init__(query, truth, initial, safety_rule)
+        super().__init__(query, truth, rebuild_states(truth)[1], safety_rule)
 
     def verdict(self, state):
         return pingall(state)

@@ -11,13 +11,11 @@ sampled parameters are resampled.
 
 from __future__ import annotations
 
-from ..core.reactive import monotone_order
-from ..core.types import ActionSpec, GT_RECOVERY_PREDICATE, GroundTruth, QuerySpec
-from ..errors import EmptyLevelSet, IneffectiveInjection
-from ..seeds import rng_for
-from .commands import exec_command
-from .inject import FAMILY_METHODS, apply_fault, build_fault, fault_from_action, \
-    fault_scope, fault_to_action, needs_aux
+from ..core.reactive import generate_reactive_query, replay
+from ..core.types import ActionSpec, GroundTruth
+from .commands import write_command
+from .inject import FAMILY_METHODS, build_fault, fault_from_action, fault_scope, \
+    fault_to_action, needs_aux
 from .pingall import PingMatrix, pingall
 from .state import NetState, build_topology
 
@@ -27,7 +25,6 @@ LEVEL_LABELS = {
     3: ("DI+WR", "RI+DT", "DI+RI"),
 }
 
-MAX_RESAMPLES = 16
 _BAD_MASK_COUNT = 5
 
 SETUP_ACTION = "topology"
@@ -54,61 +51,29 @@ def _sample_faults(rng, state: NetState, families) -> list:
     return faults
 
 
-def _exec_inverse(state: NetState, inverse) -> NetState | None:
-    outcome = exec_command(state, *inverse)
-    return outcome.state if outcome.kind == "write" else None
+def _forward(faults) -> list:
+    return [command for fault in faults for command in fault.forward]
 
 
-def generate_routing_query(level: int, seed: int) -> tuple:
-    """Build one reactive routing query; returns (QuerySpec, GroundTruth)."""
-    if level not in LEVEL_LABELS:
-        raise EmptyLevelSet(f"no fault combinations defined for level {level}")
-    rng = rng_for(seed)
-    label = rng.choice(LEVEL_LABELS[level])
-    families = label.split("+")
+def _attempts(rng, families):
+    """Candidates: a fresh topology with faults of ``families`` sampled into it."""
     prefix = f"n{rng.randrange(100)}_"
-
     heavy = len(families) == 2 and all(f in ("DR", "DT", "WR") for f in families)
-    for _ in range(MAX_RESAMPLES):
+    while True:
         num_switches = rng.randint(3, 4) if heavy else rng.randint(2, 4)
         hosts_per_subnet = rng.randint(2, 4)
         healthy = build_topology(num_switches, hosts_per_subnet, prefix=prefix)
         faults = _sample_faults(rng, healthy, families)
-
-        injected = healthy
-        for fault in faults:
-            injected = apply_fault(injected, fault)
-        matrix = pingall(injected)
-        if matrix.all_reachable:
-            continue  # fault not observable; resample parameters
-
-        # the faults' inverses, in an order where each strictly improves reachability
-        recovery = monotone_order(injected, matrix, [f.inverse for f in faults],
-                                  _exec_inverse, pingall, NetState.state_digest,
-                                  healthy.state_digest())
-        if recovery is None:
-            continue
-
         setup = ActionSpec(SETUP_ACTION, (num_switches, hosts_per_subnet, prefix))
-        truth = GroundTruth(
-            kind=GT_RECOVERY_PREDICATE,
-            target_digest=healthy.state_digest(),
-            hidden_injection=(setup,) + tuple(fault_to_action(f) for f in faults),
-            recovery=tuple(recovery),
-        )
-        query = QuerySpec(
-            id=f"routing-L{level}-{seed:016x}",
-            app="routing",
-            level=level,
-            action_label=label,
-            prompt_text=render_routing_prompt(healthy, matrix),
-            seed=seed,
-        )
-        return query, truth
+        yield (healthy, _forward(faults), [f.inverse for f in faults],
+               (setup, *map(fault_to_action, faults)))
 
-    raise IneffectiveInjection(
-        f"no observable, monotonically recoverable injection for {label} after "
-        f"{MAX_RESAMPLES} attempts (seed {seed})")
+
+def generate_routing_query(level: int, seed: int) -> tuple:
+    """Build one reactive routing query; returns (QuerySpec, GroundTruth)."""
+    return generate_reactive_query("routing", LEVEL_LABELS, level, seed, _attempts,
+                                   write_command, pingall, NetState.state_digest,
+                                   render_routing_prompt)
 
 
 def rebuild_states(truth: GroundTruth) -> tuple:
@@ -118,10 +83,8 @@ def rebuild_states(truth: GroundTruth) -> tuple:
         raise ValueError("routing ground truth is missing its topology record")
     num_switches, hosts_per_subnet, prefix = setup.operands
     healthy = build_topology(int(num_switches), int(hosts_per_subnet), prefix=str(prefix))
-    injected = healthy
-    for action in truth.hidden_injection[1:]:
-        injected = apply_fault(injected, fault_from_action(healthy, action))
-    return healthy, injected
+    faults = [fault_from_action(healthy, action) for action in truth.hidden_injection[1:]]
+    return healthy, replay(healthy, _forward(faults), write_command)
 
 
 def render_routing_prompt(healthy: NetState, matrix: PingMatrix) -> str:

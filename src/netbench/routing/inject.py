@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.reactive import replay
 from ..core.types import ActionSpec
 from ..errors import MethodOutOfRange, UnknownFamily
-from .commands import exec_command
+from .commands import write_command
 from .state import NetState
 
 FAMILY_METHODS = {"DR": 4, "DI": 3, "RI": 4, "DT": 4, "WR": 4}
@@ -142,14 +143,7 @@ def build_fault(state: NetState, family: str, method: int,
 
 def apply_fault(state: NetState, fault: Fault) -> NetState:
     """Run the fault's forward commands; raises only on internal errors."""
-    cur = state
-    for machine, command in fault.forward:
-        outcome = exec_command(cur, machine, command)
-        if outcome.kind != "write":
-            raise AssertionError(
-                f"injection command was not accepted as a write: {command!r}: {outcome.output}")
-        cur = outcome.state
-    return cur
+    return replay(state, fault.forward, write_command)
 
 
 def fault_to_action(fault: Fault) -> ActionSpec:

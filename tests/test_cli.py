@@ -48,6 +48,35 @@ def test_generate_rejects_conflicting_app(tmp_path):
                  "--out", str(tmp_path / "x.jsonl")]) == 2
 
 
+def test_generate_flags_override_the_config_file(tmp_path):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("app = cp\nnum_queries = 3\n")
+    out = tmp_path / "cp.jsonl"
+    assert main(["generate", "--config", str(cfg), "--app", "cp", "--num-queries", "5",
+                 "--seed", "9", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "cp.jsonl.manifest.json").read_text())
+    assert manifest["num_queries"] == 5 and len(out.read_text().splitlines()) == 5
+    assert manifest["config"]["seed"] == 9
+
+
+# `generate --seed 7 --num-queries 30 --levels 1,2,3` batch digests, pinned so
+# that a change to what generation writes fails here, not only between two runs
+PINNED_BATCH_DIGESTS = {
+    "cp": "beeea82bf5c69327598897ba125b9fff31b43446206060683a98cdb4dd5b7a3b",
+    "routing": "7455167d0ecf11327a383bc96a7440b7c57667aa08354ba544402e57a3fd7eb5",
+    "k8s": "5473eefe59d2342934876a4d89cdde48a52aaaba175455cca0ea26843c4e77fe",
+}
+
+
+@pytest.mark.parametrize("app", sorted(PINNED_BATCH_DIGESTS))
+def test_batch_digest_matches_the_pinned_one(app, tmp_path):
+    out = tmp_path / f"{app}.jsonl"
+    assert main(["generate", "--app", app, "--num-queries", "30", "--levels", "1,2,3",
+                 "--seed", "7", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / f"{app}.jsonl.manifest.json").read_text())
+    assert manifest["batch_digest"] == PINNED_BATCH_DIGESTS[app]
+
+
 def test_generate_sft_requires_cp(tmp_path):
     assert main(["generate", "--app", "routing", "--num-queries", "2",
                  "--out", str(tmp_path / "x.jsonl"),
