@@ -6,7 +6,7 @@ import time
 
 from ..agents.base import MSG_FINAL, Observation
 from ..core.types import EpisodeResult, QuerySpec, Turn
-from ..errors import AgentProtocolError, AgentTimeout, NetbenchError, TransportError
+from ..errors import AgentTimeout, NetbenchError, TransportError
 
 
 def run_episode(env, agent, query: QuerySpec, max_turns: int = 20) -> EpisodeResult:
@@ -27,13 +27,12 @@ def run_episode(env, agent, query: QuerySpec, max_turns: int = 20) -> EpisodeRes
         observation = Observation(system_status=env.system_status(), history=history)
         try:
             message = agent.step(observation)
-        except (AgentTimeout, TransportError) as exc:
+        except NetbenchError as exc:
             result.turns.append(Turn(agent_message={"error": str(exc)},
-                                     env_observation=str(exc), valid=False))
-            break
-        except (AgentProtocolError, NetbenchError) as exc:
-            result.turns.append(Turn(agent_message={"error": str(exc)},
-                                     env_observation=str(exc), valid=False))
+                                     env_observation=str(exc), valid=False,
+                                     goal_reached=env.goal_reached()))
+            if isinstance(exc, (AgentTimeout, TransportError)):
+                break
             continue
 
         output, safe, is_write, valid = env.execute_message(message)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from ..agents.base import MSG_COMMAND
-from ..errors import EmptyLevelSet, IneffectiveInjection
+from ..errors import CorruptGroundTruth, EmptyLevelSet, IneffectiveInjection
 from ..seeds import rng_for
 from .types import GT_RECOVERY_PREDICATE, GroundTruth, QuerySpec
 
@@ -56,7 +56,7 @@ def replay(state, commands, write):
     for machine, command in commands:
         nxt = write(state, machine, command)
         if nxt is None:
-            raise AssertionError(f"injection command was not accepted as a write: {command!r}")
+            raise CorruptGroundTruth(f"injection command was not accepted as a write: {command!r}")
         state = nxt
     return state
 

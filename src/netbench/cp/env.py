@@ -12,8 +12,7 @@ from ..agents.base import MSG_FINAL, AgentMessage
 from ..core.types import ActionSpec, GroundTruth, QuerySpec
 from ..errors import NetbenchError
 from .compare import compare_results
-from .generate import _execute
-from .graph import CpGraph, CpResult, apply_basic_op
+from .graph import CpGraph, CpResult, run_program
 from .safety import check_safety_cp
 
 
@@ -24,21 +23,17 @@ class CpEnvironment:
                  safety_rule: str = "strict"):
         self.base = base_graph
         self.query = query
-        self.truth = truth
+        _, self.golden = run_program(base_graph, truth.program)
         self.reset()
 
     def reset(self):
-        self.state = self.base.copy()
+        self.state = self.base
         self.result: CpResult | None = None
-        self.answered = False
 
     # -- episode protocol ----------------------------------------------------
 
     def system_status(self) -> str:
         return self.query.prompt_text
-
-    def goal_reached(self) -> bool:
-        return self.answered
 
     def execute_message(self, message: AgentMessage) -> tuple[str, bool, bool, bool]:
         """Apply one agent message; returns (output, step_safe, is_write, valid)."""
@@ -46,16 +41,12 @@ class CpEnvironment:
             return ("This task expects a single final answer containing an action "
                     "program; interactive commands are not supported."), True, False, False
 
-        self.answered = True
         payload = message.payload if isinstance(message.payload, dict) else {}
 
         if "program" in payload:
             try:
                 program = [ActionSpec(a["name"], tuple(a.get("operands", ()))) for a in payload["program"]]
-                state = self.base.copy()
-                result = None
-                for action in program:
-                    state, result = apply_basic_op(state, action)
+                state, result = run_program(self.base, program)
             except (NetbenchError, KeyError, TypeError, ValueError) as exc:
                 return f"program rejected: {exc}", True, False, False
             self.state = state
@@ -79,7 +70,6 @@ class CpEnvironment:
         return self.state.state_digest()
 
     def is_correct(self) -> bool:
-        if self.result is None:
-            return False
-        _, golden = _execute(self.base, self.truth.program)
-        return compare_results(self.result, golden)
+        return compare_results(self.result, self.golden)
+
+    goal_reached = is_correct  # an answer reaches the goal when it is correct

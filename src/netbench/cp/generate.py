@@ -10,7 +10,7 @@ from __future__ import annotations
 from ..core.types import GT_ACTION_PROGRAM, ActionSpec, GroundTruth, QuerySpec
 from ..errors import NoEligibleOperand
 from ..seeds import rng_for
-from .graph import CpGraph, apply_basic_op
+from .graph import CONTAINS, CpGraph, run_program
 
 LEVEL_LABELS = {
     1: ("remove", "rank", "list", "add"),
@@ -30,7 +30,7 @@ def _pick(rng, pool, what):
 
 
 def _parent_of(graph: CpGraph, name: str, parent_type: str) -> str:
-    parents = sorted(s for s, d, et in graph.edges if d == name and et == "RK_CONTAINS"
+    parents = sorted(s for s, d, et in graph.edges if d == name and et == CONTAINS
                      and graph.nodes[s]["type"] == parent_type)
     if not parents:
         raise NoEligibleOperand(f"{name} has no {parent_type} parent")
@@ -46,10 +46,7 @@ def _fresh_name(rng, graph: CpGraph, ntype: str) -> str:
 
 
 def _execute(graph: CpGraph, program) -> tuple[str, object]:
-    state = graph
-    result = None
-    for action in program:
-        state, result = apply_basic_op(state, action)
+    state, result = run_program(graph, program)
     return state.state_digest(), result
 
 
@@ -64,12 +61,18 @@ def generate_cp_query(graph: CpGraph, level: int, seed: int) -> tuple[QuerySpec,
     domains = _nodes_of_type(graph, "EK_CONTROL_DOMAIN")
     aggs = _nodes_of_type(graph, "EK_AGG_BLOCK")
 
-    if label == "remove":
+    if label in ("remove", "remove-list", "remove-rank"):
         sw = _pick(rng, switches, "packet switch")
         parent = _parent_of(graph, sw, "EK_CHASSIS")
-        prompt = (f"Remove {sw} from the graph. "
-                  f"List the direct child nodes of {parent} in the updated graph.")
-        program = [ActionSpec("remove", (sw,)), ActionSpec("list", (parent,))]
+        prompt = {
+            "remove": (f"Remove {sw} from the graph. "
+                       f"List the direct child nodes of {parent} in the updated graph."),
+            "remove-list": f"Remove {sw} from the graph. List the direct child nodes of {parent}.",
+            "remove-rank": (f"Remove {sw}. "
+                            f"Rank the child nodes of {parent} based on the total bandwidth."),
+        }[label]
+        program = [ActionSpec("remove", (sw,)),
+                   ActionSpec("rank" if label == "remove-rank" else "list", (parent,))]
 
     elif label == "rank":
         pools = [("EK_CONTROL_DOMAIN", domains), ("EK_CHASSIS", chassis), ("EK_AGG_BLOCK", aggs)]
@@ -84,12 +87,6 @@ def generate_cp_query(graph: CpGraph, level: int, seed: int) -> tuple[QuerySpec,
         prompt = f"List all the child nodes of {node}. Return a list of child node names."
         program = [ActionSpec("list", (node,))]
 
-    elif label == "add":
-        sw = _pick(rng, switches, "packet switch")
-        name = _fresh_name(rng, graph, "EK_PORT")
-        prompt = f"Add a new PORT with {name} and type=EK_PORT to the node {sw}."
-        program = [ActionSpec("add", (name, "EK_PORT", sw))]
-
     elif label == "remove-count":
         # keep at least one sibling port so the switch stays structurally valid
         eligible = [p for p in ports
@@ -101,41 +98,20 @@ def generate_cp_query(graph: CpGraph, level: int, seed: int) -> tuple[QuerySpec,
                   f"under {sw} in the updated graph.")
         program = [ActionSpec("remove", (port,)), ActionSpec("count", ("EK_PORT", sw))]
 
-    elif label == "remove-list":
-        sw = _pick(rng, switches, "packet switch")
-        parent = _parent_of(graph, sw, "EK_CHASSIS")
-        prompt = f"Remove {sw} from the graph. List the direct child nodes of {parent}."
-        program = [ActionSpec("remove", (sw,)), ActionSpec("list", (parent,))]
-
-    elif label == "remove-rank":
-        sw = _pick(rng, switches, "packet switch")
-        parent = _parent_of(graph, sw, "EK_CHASSIS")
-        prompt = f"Remove {sw}. Rank the child nodes of {parent} based on the total bandwidth."
-        program = [ActionSpec("remove", (sw,)), ActionSpec("rank", (parent,))]
-
-    elif label == "add-count":
+    elif label in ("add", "add-count", "add-list", "add-rank"):
         sw = _pick(rng, switches, "packet switch")
         name = _fresh_name(rng, graph, "EK_PORT")
-        prompt = (f"Add a new PORT with {name} and type=EK_PORT to the node {sw}. "
-                  f"Count the number of type=EK_PORT under {sw} in the updated graph.")
-        program = [ActionSpec("add", (name, "EK_PORT", sw)),
-                   ActionSpec("count", ("EK_PORT", sw))]
-
-    elif label == "add-list":
-        sw = _pick(rng, switches, "packet switch")
-        name = _fresh_name(rng, graph, "EK_PORT")
-        prompt = (f"Add a new PORT with {name} and type=EK_PORT to the node {sw}. "
-                  f"List the direct child nodes of {sw} in the updated graph.")
-        program = [ActionSpec("add", (name, "EK_PORT", sw)),
-                   ActionSpec("list", (sw,))]
-
-    elif label == "add-rank":
-        sw = _pick(rng, switches, "packet switch")
-        name = _fresh_name(rng, graph, "EK_PORT")
-        prompt = (f"Add a new PORT with {name} and type=EK_PORT to the node {sw}. "
-                  f"Rank the child nodes of {sw} based on the physical_capacity_bps attribute.")
-        program = [ActionSpec("add", (name, "EK_PORT", sw)),
-                   ActionSpec("rank", (sw,))]
+        prompt = f"Add a new PORT with {name} and type=EK_PORT to the node {sw}."
+        program = [ActionSpec("add", (name, "EK_PORT", sw))]
+        if label == "add-count":
+            prompt += f" Count the number of type=EK_PORT under {sw} in the updated graph."
+            program.append(ActionSpec("count", ("EK_PORT", sw)))
+        elif label == "add-list":
+            prompt += f" List the direct child nodes of {sw} in the updated graph."
+            program.append(ActionSpec("list", (sw,)))
+        elif label == "add-rank":
+            prompt += f" Rank the child nodes of {sw} based on the physical_capacity_bps attribute."
+            program.append(ActionSpec("rank", (sw,)))
 
     else:  # pragma: no cover - label table is closed
         raise AssertionError(label)

@@ -83,15 +83,13 @@ class CpResult:
     kind: str  # scalar | name-list | ranked-list | graph
     value: object
 
-    def to_json(self):
-        return {"kind": self.kind, "value": self.value}
-
 
 class CpGraph:
     """Typed device graph with containment/control edges.
 
     Mutating operations go through :func:`apply_basic_op`, which copies
-    the graph first; instances handed to callers are therefore value-like.
+    the graph before a write; instances handed to callers are therefore
+    value-like and may be shared.
     """
 
     def __init__(self):
@@ -160,6 +158,10 @@ class CpGraph:
     def degree(self, name: str) -> int:
         return sum(1 for src, dst, _ in self.edges if src == name or dst == name)
 
+    def linked(self) -> set[str]:
+        """Names at either end of some edge: the nodes whose degree is not 0."""
+        return {end for src, dst, _ in self.edges for end in (src, dst)}
+
     # -- canonical form ------------------------------------------------------
 
     def to_json(self):
@@ -170,15 +172,6 @@ class CpGraph:
             "edges": sorted(list(e) for e in self.edges),
         }
 
-    @classmethod
-    def from_json(cls, data) -> "CpGraph":
-        g = cls()
-        for name, d in data["nodes"].items():
-            g.add_node(name, d["type"], d["attrs"])
-        for src, dst, et in data["edges"]:
-            g.add_edge(src, dst, et)
-        return g
-
     def state_digest(self) -> str:
         return digest(self.to_json())
 
@@ -187,7 +180,8 @@ def apply_basic_op(graph: CpGraph, op) -> tuple[CpGraph, CpResult]:
     """Execute one basic operation, returning the new graph and its result.
 
     ``op`` is an ActionSpec-like object with ``name`` and ``operands``.
-    The input graph is never mutated.
+    The input graph is never mutated: writes (``add``, ``remove``,
+    ``update``) return a changed copy, reads return the input graph.
     """
     name = op.name
     operands = tuple(op.operands)
@@ -196,10 +190,28 @@ def apply_basic_op(graph: CpGraph, op) -> tuple[CpGraph, CpResult]:
     if len(operands) != _OP_ARITY[name]:
         raise ArityMismatch(name, len(operands), _OP_ARITY[name])
 
-    g = graph.copy()
+    if name == "count":
+        child_type, node = operands
+        closure = graph.containment_closure(node)
+        closure.discard(node)
+        n = sum(1 for c in closure if graph.nodes[c]["type"] == child_type)
+        return graph, CpResult("scalar", n)
 
+    if name == "list":
+        (node,) = operands
+        return graph, CpResult("name-list", graph.children(node))
+
+    if name == "rank":
+        (node,) = operands
+        # descending capacity; ties broken lexicographically by name
+        entries = [(child, graph.capacity(child)) for child in graph.children(node)]
+        entries.sort(key=lambda e: (-e[1], e[0]))
+        return graph, CpResult("ranked-list", entries)
+
+    g = graph.copy()
+    node_name = operands[0]
     if name == "add":
-        node_name, ntype, parent = operands
+        _, ntype, parent = operands
         if node_name in g.nodes:
             raise DuplicateName(f"node {node_name!r} already exists")
         if ntype not in NODE_TYPES:
@@ -214,48 +226,30 @@ def apply_basic_op(graph: CpGraph, op) -> tuple[CpGraph, CpResult]:
             attrs["switch_loc"] = parent
         g.add_node(node_name, ntype, attrs)
         g.add_edge(parent, node_name, CONTAINS)
-        return g, CpResult("graph", g.state_digest())
-
-    if name == "remove":
-        (node_name,) = operands
-        if node_name not in g.nodes:
-            raise UnknownNode(f"no node named {node_name!r}")
-        _remove_cascading(g, node_name)
-        return g, CpResult("graph", g.state_digest())
-
-    if name == "count":
-        child_type, node = operands
-        closure = g.containment_closure(node)
-        closure.discard(node)
-        n = sum(1 for c in closure if g.nodes[c]["type"] == child_type)
-        return g, CpResult("scalar", n)
-
-    if name == "list":
-        (node,) = operands
-        return g, CpResult("name-list", g.children(node))
-
-    if name == "rank":
-        (node,) = operands
-        # descending capacity; ties broken lexicographically by name
-        entries = [(child, g.capacity(child)) for child in g.children(node)]
-        entries.sort(key=lambda e: (-e[1], e[0]))
-        return g, CpResult("ranked-list", entries)
-
-    # update: numeric attribute overwrite on an existing node
-    node_name, attr, value = operands
-    if node_name not in g.nodes:
+    elif node_name not in g.nodes:
         raise UnknownNode(f"no node named {node_name!r}")
-    g.nodes[node_name]["attrs"][attr] = float(value) if not float(value).is_integer() else int(value)
+    elif name == "remove":
+        _remove_cascading(g, node_name)
+    else:  # update: numeric attribute overwrite on an existing node
+        _, attr, value = operands
+        g.nodes[node_name]["attrs"][attr] = float(value) if not float(value).is_integer() else int(value)
     return g, CpResult("graph", g.state_digest())
 
 
+def run_program(graph: CpGraph, program) -> tuple[CpGraph, CpResult | None]:
+    """Apply ``program``'s ops in order; returns the final graph and the last result."""
+    result = None
+    for op in program:
+        graph, result = apply_basic_op(graph, op)
+    return graph, result
+
+
 def _remove_cascading(g: CpGraph, name: str):
-    """Delete a node, its incident edges, and any nodes left isolated."""
+    """Delete a node, its incident edges, and any nodes left isolated.
+
+    Deleting an isolated node removes no edge, so one pass finds them all.
+    """
     g.edges = {(s, d, t) for s, d, t in g.edges if s != name and d != name}
     del g.nodes[name]
-    while True:
-        orphans = [n for n in g.nodes if g.degree(n) == 0]
-        if not orphans:
-            return
-        for n in orphans:
-            del g.nodes[n]
+    for n in g.nodes.keys() - g.linked():
+        del g.nodes[n]

@@ -52,17 +52,15 @@ def check_safety_cp(graph: CpGraph) -> list[Violation]:
                 )
             )
 
+    linked = graph.linked()
     for name in sorted(graph.nodes):
-        if graph.degree(name) == 0:
+        if name not in linked:
             out.append(Violation("IsolatedNode", name, "node has no edges"))
 
+    ported = {s for s, d, et in graph.edges
+              if et == CONTAINS and graph.nodes.get(d, {}).get("type") == "EK_PORT"}
     for name in sorted(graph.nodes):
-        if graph.nodes[name]["type"] == "EK_PACKET_SWITCH":
-            has_port = any(
-                et == CONTAINS and s == name and graph.nodes.get(d, {}).get("type") == "EK_PORT"
-                for s, d, et in graph.edges
-            )
-            if not has_port:
-                out.append(Violation("EmptySwitch", name, "packet switch contains no ports"))
+        if graph.nodes[name]["type"] == "EK_PACKET_SWITCH" and name not in ported:
+            out.append(Violation("EmptySwitch", name, "packet switch contains no ports"))
 
     return out

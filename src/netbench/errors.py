@@ -42,6 +42,10 @@ class IneffectiveInjection(NetbenchError):
     """A fault injection produced no observable failure after bounded retries."""
 
 
+class CorruptGroundTruth(NetbenchError):
+    """A stored ground truth cannot be replayed into the state it records."""
+
+
 # --- capacity planning ------------------------------------------------------
 
 class UnknownNode(NetbenchError):

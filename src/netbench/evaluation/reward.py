@@ -2,7 +2,8 @@
 
 The shaping mirrors what matters operationally: invalid actions are
 heavily punished, information gathering earns a small bonus, and only
-the write that actually restores the goal earns the jackpot. Routine
+a write that takes the goal from not holding to holding earns the
+jackpot; a write while the goal already holds earns nothing. Routine
 valid writes and final answers are neutral.
 """
 
@@ -16,10 +17,11 @@ REWARD_DIAGNOSTIC = 10.0
 REWARD_GOAL_WRITE = 100.0
 
 
-def turn_reward(turn: Turn) -> float:
+def turn_reward(turn: Turn, reached_before: bool = False) -> float:
+    """The reward of ``turn``; ``reached_before``: the goal held before it."""
     if not turn.valid:
         return REWARD_INVALID
-    if turn.is_write and turn.goal_reached:
+    if turn.is_write and turn.goal_reached and not reached_before:
         return REWARD_GOAL_WRITE
     if not turn.is_write and turn.agent_message.get("kind") == MSG_COMMAND:
         return REWARD_DIAGNOSTIC  # a successful read
@@ -27,4 +29,9 @@ def turn_reward(turn: Turn) -> float:
 
 
 def episode_reward(turns) -> float:
-    return sum(turn_reward(t) for t in turns)
+    """Sum of turn rewards; the goal does not hold before the first turn."""
+    total, reached = 0.0, False
+    for turn in turns:
+        total += turn_reward(turn, reached)
+        reached = turn.goal_reached
+    return total

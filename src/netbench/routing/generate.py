@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from ..core.reactive import generate_reactive_query, replay
 from ..core.types import ActionSpec, GroundTruth
+from ..errors import CorruptGroundTruth
 from .commands import write_command
 from .inject import FAMILY_METHODS, build_fault, fault_from_action, fault_scope, \
     fault_to_action, needs_aux
@@ -80,7 +81,7 @@ def rebuild_states(truth: GroundTruth) -> tuple:
     """Reconstruct (healthy, injected) states from a stored ground truth."""
     setup = truth.hidden_injection[0]
     if setup.name != SETUP_ACTION:
-        raise ValueError("routing ground truth is missing its topology record")
+        raise CorruptGroundTruth("routing ground truth is missing its topology record")
     num_switches, hosts_per_subnet, prefix = setup.operands
     healthy = build_topology(int(num_switches), int(hosts_per_subnet), prefix=str(prefix))
     faults = [fault_from_action(healthy, action) for action in truth.hidden_injection[1:]]

@@ -1,11 +1,15 @@
 """Reference verdict kernels: the straightforward per-pair implementations.
 
 These are the original ``pingall`` and ``connectivity_check``, which
-re-derive every pair-independent fact for every pair, and the original
-``cluster_digest``, which re-canonicalises every policy. The differential
-tests hold the optimized kernels in ``netbench`` to the same answers.
+re-derive every pair-independent fact for every pair, the original
+``cluster_digest``, which re-canonicalises every policy, and cp's
+original cascading remove and safety check, which scan the edge set once
+per node. The differential tests hold the optimized kernels in
+``netbench`` to the same answers.
 """
 
+from netbench.cp.graph import CONTAINS, CONTROL, CONTROL_RULES, HIERARCHY_RULES, NODE_TYPES
+from netbench.cp.safety import Violation
 from netbench.digest import digest
 from netbench.k8spolicy.connectivity import MismatchReport
 from netbench.k8spolicy.model import canonical_policy, expected_flows, flow_universe
@@ -192,3 +196,58 @@ def ref_connectivity_check(policies):
 
 def ref_cluster_digest(policies):
     return digest({name: canonical_policy(p) for name, p in sorted(policies.items())})
+
+
+# --- cp ----------------------------------------------------------------------
+
+def ref_remove_cascading(g, name):
+    """Delete a node, its incident edges, and any nodes left isolated, by degree."""
+    g.edges = {(s, d, t) for s, d, t in g.edges if s != name and d != name}
+    del g.nodes[name]
+    while True:
+        orphans = [n for n in g.nodes if g.degree(n) == 0]
+        if not orphans:
+            return
+        for n in orphans:
+            del g.nodes[n]
+
+
+def ref_check_safety_cp(graph):
+    out = []
+
+    for name in sorted(graph.nodes):
+        d = graph.nodes[name]
+        if d["type"] not in NODE_TYPES:
+            out.append(Violation("UnknownNodeType", name, f"type {d['type']!r} is not a known device type"))
+        if d["type"] == "EK_PORT":
+            cap = d["attrs"].get("physical_capacity_bps")
+            if cap is None:
+                out.append(Violation("MissingAttribute", name, "port lacks physical_capacity_bps"))
+            elif not isinstance(cap, (int, float)) or cap <= 0:
+                out.append(Violation("MissingAttribute", name, f"physical_capacity_bps must be > 0, got {cap!r}"))
+
+    for src, dst, etype in sorted(graph.edges):
+        if etype not in (CONTAINS, CONTROL):
+            out.append(Violation("UnknownEdgeType", f"{src}->{dst}", f"edge type {etype!r} is not allowed"))
+            continue
+        stype = graph.nodes[src]["type"] if src in graph.nodes else "?"
+        dtype = graph.nodes[dst]["type"] if dst in graph.nodes else "?"
+        table = HIERARCHY_RULES if etype == CONTAINS else CONTROL_RULES
+        if (stype, dtype) not in table:
+            out.append(Violation("HierarchyRuleViolation", f"{src}->{dst}",
+                                 f"{stype} -> {dtype} is not in the {etype} rule table"))
+
+    for name in sorted(graph.nodes):
+        if graph.degree(name) == 0:
+            out.append(Violation("IsolatedNode", name, "node has no edges"))
+
+    for name in sorted(graph.nodes):
+        if graph.nodes[name]["type"] == "EK_PACKET_SWITCH":
+            has_port = any(
+                et == CONTAINS and s == name and graph.nodes.get(d, {}).get("type") == "EK_PORT"
+                for s, d, et in graph.edges
+            )
+            if not has_port:
+                out.append(Violation("EmptySwitch", name, "packet switch contains no ports"))
+
+    return out

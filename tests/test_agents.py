@@ -1,4 +1,6 @@
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,7 @@ from netbench.agents.external import ExecAgent, HttpAgent
 from netbench.core.episode import run_episode
 from netbench.core.generate import make_environment
 from netbench.core.types import BenchmarkConfig
-from netbench.errors import AgentProtocolError, TransportError
+from netbench.errors import AgentProtocolError, AgentTimeout, TransportError
 from netbench.k8spolicy.generate import generate_k8s_query
 from netbench.routing.generate import generate_routing_query
 
@@ -155,6 +157,53 @@ def test_exec_agent_dead_process_is_transport_error():
     try:
         with pytest.raises(TransportError):
             agent.step(OBS)
+    finally:
+        agent.close()
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and is not a zombie (Linux /proc)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_exec_agent_timeout_ends_the_episode_with_one_invalid_turn(tmp_path):
+    query, truth = generate_routing_query(1, 5)
+    pid_file = tmp_path / "pid"
+    # the shell's child reads its request, then stays silent past the timeout
+    silent = (f"{sys.executable} -c \"import os, sys, time; open({str(pid_file)!r}, 'w')"
+              ".write(str(os.getpid())); sys.stdin.readline(); time.sleep(10)\"")
+    agent = ExecAgent(silent, query_id=query.id, timeout=0.5)
+    try:
+        started = time.monotonic()
+        with pytest.raises(AgentTimeout):
+            agent.step(OBS)
+        assert time.monotonic() - started < 5
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 5
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)  # killed with its shell, not left behind
+        started = time.monotonic()
+        result = run_episode(make_environment(routing_config(), query, truth), agent, query)
+        assert time.monotonic() - started < 5
+    finally:
+        agent.close()
+    (turn,) = result.turns
+    assert not turn.valid and "no reply" in turn.env_observation
+
+
+def test_exec_agent_partial_reply_waits_for_the_line():
+    # a reply split over two writes is read as one line
+    split = (f"{sys.executable} -c \"import sys, time; sys.stdin.readline(); "
+             "sys.stdout.write('{\\\"final_an'); sys.stdout.flush(); time.sleep(0.2); "
+             "print('swer\\\": \\\"late\\\"}', flush=True)\"")
+    agent = ExecAgent(split, timeout=5)
+    try:
+        assert agent.step(OBS) == AgentMessage(MSG_FINAL, "late")
     finally:
         agent.close()
 

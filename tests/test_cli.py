@@ -8,6 +8,7 @@ from netbench import cli
 from netbench.cli import build_parser, main
 from netbench.core.config import parse_config
 from netbench.core.types import BenchmarkConfig
+from netbench.digest import canonical_json, digest
 from netbench.errors import TransportError
 from netbench.evaluation.aggregate import CSV_HEADER
 from netbench.evaluation.report import read_metrics_jsonl
@@ -209,6 +210,41 @@ def test_run_names_a_failed_episode_and_keeps_batch_order(batch, tmp_path, capsy
                  "--parallelism", parallelism, "--out", str(metrics)]) == 1
     assert f"episode failed ({failing}): agent went away" in capsys.readouterr().err
     assert [r.query_id for r in read_metrics_jsonl(metrics)] == [i for i in ids if i != failing]
+
+
+def _break_di_m3(actions):
+    """Aim the first DI-m3 injection at subnet 9, which no topology has."""
+    for action in actions:
+        if action["name"] == "DI-m3":
+            action["operands"][0] = 9
+            return True
+    return False
+
+
+def _drop_topology(actions):
+    actions[0]["name"] = "not-a-topology"
+    return True
+
+
+@pytest.mark.parametrize("corrupt", [_break_di_m3, _drop_topology])
+def test_run_reports_a_ground_truth_that_does_not_replay(tmp_path, capsys, corrupt):
+    batch = tmp_path / "routing.jsonl"
+    assert main(["generate", "--app", "routing", "--num-queries", "30", "--levels", "1",
+                 "--seed", "7", "--out", str(batch)]) == 0
+    records = [json.loads(line) for line in batch.read_text().splitlines()]
+    broken = next(r["query"]["id"] for r in records if corrupt(r["truth"]["hidden_injection"]))
+    batch.write_text("".join(canonical_json(r) + "\n" for r in records))
+    manifest_path = batch.with_suffix(".jsonl.manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["batch_digest"] = digest(batch.read_text())
+    manifest_path.write_text(json.dumps(manifest))
+    metrics = tmp_path / "metrics.jsonl"
+    capsys.readouterr()
+    assert main(["run", "--batch", str(batch), "--agent", "oracle", "--out", str(metrics)]) == 1
+    err = capsys.readouterr().err
+    assert f"episode failed ({broken}): " in err and "Traceback" not in err
+    assert [r.query_id for r in read_metrics_jsonl(metrics)] == \
+        [r["query"]["id"] for r in records if r["query"]["id"] != broken]
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])

@@ -90,6 +90,43 @@ def test_episode_reward_transcript():
     assert episode_reward(turns) == 30.0
 
 
+def test_only_the_write_that_reaches_the_goal_earns_it():
+    from netbench.agents.builtin import OracleAgent, _ScriptedAgent
+    from netbench.core.episode import run_episode
+    from netbench.routing.env import RoutingEnvironment
+    from netbench.routing.generate import generate_routing_query
+    query, truth = generate_routing_query(2, 1)
+    oracle = run_episode(RoutingEnvironment(query, truth), OracleAgent(query, truth), query)
+    script = [*truth.recovery, *[truth.recovery[-1]] * 5]
+    repeated = run_episode(RoutingEnvironment(query, truth), _ScriptedAgent(script, "done"), query)
+    assert [t.is_write for t in repeated.turns] == [True] * len(script) + [False]
+    assert repeated.correct and repeated.safe
+    assert episode_reward(repeated.turns) == episode_reward(oracle.turns) == REWARD_GOAL_WRITE
+    # losing the goal and reaching it again earns it again
+    turns = [command_turn(is_write=True, goal_reached=True),
+             command_turn(is_write=True, goal_reached=False),
+             command_turn(is_write=True, goal_reached=True)]
+    assert episode_reward(turns) == 2 * REWARD_GOAL_WRITE
+
+
+def test_cp_program_that_answers_wrong_earns_nothing():
+    from netbench.agents.builtin import _ScriptedAgent
+    from netbench.core.episode import run_episode
+    from netbench.cp.env import CpEnvironment
+    from netbench.cp.generate import generate_cp_query
+    from netbench.cp.topology import generate_synthetic_topology
+    base = generate_synthetic_topology(seed=0)
+    for level in (1, 2, 3):
+        query, truth = generate_cp_query(base, level, 17)
+        wrong = [a.to_json() for a in truth.program[:-1]] + \
+            [{"name": "count", "operands": ["EK_PORT", "ju1"]}]
+        env = CpEnvironment(base, query, truth)
+        result = run_episode(env, _ScriptedAgent([], {"program": wrong}), query)
+        (turn,) = result.turns
+        assert turn.valid and turn.is_write and not turn.goal_reached
+        assert not result.correct and episode_reward(result.turns) == 0.0
+
+
 # --- per-episode scoring ------------------------------------------------
 
 def test_score_episode():
