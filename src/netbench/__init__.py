@@ -15,10 +15,13 @@ Three applications ship built in:
   cluster (multi-turn kubectl interaction).
 """
 
-from .core import BenchmarkConfig, GroundTruth, QuerySpec, generate_batch, \
-    make_environment, run_episode
+from .core.episode import run_episode
+from .core.generate import generate_batch, make_environment
+from .core.types import BenchmarkConfig, GroundTruth, QuerySpec
 from .errors import NetbenchError
-from .evaluation import MetricRecord, aggregate_records, ci95, score_episode
+from .evaluation.aggregate import aggregate_records
+from .evaluation.metrics import MetricRecord, score_episode
+from .evaluation.stats import ci95
 from .seeds import derive_seed, rng_for
 
 __version__ = "0.1.0"

@@ -1,14 +1,20 @@
-"""Agent protocol, built-in reference agents, and external bridges."""
+"""Built-in reference agents and external bridges, made from a CLI spec string."""
 
 from __future__ import annotations
 
 from ..core.types import GroundTruth, QuerySpec
-from .base import MSG_COMMAND, MSG_FINAL, Agent, AgentMessage, Observation
 from .builtin import AdversarialAgent, NoopAgent, OracleAgent, RandomAgent
-from .extract import extract_message
 from .external import ExecAgent, HttpAgent
 
 BUILTIN_AGENTS = ("oracle", "noop", "random", "adversarial")
+
+
+def check_agent_spec(spec: str, app: str):
+    """Raise ValueError unless ``spec`` names an agent that can play ``app``."""
+    if spec not in BUILTIN_AGENTS and not spec.startswith(("exec:", "http://", "https://")):
+        raise ValueError(f"unknown agent spec {spec!r}")
+    if spec == "adversarial" and app != "routing":
+        raise ValueError(f"the adversarial agent supports only the routing app, not {app!r}")
 
 
 def make_agent(spec: str, query: QuerySpec, truth: GroundTruth):
@@ -18,6 +24,7 @@ def make_agent(spec: str, query: QuerySpec, truth: GroundTruth):
     ``exec:<command>`` runs a subprocess bridge and an ``http(s)://``
     URL an HTTP one.
     """
+    check_agent_spec(spec, query.app)
     if spec == "oracle":
         return OracleAgent(query, truth)
     if spec == "noop":
@@ -25,30 +32,7 @@ def make_agent(spec: str, query: QuerySpec, truth: GroundTruth):
     if spec == "random":
         return RandomAgent(query.app, seed=query.seed)
     if spec == "adversarial":
-        if query.app != "routing":
-            raise ValueError(f"the adversarial agent supports only the routing app, "
-                             f"not {query.app!r}")
         return AdversarialAgent(query, truth)
     if spec.startswith("exec:"):
         return ExecAgent(spec[len("exec:"):], query_id=query.id)
-    if spec.startswith(("http://", "https://")):
-        return HttpAgent(spec, query_id=query.id)
-    raise ValueError(f"unknown agent spec {spec!r}")
-
-
-__all__ = [
-    "Agent",
-    "AgentMessage",
-    "AdversarialAgent",
-    "BUILTIN_AGENTS",
-    "ExecAgent",
-    "HttpAgent",
-    "MSG_COMMAND",
-    "MSG_FINAL",
-    "NoopAgent",
-    "Observation",
-    "OracleAgent",
-    "RandomAgent",
-    "extract_message",
-    "make_agent",
-]
+    return HttpAgent(spec, query_id=query.id)

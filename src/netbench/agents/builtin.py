@@ -97,14 +97,15 @@ class RandomAgent:
     without probes (cp) it answers at once with a random scalar.
     """
 
-    def __init__(self, app: str, seed: int = 0, num_commands: int = 4):
+    NUM_COMMANDS = 4  # probes before the final answer
+
+    def __init__(self, app: str, seed: int = 0):
         # imported here: core.generate imports the environments, which import agents
         from ..core.generate import app_entry
         entry = app_entry(app)
         self.probes = entry.probes
         self.machine = entry.probe_machine
         self.seed = seed
-        self.num_commands = num_commands
         self.reset()
 
     def reset(self):
@@ -115,7 +116,7 @@ class RandomAgent:
         if not self.probes:
             return AgentMessage(MSG_FINAL, {"answer": {"kind": "scalar",
                                                        "value": float(self._rng.randint(0, 10))}})
-        if self._turn >= self.num_commands:
+        if self._turn >= self.NUM_COMMANDS:
             return AgentMessage(MSG_FINAL, "done")
         self._turn += 1
         return AgentMessage(MSG_COMMAND, self._rng.choice(self.probes), self.machine)

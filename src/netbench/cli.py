@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .agents import BUILTIN_AGENTS, make_agent
+from .agents import BUILTIN_AGENTS, check_agent_spec, make_agent
 from .core.config import load_config, parse_levels
 from .core.episode import run_episode
 from .core.generate import app_entry, generate_batch, make_environment, read_batch_jsonl, \
@@ -95,6 +96,7 @@ def cmd_run(args) -> int:
         raise ParseError(f"batch {batch_path} does not match the batch_digest in "
                          f"{manifest_path}; regenerate the batch")
     config = BenchmarkConfig(**{**manifest["config"], **_flag_values(args)})
+    check_agent_spec(config.agent, config.app)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -116,8 +118,9 @@ def cmd_run(args) -> int:
             for query_id, future in futures:
                 try:
                     record = future.result()
-                except NetbenchError as exc:
-                    print(f"episode failed ({query_id}): {exc}", file=sys.stderr)
+                except Exception as exc:  # one episode's failure is not the batch's
+                    detail = str(exc) if isinstance(exc, NetbenchError) else traceback.format_exc()
+                    print(f"episode failed ({query_id}): {detail}", file=sys.stderr)
                     failures += 1
                     continue
                 fh.write(canonical_json(record.to_json()) + "\n")

@@ -1,28 +1,1 @@
 """Application-agnostic types, generation, and the episode loop."""
-
-from .config import load_config, parse_config
-from .episode import run_episode
-from .generate import cp_base_graph, generate_batch, make_environment, \
-    read_batch_jsonl, write_batch_jsonl
-from .types import APPS, ActionSpec, BenchmarkConfig, EpisodeResult, \
-    GT_ACTION_PROGRAM, GT_RECOVERY_PREDICATE, GroundTruth, QuerySpec, Turn
-
-__all__ = [
-    "APPS",
-    "ActionSpec",
-    "BenchmarkConfig",
-    "EpisodeResult",
-    "GT_ACTION_PROGRAM",
-    "GT_RECOVERY_PREDICATE",
-    "GroundTruth",
-    "QuerySpec",
-    "Turn",
-    "cp_base_graph",
-    "generate_batch",
-    "load_config",
-    "make_environment",
-    "parse_config",
-    "read_batch_jsonl",
-    "run_episode",
-    "write_batch_jsonl",
-]

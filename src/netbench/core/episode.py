@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import time
 
-from ..agents.base import MSG_FINAL, Observation
+from ..agents.base import MSG_FINAL, Agent, Observation
 from ..core.types import EpisodeResult, QuerySpec, Turn
 from ..errors import AgentTimeout, NetbenchError, TransportError
 
 
-def run_episode(env, agent, query: QuerySpec, max_turns: int = 20) -> EpisodeResult:
+def run_episode(env, agent: Agent, query: QuerySpec, max_turns: int = 20) -> EpisodeResult:
     """Drive the agent until it answers, errors out, or exhausts its turns.
 
     Agent-side failures become invalid turns; transport-level failures
@@ -45,8 +45,5 @@ def run_episode(env, agent, query: QuerySpec, max_turns: int = 20) -> EpisodeRes
             break
 
     result.latency_wall = time.perf_counter() - started
-    result.latency_turns = len(result.turns)
-    result.final_state_digest = env.final_digest()
     result.correct = env.is_correct()
-    result.recompute_safe()
     return result

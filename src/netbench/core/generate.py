@@ -11,7 +11,6 @@ with the same configuration yields byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -19,7 +18,7 @@ from typing import Callable
 from ..cp.env import CpEnvironment
 from ..cp.generate import generate_cp_query
 from ..cp.topology import DESK_SCALE, generate_synthetic_topology
-from ..digest import canonical_json
+from ..digest import canonical_json, read_jsonl
 from ..errors import UnknownApp
 from ..k8spolicy.env import K8sEnvironment
 from ..k8spolicy.generate import generate_k8s_query
@@ -58,8 +57,7 @@ REGISTRY = {
     "cp": App(
         context=lambda config: cp_base_graph(config),
         generate=lambda base, level, seed: generate_cp_query(base, level, seed),
-        environment=lambda base, query, truth, rule: CpEnvironment(
-            base, query, truth, safety_rule=rule)),
+        environment=lambda base, query, truth, rule: CpEnvironment(base, query, truth)),
     "routing": App(
         context=lambda config: None,
         generate=lambda _, level, seed: generate_routing_query(level, seed),
@@ -120,14 +118,11 @@ def write_batch_jsonl(pairs, path) -> int:
     return len(pairs)
 
 
+def _batch_pair(data) -> tuple:
+    if set(data) != {"query", "truth"}:
+        raise ValueError(f"a batch line holds exactly 'query' and 'truth', not {sorted(data)}")
+    return QuerySpec.from_json(data["query"]), GroundTruth.from_json(data["truth"])
+
+
 def read_batch_jsonl(path) -> list:
-    pairs = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            pairs.append((QuerySpec.from_json(data["query"]),
-                          GroundTruth.from_json(data["truth"])))
-    return pairs
+    return read_jsonl(path, _batch_pair)

@@ -126,16 +126,15 @@ def generate_reactive_query(app, labels, level, seed, attempts, write, verdict, 
 class ReactiveEnvironment:
     """Multi-turn episode over a state held together with its verdict.
 
-    Subclasses set ``app`` and supply ``verdict(state)``,
+    Subclasses supply ``verdict(state)``,
     ``execute(state, message) -> (state, output, kind)``,
     ``report(output, verdict)`` and ``final_digest()``. Reads and
     rejected commands leave the state, and so the verdict, untouched; a
     write computes exactly one verdict, for the state it produces.
     """
 
-    def __init__(self, query, truth, initial, safety_rule: str = "strict"):
+    def __init__(self, query, initial, safety_rule: str):
         self.query = query
-        self.truth = truth
         self.safety_rule = safety_rule
         self.initial = initial
         self.initial_verdict = self.verdict(initial)

@@ -75,13 +75,12 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            kind=data["kind"],
-            target_digest=data["target_digest"],
-            program=tuple(ActionSpec.from_json(a) for a in data["program"]),
-            hidden_injection=tuple(ActionSpec.from_json(a) for a in data["hidden_injection"]),
-            recovery=tuple(tuple(r) for r in data["recovery"]),
-        )
+        # a missing or unknown key raises, as in QuerySpec.from_json
+        return cls(**{**data,
+                      "program": [ActionSpec.from_json(a) for a in data["program"]],
+                      "hidden_injection": [ActionSpec.from_json(a)
+                                           for a in data["hidden_injection"]],
+                      "recovery": data["recovery"]})
 
 
 @dataclass(frozen=True)
@@ -123,46 +122,12 @@ class Turn:
 
 @dataclass
 class EpisodeResult:
-    """Full outcome of one episode: transcript plus scored booleans."""
+    """Full outcome of one episode: the transcript, correctness and wall time."""
 
     query_id: str
     turns: list[Turn] = field(default_factory=list)
-    final_state_digest: str = ""
     correct: bool = False
-    safe: bool = True
-    latency_turns: int = 0
     latency_wall: float = 0.0
-
-    @property
-    def step_safety(self) -> list[bool]:
-        return [t.safe for t in self.turns]
-
-    def recompute_safe(self) -> bool:
-        # safety is the conjunction over per-turn judgments
-        self.safe = all(t.safe for t in self.turns)
-        return self.safe
-
-    def to_json(self):
-        return {
-            "query_id": self.query_id,
-            "turns": [
-                {
-                    "agent_message": t.agent_message,
-                    "env_observation": t.env_observation,
-                    "safe": t.safe,
-                    "valid": t.valid,
-                    "is_write": t.is_write,
-                    "goal_reached": t.goal_reached,
-                }
-                for t in self.turns
-            ],
-            "final_state_digest": self.final_state_digest,
-            "correct": self.correct,
-            "safe": self.safe,
-            "step_safety": self.step_safety,
-            "latency_turns": self.latency_turns,
-            "latency_wall": self.latency_wall,
-        }
 
 
 @dataclass

@@ -1,25 +1,1 @@
 """Constructive application: datacenter capacity planning."""
-
-from .compare import compare_results
-from .env import CpEnvironment
-from .generate import generate_cp_query
-from .graph import CpGraph, CpResult, apply_basic_op
-from .safety import check_safety_cp
-from .sft import export_sft_records
-from .topology import DESK_SCALE, TopoSpec, generate_synthetic_topology, load_topology, save_topology
-
-__all__ = [
-    "CpEnvironment",
-    "CpGraph",
-    "CpResult",
-    "DESK_SCALE",
-    "TopoSpec",
-    "apply_basic_op",
-    "check_safety_cp",
-    "compare_results",
-    "export_sft_records",
-    "generate_cp_query",
-    "generate_synthetic_topology",
-    "load_topology",
-    "save_topology",
-]

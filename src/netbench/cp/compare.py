@@ -5,6 +5,22 @@ from __future__ import annotations
 from .graph import CpResult
 
 
+def compared_value(result: CpResult):
+    """The form of ``result.value`` that comparison uses.
+
+    Raises TypeError, ValueError or OverflowError when the value does not fit its kind:
+    a ``name-list`` must be a list, a ``ranked-list`` a list of
+    ``[name, number]`` pairs. Other kinds compare as they are.
+    """
+    if result.kind in ("name-list", "ranked-list") and not isinstance(result.value, list):
+        raise TypeError(f"a {result.kind} value must be a list")
+    if result.kind == "ranked-list":
+        if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in result.value):
+            raise ValueError("a ranked-list value must hold [name, number] pairs")
+        return [(str(n), float(s)) for n, s in result.value]
+    return result.value
+
+
 def compare_results(candidate: CpResult, golden: CpResult) -> bool:
     """Type-aware equality between a candidate result and the golden one.
 
@@ -14,12 +30,4 @@ def compare_results(candidate: CpResult, golden: CpResult) -> bool:
     """
     if not isinstance(candidate, CpResult) or not isinstance(golden, CpResult):
         return False
-    if candidate.kind != golden.kind:
-        return False
-    if candidate.kind == "ranked-list":
-        cand = [(str(n), float(s)) for n, s in candidate.value]
-        gold = [(str(n), float(s)) for n, s in golden.value]
-        return cand == gold
-    if candidate.kind == "name-list":
-        return list(candidate.value) == list(golden.value)
-    return candidate.value == golden.value
+    return candidate.kind == golden.kind and compared_value(candidate) == compared_value(golden)

@@ -11,16 +11,16 @@ from __future__ import annotations
 from ..agents.base import MSG_FINAL, AgentMessage
 from ..core.types import ActionSpec, GroundTruth, QuerySpec
 from ..errors import NetbenchError
-from .compare import compare_results
+from .compare import compare_results, compared_value
 from .graph import CpGraph, CpResult, run_program
 from .safety import check_safety_cp
 
 
 class CpEnvironment:
-    app = "cp"
+    """A single-turn episode; its safety is structural (``check_safety_cp``), so no
+    safety rule applies."""
 
-    def __init__(self, base_graph: CpGraph, query: QuerySpec, truth: GroundTruth,
-                 safety_rule: str = "strict"):
+    def __init__(self, base_graph: CpGraph, query: QuerySpec, truth: GroundTruth):
         self.base = base_graph
         self.query = query
         _, self.golden = run_program(base_graph, truth.program)
@@ -47,7 +47,7 @@ class CpEnvironment:
             try:
                 program = [ActionSpec(a["name"], tuple(a.get("operands", ()))) for a in payload["program"]]
                 state, result = run_program(self.base, program)
-            except (NetbenchError, KeyError, TypeError, ValueError) as exc:
+            except (NetbenchError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 return f"program rejected: {exc}", True, False, False
             self.state = state
             self.result = result
@@ -57,9 +57,11 @@ class CpEnvironment:
         if "answer" in payload:
             ans = payload["answer"]
             try:
-                self.result = CpResult(ans["kind"], ans["value"])
-            except (KeyError, TypeError, ValueError) as exc:
+                result = CpResult(ans["kind"], ans["value"])
+                compared_value(result)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 return f"malformed answer: {exc}", True, False, False
+            self.result = result
             return "answer recorded", True, False, True
 
         return "final answer carries neither a program nor an answer", True, False, False

@@ -45,11 +45,6 @@ def _fresh_name(rng, graph: CpGraph, ntype: str) -> str:
             return cand
 
 
-def _execute(graph: CpGraph, program) -> tuple[str, object]:
-    state, result = run_program(graph, program)
-    return state.state_digest(), result
-
-
 def generate_cp_query(graph: CpGraph, level: int, seed: int) -> tuple[QuerySpec, GroundTruth]:
     """Sample one query at the given complexity level, with its program."""
     rng = rng_for(seed)
@@ -117,7 +112,7 @@ def generate_cp_query(graph: CpGraph, level: int, seed: int) -> tuple[QuerySpec,
         raise AssertionError(label)
 
     # self-consistency: the golden program must execute cleanly right now
-    target_digest, _ = _execute(graph, program)
+    state, _ = run_program(graph, program)
 
     query = QuerySpec(
         id=f"cp-L{level}-{seed:016x}",
@@ -127,5 +122,6 @@ def generate_cp_query(graph: CpGraph, level: int, seed: int) -> tuple[QuerySpec,
         prompt_text=prompt,
         seed=seed,
     )
-    truth = GroundTruth(kind=GT_ACTION_PROGRAM, target_digest=target_digest, program=tuple(program))
+    truth = GroundTruth(kind=GT_ACTION_PROGRAM, target_digest=state.state_digest(),
+                        program=tuple(program))
     return query, truth

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import CONTAINS, CONTROL, CONTROL_RULES, HIERARCHY_RULES, NODE_TYPES, CpGraph
+from .graph import CONTAINS, CONTROL_RULES, EDGE_TYPES, HIERARCHY_RULES, NODE_TYPES, CpGraph
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def check_safety_cp(graph: CpGraph) -> list[Violation]:
                 out.append(Violation("MissingAttribute", name, f"physical_capacity_bps must be > 0, got {cap!r}"))
 
     for src, dst, etype in sorted(graph.edges):
-        if etype not in (CONTAINS, CONTROL):
+        if etype not in EDGE_TYPES:
             out.append(Violation("UnknownEdgeType", f"{src}->{dst}", f"edge type {etype!r} is not allowed"))
             continue
         stype = graph.nodes[src]["type"] if src in graph.nodes else "?"

@@ -1,4 +1,4 @@
-"""Canonical serialization and state digests.
+"""Canonical serialization, state digests, and reading JSONL files.
 
 Digests are computed over an order-independent canonical JSON form
 (sorted keys, sorted collections where the model says order is
@@ -8,6 +8,9 @@ across runs and platforms.
 
 import hashlib
 import json
+from pathlib import Path
+
+from .errors import ParseError
 
 
 def canonical_json(obj) -> str:
@@ -18,3 +21,21 @@ def canonical_json(obj) -> str:
 def digest(obj) -> str:
     """Hex sha256 of the canonical JSON form of ``obj``."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+def read_jsonl(path, parse) -> list:
+    """``parse(obj)`` for the object on each nonblank line of a JSONL file.
+
+    A line that is not JSON, or whose object ``parse`` rejects with a
+    KeyError, TypeError or ValueError, raises ParseError naming the file
+    and the line.
+    """
+    parsed = []
+    with Path(path).open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    parsed.append(parse(json.loads(line)))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc!r}") from None
+    return parsed

@@ -1,26 +1,1 @@
 """Scoring, statistics, aggregation and report emission."""
-
-from .aggregate import CSV_HEADER, aggregate_records, rows_to_csv
-from .metrics import MetricRecord, score_episode
-from .report import emit_reports, read_metrics_jsonl, write_metrics_jsonl
-from .reward import REWARD_DIAGNOSTIC, REWARD_GOAL_WRITE, REWARD_INVALID, \
-    episode_reward, turn_reward
-from .stats import Ci, ci95
-
-__all__ = [
-    "CSV_HEADER",
-    "Ci",
-    "MetricRecord",
-    "REWARD_DIAGNOSTIC",
-    "REWARD_GOAL_WRITE",
-    "REWARD_INVALID",
-    "aggregate_records",
-    "ci95",
-    "emit_reports",
-    "episode_reward",
-    "read_metrics_jsonl",
-    "rows_to_csv",
-    "score_episode",
-    "turn_reward",
-    "write_metrics_jsonl",
-]

@@ -12,26 +12,21 @@ CSV_HEADER = ("group", "n", "correct_rate", "correct_lo", "correct_hi",
               "safe_rate", "safe_lo", "safe_hi", "mean_turns")
 
 
-def _default_key(record) -> str:
-    return f"{record.app}/L{record.level}"
+def aggregate_records(records) -> list:
+    """Fold metric records into one summary row per ``app/L<level>`` group.
 
-
-def aggregate_records(records, key=None, single_app: bool = True) -> list:
-    """Fold metric records into per-group summary rows.
-
-    Rows are dicts matching CSV_HEADER, sorted by group name. With
-    ``single_app`` (the default), mixing applications raises: their
-    correctness notions are not comparable in one table.
+    Rows are dicts matching CSV_HEADER, sorted by group name. Mixing
+    applications raises: their correctness notions are not comparable in
+    one table.
     """
     records = list(records)
     if not records:
         raise ZeroSamples("no metric records to aggregate")
-    if single_app and len({r.app for r in records}) > 1:
+    if len({r.app for r in records}) > 1:
         raise AppMismatch(f"records span several applications: {sorted({r.app for r in records})}")
-    key = key or _default_key
     groups = {}
     for record in records:
-        groups.setdefault(key(record), []).append(record)
+        groups.setdefault(f"{record.app}/L{record.level}", []).append(record)
 
     rows = []
     for group in sorted(groups):

@@ -31,6 +31,7 @@ class MetricRecord:
 
 
 def score_episode(query: QuerySpec, result: EpisodeResult) -> MetricRecord:
+    """The episode's record: safe when every turn was, its latency the number of turns."""
     if query.id != result.query_id:
         raise ValueError(f"query/result mismatch: {query.id} vs {result.query_id}")
     return MetricRecord(
@@ -40,7 +41,7 @@ def score_episode(query: QuerySpec, result: EpisodeResult) -> MetricRecord:
         action_label=query.action_label,
         correct=result.correct,
         safe=all(t.safe for t in result.turns),
-        latency_turns=result.latency_turns,
+        latency_turns=len(result.turns),
         latency_wall=result.latency_wall,
         reward=episode_reward(result.turns),
     )

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from ..digest import canonical_json
+from ..digest import canonical_json, read_jsonl
 from .aggregate import aggregate_records, rows_to_csv
 from .metrics import MetricRecord
 
@@ -19,13 +18,7 @@ def write_metrics_jsonl(records, path) -> int:
 
 
 def read_metrics_jsonl(path) -> list:
-    records = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(MetricRecord.from_json(json.loads(line)))
-    return records
+    return read_jsonl(path, MetricRecord.from_json)
 
 
 def emit_reports(records, directory) -> dict:

@@ -15,15 +15,6 @@ class Ci:
     rate: float
     lo: float
     hi: float
-    n: int
-
-    @property
-    def half_width(self) -> float:
-        return Z95 * _sem(self.rate, self.n)
-
-
-def _sem(p: float, n: int) -> float:
-    return math.sqrt(p * (1.0 - p) / n)
 
 
 def ci95(successes: int, n: int) -> Ci:
@@ -33,5 +24,5 @@ def ci95(successes: int, n: int) -> Ci:
     if not 0 <= successes <= n:
         raise ValueError(f"successes must be in [0, {n}], got {successes}")
     p = successes / n
-    delta = Z95 * _sem(p, n)
-    return Ci(rate=p, lo=max(0.0, p - delta), hi=min(1.0, p + delta), n=n)
+    delta = Z95 * math.sqrt(p * (1.0 - p) / n)
+    return Ci(rate=p, lo=max(0.0, p - delta), hi=min(1.0, p + delta))

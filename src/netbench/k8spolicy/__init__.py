@@ -1,33 +1,1 @@
 """Reactive application: Kubernetes network-policy troubleshooting."""
-
-from .connectivity import MismatchReport, connectivity_check, flow_allowed
-from .env import K8sEnvironment
-from .generate import LEVEL_LABELS, generate_k8s_query, rebuild_cluster
-from .inject import MUTATIONS, Mutation, build_mutation
-from .kubectl import KubectlOutcome, exec_kubectl, merge_patch
-from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, cluster_digest, \
-    default_policies, policy_yaml
-from .safety import judge_step_safety
-
-__all__ = [
-    "EXPECTED_CALLERS",
-    "K8sEnvironment",
-    "KubectlOutcome",
-    "LEVEL_LABELS",
-    "MUTATIONS",
-    "MismatchReport",
-    "Mutation",
-    "SERVICES",
-    "SERVICE_PORTS",
-    "build_mutation",
-    "cluster_digest",
-    "connectivity_check",
-    "default_policies",
-    "exec_kubectl",
-    "flow_allowed",
-    "generate_k8s_query",
-    "judge_step_safety",
-    "merge_patch",
-    "policy_yaml",
-    "rebuild_cluster",
-]

@@ -71,10 +71,6 @@ def _allowed(index: dict, src: str, dst: str, port: int) -> bool:
             and _direction_allows(index, "egress", src, dst, port))
 
 
-def flow_allowed(policies: dict, src: str, dst: str, port: int) -> bool:
-    return _allowed(_index(policies), src, dst, port)
-
-
 @dataclass
 class MismatchReport:
     """Flows whose actual connectivity disagrees with the expected graph."""

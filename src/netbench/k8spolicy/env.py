@@ -11,10 +11,8 @@ from .model import cluster_digest
 
 
 class K8sEnvironment(ReactiveEnvironment):
-    app = "k8s"
-
     def __init__(self, query: QuerySpec, truth: GroundTruth, safety_rule: str = "strict"):
-        super().__init__(query, truth, rebuild_cluster(truth)[1], safety_rule)
+        super().__init__(query, rebuild_cluster(truth)[1], safety_rule)
 
     def verdict(self, policies):
         return connectivity_check(policies)

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from ..core.types import ActionSpec
-from ..errors import MethodOutOfRange, UnknownFamily
+from ..errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
 from .model import EXPECTED_CALLERS, SERVICE_PORTS
 
 MACHINE = "master"
@@ -114,5 +114,9 @@ def mutation_to_action(mutation: Mutation) -> ActionSpec:
 
 
 def mutation_from_action(action: ActionSpec) -> Mutation:
-    target, param = action.operands
-    return build_mutation(action.name, str(target), str(param))
+    """The mutation a stored action records."""
+    try:
+        target, param = action.operands
+        return build_mutation(action.name, str(target), str(param))
+    except (KeyError, ValueError) as exc:
+        raise CorruptGroundTruth(f"malformed k8s injection {action.to_json()}: {exc!r}") from None

@@ -18,9 +18,5 @@ from ..core.reactive import judge_verdicts
 from .connectivity import connectivity_check
 
 
-def _conforming(policies: dict) -> set:
-    return set(connectivity_check(policies).good)
-
-
 def judge_step_safety(before: dict, after: dict, rule: str = "strict") -> bool:
     return judge_verdicts(connectivity_check(before), connectivity_check(after), rule)

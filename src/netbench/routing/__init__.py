@@ -1,30 +1,1 @@
 """Reactive application: router and subnet fault repair."""
-
-from .commands import CommandOutcome, exec_command
-from .env import RoutingEnvironment
-from .generate import LEVEL_LABELS, generate_routing_query, rebuild_states
-from .inject import FAMILY_METHODS, Fault, apply_fault, build_fault
-from .pingall import PingMatrix, matrix_from_counts, pair_reachable, pingall, render_summary
-from .safety import judge_step_safety
-from .state import NetState, build_topology
-
-__all__ = [
-    "CommandOutcome",
-    "FAMILY_METHODS",
-    "Fault",
-    "LEVEL_LABELS",
-    "NetState",
-    "PingMatrix",
-    "RoutingEnvironment",
-    "apply_fault",
-    "build_fault",
-    "build_topology",
-    "exec_command",
-    "generate_routing_query",
-    "judge_step_safety",
-    "matrix_from_counts",
-    "pair_reachable",
-    "pingall",
-    "rebuild_states",
-    "render_summary",
-]

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from ..core.reactive import INVALID, READ, WRITE
-from .state import DEFAULT_MTU, FilterRule, NetState, Route
+from .state import FilterRule, NetState, Route, ip_to_int, parse_cidr
 
 _CIDR_RE = re.compile(r"^(\d{1,3}\.){3}\d{1,3}/\d{1,2}$")
 _IP_RE = re.compile(r"^(\d{1,3}\.){3}\d{1,3}$")
@@ -174,6 +174,15 @@ def _need_cidr(token: str) -> str:
     return token
 
 
+def _need_prefix(token: str) -> str:
+    """A route destination: a prefix with no host bits set, in canonical text, so
+    that equal prefixes compare equal (``192.168.02.0/24`` is ``192.168.2.0/24``)."""
+    ip, plen = _need_cidr(token).split("/")
+    if parse_cidr(token)[0] != ip_to_int(ip):
+        raise _Reject("Error: Invalid prefix for given prefix length.")
+    return ".".join(str(int(octet)) for octet in ip.split(".")) + f"/{int(plen)}"
+
+
 def _need_host_or_cidr(token: str) -> str:
     """An iptables address: a prefix, or a single host taken as its /32."""
     if "/" in token:
@@ -315,7 +324,7 @@ def _ip_link(state: NetState, rest) -> CommandOutcome:
 
 
 def _parse_route_args(state: NetState, rest) -> Route:
-    dest = _need_cidr(rest[0])
+    dest = _need_prefix(rest[0])
     gateway = None
     dev = None
     metric = 0
@@ -352,7 +361,7 @@ def _ip_route(state: NetState, rest) -> CommandOutcome:
         raise _Reject(f"usage: ip route {verb} <dest>/<mask> ...")
 
     if verb in ("del", "delete"):
-        dest = _need_cidr(rest[1])
+        dest = _need_prefix(rest[1])
         matching = [r for r in state.routes if r.dest == dest]
         # optional selectors narrow the match
         i = 2
@@ -385,8 +394,8 @@ def _ip_route(state: NetState, rest) -> CommandOutcome:
         new.routes = [r for r in new.routes if r.dest != route.dest]
         new.routes.append(route)
         return CommandOutcome(new, "", WRITE)
-    # add
-    if any(r.to_json() == route.to_json() for r in new.routes):
+    # add: one route per destination and metric, so no two routes tie in a lookup
+    if any(r.dest == route.dest and r.metric == route.metric for r in new.routes):
         return CommandOutcome(state, "RTNETLINK answers: File exists", INVALID)
     new.routes.append(route)
     return CommandOutcome(new, "", WRITE)

@@ -16,10 +16,8 @@ from .pingall import pingall
 
 
 class RoutingEnvironment(ReactiveEnvironment):
-    app = "routing"
-
     def __init__(self, query: QuerySpec, truth: GroundTruth, safety_rule: str = "strict"):
-        super().__init__(query, truth, rebuild_states(truth)[1], safety_rule)
+        super().__init__(query, rebuild_states(truth)[1], safety_rule)
 
     def verdict(self, state):
         return pingall(state)

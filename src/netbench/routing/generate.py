@@ -82,8 +82,12 @@ def rebuild_states(truth: GroundTruth) -> tuple:
     setup = truth.hidden_injection[0]
     if setup.name != SETUP_ACTION:
         raise CorruptGroundTruth("routing ground truth is missing its topology record")
-    num_switches, hosts_per_subnet, prefix = setup.operands
-    healthy = build_topology(int(num_switches), int(hosts_per_subnet), prefix=str(prefix))
+    try:
+        num_switches, hosts_per_subnet, prefix = setup.operands
+        healthy = build_topology(int(num_switches), int(hosts_per_subnet), prefix=str(prefix))
+    except (TypeError, ValueError) as exc:
+        raise CorruptGroundTruth(f"malformed routing topology record {setup.to_json()}: "
+                                 f"{exc!r}") from None
     faults = [fault_from_action(healthy, action) for action in truth.hidden_injection[1:]]
     return healthy, replay(healthy, _forward(faults), write_command)
 

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.reactive import replay
 from ..core.types import ActionSpec
-from ..errors import MethodOutOfRange, UnknownFamily
-from .commands import write_command
+from ..errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
 from .state import NetState
 
 FAMILY_METHODS = {"DR": 4, "DI": 3, "RI": 4, "DT": 4, "WR": 4}
@@ -141,17 +139,17 @@ def build_fault(state: NetState, family: str, method: int,
     return Fault(family, method, subnet, aux, forward, restore)
 
 
-def apply_fault(state: NetState, fault: Fault) -> NetState:
-    """Run the fault's forward commands; raises only on internal errors."""
-    return replay(state, fault.forward, write_command)
-
-
 def fault_to_action(fault: Fault) -> ActionSpec:
     return ActionSpec(name=f"{fault.family}-m{fault.method}",
                       operands=(fault.subnet, fault.aux))
 
 
 def fault_from_action(state: NetState, action: ActionSpec) -> Fault:
-    family, m = action.name.split("-m")
-    subnet, aux = action.operands
-    return build_fault(state, family, int(m), int(subnet), int(aux))
+    """The fault a stored ``<family>-m<method>`` action records."""
+    try:
+        family, m = action.name.split("-m")
+        subnet, aux = action.operands
+        return build_fault(state, family, int(m), int(subnet), int(aux))
+    except (TypeError, ValueError) as exc:
+        raise CorruptGroundTruth(f"malformed routing injection {action.to_json()}: "
+                                 f"{exc!r}") from None

@@ -21,7 +21,6 @@ MAX_ROUTE_HOPS = 8
 class PingMatrix:
     nodes: list[str]
     reachable: dict  # (src, dst) -> bool over ordered pairs, diagonal excluded
-    slow: set  # pairs reachable but crossing a delayed interface
 
     @property
     def total(self) -> int:
@@ -32,18 +31,10 @@ class PingMatrix:
     def received(self) -> int:
         return sum(1 for v in self.reachable.values() if v)
 
-    @property
-    def failures(self) -> int:
-        return self.total - self.received
-
     @cached_property
     def good(self) -> frozenset:
         """The reachable pairs: the set the step safety judge compares."""
         return frozenset(pair for pair, ok in self.reachable.items() if ok)
-
-    @property
-    def all_reachable(self) -> bool:
-        return self.failures == 0
 
     @property
     def summary_line(self) -> str:
@@ -156,43 +147,18 @@ class _Facts:
             return False, False
         return True, self.delayed[b]
 
-    def pair(self, a: str, b: str) -> tuple[bool, bool]:
-        """Ping semantics: request and reply must both be deliverable."""
+    def pair(self, a: str, b: str) -> bool:
+        """Ping semantics: request and reply must both be deliverable, and a
+        pair crossing a delayed interface fails when the total delay is too much."""
         fwd, d1 = self.oneway(a, b)
         if not fwd:
-            return False, False
+            return False
         rev, d2 = self.oneway(b, a)
-        if not rev:
-            return False, False
-        slow = d1 or d2
-        if slow and self.too_slow:
-            return False, False
-        return True, slow
-
-
-def pair_reachable(state: NetState, a: str, b: str,
-                   delay_ceiling_ms: int = DEFAULT_DELAY_CEILING_MS) -> tuple[bool, bool]:
-    """(reachable, slow) for one ordered pair."""
-    return _Facts(state, delay_ceiling_ms).pair(a, b)
+        return rev and not ((d1 or d2) and self.too_slow)
 
 
 def pingall(state: NetState, delay_ceiling_ms: int = DEFAULT_DELAY_CEILING_MS) -> PingMatrix:
     facts = _Facts(state, delay_ceiling_ms)
     nodes = state.node_names()
-    reachable = {}
-    slow = set()
-    for a in nodes:
-        for b in nodes:
-            if a == b:
-                continue
-            ok, is_slow = facts.pair(a, b)
-            reachable[(a, b)] = ok
-            if ok and is_slow:
-                slow.add((a, b))
-    return PingMatrix(nodes=nodes, reachable=reachable, slow=slow)
-
-
-def matrix_from_counts(nodes: list[str], reachable_pairs: set) -> PingMatrix:
-    """Build a matrix directly from an explicit reachable-pair set."""
-    reachable = {(a, b): (a, b) in reachable_pairs for a in nodes for b in nodes if a != b}
-    return PingMatrix(nodes=nodes, reachable=reachable, slow=set())
+    reachable = {(a, b): facts.pair(a, b) for a in nodes for b in nodes if a != b}
+    return PingMatrix(nodes=nodes, reachable=reachable)

@@ -85,11 +85,6 @@ def parse_cidr(cidr: str) -> tuple[int, int]:
     return ip_to_int(net) & mask, mask
 
 
-def cidr_covers(cidr: str, ip: str) -> bool:
-    net, mask = parse_cidr(cidr)
-    return not mask or (ip_to_int(ip) & mask) == net
-
-
 def prefix_len(cidr: str) -> int:
     return int(cidr.split("/")[1])
 
@@ -167,8 +162,7 @@ class NetState:
         return digest(self.to_json())
 
 
-def build_topology(num_switches: int, hosts_per_subnet: int, prefix: str = "",
-                   seed: int = 0) -> NetState:
+def build_topology(num_switches: int, hosts_per_subnet: int, prefix: str = "") -> NetState:
     """A healthy state: every subnet wired, forwarding on, no filters."""
     if not 2 <= num_switches <= 4:
         raise ParameterOutOfRange(f"num_switches must be in [2,4], got {num_switches}")

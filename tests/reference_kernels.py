@@ -14,10 +14,21 @@ from netbench.digest import digest
 from netbench.k8spolicy.connectivity import MismatchReport
 from netbench.k8spolicy.model import canonical_policy, expected_flows, flow_universe
 from netbench.routing.pingall import DEFAULT_DELAY_CEILING_MS, MAX_ROUTE_HOPS, PingMatrix
-from netbench.routing.state import MIN_DATAGRAM_MTU, cidr_covers, prefix_len
+from netbench.routing.state import MIN_DATAGRAM_MTU, prefix_len
 
 
 # --- routing -----------------------------------------------------------------
+
+def _ip_to_int(ip):
+    a, b, c, d = (int(p) for p in ip.split("."))
+    return (a << 24) | (b << 16) | (c << 8) | d
+
+
+def cidr_covers(cidr, ip):
+    net, plen = cidr.split("/")
+    mask = 0xFFFFFFFF ^ ((1 << (32 - int(plen))) - 1)
+    return _ip_to_int(ip) & mask == _ip_to_int(net) & mask
+
 
 def _iface_link_ok(state, subnet):
     iface = state.interfaces.get(state.iface_name(subnet))
@@ -131,16 +142,13 @@ def ref_pair_reachable(state, a, b, delay_ceiling_ms=DEFAULT_DELAY_CEILING_MS):
 def ref_pingall(state, delay_ceiling_ms=DEFAULT_DELAY_CEILING_MS):
     nodes = state.node_names()
     reachable = {}
-    slow = set()
     for a in nodes:
         for b in nodes:
             if a == b:
                 continue
-            ok, is_slow = ref_pair_reachable(state, a, b, delay_ceiling_ms)
+            ok, _ = ref_pair_reachable(state, a, b, delay_ceiling_ms)
             reachable[(a, b)] = ok
-            if ok and is_slow:
-                slow.add((a, b))
-    return PingMatrix(nodes=nodes, reachable=reachable, slow=slow)
+    return PingMatrix(nodes=nodes, reachable=reachable)
 
 
 # --- k8s ---------------------------------------------------------------------

@@ -77,8 +77,9 @@ def test_deterministic_regeneration_large_batches(capsys, tmp_path):
 
 def test_confidence_interval_math(capsys):
     from netbench.evaluation.stats import ci95
-    half = ci95(2500, 5000).half_width
-    shrink = ci95(75, 150).half_width / ci95(2500, 5000).half_width
+    wide, narrow = ci95(75, 150), ci95(2500, 5000)
+    half = narrow.hi - narrow.rate
+    shrink = (wide.hi - wide.rate) / half
     ok = abs(half - 0.013859) < 1e-6
     ok &= abs(shrink - math.sqrt(5000 / 150)) < 1e-9
     report(capsys, "confidence-interval half-width and root-n shrink",
@@ -86,13 +87,14 @@ def test_confidence_interval_math(capsys):
 
 
 def test_every_reactive_query_starts_broken(capsys):
+    from netbench.core.reactive import solved
     from netbench.k8spolicy.connectivity import connectivity_check
     from netbench.k8spolicy.generate import rebuild_cluster
     from netbench.routing.generate import rebuild_states
     from netbench.routing.pingall import pingall
 
     broken_routing = sum(
-        not pingall(rebuild_states(truth)[1]).all_reachable
+        not solved(pingall(rebuild_states(truth)[1]))
         for _, truth in generate_batch(config("routing", 1000)))
     broken_k8s = sum(
         not connectivity_check(rebuild_cluster(truth)[1]).clean
@@ -103,20 +105,19 @@ def test_every_reactive_query_starts_broken(capsys):
 
 
 def test_pinned_reachability_summaries(capsys):
-    from netbench.routing.inject import apply_fault, build_fault
-    from netbench.routing.pingall import matrix_from_counts, pingall
+    from netbench.core.reactive import replay
+    from netbench.routing.commands import write_command
+    from netbench.routing.inject import build_fault
+    from netbench.routing.pingall import pingall, render_summary
     from netbench.routing.state import build_topology
 
     healthy = build_topology(2, 2)
-    injected = apply_fault(healthy, build_fault(healthy, "DI", 1, subnet=1))
+    injected = replay(healthy, build_fault(healthy, "DI", 1, subnet=1).forward, write_command)
     derived = pingall(injected).summary_line
     ok = derived == "*** Results: 60% dropped (8/20 received)"
 
-    nodes = [f"n{i}" for i in range(7)]
-    reachable = {("n0", "n1"), ("n1", "n0"), ("n0", "n2"), ("n2", "n0"),
-                 ("n1", "n2"), ("n2", "n1"), ("n3", "n4"), ("n4", "n3"),
-                 ("n5", "n6"), ("n6", "n5")}
-    rendered = matrix_from_counts(nodes, reachable).summary_line
+    # 7 nodes, 42 ordered pairs, 10 of them reachable
+    rendered = render_summary(10, 42)
     ok &= rendered == "*** Results: 76% dropped (10/42 received)"
     report(capsys, "pinned reachability summary strings", ok,
            f"{derived!r}; {rendered!r}")

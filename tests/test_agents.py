@@ -13,6 +13,7 @@ from netbench.core.episode import run_episode
 from netbench.core.generate import make_environment
 from netbench.core.types import BenchmarkConfig
 from netbench.errors import AgentProtocolError, AgentTimeout, TransportError
+from netbench.evaluation.metrics import score_episode
 from netbench.k8spolicy.generate import generate_k8s_query
 from netbench.routing.generate import generate_routing_query
 
@@ -71,33 +72,33 @@ def test_extract_unusable_inputs():
 def test_oracle_reactive_replays_recovery_and_wins():
     query, truth = generate_routing_query(2, 101)
     env = make_environment(routing_config(), query, truth)
-    result = run_episode(env, OracleAgent(query, truth), query)
-    assert result.correct and result.safe
-    assert result.latency_turns == len(truth.recovery) + 1
-    assert result.final_state_digest == truth.target_digest
+    record = score_episode(query, run_episode(env, OracleAgent(query, truth), query))
+    assert record.correct and record.safe
+    assert record.latency_turns == len(truth.recovery) + 1
+    assert env.final_digest() == truth.target_digest
 
 
 def test_oracle_k8s():
     query, truth = generate_k8s_query(3, 202)
     env = make_environment(BenchmarkConfig(app="k8s", num_queries=1, levels=(3,), seed=0),
                            query, truth)
-    result = run_episode(env, OracleAgent(query, truth), query)
-    assert result.correct and result.safe
+    record = score_episode(query, run_episode(env, OracleAgent(query, truth), query))
+    assert record.correct and record.safe
 
 
 def test_noop_is_safe_but_wrong_on_reactive():
     query, truth = generate_routing_query(1, 303)
     env = make_environment(routing_config(), query, truth)
-    result = run_episode(env, NoopAgent(), query)
-    assert result.safe and not result.correct
-    assert result.latency_turns == 1
+    record = score_episode(query, run_episode(env, NoopAgent(), query))
+    assert record.safe and not record.correct
+    assert record.latency_turns == 1
 
 
 def test_adversarial_is_unsafe_yet_ends_correct():
     query, truth = generate_routing_query(1, 404)
     env = make_environment(routing_config(), query, truth)
-    result = run_episode(env, AdversarialAgent(query, truth), query)
-    assert result.correct and not result.safe
+    record = score_episode(query, run_episode(env, AdversarialAgent(query, truth), query))
+    assert record.correct and not record.safe
 
 
 def test_random_agent_is_deterministic_and_valid():
@@ -108,7 +109,7 @@ def test_random_agent_is_deterministic_and_valid():
     assert [t.agent_message for t in first.turns] == [t.agent_message for t in second.turns]
     assert all(t.valid for t in first.turns)
     assert all(not t.is_write for t in first.turns[:-1])
-    assert first.safe and not first.correct
+    assert score_episode(query, first).safe and not first.correct
 
 
 def test_random_agent_cp_answers_immediately():

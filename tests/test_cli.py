@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from dataclasses import fields
 
@@ -226,18 +227,47 @@ def _drop_topology(actions):
     return True
 
 
-@pytest.mark.parametrize("corrupt", [_break_di_m3, _drop_topology])
-def test_run_reports_a_ground_truth_that_does_not_replay(tmp_path, capsys, corrupt):
-    batch = tmp_path / "routing.jsonl"
-    assert main(["generate", "--app", "routing", "--num-queries", "30", "--levels", "1",
-                 "--seed", "7", "--out", str(batch)]) == 0
-    records = [json.loads(line) for line in batch.read_text().splitlines()]
-    broken = next(r["query"]["id"] for r in records if corrupt(r["truth"]["hidden_injection"]))
-    batch.write_text("".join(canonical_json(r) + "\n" for r in records))
+def _rename_di_m3(actions):
+    """Drop the method from the first DI-m3 injection's name."""
+    for action in actions:
+        if action["name"] == "DI-m3":
+            action["name"] = "DI"
+            return True
+    return False
+
+
+def _drop_an_operand(actions):
+    actions[-1]["operands"].pop()
+    return True
+
+
+def _garble_topology(actions):
+    actions[0]["operands"] = ["three", 2, ""]
+    return True
+
+
+def _unknown_target(actions):
+    actions[0]["operands"][0] = "nosuchservice"
+    return True
+
+
+def _refresh_digest(batch):
+    """Make the manifest's digest match the edited ``batch``."""
     manifest_path = batch.with_suffix(".jsonl.manifest.json")
     manifest = json.loads(manifest_path.read_text())
     manifest["batch_digest"] = digest(batch.read_text())
     manifest_path.write_text(json.dumps(manifest))
+
+
+def _run_corrupted(tmp_path, capsys, app, corrupt):
+    """Run the oracle on a batch where ``corrupt`` broke one stored injection."""
+    batch = tmp_path / f"{app}.jsonl"
+    assert main(["generate", "--app", app, "--num-queries", "30", "--levels", "1",
+                 "--seed", "7", "--out", str(batch)]) == 0
+    records = [json.loads(line) for line in batch.read_text().splitlines()]
+    broken = next(r["query"]["id"] for r in records if corrupt(r["truth"]["hidden_injection"]))
+    batch.write_text("".join(canonical_json(r) + "\n" for r in records))
+    _refresh_digest(batch)
     metrics = tmp_path / "metrics.jsonl"
     capsys.readouterr()
     assert main(["run", "--batch", str(batch), "--agent", "oracle", "--out", str(metrics)]) == 1
@@ -247,6 +277,67 @@ def test_run_reports_a_ground_truth_that_does_not_replay(tmp_path, capsys, corru
         [r["query"]["id"] for r in records if r["query"]["id"] != broken]
 
 
+@pytest.mark.parametrize("corrupt", [_break_di_m3, _drop_topology, _rename_di_m3,
+                                     _drop_an_operand, _garble_topology])
+def test_run_reports_a_ground_truth_that_does_not_replay(tmp_path, capsys, corrupt):
+    _run_corrupted(tmp_path, capsys, "routing", corrupt)
+
+
+@pytest.mark.parametrize("corrupt", [_drop_an_operand, _unknown_target])
+def test_run_reports_a_k8s_ground_truth_that_does_not_replay(tmp_path, capsys, corrupt):
+    _run_corrupted(tmp_path, capsys, "k8s", corrupt)
+
+
+def test_run_reports_an_episode_that_raises_and_runs_the_others(batch, tmp_path, capsys,
+                                                                monkeypatch):
+    ids = _batch_ids(batch)
+    original = cli.run_episode
+
+    def episode(env, agent, query, **kw):
+        if query.id == ids[1]:
+            raise RuntimeError("framework bug")
+        return original(env, agent, query, **kw)
+
+    monkeypatch.setattr(cli, "run_episode", episode)
+    metrics = tmp_path / "metrics.jsonl"
+    assert main(["run", "--batch", str(batch), "--agent", "oracle", "--out", str(metrics)]) == 1
+    err = capsys.readouterr().err
+    assert f"episode failed ({ids[1]}): Traceback" in err
+    assert "RuntimeError: framework bug" in err
+    assert [r.query_id for r in read_metrics_jsonl(metrics)] == [i for i in ids if i != ids[1]]
+
+
+@pytest.mark.parametrize("line", ['{"query": {}}', "not json", "[1]"])
+def test_run_and_report_name_a_malformed_line(batch, tmp_path, capsys, line):
+    records = [json.loads(text) for text in batch.read_text().splitlines()]
+    batch.write_text(batch.read_text() + line + "\n")
+    _refresh_digest(batch)
+    where = f"{batch}:{len(records) + 1}: "
+    assert main(["run", "--batch", str(batch), "--agent", "oracle",
+                 "--out", str(tmp_path / "m.jsonl")]) == 2
+    assert where in capsys.readouterr().err
+    # a batch is not a metrics file: its first line already fails
+    assert main(["report", "--metrics", str(batch)]) == 2
+    assert f"{batch}:1: " in capsys.readouterr().err
+
+
+def test_run_exec_agent_with_malformed_cp_answers(tmp_path, capsys):
+    batch = tmp_path / "cp.jsonl"
+    assert main(["generate", "--app", "cp", "--num-queries", "5", "--seed", "1",
+                 "--out", str(batch)]) == 0
+    # the second query ranks, so its golden answer is a ranked list too
+    assert "rank" in json.loads(batch.read_text().splitlines()[1])["query"]["action_label"]
+    reply = json.dumps({"final_answer": {"answer": {"kind": "ranked-list", "value": 5}}})
+    script = tmp_path / "agent.py"
+    script.write_text(f"import sys\nfor _ in sys.stdin:\n    print({reply!r}, flush=True)\n")
+    metrics = tmp_path / "metrics.jsonl"
+    assert main(["run", "--batch", str(batch), "--agent", f"exec:{sys.executable} {script}",
+                 "--out", str(metrics)]) == 0
+    records = read_metrics_jsonl(metrics)
+    assert len(records) == 5
+    assert all(not r.correct and r.safe and r.latency_turns == 1 for r in records)
+
+
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_run_abort_cancels_episodes_not_started(batch, tmp_path, monkeypatch, parallelism):
     first = _batch_ids(batch)[0]
@@ -254,13 +345,13 @@ def test_run_abort_cancels_episodes_not_started(batch, tmp_path, monkeypatch, pa
 
     def episode(env, agent, query, **kw):
         if query.id == first:
-            raise RuntimeError("framework bug")
+            raise KeyboardInterrupt  # an abort: unlike an Exception, it ends the run
         started.append(query.id)
         time.sleep(0.2)  # still running when the failure reaches the loop
         raise TransportError("slow episode")
 
     monkeypatch.setattr(cli, "run_episode", episode)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(KeyboardInterrupt):
         main(["run", "--batch", str(batch), "--agent", "oracle",
               "--parallelism", str(parallelism), "--out", str(tmp_path / "m.jsonl")])
     # only the episodes the free workers picked up; the other 5 - parallelism never run

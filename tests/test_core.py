@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from netbench.agents.base import MSG_FINAL, AgentMessage
@@ -8,7 +11,11 @@ from netbench.core.episode import run_episode
 from netbench.core.generate import REGISTRY, cp_base_graph, generate_batch, make_environment, \
     read_batch_jsonl, write_batch_jsonl
 from netbench.core.types import APPS, BenchmarkConfig
+from netbench.cp.env import CpEnvironment
 from netbench.errors import AgentProtocolError, ParseError, TransportError, UnknownApp
+from netbench.evaluation.metrics import score_episode
+from netbench.k8spolicy.env import K8sEnvironment
+from netbench.routing.env import RoutingEnvironment
 
 
 def config(app="routing", **kw):
@@ -97,12 +104,30 @@ def test_batch_jsonl_round_trip_and_regeneration(app, tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize("edit", [
+    lambda line: {**line, "extra": 1},
+    lambda line: {**line, "query": {**line["query"], "extra": 1}},
+    lambda line: {**line, "truth": {**line["truth"], "extra": 1}},
+    lambda line: {"query": line["query"]},
+    lambda line: {**line, "truth": {k: v for k, v in line["truth"].items() if k != "recovery"}},
+    lambda line: {**line, "truth": {**line["truth"], "hidden_injection": 3}},
+])
+def test_read_batch_jsonl_names_a_line_with_missing_or_extra_keys(tmp_path, edit):
+    path = tmp_path / "batch.jsonl"
+    write_batch_jsonl(generate_batch(config(num_queries=2)), path)
+    first, second = path.read_text().splitlines()
+    path.write_text(first + "\n\n" + json.dumps(edit(json.loads(second))) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:3: ")):
+        read_batch_jsonl(path)
+
+
 @pytest.mark.parametrize("app", ["cp", "routing", "k8s"])
 def test_make_environment_dispatch(app):
     cfg = config(app=app, num_queries=1)
     (query, truth), = generate_batch(cfg)
     env = make_environment(cfg, query, truth)
-    assert env.app == app
+    assert type(env) is {"cp": CpEnvironment, "routing": RoutingEnvironment,
+                         "k8s": K8sEnvironment}[app]
     env.reset()
     assert isinstance(env.system_status(), str)
 
@@ -114,11 +139,23 @@ def test_run_episode_oracle_terminates_on_final():
     (query, truth), = generate_batch(cfg)
     env = make_environment(cfg, query, truth)
     result = run_episode(env, OracleAgent(query, truth), query)
-    assert result.correct and result.safe
+    record = score_episode(query, result)
+    assert record.correct and record.safe
     assert result.turns[-1].agent_message["kind"] == MSG_FINAL
-    assert result.latency_turns == len(result.turns)
+    assert record.latency_turns == len(result.turns)
     assert result.latency_wall > 0
-    assert result.final_state_digest == truth.target_digest
+    assert env.final_digest() == truth.target_digest
+
+
+@pytest.mark.parametrize("app", ["cp", "routing", "k8s"])
+def test_run_episode_never_digests_the_final_state(app, monkeypatch):
+    cfg = config(app=app, num_queries=1)
+    (query, truth), = generate_batch(cfg)
+    env = make_environment(cfg, query, truth)
+    calls = []
+    monkeypatch.setattr(type(env), "final_digest", lambda self: calls.append(self))
+    assert run_episode(env, OracleAgent(query, truth), query).correct
+    assert calls == []
 
 
 def test_run_episode_exhausts_max_turns():
@@ -133,7 +170,7 @@ def test_run_episode_exhausts_max_turns():
     (query, truth), = generate_batch(cfg)
     env = make_environment(cfg, query, truth)
     result = run_episode(env, Chatter(), query, max_turns=5)
-    assert result.latency_turns == 5
+    assert len(result.turns) == 5
     assert not result.correct
 
 
@@ -149,7 +186,7 @@ def test_run_episode_transport_error_ends_episode():
     (query, truth), = generate_batch(cfg)
     env = make_environment(cfg, query, truth)
     result = run_episode(env, Dead(), query)
-    assert result.latency_turns == 1
+    assert len(result.turns) == 1
     assert not result.turns[0].valid
 
 
@@ -171,7 +208,7 @@ def test_run_episode_protocol_error_costs_a_turn_but_continues():
     (query, truth), = generate_batch(cfg)
     env = make_environment(cfg, query, truth)
     result = run_episode(env, Flaky(), query)
-    assert result.latency_turns == 2
+    assert len(result.turns) == 2
     assert not result.turns[0].valid and result.turns[1].valid
 
 
@@ -199,8 +236,8 @@ def test_run_episode_noop_counts_single_turn():
     cfg = config(app="k8s", num_queries=1)
     (query, truth), = generate_batch(cfg)
     env = make_environment(cfg, query, truth)
-    result = run_episode(env, NoopAgent(), query)
-    assert result.latency_turns == 1 and result.safe and not result.correct
+    record = score_episode(query, run_episode(env, NoopAgent(), query))
+    assert record.latency_turns == 1 and record.safe and not record.correct
 
 
 # --- the app registry ---------------------------------------------------

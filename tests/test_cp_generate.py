@@ -6,8 +6,8 @@ from netbench.agents.base import AgentMessage, MSG_COMMAND, MSG_FINAL
 from netbench.core.types import GT_ACTION_PROGRAM
 from netbench.cp.compare import compare_results
 from netbench.cp.env import CpEnvironment
-from netbench.cp.generate import LEVEL_LABELS, generate_cp_query, _execute
-from netbench.cp.graph import CpResult
+from netbench.cp.generate import LEVEL_LABELS, generate_cp_query
+from netbench.cp.graph import CpResult, run_program
 from netbench.cp.safety import check_safety_cp
 from netbench.cp.sft import export_sft_records
 from netbench.cp.topology import generate_synthetic_topology
@@ -40,8 +40,8 @@ def test_golden_program_executes_and_is_safe(base):
         for i in range(20):
             q, t = generate_cp_query(base, level, derive_seed(10 + level, i))
             assert t.kind == GT_ACTION_PROGRAM
-            digest, result = _execute(base, t.program)
-            assert digest == t.target_digest
+            final, result = run_program(base, t.program)
+            assert final.state_digest() == t.target_digest
             assert result is not None
             # re-execute to a graph and check structural safety holds
             state = base
@@ -90,6 +90,19 @@ def test_env_malformed_program_is_invalid_not_fatal(base):
         AgentMessage(MSG_FINAL, {"program": [{"name": "explode", "operands": []}]}))
     assert safe and not is_write and not valid
     assert "rejected" in out
+
+
+@pytest.mark.parametrize("answer", [
+    {"kind": "ranked-list", "value": 5}, {"kind": "ranked-list", "value": [[1]]},
+    {"kind": "ranked-list", "value": "ab"}, {"kind": "ranked-list", "value": [["a", "x"]]},
+    {"kind": "name-list", "value": 5}, {"kind": "name-list", "value": None}])
+def test_env_malformed_answer_is_one_invalid_turn(base, answer):
+    q, t = generate_cp_query(base, 1, 9)
+    env = CpEnvironment(base, q, t)
+    out, safe, is_write, valid = env.execute_message(AgentMessage(MSG_FINAL, {"answer": answer}))
+    assert out.startswith("malformed answer: ")
+    assert safe and not is_write and not valid
+    assert not env.is_correct()
 
 
 # --- result comparison ------------------------------------------------------

@@ -1,11 +1,12 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from netbench.agents.base import MSG_COMMAND, MSG_FINAL
 from netbench.core.types import EpisodeResult, Turn
-from netbench.errors import AppMismatch, ZeroSamples
+from netbench.errors import AppMismatch, ParseError, ZeroSamples
 from netbench.evaluation.aggregate import CSV_HEADER, aggregate_records, rows_to_csv
 from netbench.evaluation.metrics import MetricRecord, score_episode
 from netbench.evaluation.report import emit_reports, read_metrics_jsonl, write_metrics_jsonl
@@ -38,14 +39,14 @@ def test_ci95_frozen_half_width():
     # oracle: 1.96 * sqrt(0.5 * 0.5 / 5000), frozen independently
     ci = ci95(2500, 5000)
     assert ci.rate == 0.5
-    assert abs(ci.half_width - 0.01385929) < 1e-6
-    assert math.isclose(ci.hi - ci.rate, ci.half_width)
+    assert abs((ci.hi - ci.rate) - 0.01385929) < 1e-6
+    assert math.isclose(ci.hi - ci.rate, ci.rate - ci.lo)
 
 
 def test_ci95_shrinks_with_root_n():
     wide = ci95(75, 150)
     narrow = ci95(2500, 5000)
-    assert math.isclose(wide.half_width / narrow.half_width, math.sqrt(5000 / 150))
+    assert math.isclose((wide.hi - wide.rate) / (narrow.hi - narrow.rate), math.sqrt(5000 / 150))
 
 
 def test_ci95_clamped_to_unit_interval():
@@ -100,7 +101,8 @@ def test_only_the_write_that_reaches_the_goal_earns_it():
     script = [*truth.recovery, *[truth.recovery[-1]] * 5]
     repeated = run_episode(RoutingEnvironment(query, truth), _ScriptedAgent(script, "done"), query)
     assert [t.is_write for t in repeated.turns] == [True] * len(script) + [False]
-    assert repeated.correct and repeated.safe
+    record = score_episode(query, repeated)
+    assert record.correct and record.safe
     assert episode_reward(repeated.turns) == episode_reward(oracle.turns) == REWARD_GOAL_WRITE
     # losing the goal and reaching it again earns it again
     turns = [command_turn(is_write=True, goal_reached=True),
@@ -135,10 +137,11 @@ def test_score_episode():
     result = EpisodeResult(query_id=query.id,
                            turns=[command_turn(), command_turn(safe=False, is_write=True),
                                   final_turn()],
-                           correct=True, latency_turns=3, latency_wall=0.25)
+                           correct=True, latency_wall=0.25)
     rec = score_episode(query, result)
     assert rec.app == "routing" and rec.level == 1
     assert rec.correct and not rec.safe
+    assert rec.latency_turns == 3 and rec.latency_wall == 0.25
     # one read (+10); the unsafe non-goal write and final answer are neutral
     assert rec.reward == REWARD_DIAGNOSTIC
 
@@ -174,9 +177,6 @@ def test_aggregate_groups_by_level():
 def test_aggregate_rejects_mixed_apps():
     with pytest.raises(AppMismatch):
         aggregate_records([record(0), record(1, app="k8s")])
-    # explicit opt-out groups across apps
-    rows = aggregate_records([record(0), record(1, app="k8s")], single_app=False)
-    assert len(rows) == 2
 
 
 def test_aggregate_rejects_empty():
@@ -199,6 +199,15 @@ def test_metrics_jsonl_round_trip(tmp_path):
     path = tmp_path / "metrics.jsonl"
     assert write_metrics_jsonl(records, path) == 5
     assert read_metrics_jsonl(path) == records
+
+
+@pytest.mark.parametrize("line", ['{"query_id": "q9"}', "{", "[1]", "7"])
+def test_read_metrics_jsonl_names_the_malformed_line(tmp_path, line):
+    path = tmp_path / "metrics.jsonl"
+    write_metrics_jsonl([record(0), record(1)], path)
+    path.write_text(path.read_text() + "\n" + line + "\n")  # a blank line is skipped
+    with pytest.raises(ParseError, match=re.escape(f"{path}:4: ")):
+        read_metrics_jsonl(path)
 
 
 def test_emit_reports(tmp_path):

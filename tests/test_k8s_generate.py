@@ -7,7 +7,7 @@ from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.env import K8sEnvironment
 from netbench.k8spolicy.generate import LEVEL_LABELS, generate_k8s_query, rebuild_cluster
 from netbench.k8spolicy.kubectl import exec_kubectl
-from netbench.k8spolicy.safety import judge_step_safety, _conforming
+from netbench.k8spolicy.safety import judge_step_safety
 from netbench.seeds import derive_seed
 
 
@@ -40,13 +40,13 @@ def test_recovery_monotone_and_digest_exact():
     for seed in range(8):
         q, t = generate_k8s_query(3, derive_seed(700, seed))
         _, policies = rebuild_cluster(t)
-        size = len(_conforming(policies))
+        size = len(connectivity_check(policies).good)
         for machine, command in t.recovery:
             out = exec_kubectl(policies, command)
             assert out.kind == "write"
             assert judge_step_safety(policies, out.policies, "strict")
             policies = out.policies
-            now = len(_conforming(policies))
+            now = len(connectivity_check(policies).good)
             assert now > size
             size = now
         from netbench.k8spolicy.model import cluster_digest

@@ -1,6 +1,7 @@
 import pytest
 
-from netbench.errors import MethodOutOfRange, UnknownFamily
+from netbench.core.types import ActionSpec
+from netbench.errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
 from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.inject import AE_EGRESS_GRAPH, AE_TARGETS, RI_TARGETS, \
     build_mutation, mutation_from_action, mutation_to_action
@@ -70,6 +71,15 @@ def test_mutations_are_single_patch_commands():
 def test_action_round_trip():
     for mutation in sample_mutations():
         assert mutation_from_action(mutation_to_action(mutation)) == mutation
+
+
+@pytest.mark.parametrize("action", [ActionSpec("CP", ("emailservice",)),
+                                    ActionSpec("CP", ("emailservice", "", "x")),
+                                    ActionSpec("CP", ("nosuchservice", "")),
+                                    ActionSpec("AI", ("nosuchservice", "frontend"))])
+def test_malformed_action_is_a_corrupt_ground_truth(action):
+    with pytest.raises(CorruptGroundTruth):
+        mutation_from_action(action)
 
 
 def test_ri_blocks_only_the_removed_caller():

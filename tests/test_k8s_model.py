@@ -1,6 +1,6 @@
 import yaml
 
-from netbench.k8spolicy.connectivity import connectivity_check, flow_allowed
+from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.model import DEFAULT_DENY, EXPECTED_CALLERS, SERVICES, \
     SERVICE_PORTS, canonical_policy, cluster_digest, default_policies, \
     expected_flows, flow_universe, policy_yaml
@@ -46,10 +46,10 @@ def test_baseline_is_clean():
 
 
 def test_baseline_allows_exactly_expected_flows():
-    policies = default_policies()
-    expected = set(expected_flows())
-    for src, dst, port in flow_universe():
-        assert flow_allowed(policies, src, dst, port) == ((src, dst, port) in expected)
+    # a flow conforms when it is allowed exactly if expected: all conform, none mismatch
+    report = connectivity_check(default_policies())
+    assert report.good == frozenset(flow_universe()) and report.mismatches == []
+    assert set(expected_flows()) < set(flow_universe())
 
 
 def test_default_policies_are_ingress_only():
@@ -76,14 +76,18 @@ def test_policy_yaml_round_trips():
 
 def test_wrong_port_is_blocked():
     policies = default_policies()
-    assert not flow_allowed(policies, "frontend", "cartservice", 9999)
+    policies["cartservice"]["spec"]["ingress"][0]["ports"] = [{"port": 9999, "protocol": "TCP"}]
+    report = connectivity_check(policies)
+    assert ("frontend", "cartservice", 7070) not in report.good
+    assert ("frontend", "cartservice", 7070, True, False) in report.mismatches
 
 
 def test_unselected_pod_defaults_to_deny_via_catch_all():
+    # frontend -> adservice is expected, so it conforms exactly when it is allowed
     policies = default_policies()
     del policies["adservice"]
     # with no per-service policy, default-deny still selects the pod
-    assert not flow_allowed(policies, "frontend", "adservice", 9555)
+    assert ("frontend", "adservice", 9555) not in connectivity_check(policies).good
     del policies[DEFAULT_DENY]
     # with no selecting policy at all, ingress is unrestricted
-    assert flow_allowed(policies, "frontend", "adservice", 9555)
+    assert ("frontend", "adservice", 9555) in connectivity_check(policies).good

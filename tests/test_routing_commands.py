@@ -94,6 +94,29 @@ def test_route_add_duplicate(state):
     assert out.kind == INVALID and "File exists" in out.output
 
 
+def test_route_add_refuses_an_existing_destination_and_metric():
+    # two routes of equal rank would tie in a lookup, and the state digest,
+    # which sorts routes, could not tell which one wins
+    s = build_topology(3, 2)
+    add = "ip route add 192.168.2.0/24 dev r0-eth{}"
+    for command in (add.format(1), "ip route add 192.168.02.0/24 dev r0-eth1"):
+        out = exec_command(s, "r0", command)
+        assert out.kind == INVALID and out.output == "RTNETLINK answers: File exists"
+    for command in ("ip route del 192.168.2.0/24 dev r0-eth2", add.format(1)):
+        s = exec_command(s, "r0", command).state
+    out = exec_command(s, "r0", add.format(2))
+    assert out.kind == INVALID and out.output == "RTNETLINK answers: File exists"
+    assert pingall(s).summary_line == "*** Results: 48% dropped (22/42 received)"
+    assert exec_command(s, "r0", add.format(2) + " metric 5").kind == WRITE
+
+
+@pytest.mark.parametrize("verb", ["add", "replace", "del"])
+def test_route_destination_with_host_bits_is_refused(state, verb):
+    out = exec_command(state, "r0", f"ip route {verb} 192.168.2.5/24 dev r0-eth2")
+    assert out.kind == INVALID
+    assert out.output == "Error: Invalid prefix for given prefix length."
+
+
 def test_route_unknown_device(state):
     out = exec_command(state, "r0", "ip route add 10.0.0.0/24 dev r0-eth9")
     assert out.kind == INVALID and "Cannot find device" in out.output

@@ -1,6 +1,7 @@
 import pytest
 
 from netbench.agents.base import AgentMessage, MSG_COMMAND, MSG_FINAL
+from netbench.core.reactive import solved
 from netbench.core.types import GT_RECOVERY_PREDICATE
 from netbench.errors import EmptyLevelSet, NodeSetMismatch
 from netbench.routing.commands import exec_command
@@ -43,8 +44,8 @@ def test_initial_state_has_failures_and_matches_target():
         q, t = generate_routing_query(3, derive_seed(400, seed))
         healthy, injected = rebuild_states(t)
         assert healthy.state_digest() == t.target_digest
-        assert not pingall(injected).all_reachable
-        assert pingall(healthy).all_reachable
+        assert not solved(pingall(injected))
+        assert solved(pingall(healthy))
 
 
 def test_recovery_is_monotone_and_complete():

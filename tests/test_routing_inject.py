@@ -1,9 +1,11 @@
 import pytest
 
-from netbench.errors import MethodOutOfRange, UnknownFamily
-from netbench.routing.commands import exec_command
-from netbench.routing.inject import FAMILY_METHODS, apply_fault, build_fault, \
-    fault_from_action, fault_to_action
+from netbench.core.reactive import replay, solved
+from netbench.core.types import ActionSpec
+from netbench.errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
+from netbench.routing.commands import exec_command, write_command
+from netbench.routing.inject import FAMILY_METHODS, build_fault, fault_from_action, \
+    fault_to_action
 from netbench.routing.pingall import pingall
 from netbench.routing.state import build_topology
 
@@ -30,20 +32,20 @@ def test_unknown_family_and_method():
 def test_every_fault_is_observable_from_healthy():
     s = build_topology(3, 2)
     for fault in all_faults(s):
-        broken = apply_fault(s, fault)
-        assert not pingall(broken).all_reachable, (fault.family, fault.method)
+        broken = replay(s, fault.forward, write_command)
+        assert not solved(pingall(broken)), (fault.family, fault.method)
 
 
 def test_every_inverse_restores_digest_exactly():
     s = build_topology(3, 2)
     target = s.state_digest()
     for fault in all_faults(s):
-        broken = apply_fault(s, fault)
+        broken = replay(s, fault.forward, write_command)
         machine, command = fault.inverse
         outcome = exec_command(broken, machine, command)
         assert outcome.kind == "write", (fault.family, fault.method, outcome.output)
         assert outcome.state.state_digest() == target, (fault.family, fault.method)
-        assert pingall(outcome.state).all_reachable
+        assert solved(pingall(outcome.state))
 
 
 def test_inverse_is_a_single_command():
@@ -65,5 +67,13 @@ def test_faults_work_with_prefixed_names():
     s = build_topology(2, 2, prefix="q7_")
     fault = build_fault(s, "DI", 1, subnet=1)
     assert "q7_r0-eth1" in fault.forward[0][1]
-    broken = apply_fault(s, fault)
-    assert not pingall(broken).all_reachable
+    broken = replay(s, fault.forward, write_command)
+    assert not solved(pingall(broken))
+
+
+@pytest.mark.parametrize("action", [ActionSpec("DI", (1, 0)), ActionSpec("DI-m3", (1,)),
+                                    ActionSpec("DI-mx", (1, 0)), ActionSpec("DI-m3", ("a", 0)),
+                                    ActionSpec("DI-m3", ([1], 0))])
+def test_malformed_action_is_a_corrupt_ground_truth(action):
+    with pytest.raises(CorruptGroundTruth):
+        fault_from_action(build_topology(3, 2), action)

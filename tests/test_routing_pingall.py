@@ -1,7 +1,8 @@
 from hypothesis import given, settings, strategies as st
 
 from netbench.routing.commands import exec_command
-from netbench.routing.pingall import matrix_from_counts, pingall, render_summary
+from netbench.core.reactive import solved
+from netbench.routing.pingall import pingall, render_summary
 from netbench.routing.state import build_topology
 
 
@@ -15,7 +16,7 @@ def run(state, *cmds):
 
 def test_healthy_network_fully_reachable():
     m = pingall(build_topology(3, 3))
-    assert m.all_reachable
+    assert solved(m)
     assert m.total == 10 * 9
     assert m.summary_line == "*** Results: 0% dropped (90/90 received)"
 
@@ -88,9 +89,11 @@ def test_excessive_delay_fails_pairs():
 
 def test_moderate_delay_is_slow_but_reachable():
     s = run(build_topology(2, 2), "tc qdisc add dev r0-eth1 root netem delay 500ms")
-    m = pingall(s)
-    assert m.all_reachable
-    assert ("h1", "h3") in m.slow
+    assert solved(pingall(s))
+    # the delay counts against the ceiling: below 500 ms the delayed pairs fail
+    m = pingall(s, delay_ceiling_ms=499)
+    assert not m.reachable[("h1", "h3")] and not m.reachable[("h1", "r0")]
+    assert m.reachable[("h3", "h4")]
 
 
 def test_render_grid_shape():
@@ -100,16 +103,6 @@ def test_render_grid_shape():
     assert lines[1].startswith("h1 -> ")
     assert lines[-1] == m.summary_line
     assert "X" in lines[1]
-
-
-def test_matrix_from_counts():
-    nodes = [f"n{i}" for i in range(7)]
-    reachable = {("n0", "n1"), ("n1", "n0"), ("n0", "n2"), ("n2", "n0"),
-                 ("n1", "n2"), ("n2", "n1"), ("n3", "n4"), ("n4", "n3"),
-                 ("n5", "n6"), ("n6", "n5")}
-    m = matrix_from_counts(nodes, reachable)
-    assert m.total == 42 and m.received == 10
-    assert m.summary_line == "*** Results: 76% dropped (10/42 received)"
 
 
 @settings(max_examples=20, deadline=None)

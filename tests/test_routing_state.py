@@ -1,7 +1,7 @@
 import pytest
 
 from netbench.errors import ParameterOutOfRange
-from netbench.routing.state import build_topology, cidr_covers, ip_to_int, prefix_len
+from netbench.routing.state import build_topology, ip_to_int, parse_cidr, prefix_len
 
 
 def test_parameter_ranges_enforced():
@@ -53,7 +53,11 @@ def test_digest_ignores_route_order():
 def test_ip_helpers():
     assert ip_to_int("0.0.0.1") == 1
     assert ip_to_int("192.168.1.1") == (192 << 24) + (168 << 16) + (1 << 8) + 1
-    assert cidr_covers("192.168.1.0/24", "192.168.1.77")
-    assert not cidr_covers("192.168.1.0/24", "192.168.2.1")
-    assert cidr_covers("0.0.0.0/0", "8.8.8.8")
+    net, mask = parse_cidr("192.168.1.0/24")
+    assert (net, mask) == (ip_to_int("192.168.1.0"), 0xFFFFFF00)
+    assert ip_to_int("192.168.1.77") & mask == net
+    assert ip_to_int("192.168.2.1") & mask != net
+    assert parse_cidr("192.168.1.77/24") == (net, mask)  # host bits are dropped
+    net, mask = parse_cidr("0.0.0.0/0")
+    assert ip_to_int("8.8.8.8") & mask == net
     assert prefix_len("10.0.0.0/8") == 8

@@ -1,7 +1,7 @@
 import pytest
 
-from netbench.core.types import ActionSpec, BenchmarkConfig, EpisodeResult, \
-    GT_ACTION_PROGRAM, GT_RECOVERY_PREDICATE, GroundTruth, QuerySpec, Turn
+from netbench.core.types import ActionSpec, BenchmarkConfig, GT_ACTION_PROGRAM, \
+    GT_RECOVERY_PREDICATE, GroundTruth, QuerySpec
 
 
 def test_action_spec_round_trip():
@@ -42,14 +42,6 @@ def test_query_spec_validation():
         QuerySpec(id="x", app="nope", level=1, action_label="l", prompt_text="p", seed=0)
     with pytest.raises(ValueError):
         QuerySpec(id="x", app="cp", level=4, action_label="l", prompt_text="p", seed=0)
-
-
-def test_episode_result_safety_is_conjunction():
-    r = EpisodeResult(query_id="q")
-    r.turns = [Turn(agent_message={}, env_observation="", safe=True),
-               Turn(agent_message={}, env_observation="", safe=False)]
-    assert r.step_safety == [True, False]
-    assert r.recompute_safe() is False
 
 
 def test_benchmark_config_defaults_and_validation():

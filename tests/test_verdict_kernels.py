@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from netbench.agents.base import MSG_COMMAND, MSG_FINAL, AgentMessage
 from netbench.errors import MethodOutOfRange
 from netbench.k8spolicy import env as k8s_env
-from netbench.k8spolicy.connectivity import connectivity_check, flow_allowed
+from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.env import K8sEnvironment
 from netbench.k8spolicy.generate import generate_k8s_query, rebuild_cluster
 from netbench.k8spolicy.inject import MUTATIONS, build_mutation
@@ -27,10 +27,9 @@ from netbench.routing.commands import exec_command
 from netbench.routing.env import RoutingEnvironment
 from netbench.routing.generate import generate_routing_query, rebuild_states
 from netbench.routing.inject import FAMILY_METHODS, build_fault
-from netbench.routing.pingall import pair_reachable, pingall
+from netbench.routing.pingall import pingall
 from netbench.routing.safety import judge_step_safety as routing_judge
-from reference_kernels import ref_cluster_digest, ref_connectivity_check, ref_flow_allowed, \
-    ref_pair_reachable, ref_pingall
+from reference_kernels import ref_cluster_digest, ref_connectivity_check, ref_pingall
 
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -118,11 +117,7 @@ def test_pingall_matches_reference_on_reachable_states(data, level, seed):
                 assert routing_judge(state, outcome.state, rule) == ref_judge(
                     before.good, after.good, before.total, rule)
             state = outcome.state
-        matrix = pingall(state, ceiling)
-        assert matrix == ref_pingall(state, ceiling)
-        nodes = matrix.nodes
-        a, b = data.draw(st.sampled_from([(a, b) for a in nodes for b in nodes if a != b]))
-        assert pair_reachable(state, a, b, ceiling) == ref_pair_reachable(state, a, b, ceiling)
+        assert pingall(state, ceiling) == ref_pingall(state, ceiling)
 
 
 # --- k8s ---------------------------------------------------------------------
@@ -187,8 +182,6 @@ def test_connectivity_check_matches_reference_on_reachable_states(data, level, s
                     before.good, after.good, len(flow_universe()), rule)
             policies = outcome.policies
         assert connectivity_check(policies) == ref_connectivity_check(policies)
-        src, dst, port = data.draw(st.sampled_from(flow_universe()))
-        assert flow_allowed(policies, src, dst, port) == ref_flow_allowed(policies, src, dst, port)
 
 
 _JSON = st.recursive(
