@@ -82,6 +82,23 @@ def _run_one(config, query, truth, agent_spec, context):
     return score_episode(query, result)
 
 
+def _read_manifest(path: Path) -> tuple[dict, BenchmarkConfig]:
+    """A batch manifest and the config it records; ParseError names ``path`` if unusable."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"manifest {path} is not JSON: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ParseError(f"manifest {path} must be a JSON object with a 'config' object")
+    unknown = manifest["config"].keys() - {f.name for f in fields(BenchmarkConfig)}
+    if unknown:
+        raise ParseError(f"manifest {path}: unknown config keys {sorted(unknown)}")
+    try:
+        return manifest, BenchmarkConfig(**manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"manifest {path}: config: {exc}") from None
+
+
 def cmd_run(args) -> int:
     batch_path = Path(args.batch)
     pairs = read_batch_jsonl(batch_path)
@@ -91,11 +108,11 @@ def cmd_run(args) -> int:
     manifest_path = _manifest_path(batch_path)
     if not manifest_path.exists():
         raise ParseError(f"missing manifest {manifest_path}; regenerate the batch")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest, config = _read_manifest(manifest_path)
     if digest(batch_path.read_text(encoding="utf-8")) != manifest.get("batch_digest"):
         raise ParseError(f"batch {batch_path} does not match the batch_digest in "
                          f"{manifest_path}; regenerate the batch")
-    config = BenchmarkConfig(**{**manifest["config"], **_flag_values(args)})
+    config = replace(config, **_flag_values(args))
     check_agent_spec(config.agent, config.app)
 
     out = Path(args.out)

@@ -176,12 +176,14 @@ class CpGraph:
         return digest(self.to_json())
 
 
-def apply_basic_op(graph: CpGraph, op) -> tuple[CpGraph, CpResult]:
+def apply_basic_op(graph: CpGraph, op) -> tuple[CpGraph, CpResult | None]:
     """Execute one basic operation, returning the new graph and its result.
 
     ``op`` is an ActionSpec-like object with ``name`` and ``operands``.
     The input graph is never mutated: writes (``add``, ``remove``,
-    ``update``) return a changed copy, reads return the input graph.
+    ``update``) return a changed copy and no result (``run_program``
+    digests the graph a program's last write leaves), reads return the
+    input graph.
     """
     name = op.name
     operands = tuple(op.operands)
@@ -233,14 +235,16 @@ def apply_basic_op(graph: CpGraph, op) -> tuple[CpGraph, CpResult]:
     else:  # update: numeric attribute overwrite on an existing node
         _, attr, value = operands
         g.nodes[node_name]["attrs"][attr] = float(value) if not float(value).is_integer() else int(value)
-    return g, CpResult("graph", g.state_digest())
+    return g, None
 
 
 def run_program(graph: CpGraph, program) -> tuple[CpGraph, CpResult | None]:
-    """Apply ``program``'s ops in order; returns the final graph and the last result."""
+    """Apply ``program``'s ops in order; returns the final graph and the last op's result."""
     result = None
     for op in program:
         graph, result = apply_basic_op(graph, op)
+    if program and result is None:  # the last op wrote
+        result = CpResult("graph", graph.state_digest())
     return graph, result
 
 

@@ -11,10 +11,12 @@ from .metrics import MetricRecord
 
 def write_metrics_jsonl(records, path) -> int:
     path = Path(path)
+    written = 0
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
             fh.write(canonical_json(record.to_json()) + "\n")
-    return sum(1 for _ in records)
+            written += 1
+    return written
 
 
 def read_metrics_jsonl(path) -> list:

@@ -5,6 +5,13 @@ pod, that direction is unrestricted; as soon as one does, only flows
 matched by some selecting policy's rules pass. A flow is allowed only
 if both the destination's ingress side and the source's egress side
 permit it.
+
+``connectivity_check`` compiles a policy store once into allow sets:
+per direction, each selected service maps to the peers some rule admits
+on the flow's server port. Pods carry only the ``app`` label, so every
+selector becomes a set of services in one pass over its keys, and each
+candidate flow is then two set lookups (the allow-matrix idea of Kano,
+Li et al. 2019).
 """
 
 from __future__ import annotations
@@ -12,20 +19,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import SERVICES, expected_flows, flow_universe
+from .model import SERVICE_PORTS, SERVICES, expected_flows, flow_universe
+
+_FLOWS = frozenset(flow_universe())
+_EXPECTED = frozenset(expected_flows())
+
+_ALL = frozenset(SERVICES)
+_SERVERS = frozenset(SERVICE_PORTS)
 
 
-def _selects(selector: dict, service: str) -> bool:
-    # empty selector matches every pod in the namespace
-    labels = {"app": service}
-    match = selector.get("matchLabels", {}) if selector else {}
-    return all(labels.get(k) == v for k, v in match.items())
+def _selected(selector: dict) -> frozenset:
+    """The services whose pod (labelled only ``app: <service>``) ``selector`` matches."""
+    chosen = _ALL  # an empty selector matches every pod in the namespace
+    for key, value in (selector.get("matchLabels", {}) if selector else {}).items():
+        if key == "app":
+            chosen &= {value} if isinstance(value, str) else set()
+        elif value is not None:  # the pod lacks the label, which only None equals
+            return frozenset()
+    return chosen
 
 
-def _peer_matches(peers, service: str) -> bool:
+def _peers(peers) -> frozenset:
     if not peers:
-        return True  # a rule without peers matches all sources/destinations
-    return any(_selects(p.get("podSelector", {}), service) for p in peers)
+        return _ALL  # a rule without peers matches all sources/destinations
+    return frozenset().union(*(_selected(p.get("podSelector", {})) for p in peers))
 
 
 def _ports_match(ports, port: int) -> bool:
@@ -34,41 +51,33 @@ def _ports_match(ports, port: int) -> bool:
     return any(p.get("port") == port for p in ports)
 
 
-_DIRECTIONS = (("ingress", "Ingress"), ("egress", "Egress"))
+def _allow_sets(policies: dict, direction: str) -> dict:
+    """Selected service -> the peers its ``direction`` rules admit on the server's port.
 
-
-def _index(policies: dict) -> dict:
-    """(direction, service) -> the rules of every policy selecting it there.
-
-    A key is absent when no policy of that direction selects the service,
-    and present (possibly with no rules) as soon as one does.
+    A service is absent when no policy of that direction selects it, and
+    present (possibly with no peers) as soon as one does.
     """
-    index = {}
+    policy_type, peer_key = ("Ingress", "from") if direction == "ingress" else ("Egress", "to")
+    allow = {}
     for policy in policies.values():
         spec = policy["spec"]
-        types = spec.get("policyTypes", [])
-        for direction, policy_type in _DIRECTIONS:
-            if policy_type not in types:
-                continue
-            rules = spec.get(direction) or []
-            for service in SERVICES:
-                if _selects(spec.get("podSelector", {}), service):
-                    index.setdefault((direction, service), []).extend(rules)
-    return index
-
-
-def _direction_allows(index: dict, direction: str, selected: str, peer: str, port: int) -> bool:
-    rules = index.get((direction, selected))
-    if rules is None:
-        return True  # nothing restricts this direction for this pod
-    peer_key = "from" if direction == "ingress" else "to"
-    return any(_peer_matches(rule.get(peer_key), peer) and _ports_match(rule.get("ports"), port)
-               for rule in rules)
-
-
-def _allowed(index: dict, src: str, dst: str, port: int) -> bool:
-    return (_direction_allows(index, "ingress", dst, src, port)
-            and _direction_allows(index, "egress", src, dst, port))
+        if policy_type not in spec.get("policyTypes", []):
+            continue
+        selected = _selected(spec.get("podSelector", {}))
+        for service in selected:
+            allow.setdefault(service, set())
+        for rule in spec.get(direction) or []:
+            peers, ports = _peers(rule.get(peer_key)), rule.get("ports")
+            if direction == "ingress":
+                for service in selected & _SERVERS:
+                    if _ports_match(ports, SERVICE_PORTS[service]):
+                        allow[service] |= peers
+            else:
+                admitted = {peer for peer in peers & _SERVERS
+                            if _ports_match(ports, SERVICE_PORTS[peer])}
+                for service in selected:
+                    allow[service] |= admitted
+    return allow
 
 
 @dataclass
@@ -81,15 +90,14 @@ class MismatchReport:
     def clean(self) -> bool:
         return not self.mismatches
 
-    @cached_property
+    @property
     def total(self) -> int:
-        return len(flow_universe())
+        return len(_FLOWS)
 
     @cached_property
     def good(self) -> frozenset:
         """The conforming flows: the set the step safety judge compares."""
-        bad = {(src, dst, port) for src, dst, port, _, _ in self.mismatches}
-        return frozenset(flow for flow in flow_universe() if flow not in bad)
+        return _FLOWS - {(src, dst, port) for src, dst, port, _, _ in self.mismatches}
 
     def render(self) -> str:
         if self.clean:
@@ -106,12 +114,9 @@ def _word(allowed: bool) -> str:
 
 
 def connectivity_check(policies: dict) -> MismatchReport:
-    index = _index(policies)
-    expected = set(expected_flows())
-    mismatches = []
-    for src, dst, port in flow_universe():
-        exp = (src, dst, port) in expected
-        act = _allowed(index, src, dst, port)
-        if exp != act:
-            mismatches.append((src, dst, port, exp, act))
-    return MismatchReport(mismatches=sorted(mismatches))
+    ingress = _allow_sets(policies, "ingress")
+    egress = _allow_sets(policies, "egress")
+    actual = {(src, dst, port) for src, dst, port in _FLOWS
+              if src in ingress.get(dst, _ALL) and dst in egress.get(src, _ALL)}
+    return MismatchReport(mismatches=sorted(
+        (*flow, flow in _EXPECTED, flow in actual) for flow in actual ^ _EXPECTED))

@@ -109,6 +109,22 @@ def test_run_requires_manifest(batch, tmp_path):
                  "--out", str(tmp_path / "m.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("rewrite", [
+    lambda m: "{not json",
+    lambda m: json.dumps([m]),
+    lambda m: json.dumps({k: v for k, v in m.items() if k != "config"}),
+    lambda m: json.dumps({**m, "config": {**m["config"], "colour": "red"}}),
+], ids=["not-json", "not-an-object", "no-config", "unknown-config-key"])
+def test_run_rejects_a_malformed_manifest_naming_it(batch, tmp_path, capsys, rewrite):
+    manifest_path = batch.with_suffix(".jsonl.manifest.json")
+    manifest_path.write_text(rewrite(json.loads(manifest_path.read_text())))
+    assert main(["run", "--batch", str(batch), "--agent", "oracle",
+                 "--out", str(tmp_path / "m.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(manifest_path) in err
+    assert "Traceback" not in err
+
+
 def test_run_parallel_matches_serial(batch, tmp_path):
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"

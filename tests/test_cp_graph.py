@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netbench.core.types import ActionSpec
-from netbench.cp.graph import CONTAINS, CONTROL, CpGraph, DEFAULT_PORT_CAPACITY_BPS, \
-    apply_basic_op
+from netbench.cp.graph import CONTAINS, CONTROL, CpGraph, CpResult, DEFAULT_PORT_CAPACITY_BPS, \
+    apply_basic_op, run_program
 from netbench.cp.topology import DESK_SCALE, TopoSpec, generate_synthetic_topology
 from netbench.errors import ArityMismatch, DuplicateName, HierarchyViolation, \
     UnknownAction, UnknownNode
@@ -78,9 +78,9 @@ def test_op_arity_checked():
 
 
 def test_add_port_gets_default_capacity():
-    g2, res = apply_basic_op(small_graph(), ActionSpec("add", ("p9", "EK_PORT", "sw1")))
+    g2, res = run_program(small_graph(), [ActionSpec("add", ("p9", "EK_PORT", "sw1"))])
     assert g2.nodes["p9"]["attrs"]["physical_capacity_bps"] == DEFAULT_PORT_CAPACITY_BPS
-    assert res.kind == "graph"
+    assert res == CpResult("graph", g2.state_digest())
 
 
 def test_add_rejects_hierarchy_violation():

@@ -201,6 +201,12 @@ def test_metrics_jsonl_round_trip(tmp_path):
     assert read_metrics_jsonl(path) == records
 
 
+def test_write_metrics_jsonl_counts_the_lines_of_a_generator(tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    assert write_metrics_jsonl((record(i) for i in range(3)), path) == 3
+    assert len(path.read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize("line", ['{"query_id": "q9"}', "{", "[1]", "7"])
 def test_read_metrics_jsonl_names_the_malformed_line(tmp_path, line):
     path = tmp_path / "metrics.jsonl"

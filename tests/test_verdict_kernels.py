@@ -184,6 +184,67 @@ def test_connectivity_check_matches_reference_on_reachable_states(data, level, s
         assert connectivity_check(policies) == ref_connectivity_check(policies)
 
 
+# a few services, so that drawn selectors, peers and ports meet on the same flows
+_FEW = ("cartservice", "frontend", "loadgenerator", "redis-cart")
+_FEW_PORTS = sorted({SERVICE_PORTS[s] for s in _FEW if s in SERVICE_PORTS})
+# label values a pod's ``app: <service>`` label can and cannot equal
+_LABEL_VALUE = st.one_of(st.sampled_from([*_FEW, "nosuch"]),
+                         st.sampled_from([None, 1, 2.5, True, ["frontend"], {"app": "frontend"}]))
+_OTHER_LABEL = st.sampled_from([None, "web", 0])
+_WIDE_SELECTOR = st.one_of(st.just({}), st.one_of(
+    st.just({}),
+    st.fixed_dictionaries({"app": _LABEL_VALUE}, optional={"tier": _OTHER_LABEL}),
+    st.fixed_dictionaries({"tier": _OTHER_LABEL}),
+).map(lambda labels: {"matchLabels": labels}))
+_WIDE_PEERS = st.one_of(st.sampled_from([[], [{}]]),
+                        st.lists(_WIDE_SELECTOR.map(lambda sel: {"podSelector": sel}),
+                                 min_size=1, max_size=3))
+# a server port given as int, str or float, or a value no port equals
+_PORT_VALUE = st.one_of(*(st.sampled_from(_FEW_PORTS).map(kind) for kind in (int, str, float)),
+                        st.sampled_from([True, None, 1, [8080], "http"]))
+_WIDE_PORTS = st.lists(st.one_of(st.just({"protocol": "TCP"}),
+                                 _PORT_VALUE.map(lambda v: {"port": v})), max_size=2)
+
+
+def _wide_rules(peer_key):
+    rule = st.fixed_dictionaries({}, optional={peer_key: _WIDE_PEERS, "ports": _WIDE_PORTS})
+    return st.one_of(st.lists(rule, min_size=1, max_size=3), st.sampled_from([None, []]))
+
+
+_WIDE_SPEC = st.fixed_dictionaries({
+    "policyTypes": st.sampled_from([["Ingress"], ["Egress"], ["Ingress", "Egress"], []]),
+    "ingress": _wide_rules("from"),
+    "egress": _wide_rules("to"),
+}, optional={"podSelector": _WIDE_SELECTOR})
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+def test_connectivity_check_matches_reference_on_any_selector_peer_and_port_value(data, level,
+                                                                                  seed):
+    """Stores applied or patched through kubectl with every selector, peer and port shape
+    the interpreter accepts: other label keys, non-string ``app`` values, empty
+    ``matchLabels``, missing, empty and catch-all peers, and ports of any JSON type."""
+    _, truth = generate_k8s_query(level, seed)
+    policies = data.draw(st.sampled_from([*rebuild_cluster(truth), {}]))
+    for _ in range(data.draw(st.integers(1, 6))):
+        name = data.draw(st.sampled_from([*sorted(policies), "extra"]))
+        spec = data.draw(_WIDE_SPEC)
+        if name in policies and data.draw(st.booleans()):
+            command = (f"kubectl patch networkpolicy {name} --type merge "
+                       f"-p '{json.dumps({'spec': spec})}'")
+        else:
+            command = "kubectl apply -f -\n" + yaml.safe_dump({
+                "apiVersion": "networking.k8s.io/v1", "kind": "NetworkPolicy",
+                "metadata": {"name": name}, "spec": spec})
+        outcome = exec_kubectl(policies, command)
+        assert outcome.kind == "write", outcome.output
+        policies = outcome.policies
+        alone = {name: policies[name]}  # where no other policy hides what it allows
+        assert connectivity_check(alone) == ref_connectivity_check(alone)
+    assert connectivity_check(policies) == ref_connectivity_check(policies)
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6),
     lambda children: st.lists(children, max_size=3)
