@@ -112,7 +112,7 @@ def generate_cp_query(graph: CpGraph, level: int, seed: int) -> tuple[QuerySpec,
         raise AssertionError(label)
 
     # self-consistency: the golden program must execute cleanly right now
-    state, _ = run_program(graph, program)
+    state, result = run_program(graph, program)
 
     query = QuerySpec(
         id=f"cp-L{level}-{seed:016x}",
@@ -122,6 +122,7 @@ def generate_cp_query(graph: CpGraph, level: int, seed: int) -> tuple[QuerySpec,
         prompt_text=prompt,
         seed=seed,
     )
-    truth = GroundTruth(kind=GT_ACTION_PROGRAM, target_digest=state.state_digest(),
-                        program=tuple(program))
+    # a program that ends on a write already digested its graph
+    target = result.value if result.kind == "graph" else state.state_digest()
+    truth = GroundTruth(kind=GT_ACTION_PROGRAM, target_digest=target, program=tuple(program))
     return query, truth

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..core.types import ActionSpec
 from ..errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
-from .model import EXPECTED_CALLERS, SERVICE_PORTS
+from .model import EXPECTED_CALLERS, SERVICE_PORTS, baseline_ingress
 
 MACHINE = "master"
 
@@ -53,23 +53,15 @@ def _patch_cmd(target: str, patch: dict) -> tuple:
     return (MACHINE, f"kubectl patch networkpolicy {target} --type merge -p '{payload}'")
 
 
-def _baseline_ingress(target: str) -> list:
-    return [{
-        "from": [{"podSelector": {"matchLabels": {"app": caller}}}
-                 for caller in EXPECTED_CALLERS[target]],
-        "ports": [{"port": SERVICE_PORTS[target], "protocol": "TCP"}],
-    }]
-
-
 def build_mutation(family: str, target: str, param: str = "") -> Mutation:
     if family not in MUTATIONS:
         raise UnknownFamily(f"unknown mutation family {family!r}")
-    restore_ingress = _patch_cmd(target, {"spec": {"ingress": _baseline_ingress(target)}})
+    restore_ingress = _patch_cmd(target, {"spec": {"ingress": baseline_ingress(target)}})
 
     if family == "RI":
         if target not in RI_TARGETS or param not in EXPECTED_CALLERS[target]:
             raise MethodOutOfRange(f"RI cannot remove {param!r} from {target!r}")
-        rule = _baseline_ingress(target)[0]
+        rule = baseline_ingress(target)[0]
         rule["from"] = [f for f in rule["from"]
                         if f["podSelector"]["matchLabels"]["app"] != param]
         forward = _patch_cmd(target, {"spec": {"ingress": [rule]}})
@@ -78,13 +70,13 @@ def build_mutation(family: str, target: str, param: str = "") -> Mutation:
     if family == "AI":
         if param in EXPECTED_CALLERS[target] or param == target:
             raise MethodOutOfRange(f"AI caller {param!r} is already expected for {target!r}")
-        rule = _baseline_ingress(target)[0]
+        rule = baseline_ingress(target)[0]
         rule["from"] = rule["from"] + [{"podSelector": {"matchLabels": {"app": param}}}]
         forward = _patch_cmd(target, {"spec": {"ingress": [rule]}})
         return Mutation(family, target, param, forward, restore_ingress)
 
     if family == "CP":
-        rule = _baseline_ingress(target)[0]
+        rule = baseline_ingress(target)[0]
         rule["ports"] = [{"port": SERVICE_PORTS[target] + 1, "protocol": "TCP"}]
         forward = _patch_cmd(target, {"spec": {"ingress": [rule]}})
         return Mutation(family, target, param, forward, restore_ingress)

@@ -81,7 +81,9 @@ def canonical_policy(policy: dict) -> dict:
 
 
 def policy_yaml(policy: dict) -> str:
-    return yaml.safe_dump(canonical_policy(policy), sort_keys=True, default_flow_style=False)
+    """A stored policy as YAML. A stored policy is a fresh tree built by
+    canonical_policy, so no node is shared and the dump has no anchors."""
+    return yaml.safe_dump(policy, sort_keys=True, default_flow_style=False)
 
 
 def _policy(name: str, spec: dict) -> dict:
@@ -91,6 +93,15 @@ def _policy(name: str, spec: dict) -> dict:
         "metadata": {"name": name, "namespace": NAMESPACE},
         "spec": spec,
     })
+
+
+def baseline_ingress(service: str) -> list:
+    """The healthy ingress of a serving ``service``: its expected callers, on its port."""
+    return [{
+        "from": [{"podSelector": {"matchLabels": {"app": caller}}}
+                 for caller in EXPECTED_CALLERS[service]],
+        "ports": [{"port": SERVICE_PORTS[service], "protocol": "TCP"}],
+    }]
 
 
 def default_policies() -> dict:
@@ -103,19 +114,11 @@ def default_policies() -> dict:
     """
     policies = {}
     for name in sorted(SERVICES):
-        if name == "loadgenerator":
-            # pure client: nothing may call it
-            ingress = []
-        else:
-            ingress = [{
-                "from": [{"podSelector": {"matchLabels": {"app": caller}}}
-                         for caller in EXPECTED_CALLERS[name]],
-                "ports": [{"port": SERVICE_PORTS[name], "protocol": "TCP"}],
-            }]
         policies[name] = _policy(name, {
             "podSelector": {"matchLabels": {"app": name}},
             "policyTypes": ["Ingress"],
-            "ingress": ingress,
+            # loadgenerator is a pure client: nothing may call it
+            "ingress": [] if name == "loadgenerator" else baseline_ingress(name),
         })
     policies[DEFAULT_DENY] = _policy(DEFAULT_DENY, {
         "podSelector": {},

@@ -4,7 +4,7 @@ Every agent-visible interaction goes through :func:`exec_command`. The
 grammar covers the standard Linux diagnostic and repair commands for
 this topology; anything else (notably ``vtysh`` and ``ping``) yields a
 diagnostic string, never an exception. The input state is not mutated;
-writes return an updated copy.
+writes return an updated copy, made once the command is known to be valid.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from ..core.reactive import INVALID, READ, WRITE
 from .state import FilterRule, NetState, Route, ip_to_int, parse_cidr
 
-_CIDR_RE = re.compile(r"^(\d{1,3}\.){3}\d{1,3}/\d{1,2}$")
-_IP_RE = re.compile(r"^(\d{1,3}\.){3}\d{1,3}$")
+# re.ASCII: a kernel reads ASCII digits only, and \d would also match "١"
+_CIDR_RE = re.compile(r"^(\d{1,3}\.){3}\d{1,3}/\d{1,2}$", re.ASCII)
+_IP_RE = re.compile(r"^(\d{1,3}\.){3}\d{1,3}$", re.ASCII)
 
 
 @dataclass
@@ -26,24 +27,12 @@ class CommandOutcome:
     kind: str  # read | write | invalid
 
 
-def _resolve_machine(state: NetState, machine: str) -> str | None:
-    """Accept node names with or without the topology prefix."""
-    candidates = {state.router_name, *state.hosts}
-    if machine in candidates:
-        return machine
-    prefixed = state.prefix + machine
-    if prefixed in candidates:
-        return prefixed
-    return None
-
-
-def _resolve_iface(state: NetState, name: str) -> str | None:
-    if name in state.interfaces:
-        return name
-    prefixed = state.prefix + name
-    if prefixed in state.interfaces:
-        return prefixed
-    return None
+def _resolve(state: NetState, names, token: str) -> str | None:
+    """``token`` as one of ``names``, given with or without the topology prefix."""
+    if token in names:
+        return token
+    prefixed = state.prefix + token
+    return prefixed if prefixed in names else None
 
 
 # --- renderers --------------------------------------------------------------
@@ -60,6 +49,10 @@ def _render_iface(iface, style: str) -> str:
     if style == "addr" and iface.ip is not None:
         lines.append(f"    inet {iface.ip}/{iface.mask} scope global {iface.name}")
     return "\n".join(lines)
+
+
+def _render_ifaces(state: NetState, style: str) -> str:
+    return "\n".join(_render_iface(i, style) for _, i in sorted(state.interfaces.items()))
 
 
 def _render_routes(state: NetState) -> str:
@@ -117,31 +110,32 @@ def _render_host(state: NetState, host) -> str:
 
 # --- interpreter ------------------------------------------------------------
 
+class _Reject(Exception):
+    """An invalid command; the message is its output. Only exec_command catches it."""
+
+
 def exec_command(state: NetState, machine: str, command: str) -> CommandOutcome:
     """Run one command on one machine; never raises on agent input."""
-    node = _resolve_machine(state, machine)
-    if node is None:
-        return CommandOutcome(state, f"unknown machine: {machine}", INVALID)
-
-    text = command.strip()
-    if not text:
-        return CommandOutcome(state, "empty command", INVALID)
-    tokens = text.split()
-
-    if tokens[0] == "vtysh":
-        return CommandOutcome(state, "vtysh: command not permitted in this environment", INVALID)
-    if tokens[0].startswith("ping"):
-        return CommandOutcome(
-            state, "ping commands are not permitted; connectivity results are provided to you",
-            INVALID)
-    if tokens[0] == "sudo":
-        return CommandOutcome(state, "do not include sudo in commands", INVALID)
-
-    if node != state.router_name:
-        return _exec_on_host(state, node, tokens)
-
     try:
-        return _exec_on_router(state, tokens)
+        node = _resolve(state, {state.router_name, *state.hosts}, machine)
+        if node is None:
+            raise _Reject(f"unknown machine: {machine}")
+        tokens = command.split()
+        if not tokens:
+            raise _Reject("empty command")
+        if tokens[0] == "vtysh":
+            raise _Reject("vtysh: command not permitted in this environment")
+        if tokens[0].startswith("ping"):
+            raise _Reject(
+                "ping commands are not permitted; connectivity results are provided to you")
+        if tokens[0] == "sudo":
+            raise _Reject("do not include sudo in commands")
+        if node != state.router_name:
+            return _exec_on_host(state, node, tokens)
+        handler = _ROUTER_COMMANDS.get(tokens[0])
+        if handler is None:
+            raise _Reject(f"unsupported command: {tokens[0]}")
+        return handler(state, tokens)
     except _Reject as exc:
         return CommandOutcome(state, str(exc), INVALID)
 
@@ -152,15 +146,27 @@ def write_command(state: NetState, machine: str, command: str) -> NetState | Non
     return outcome.state if outcome.kind == WRITE else None
 
 
-class _Reject(Exception):
-    pass
+def _flag_pairs(args, flags, message: str):
+    """Each ``(flag, value)`` of ``args`` in order; rejects, with ``message`` and the
+    token, a token that is not one of ``flags`` or has no value after it."""
+    for i in range(0, len(args), 2):
+        if args[i] not in flags or i + 1 == len(args):
+            raise _Reject(f"{message} {args[i]!r}")
+        yield args[i], args[i + 1]
 
 
 def _need_iface(state: NetState, token: str) -> str:
-    name = _resolve_iface(state, token)
+    name = _resolve(state, state.interfaces, token)
     if name is None:
         raise _Reject(f"Cannot find device \"{token}\"")
     return name
+
+
+def _need_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise _Reject(f"invalid {what}: {token!r}") from None
 
 
 def _is_ip(token: str) -> bool:
@@ -192,113 +198,74 @@ def _need_host_or_cidr(token: str) -> str:
     return token + "/32"
 
 
+def _set_iface(state: NetState, iface: str, **fields) -> CommandOutcome:
+    """The write that sets ``fields`` of interface ``iface`` in a copy of ``state``."""
+    new = state.copy()
+    for name, value in fields.items():
+        setattr(new.interfaces[iface], name, value)
+    return CommandOutcome(new, "", WRITE)
+
+
 def _exec_on_host(state: NetState, node: str, tokens) -> CommandOutcome:
-    host = state.hosts[node]
-    if tokens[0] == "ifconfig" and len(tokens) == 1:
-        return CommandOutcome(state, _render_host(state, host), READ)
-    if tokens[:2] in (["ip", "addr"], ["ip", "route"]):
-        return CommandOutcome(state, _render_host(state, host), READ)
-    return CommandOutcome(
-        state, "host configuration is fixed in this benchmark; run commands on the router",
-        INVALID)
-
-
-def _exec_on_router(state: NetState, tokens) -> CommandOutcome:
-    cmd = tokens[0]
-
-    if cmd == "ifconfig":
-        return _ifconfig(state, tokens)
-    if cmd == "ip":
-        return _ip(state, tokens)
-    if cmd == "iptables":
-        return _iptables(state, tokens)
-    if cmd == "sysctl":
-        return _sysctl(state, tokens)
-    if cmd == "tc":
-        return _tc(state, tokens)
-    return CommandOutcome(state, f"unsupported command: {cmd}", INVALID)
+    if tokens == ["ifconfig"] or tokens[:2] in (["ip", "addr"], ["ip", "route"]):
+        return CommandOutcome(state, _render_host(state, state.hosts[node]), READ)
+    raise _Reject("host configuration is fixed in this benchmark; run commands on the router")
 
 
 def _ifconfig(state: NetState, tokens) -> CommandOutcome:
     if len(tokens) == 1:
-        out = "\n".join(_render_iface(i, "ifconfig") for _, i in sorted(state.interfaces.items()))
-        return CommandOutcome(state, out, READ)
+        return CommandOutcome(state, _render_ifaces(state, "ifconfig"), READ)
     iface = _need_iface(state, tokens[1])
     if len(tokens) == 2:
         return CommandOutcome(state, _render_iface(state.interfaces[iface], "ifconfig"), READ)
     if len(tokens) == 3 and tokens[2] in ("up", "down"):
-        new = state.copy()
-        new.interfaces[iface].up = tokens[2] == "up"
-        return CommandOutcome(new, "", WRITE)
+        return _set_iface(state, iface, up=tokens[2] == "up")
     raise _Reject(f"ifconfig: unsupported arguments: {' '.join(tokens[2:])}")
 
 
 def _ip(state: NetState, tokens) -> CommandOutcome:
     if len(tokens) < 2:
         raise _Reject("ip: missing object (addr|link|route|rule)")
-    obj = tokens[1]
-    rest = tokens[2:]
-
-    if obj in ("addr", "address", "a"):
-        return _ip_addr(state, rest)
-    if obj in ("link", "l"):
-        return _ip_link(state, rest)
-    if obj in ("route", "r"):
-        return _ip_route(state, rest)
-    if obj == "rule":
-        return _ip_rule(state, rest)
-    raise _Reject(f"ip: unknown object {obj!r}")
+    handler = _IP_OBJECTS.get(tokens[1])
+    if handler is None:
+        raise _Reject(f"ip: unknown object {tokens[1]!r}")
+    return handler(state, tokens[2:])
 
 
 def _ip_addr(state: NetState, rest) -> CommandOutcome:
     if not rest or rest[0] == "show":
-        args = rest[1:] if rest else []
+        args = rest[1:]
         if args and args[0] == "dev":
             args = args[1:]
         if args:
             iface = _need_iface(state, args[0])
             return CommandOutcome(state, _render_iface(state.interfaces[iface], "addr"), READ)
-        out = "\n".join(_render_iface(i, "addr") for _, i in sorted(state.interfaces.items()))
-        return CommandOutcome(state, out, READ)
+        return CommandOutcome(state, _render_ifaces(state, "addr"), READ)
 
     verb = rest[0]
     if verb == "flush":
         if len(rest) != 3 or rest[1] != "dev":
             raise _Reject("usage: ip addr flush dev <iface>")
-        iface = _need_iface(state, rest[2])
-        new = state.copy()
-        new.interfaces[iface].ip = None
-        new.interfaces[iface].mask = None
-        return CommandOutcome(new, "", WRITE)
-
-    if verb in ("add", "del", "replace"):
-        if len(rest) != 4 or rest[2] != "dev":
-            raise _Reject(f"usage: ip addr {verb} <addr>/<mask> dev <iface>")
-        cidr = _need_cidr(rest[1])
-        iface = _need_iface(state, rest[3])
-        ip, mask = cidr.split("/")
-        new = state.copy()
-        target = new.interfaces[iface]
-        if verb == "add":
-            if target.ip is not None:
-                return CommandOutcome(state, "RTNETLINK answers: File exists", INVALID)
-            target.ip, target.mask = ip, int(mask)
-        elif verb == "del":
-            if target.ip != ip or target.mask != int(mask):
-                return CommandOutcome(state, "RTNETLINK answers: Cannot assign requested address",
-                                      INVALID)
-            target.ip, target.mask = None, None
-        else:  # replace
-            target.ip, target.mask = ip, int(mask)
-        return CommandOutcome(new, "", WRITE)
-
-    raise _Reject(f"ip addr: unknown verb {verb!r}")
+        return _set_iface(state, _need_iface(state, rest[2]), ip=None, mask=None)
+    if verb not in ("add", "del", "replace"):
+        raise _Reject(f"ip addr: unknown verb {verb!r}")
+    if len(rest) != 4 or rest[2] != "dev":
+        raise _Reject(f"usage: ip addr {verb} <addr>/<mask> dev <iface>")
+    ip, mask = _need_cidr(rest[1]).split("/")
+    iface = _need_iface(state, rest[3])
+    current = state.interfaces[iface]
+    if verb == "add" and current.ip is not None:
+        raise _Reject("RTNETLINK answers: File exists")
+    if verb == "del":
+        if current.ip != ip or current.mask != int(mask):
+            raise _Reject("RTNETLINK answers: Cannot assign requested address")
+        return _set_iface(state, iface, ip=None, mask=None)
+    return _set_iface(state, iface, ip=ip, mask=int(mask))
 
 
 def _ip_link(state: NetState, rest) -> CommandOutcome:
     if not rest or rest[0] == "show":
-        out = "\n".join(_render_iface(i, "link") for _, i in sorted(state.interfaces.items()))
-        return CommandOutcome(state, out, READ)
+        return CommandOutcome(state, _render_ifaces(state, "link"), READ)
     if rest[0] != "set":
         raise _Reject(f"ip link: unknown verb {rest[0]!r}")
     args = rest[1:]
@@ -307,45 +274,31 @@ def _ip_link(state: NetState, rest) -> CommandOutcome:
     if len(args) < 2:
         raise _Reject("usage: ip link set <iface> up|down|mtu <bytes>")
     iface = _need_iface(state, args[0])
-    new = state.copy()
     if args[1] in ("up", "down") and len(args) == 2:
-        new.interfaces[iface].up = args[1] == "up"
-        return CommandOutcome(new, "", WRITE)
+        return _set_iface(state, iface, up=args[1] == "up")
     if args[1] == "mtu" and len(args) == 3:
-        try:
-            mtu = int(args[2])
-        except ValueError:
-            raise _Reject(f"invalid mtu: {args[2]!r}") from None
+        mtu = _need_int(args[2], "mtu")
         if mtu < 68:
             raise _Reject("Error: mtu less than device minimum")
-        new.interfaces[iface].mtu = mtu
-        return CommandOutcome(new, "", WRITE)
+        return _set_iface(state, iface, mtu=mtu)
     raise _Reject(f"ip link set: unsupported arguments: {' '.join(args[1:])}")
 
 
 def _parse_route_args(state: NetState, rest) -> Route:
+    """The route of ``<dest> [via <ip>] [dev <iface>] [metric <n>]``; the last of a
+    repeated flag wins."""
     dest = _need_prefix(rest[0])
-    gateway = None
-    dev = None
-    metric = 0
-    i = 1
-    while i < len(rest):
-        if rest[i] == "via" and i + 1 < len(rest):
-            if not _is_ip(rest[i + 1]):
-                raise _Reject(f"invalid gateway: {rest[i + 1]!r}")
-            gateway = rest[i + 1]
-            i += 2
-        elif rest[i] == "dev" and i + 1 < len(rest):
-            dev = _need_iface(state, rest[i + 1])
-            i += 2
-        elif rest[i] == "metric" and i + 1 < len(rest):
-            try:
-                metric = int(rest[i + 1])
-            except ValueError:
-                raise _Reject(f"invalid metric: {rest[i + 1]!r}") from None
-            i += 2
+    gateway, dev, metric = None, None, 0
+    for flag, value in _flag_pairs(rest[1:], ("via", "dev", "metric"),
+                                   "ip route: unsupported argument"):
+        if flag == "via":
+            if not _is_ip(value):
+                raise _Reject(f"invalid gateway: {value!r}")
+            gateway = value
+        elif flag == "dev":
+            dev = _need_iface(state, value)
         else:
-            raise _Reject(f"ip route: unsupported argument {rest[i]!r}")
+            metric = _need_int(value, "metric")
     if dev is None:
         raise _Reject("ip route: a dev is required in this environment")
     return Route(dest=dest, dev=dev, gateway=gateway, metric=metric)
@@ -363,40 +316,30 @@ def _ip_route(state: NetState, rest) -> CommandOutcome:
     if verb in ("del", "delete"):
         dest = _need_prefix(rest[1])
         matching = [r for r in state.routes if r.dest == dest]
-        # optional selectors narrow the match
-        i = 2
-        while i < len(rest):
-            if rest[i] == "dev" and i + 1 < len(rest):
-                dev = _resolve_iface(state, rest[i + 1]) or rest[i + 1]
+        # every selector narrows the match; an unknown dev just matches nothing
+        for flag, value in _flag_pairs(rest[2:], ("dev", "via", "metric"),
+                                       "ip route del: unsupported argument"):
+            if flag == "dev":
+                dev = _resolve(state, state.interfaces, value) or value
                 matching = [r for r in matching if r.dev == dev]
-                i += 2
-            elif rest[i] == "via" and i + 1 < len(rest):
-                matching = [r for r in matching if r.gateway == rest[i + 1]]
-                i += 2
-            elif rest[i] == "metric" and i + 1 < len(rest):
-                matching = [r for r in matching if str(r.metric) == rest[i + 1]]
-                i += 2
+            elif flag == "via":
+                matching = [r for r in matching if r.gateway == value]
             else:
-                raise _Reject(f"ip route del: unsupported argument {rest[i]!r}")
+                matching = [r for r in matching if str(r.metric) == value]
         if not matching:
-            return CommandOutcome(state, "RTNETLINK answers: No such process", INVALID)
+            raise _Reject("RTNETLINK answers: No such process")
         new = state.copy()
-        victim = matching[0].to_json()
-        for idx, r in enumerate(new.routes):
-            if r.to_json() == victim:
-                del new.routes[idx]
-                break
+        new.routes.remove(matching[0])
         return CommandOutcome(new, "", WRITE)
 
     route = _parse_route_args(state, rest[1:])
+    # add: one route per destination and metric, so no two routes tie in a lookup
+    if verb == "add" and any(r.dest == route.dest and r.metric == route.metric
+                             for r in state.routes):
+        raise _Reject("RTNETLINK answers: File exists")
     new = state.copy()
     if verb == "replace":
         new.routes = [r for r in new.routes if r.dest != route.dest]
-        new.routes.append(route)
-        return CommandOutcome(new, "", WRITE)
-    # add: one route per destination and metric, so no two routes tie in a lookup
-    if any(r.dest == route.dest and r.metric == route.metric for r in new.routes):
-        return CommandOutcome(state, "RTNETLINK answers: File exists", INVALID)
     new.routes.append(route)
     return CommandOutcome(new, "", WRITE)
 
@@ -407,19 +350,18 @@ def _ip_rule(state: NetState, rest) -> CommandOutcome:
     verb = rest[0]
     if verb not in ("add", "del"):
         raise _Reject(f"ip rule: unknown verb {verb!r}")
-    spec_tokens = [t for t in rest[1:] if t != "prohibit"]
     if "prohibit" not in rest[1:]:
         raise _Reject("ip rule: only prohibit rules are supported")
-    spec = " ".join(spec_tokens) if spec_tokens else "from all"
+    spec = " ".join(t for t in rest[1:] if t != "prohibit") or "from all"
+    if verb == "add" and spec in state.prohibit_rules:
+        raise _Reject("RTNETLINK answers: File exists")
+    if verb == "del" and spec not in state.prohibit_rules:
+        raise _Reject("RTNETLINK answers: No such file or directory")
     new = state.copy()
     if verb == "add":
-        if spec in new.prohibit_rules:
-            return CommandOutcome(state, "RTNETLINK answers: File exists", INVALID)
         new.prohibit_rules.append(spec)
-        return CommandOutcome(new, "", WRITE)
-    if spec not in new.prohibit_rules:
-        return CommandOutcome(state, "RTNETLINK answers: No such file or directory", INVALID)
-    new.prohibit_rules.remove(spec)
+    else:
+        new.prohibit_rules.remove(spec)
     return CommandOutcome(new, "", WRITE)
 
 
@@ -427,54 +369,43 @@ def _iptables(state: NetState, tokens) -> CommandOutcome:
     rest = tokens[1:]
     if not rest:
         raise _Reject("iptables: no action given")
-
-    if rest[0] == "-L":
+    action = rest[0]
+    if action == "-L":
         chain = rest[1] if len(rest) > 1 else "FORWARD"
         return CommandOutcome(state, _render_filters(state, chain), READ)
-
-    if rest[0] == "-F":
+    if action == "-F":
         chain = rest[1] if len(rest) > 1 else None
         new = state.copy()
         new.filter_rules = [r for r in new.filter_rules
                             if chain is not None and r.chain != chain]
         return CommandOutcome(new, "", WRITE)
+    if action not in ("-A", "-D"):
+        raise _Reject(f"iptables: unsupported action {action!r}")
+    if len(rest) < 2:
+        raise _Reject("iptables: missing chain")
 
-    if rest[0] in ("-A", "-D"):
-        if len(rest) < 2:
-            raise _Reject("iptables: missing chain")
-        chain = rest[1]
-        src = dst = proto = verdict = None
-        i = 2
-        while i < len(rest):
-            flag = rest[i]
-            if flag == "-s" and i + 1 < len(rest):
-                src = _need_host_or_cidr(rest[i + 1])
-                i += 2
-            elif flag == "-d" and i + 1 < len(rest):
-                dst = _need_host_or_cidr(rest[i + 1])
-                i += 2
-            elif flag == "-p" and i + 1 < len(rest):
-                proto = rest[i + 1]
-                i += 2
-            elif flag == "-j" and i + 1 < len(rest):
-                verdict = rest[i + 1]
-                i += 2
-            else:
-                raise _Reject(f"iptables: unsupported flag {flag!r}")
-        if verdict not in ("DROP", "REJECT"):
-            raise _Reject("iptables: -j DROP or -j REJECT required")
-        rule = FilterRule(chain=chain, verdict=verdict, src=src, dst=dst, proto=proto)
-        new = state.copy()
-        if rest[0] == "-A":
-            new.filter_rules.append(rule)
-            return CommandOutcome(new, "", WRITE)
-        for idx, r in enumerate(new.filter_rules):
-            if r.to_json() == rule.to_json():
-                del new.filter_rules[idx]
-                return CommandOutcome(new, "", WRITE)
-        return CommandOutcome(state, "iptables: Bad rule (does a matching rule exist?)", INVALID)
-
-    raise _Reject(f"iptables: unsupported action {rest[0]!r}")
+    src = dst = proto = verdict = None
+    for flag, value in _flag_pairs(rest[2:], ("-s", "-d", "-p", "-j"),
+                                   "iptables: unsupported flag"):
+        if flag == "-s":
+            src = _need_host_or_cidr(value)
+        elif flag == "-d":
+            dst = _need_host_or_cidr(value)
+        elif flag == "-p":
+            proto = value
+        else:
+            verdict = value
+    if verdict not in ("DROP", "REJECT"):
+        raise _Reject("iptables: -j DROP or -j REJECT required")
+    rule = FilterRule(chain=rest[1], verdict=verdict, src=src, dst=dst, proto=proto)
+    if action == "-D" and rule not in state.filter_rules:
+        raise _Reject("iptables: Bad rule (does a matching rule exist?)")
+    new = state.copy()
+    if action == "-A":
+        new.filter_rules.append(rule)
+    else:
+        new.filter_rules.remove(rule)
+    return CommandOutcome(new, "", WRITE)
 
 
 def _sysctl(state: NetState, tokens) -> CommandOutcome:
@@ -498,30 +429,35 @@ def _tc(state: NetState, tokens) -> CommandOutcome:
     rest = rest[1:]
     if not rest or rest[0] == "show":
         return CommandOutcome(state, _render_qdiscs(state), READ)
+    m = rest[1:]
     if rest[0] == "add":
-        m = rest[1:]
         # tc qdisc add dev <iface> root netem delay <N>ms
-        if (len(m) == 6 and m[0] == "dev" and m[2] == "root" and m[3] == "netem"
+        if not (len(m) == 6 and m[0] == "dev" and m[2] == "root" and m[3] == "netem"
                 and m[4] == "delay" and m[5].endswith("ms")):
-            iface = _need_iface(state, m[1])
-            try:
-                ms = int(m[5][:-2])
-            except ValueError:
-                raise _Reject(f"invalid delay: {m[5]!r}") from None
-            if ms < 0:
-                raise _Reject(f"invalid delay: {m[5]!r}")
-            new = state.copy()
-            new.delays[iface] = ms
-            return CommandOutcome(new, "", WRITE)
-        raise _Reject("usage: tc qdisc add dev <iface> root netem delay <N>ms")
+            raise _Reject("usage: tc qdisc add dev <iface> root netem delay <N>ms")
+        iface = _need_iface(state, m[1])
+        try:
+            ms = int(m[5][:-2])
+        except ValueError:
+            ms = -1
+        if ms < 0:
+            raise _Reject(f"invalid delay: {m[5]!r}")
+        new = state.copy()
+        new.delays[iface] = ms
+        return CommandOutcome(new, "", WRITE)
     if rest[0] == "del":
-        m = rest[1:]
-        if len(m) == 3 and m[0] == "dev" and m[2] == "root":
-            iface = _need_iface(state, m[1])
-            if iface not in state.delays:
-                return CommandOutcome(state, "Error: Invalid handle.", INVALID)
-            new = state.copy()
-            del new.delays[iface]
-            return CommandOutcome(new, "", WRITE)
-        raise _Reject("usage: tc qdisc del dev <iface> root")
+        if not (len(m) == 3 and m[0] == "dev" and m[2] == "root"):
+            raise _Reject("usage: tc qdisc del dev <iface> root")
+        iface = _need_iface(state, m[1])
+        if iface not in state.delays:
+            raise _Reject("Error: Invalid handle.")
+        new = state.copy()
+        del new.delays[iface]
+        return CommandOutcome(new, "", WRITE)
     raise _Reject(f"tc qdisc: unsupported verb {rest[0]!r}")
+
+
+_IP_OBJECTS = {"addr": _ip_addr, "address": _ip_addr, "a": _ip_addr, "link": _ip_link,
+               "l": _ip_link, "route": _ip_route, "r": _ip_route, "rule": _ip_rule}
+_ROUTER_COMMANDS = {"ifconfig": _ifconfig, "ip": _ip, "iptables": _iptables,
+                    "sysctl": _sysctl, "tc": _tc}

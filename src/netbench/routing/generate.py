@@ -15,7 +15,7 @@ from ..core.reactive import generate_reactive_query, replay
 from ..core.types import ActionSpec, GroundTruth
 from ..errors import CorruptGroundTruth
 from .commands import write_command
-from .inject import FAMILY_METHODS, build_fault, fault_from_action, fault_scope, \
+from .inject import BAD_MASKS, FAMILY_METHODS, build_fault, fault_from_action, fault_scope, \
     fault_to_action, needs_aux
 from .pingall import PingMatrix, pingall
 from .state import NetState, build_topology
@@ -25,8 +25,6 @@ LEVEL_LABELS = {
     2: ("DR+DI", "DR+RI", "DR+DT", "DR+WR", "RI+WR", "DT+WR", "DI+DT"),
     3: ("DI+WR", "RI+DT", "DI+RI"),
 }
-
-_BAD_MASK_COUNT = 5
 
 SETUP_ACTION = "topology"
 
@@ -45,7 +43,7 @@ def _sample_faults(rng, state: NetState, families) -> list:
         if needs_aux(family, method):
             aux = rng.choice([s for s in range(1, state.num_switches + 1) if s != subnet])
         elif (family, method) == ("RI", 3):
-            aux = rng.randrange(_BAD_MASK_COUNT)
+            aux = rng.randrange(len(BAD_MASKS))
         else:
             aux = 0
         faults.append(build_fault(state, family, method, subnet, aux))

@@ -32,7 +32,7 @@ _GLOBAL = {("DR", 1), ("DR", 2), ("DR", 3)}
 # methods that need a second, distinct subnet as auxiliary parameter
 _NEEDS_AUX = {("RI", 4), ("WR", 1), ("WR", 3)}
 
-_BAD_MASKS = (8, 16, 30, 31, 32)
+BAD_MASKS = (8, 16, 30, 31, 32)
 _NETEM_DELAY_MS = 20_000  # comfortably above the ping delay ceiling
 
 
@@ -101,7 +101,7 @@ def build_fault(state: NetState, family: str, method: int,
         elif method == 2:
             fwd = (r, f"ip addr replace 10.0.0.{subnet}/24 dev {iface}")
         elif method == 3:
-            mask = _BAD_MASKS[aux % len(_BAD_MASKS)]
+            mask = BAD_MASKS[aux % len(BAD_MASKS)]
             fwd = (r, f"ip addr replace {gw}/{mask} dev {iface}")
         else:  # duplicate another subnet's gateway address
             fwd = (r, f"ip addr replace {state.expected_gateway(aux)}/24 dev {iface}")

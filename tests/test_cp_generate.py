@@ -7,7 +7,7 @@ from netbench.core.types import GT_ACTION_PROGRAM
 from netbench.cp.compare import compare_results
 from netbench.cp.env import CpEnvironment
 from netbench.cp.generate import LEVEL_LABELS, generate_cp_query
-from netbench.cp.graph import CpResult, run_program
+from netbench.cp.graph import CpGraph, CpResult, run_program
 from netbench.cp.safety import check_safety_cp
 from netbench.cp.sft import export_sft_records
 from netbench.cp.topology import generate_synthetic_topology
@@ -143,3 +143,19 @@ def test_sft_export_rejects_reactive(tmp_path):
     pair = generate_routing_query(1, 3)
     with pytest.raises(ValueError):
         export_sft_records([pair], tmp_path / "bad.jsonl")
+
+
+def test_an_add_query_digests_its_target_graph_once(base, monkeypatch):
+    query, truth = generate_cp_query(base, 1, derive_seed(1, 3))
+    assert query.action_label == "add"
+    digested = []
+    state_digest = CpGraph.state_digest
+
+    def counted(graph):
+        digested.append(graph)
+        return state_digest(graph)
+
+    monkeypatch.setattr(CpGraph, "state_digest", counted)
+    assert generate_cp_query(base, 1, derive_seed(1, 3)) == (query, truth)
+    assert len(digested) == 1
+    assert truth.target_digest == state_digest(run_program(base, truth.program)[0])

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import yaml
 
 from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.kubectl import INVALID, READ, WRITE, exec_kubectl, merge_patch
@@ -171,3 +172,21 @@ _MALFORMED = {
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_policy_shapes_rejected(policies, case):
     _assert_rejected(policies, _MALFORMED[case])
+
+
+def test_get_yaml_of_an_applied_alias_has_no_anchor(policies):
+    # kubectl stores a fresh canonical tree, so a node the manifest shares is dumped twice
+    manifest = "\n".join([
+        "kind: NetworkPolicy",
+        "metadata: {name: extra}",
+        "spec:",
+        "  podSelector: &web {matchLabels: {app: frontend}}",
+        "  ingress: [{from: [{podSelector: *web}]}]",
+    ])
+    applied = exec_kubectl(policies, "kubectl apply -f -\n" + manifest)
+    assert applied.kind == WRITE, applied.output
+    shown = exec_kubectl(applied.policies, "kubectl get networkpolicy extra -o yaml").output
+    described = exec_kubectl(applied.policies, "kubectl describe networkpolicy extra").output
+    for text in (shown, described):
+        assert "&" not in text and "*" not in text, text
+    assert yaml.safe_load(shown) == yaml.safe_load(manifest)

@@ -2,7 +2,7 @@ import pytest
 
 from netbench.routing.commands import INVALID, READ, WRITE, exec_command
 from netbench.routing.pingall import pingall
-from netbench.routing.state import build_topology
+from netbench.routing.state import Route, build_topology
 
 
 @pytest.fixture
@@ -189,6 +189,10 @@ def test_errors_never_raise(state):
     "iptables -A FORWARD -d 192.168.1.256 -j DROP",
     "iptables -A FORWARD -s foo -j DROP",
     "iptables -A FORWARD -d 1.2.3 -j DROP",
+    # digits other than ASCII ones, which the kernel does not read
+    "ip addr replace 192.168.١.1/24 dev r0-eth1",
+    "ip route add 10.٠.0.0/8 dev r0-eth1",
+    "iptables -A FORWARD -s 192.168.١.2 -j DROP",
 ])
 def test_out_of_range_addresses_rejected(state, cmd):
     out = exec_command(state, "r0", cmd)
@@ -211,3 +215,72 @@ def test_negative_delay_rejected(state):
     # hide a delay fault from the connectivity check
     out = exec_command(state, "r0", "tc qdisc add dev r0-eth2 root netem delay -15000ms")
     assert out.kind == INVALID and out.state is state
+
+
+def _rejected(state, command):
+    out = exec_command(state, "r0", command)
+    assert out.kind == INVALID and out.state is state, (command, out.output)
+    return out.output
+
+
+def test_a_flag_without_its_value_is_rejected(state):
+    assert _rejected(state, "ip route add 10.0.0.0/8 dev") == \
+        "ip route: unsupported argument 'dev'"
+    assert _rejected(state, "ip route del 192.168.1.0/24 dev") == \
+        "ip route del: unsupported argument 'dev'"
+    assert _rejected(state, "iptables -A FORWARD -s 192.168.1.0/24 -j") == \
+        "iptables: unsupported flag '-j'"
+
+
+def test_route_add_checks_flags_in_order_and_keeps_the_last_value(state):
+    assert _rejected(state, "ip route add 10.0.0.0/8 via bad dev r0-eth9") == \
+        "invalid gateway: 'bad'"
+    assert _rejected(state, "ip route add 10.0.0.0/8 dev r0-eth9 via bad") == \
+        'Cannot find device "r0-eth9"'
+    assert _rejected(state, "ip route add 10.0.0.0/8 dev r0-eth1 metric x1") == \
+        "invalid metric: 'x1'"
+    out = exec_command(state, "r0", "ip route add 10.0.0.0/8 dev r0-eth1 metric 3 dev r0-eth2")
+    assert out.kind == WRITE
+    assert out.state.routes[-1] == Route("10.0.0.0/8", "r0-eth2", None, 3)
+
+
+def test_route_del_narrows_by_every_dev_selector(state):
+    s = exec_command(state, "r0", "ip route add 192.168.2.0/24 dev r0-eth1 metric 50").state
+    assert _rejected(s, "ip route del 192.168.2.0/24 dev r0-eth1 dev r0-eth2") == \
+        "RTNETLINK answers: No such process"
+    out = exec_command(s, "r0", "ip route del 192.168.2.0/24 dev r0-eth1 dev r0-eth1")
+    assert out.kind == WRITE
+    assert [r for r in out.state.routes if r.dest == "192.168.2.0/24"] == \
+        [Route("192.168.2.0/24", "r0-eth2")]
+
+
+def test_route_del_via_and_metric_selectors(state):
+    s = exec_command(state, "r0",
+                     "ip route add 10.0.0.0/8 via 192.168.1.5 dev r0-eth1 metric 7").state
+    for selectors in ("via 192.168.1.6", "metric 8", "metric 07", "via 192.168.1.5 metric 8"):
+        assert _rejected(s, f"ip route del 10.0.0.0/8 {selectors}") == \
+            "RTNETLINK answers: No such process"
+    for selectors in ("via 192.168.1.5", "metric 7", "metric 7 via 192.168.1.5 dev r0-eth1"):
+        out = exec_command(s, "r0", f"ip route del 10.0.0.0/8 {selectors}")
+        assert out.kind == WRITE and out.state.state_digest() == state.state_digest()
+
+
+def test_route_del_of_an_unknown_device_finds_no_route_where_add_finds_no_device(state):
+    assert _rejected(state, "ip route del 192.168.1.0/24 dev r0-eth9") == \
+        "RTNETLINK answers: No such process"
+    assert _rejected(state, "ip route add 10.0.0.0/8 dev r0-eth9") == \
+        'Cannot find device "r0-eth9"'
+    pref = build_topology(2, 2, prefix="n5_")
+    out = exec_command(pref, "r0", "ip route del 192.168.1.0/24 dev r0-eth1")
+    assert out.kind == WRITE and len(out.state.routes) == 1
+
+
+def test_iptables_delete_needs_every_field_to_match(state):
+    s = exec_command(state, "r0", "iptables -A FORWARD -s 192.168.1.0/24 -p icmp -j DROP").state
+    for command in ("iptables -D FORWARD -s 192.168.1.0/24 -p icmp -j REJECT",
+                    "iptables -D INPUT -s 192.168.1.0/24 -p icmp -j DROP",
+                    "iptables -D FORWARD -s 192.168.1.0/24 -j DROP",
+                    "iptables -D FORWARD -d 192.168.1.0/24 -p icmp -j DROP"):
+        assert _rejected(s, command) == "iptables: Bad rule (does a matching rule exist?)"
+    out = exec_command(s, "r0", "iptables -D FORWARD -p icmp -j DROP -s 192.168.1.0/24")
+    assert out.kind == WRITE and out.state.filter_rules == []
