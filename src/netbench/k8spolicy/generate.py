@@ -11,8 +11,8 @@ from __future__ import annotations
 from ..core.reactive import generate_reactive_query, replay
 from ..core.types import GroundTruth
 from .connectivity import MismatchReport, connectivity_check
-from .inject import AE_EGRESS_GRAPH, AE_TARGETS, AI_TARGETS, CP_TARGETS, CPR_TARGETS, \
-    RI_TARGETS, build_mutation, mutation_from_action, mutation_to_action
+from .inject import AE_EGRESS_GRAPH, TARGETS, build_mutation, mutation_from_action, \
+    mutation_to_action
 from .kubectl import write_kubectl
 from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, cluster_digest, default_policies
 
@@ -22,17 +22,13 @@ LEVEL_LABELS = {
     3: ("CP+AE", "CPR+AE", "RI+AE", "AI+AE"),
 }
 
-_TARGET_POOLS = {"RI": RI_TARGETS, "AI": AI_TARGETS, "CP": CP_TARGETS,
-                 "CPR": CPR_TARGETS, "AE": AE_TARGETS}
-
-
 def _sample_mutations(rng, families) -> list:
     ae_target = None
     taken = set()
     mutations = []
     # pick AE first so its target can constrain the other family
     for family in sorted(families, key=lambda f: f != "AE"):
-        pool = [t for t in _TARGET_POOLS[family] if t not in taken]
+        pool = [t for t in TARGETS[family] if t not in taken]
         target = rng.choice(pool)
         taken.add(target)
         if family == "AE":

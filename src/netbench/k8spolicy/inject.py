@@ -22,21 +22,19 @@ from .model import EXPECTED_CALLERS, SERVICE_PORTS, baseline_ingress
 
 MACHINE = "master"
 
-MUTATIONS = ("RI", "AI", "CP", "CPR", "AE")
+_SERVING = tuple(sorted(EXPECTED_CALLERS))  # the policies of services that serve a port
 
-# per-family eligible target policies
-RI_TARGETS = tuple(sorted(d for d, callers in EXPECTED_CALLERS.items() if len(callers) >= 2))
-AI_TARGETS = tuple(sorted(EXPECTED_CALLERS))
-CP_TARGETS = tuple(sorted(EXPECTED_CALLERS))
-CPR_TARGETS = tuple(sorted(EXPECTED_CALLERS))
-AE_TARGETS = ("checkoutservice", "frontend")  # clients with several expected targets
-
-AE_EGRESS_GRAPH = {
-    "frontend": tuple(sorted(d for d, callers in EXPECTED_CALLERS.items()
-                             if "frontend" in callers)),
-    "checkoutservice": tuple(sorted(d for d, callers in EXPECTED_CALLERS.items()
-                                    if "checkoutservice" in callers)),
+# mutation family -> the policies it may patch
+TARGETS = {
+    "RI": tuple(t for t in _SERVING if len(EXPECTED_CALLERS[t]) >= 2),
+    "AI": _SERVING,
+    "CP": _SERVING,
+    "CPR": _SERVING,
+    "AE": ("checkoutservice", "frontend"),  # clients with several expected targets
 }
+
+AE_EGRESS_GRAPH = {client: tuple(d for d in _SERVING if client in EXPECTED_CALLERS[d])
+                   for client in TARGETS["AE"]}
 
 
 @dataclass(frozen=True)
@@ -54,12 +52,14 @@ def _patch_cmd(target: str, patch: dict) -> tuple:
 
 
 def build_mutation(family: str, target: str, param: str = "") -> Mutation:
-    if family not in MUTATIONS:
+    if family not in TARGETS:
         raise UnknownFamily(f"unknown mutation family {family!r}")
+    if target not in TARGETS[family]:
+        raise MethodOutOfRange(f"{family} cannot patch {target!r}")
     restore_ingress = _patch_cmd(target, {"spec": {"ingress": baseline_ingress(target)}})
 
     if family == "RI":
-        if target not in RI_TARGETS or param not in EXPECTED_CALLERS[target]:
+        if param not in EXPECTED_CALLERS[target]:
             raise MethodOutOfRange(f"RI cannot remove {param!r} from {target!r}")
         rule = baseline_ingress(target)[0]
         rule["from"] = [f for f in rule["from"]
@@ -89,7 +89,7 @@ def build_mutation(family: str, target: str, param: str = "") -> Mutation:
         return Mutation(family, target, param, forward, inverse)
 
     # AE: pin the client's egress to a single expected destination
-    if target not in AE_TARGETS or param not in AE_EGRESS_GRAPH[target]:
+    if param not in AE_EGRESS_GRAPH[target]:
         raise MethodOutOfRange(f"AE cannot pin {target!r} to {param!r}")
     egress = [{
         "to": [{"podSelector": {"matchLabels": {"app": param}}}],
@@ -110,5 +110,5 @@ def mutation_from_action(action: ActionSpec) -> Mutation:
     try:
         target, param = action.operands
         return build_mutation(action.name, str(target), str(param))
-    except (KeyError, ValueError) as exc:
+    except (ValueError, MethodOutOfRange) as exc:
         raise CorruptGroundTruth(f"malformed k8s injection {action.to_json()}: {exc!r}") from None

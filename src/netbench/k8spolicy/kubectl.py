@@ -4,6 +4,7 @@ Supports exactly what the troubleshooting task needs: get/describe to
 inspect policies, apply with an inline manifest, merge patch, and
 delete. Errors come back as kubectl-style diagnostic text, never as
 exceptions. The input store is not mutated; writes return a new dict.
+Every policy lives in the ``default`` namespace.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import yaml
 
 from ..core.reactive import INVALID, READ, WRITE
-from .model import canonical_policy, policy_yaml
+from .model import API_VERSION, NAMESPACE, canonical_policy, policy_yaml
 
 _KINDS = ("networkpolicy", "networkpolicies", "netpol")
 _PATCH_RE = re.compile(r"-p\s+'(.*)'\s*$", re.DOTALL)
@@ -26,10 +27,6 @@ class KubectlOutcome:
     policies: dict
     output: str
     kind: str  # read | write | invalid
-
-
-def _not_found(name: str) -> str:
-    return f'Error from server (NotFound): networkpolicies.networking.k8s.io "{name}" not found'
 
 
 def merge_patch(target, patch):
@@ -45,112 +42,104 @@ def merge_patch(target, patch):
     return result
 
 
+# --- validators: each raises ValueError("<path>: <reason>") ----------------
+
 _MAX_DEPTH = 32
 _MAX_NODES = 10_000  # bounds the work on YAML alias bombs
 _SCALARS = (str, int, float, bool, type(None))
 
 
-def _data_error(value, path: str) -> str | None:
-    """Why ``value`` is not plain JSON data of bounded size, or None."""
+def _check_data(value, path: str) -> None:
+    """Rejects ``value`` unless it is plain JSON data of bounded size."""
     stack = [(value, path, 0)]
     for _ in range(_MAX_NODES):
         if not stack:
-            return None
+            return
         value, path, depth = stack.pop()
         if depth > _MAX_DEPTH:
-            return f"{path}: nested too deeply"
+            raise ValueError(f"{path}: nested too deeply")
         if isinstance(value, dict):
             if not all(isinstance(key, str) for key in value):
-                return f"{path}: keys must be strings"
+                raise ValueError(f"{path}: keys must be strings")
             stack.extend((item, f"{path}.{key}", depth + 1) for key, item in value.items())
         elif isinstance(value, list):
             stack.extend((item, f"{path}[{i}]", depth + 1) for i, item in enumerate(value))
         elif not isinstance(value, _SCALARS):
-            return f"{path}: unsupported value of type {type(value).__name__}"
-    return f"{path}: too large" if stack else None
+            raise ValueError(f"{path}: unsupported value of type {type(value).__name__}")
+    if stack:
+        raise ValueError(f"{path}: too large")
 
 
-def _objects_error(value, path: str) -> str | None:
+def _check_objects(value, path: str) -> None:
     if value is not None and not (isinstance(value, list)
                                   and all(isinstance(v, dict) for v in value)):
-        return f"{path}: expected a list of objects"
-    return None
+        raise ValueError(f"{path}: expected a list of objects")
 
 
-def _selector_error(selector, path: str) -> str | None:
+def _check_selector(selector, path: str) -> None:
     if not isinstance(selector, dict):
-        return f"{path}: expected an object"
+        raise ValueError(f"{path}: expected an object")
     if not isinstance(selector.get("matchLabels", {}), dict):
-        return f"{path}.matchLabels: expected an object"
-    return None
+        raise ValueError(f"{path}.matchLabels: expected an object")
 
 
-def _policy_error(doc) -> str | None:
-    """Why ``doc`` is not a NetworkPolicy the store can hold and audit, or None."""
-    problem = _data_error(doc, "NetworkPolicy")
-    if problem:
-        return problem
+def _check_policy(doc) -> None:
+    """Rejects ``doc`` unless it is a NetworkPolicy the store can hold and audit."""
+    _check_data(doc, "NetworkPolicy")
     if not isinstance(doc, dict) or doc.get("kind") != "NetworkPolicy":
-        return "kind: must be NetworkPolicy"
+        raise ValueError("kind: must be NetworkPolicy")
+    if doc.get("apiVersion", API_VERSION) != API_VERSION:
+        raise ValueError(f"apiVersion: must be {API_VERSION}")
     metadata = doc.get("metadata")
     if not (isinstance(metadata, dict) and isinstance(metadata.get("name"), str)
             and metadata["name"]):
-        return "metadata.name: is required"
+        raise ValueError("metadata.name: is required")
+    if metadata.get("namespace", NAMESPACE) != NAMESPACE:
+        raise ValueError(f"metadata.namespace: must be {NAMESPACE}")
     spec = doc.get("spec")
     if not isinstance(spec, dict):
-        return "spec: expected an object"
-    problem = _selector_error(spec.get("podSelector", {}), "spec.podSelector")
-    if problem:
-        return problem
+        raise ValueError("spec: expected an object")
+    _check_selector(spec.get("podSelector", {}), "spec.podSelector")
     types = spec.get("policyTypes", [])
     if not (isinstance(types, list) and all(isinstance(t, str) for t in types)):
-        return "spec.policyTypes: expected a list of strings"
+        raise ValueError("spec.policyTypes: expected a list of strings")
     for direction, peer_key in (("ingress", "from"), ("egress", "to")):
         rules = spec.get(direction)
-        problem = _objects_error(rules, f"spec.{direction}")
-        if problem:
-            return problem
+        _check_objects(rules, f"spec.{direction}")
         for i, rule in enumerate(rules or []):
             where = f"spec.{direction}[{i}]"
             peers = rule.get(peer_key)
-            problem = (_objects_error(rule.get("ports"), f"{where}.ports")
-                       or _objects_error(peers, f"{where}.{peer_key}"))
-            if problem:
-                return problem
+            _check_objects(rule.get("ports"), f"{where}.ports")
+            _check_objects(peers, f"{where}.{peer_key}")
             for j, peer in enumerate(peers or []):
-                problem = _selector_error(peer.get("podSelector", {}),
-                                          f"{where}.{peer_key}[{j}].podSelector")
-                if problem:
-                    return problem
-    return None
+                _check_selector(peer.get("podSelector", {}), f"{where}.{peer_key}[{j}].podSelector")
+
+
+# --- interpreter ------------------------------------------------------------
+
+class _Reject(Exception):
+    """An invalid command; the message is its output. Only exec_kubectl catches it."""
 
 
 def exec_kubectl(policies: dict, command: str) -> KubectlOutcome:
-    text = command.strip()
-    if not text:
-        return KubectlOutcome(policies, "empty command", INVALID)
-
-    head, _, manifest = text.partition("\n")
-    tokens = head.split()
-    if tokens[0] == "sudo":
-        return KubectlOutcome(policies, "do not include sudo in commands", INVALID)
-    if tokens[0] != "kubectl":
-        return KubectlOutcome(policies, f"unsupported command: {tokens[0]}", INVALID)
-    if len(tokens) < 2:
-        return KubectlOutcome(policies, "kubectl: missing verb", INVALID)
-    verb = tokens[1]
-
-    if verb == "get":
-        return _get(policies, tokens[2:])
-    if verb == "describe":
-        return _describe(policies, tokens[2:])
-    if verb == "apply":
-        return _apply(policies, tokens[2:], manifest)
-    if verb == "patch":
-        return _patch(policies, head)
-    if verb == "delete":
-        return _delete(policies, tokens[2:])
-    return KubectlOutcome(policies, f"kubectl: unsupported verb {verb!r}", INVALID)
+    """Run one kubectl command on ``policies``; never raises on agent input."""
+    try:
+        head, _, manifest = command.strip().partition("\n")
+        tokens = head.split()
+        if not tokens:
+            raise _Reject("empty command")
+        if tokens[0] == "sudo":
+            raise _Reject("do not include sudo in commands")
+        if tokens[0] != "kubectl":
+            raise _Reject(f"unsupported command: {tokens[0]}")
+        if len(tokens) < 2:
+            raise _Reject("kubectl: missing verb")
+        handler = _VERBS.get(tokens[1])
+        if handler is None:
+            raise _Reject(f"kubectl: unsupported verb {tokens[1]!r}")
+        return handler(policies, tokens[2:], head, manifest)
+    except _Reject as exc:
+        return KubectlOutcome(policies, str(exc), INVALID)
 
 
 def write_kubectl(policies: dict, machine: str, command: str) -> dict | None:
@@ -159,16 +148,21 @@ def write_kubectl(policies: dict, machine: str, command: str) -> dict | None:
     return outcome.policies if outcome.kind == WRITE else None
 
 
-def _want_kind(args):
-    return bool(args) and args[0] in _KINDS
+def _named(policies: dict, args, usage: str) -> str:
+    """The stored policy ``args`` name as ``<kind> <name>``; rejects a wrong kind or a missing
+    name with ``usage``, a name not in the store with NotFound."""
+    if len(args) < 2 or args[0] not in _KINDS:
+        raise _Reject(usage)
+    if args[1] not in policies:
+        raise _Reject('Error from server (NotFound): '
+                      f'networkpolicies.networking.k8s.io "{args[1]}" not found')
+    return args[1]
 
 
-def _get(policies: dict, args) -> KubectlOutcome:
-    if not _want_kind(args):
-        return KubectlOutcome(policies, "kubectl get: only networkpolicy objects exist here",
-                              INVALID)
+def _get(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
+    if not args or args[0] not in _KINDS:
+        raise _Reject("kubectl get: only networkpolicy objects exist here")
     rest = [a for a in args[1:] if a not in ("-o", "yaml", "-oyaml")]
-    as_yaml = "yaml" in args or "-oyaml" in args
     if not rest:
         lines = ["NAME                     POD-SELECTOR"]
         for name, p in sorted(policies.items()):
@@ -176,83 +170,71 @@ def _get(policies: dict, args) -> KubectlOutcome:
             sel_text = ",".join(f"{k}={v}" for k, v in sorted(sel.items())) or "<none>"
             lines.append(f"{name:<24} {sel_text}")
         return KubectlOutcome(policies, "\n".join(lines), READ)
-    name = rest[0]
-    if name not in policies:
-        return KubectlOutcome(policies, _not_found(name), INVALID)
-    if as_yaml:
+    usage = "usage: kubectl get networkpolicy [<name> [-o yaml]]"
+    if len(rest) > 1:
+        raise _Reject(usage)
+    name = _named(policies, args[:1] + rest, usage)
+    if "yaml" in args or "-oyaml" in args:
         return KubectlOutcome(policies, policy_yaml(policies[name]), READ)
-    return KubectlOutcome(policies, f"{name}", READ)
+    return KubectlOutcome(policies, name, READ)
 
 
-def _describe(policies: dict, args) -> KubectlOutcome:
-    if not _want_kind(args) or len(args) < 2:
-        return KubectlOutcome(policies, "usage: kubectl describe networkpolicy <name>", INVALID)
-    name = args[1]
-    if name not in policies:
-        return KubectlOutcome(policies, _not_found(name), INVALID)
+def _describe(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
+    name = _named(policies, args, "usage: kubectl describe networkpolicy <name>")
     return KubectlOutcome(policies, policy_yaml(policies[name]), READ)
 
 
-def _apply(policies: dict, args, manifest: str) -> KubectlOutcome:
+def _apply(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
     if args[:2] != ["-f", "-"]:
-        return KubectlOutcome(
-            policies, "kubectl apply: only '-f -' with an inline manifest is supported", INVALID)
+        raise _Reject("kubectl apply: only '-f -' with an inline manifest is supported")
     if not manifest.strip():
-        return KubectlOutcome(policies, "kubectl apply: empty manifest", INVALID)
+        raise _Reject("kubectl apply: empty manifest")
     try:
         doc = yaml.safe_load(manifest)
     except (yaml.YAMLError, RecursionError) as exc:
-        return KubectlOutcome(policies, f"error parsing manifest: {exc}", INVALID)
-    problem = _policy_error(doc)
-    if problem:
-        return KubectlOutcome(policies, f"error validating data: {problem}", INVALID)
+        raise _Reject(f"error parsing manifest: {exc}") from None
+    try:
+        _check_policy(doc)
+    except ValueError as exc:
+        raise _Reject(f"error validating data: {exc}") from None
     name = doc["metadata"]["name"]
-    new = dict(policies)
-    created = name not in new
-    new[name] = canonical_policy(doc)
-    word = "created" if created else "configured"
-    return KubectlOutcome(new, f"networkpolicy.networking.k8s.io/{name} {word}", WRITE)
+    word = "configured" if name in policies else "created"
+    return KubectlOutcome({**policies, name: canonical_policy(doc)},
+                          f"networkpolicy.networking.k8s.io/{name} {word}", WRITE)
 
 
-def _patch(policies: dict, head: str) -> KubectlOutcome:
-    tokens = head.split()
-    args = tokens[2:]
-    if not _want_kind(args) or len(args) < 2:
-        return KubectlOutcome(policies, "usage: kubectl patch networkpolicy <name> "
-                              "--type merge -p '<json>'", INVALID)
-    name = args[1]
-    if name not in policies:
-        return KubectlOutcome(policies, _not_found(name), INVALID)
+def _patch(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
+    name = _named(policies, args,
+                  "usage: kubectl patch networkpolicy <name> --type merge -p '<json>'")
     if not ("--type" in args and "merge" in args) and "--type=merge" not in args:
-        return KubectlOutcome(policies, "kubectl patch: only --type merge is supported", INVALID)
+        raise _Reject("kubectl patch: only --type merge is supported")
     m = _PATCH_RE.search(head)
     if not m:
-        return KubectlOutcome(policies, "kubectl patch: missing -p '<json>' payload", INVALID)
+        raise _Reject("kubectl patch: missing -p '<json>' payload")
     try:
         patch = json.loads(m.group(1))
     except (json.JSONDecodeError, RecursionError) as exc:
-        return KubectlOutcome(policies, f"error decoding patch: {exc}", INVALID)
+        raise _Reject(f"error decoding patch: {exc}") from None
     if not isinstance(patch, dict):
-        return KubectlOutcome(policies, "kubectl patch: a merge patch must be a JSON object",
-                              INVALID)
-    problem = _data_error(patch, "patch")
-    if not problem:
+        raise _Reject("kubectl patch: a merge patch must be a JSON object")
+    try:
+        _check_data(patch, "patch")
         merged = merge_patch(policies[name], patch)
-        problem = _policy_error(merged)
-    if problem:
-        return KubectlOutcome(policies, f'The NetworkPolicy "{name}" is invalid: {problem}',
-                              INVALID)
-    new = dict(policies)
-    new[name] = canonical_policy(merged)
-    return KubectlOutcome(new, f"networkpolicy.networking.k8s.io/{name} patched", WRITE)
+        _check_policy(merged)
+        for field in ("name", "namespace"):
+            if merged["metadata"].get(field) != policies[name]["metadata"].get(field):
+                raise ValueError(f"metadata.{field}: field is immutable")
+    except ValueError as exc:
+        raise _Reject(f'The NetworkPolicy "{name}" is invalid: {exc}') from None
+    return KubectlOutcome({**policies, name: canonical_policy(merged)},
+                          f"networkpolicy.networking.k8s.io/{name} patched", WRITE)
 
 
-def _delete(policies: dict, args) -> KubectlOutcome:
-    if not _want_kind(args) or len(args) < 2:
-        return KubectlOutcome(policies, "usage: kubectl delete networkpolicy <name>", INVALID)
-    name = args[1]
-    if name not in policies:
-        return KubectlOutcome(policies, _not_found(name), INVALID)
+def _delete(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
+    name = _named(policies, args, "usage: kubectl delete networkpolicy <name>")
     new = dict(policies)
     del new[name]
     return KubectlOutcome(new, f'networkpolicy.networking.k8s.io "{name}" deleted', WRITE)
+
+
+_VERBS = {"get": _get, "describe": _describe, "apply": _apply, "patch": _patch, "delete": _delete}

@@ -16,6 +16,7 @@ import yaml
 from ..digest import digest
 
 NAMESPACE = "default"
+API_VERSION = "networking.k8s.io/v1"
 
 # service -> serving port (loadgenerator is a pure client)
 SERVICE_PORTS = {
@@ -88,7 +89,7 @@ def policy_yaml(policy: dict) -> str:
 
 def _policy(name: str, spec: dict) -> dict:
     return canonical_policy({
-        "apiVersion": "networking.k8s.io/v1",
+        "apiVersion": API_VERSION,
         "kind": "NetworkPolicy",
         "metadata": {"name": name, "namespace": NAMESPACE},
         "spec": spec,

@@ -18,6 +18,7 @@ from .state import FilterRule, NetState, Route, ip_to_int, parse_cidr
 # re.ASCII: a kernel reads ASCII digits only, and \d would also match "١"
 _CIDR_RE = re.compile(r"^(\d{1,3}\.){3}\d{1,3}/\d{1,2}$", re.ASCII)
 _IP_RE = re.compile(r"^(\d{1,3}\.){3}\d{1,3}$", re.ASCII)
+_U32_RE = re.compile(r"0*(\d{1,10})", re.ASCII)  # leading zeros, then the value's digits
 
 
 @dataclass
@@ -162,11 +163,18 @@ def _need_iface(state: NetState, token: str) -> str:
     return name
 
 
+def _u32(token: str) -> int | None:
+    """``token`` as a kernel's unsigned integer (ASCII digits, at most 2**32 - 1), or None;
+    ``int()`` would also take "١", "1_500" and signs, and refuses over 4,300 digits."""
+    m = _U32_RE.fullmatch(token)
+    return int(m[1]) if m and int(m[1]) <= 0xFFFFFFFF else None
+
+
 def _need_int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise _Reject(f"invalid {what}: {token!r}") from None
+    value = _u32(token)
+    if value is None:
+        raise _Reject(f"invalid {what}: {token!r}")
+    return value
 
 
 def _is_ip(token: str) -> bool:
@@ -436,11 +444,8 @@ def _tc(state: NetState, tokens) -> CommandOutcome:
                 and m[4] == "delay" and m[5].endswith("ms")):
             raise _Reject("usage: tc qdisc add dev <iface> root netem delay <N>ms")
         iface = _need_iface(state, m[1])
-        try:
-            ms = int(m[5][:-2])
-        except ValueError:
-            ms = -1
-        if ms < 0:
+        ms = _u32(m[5][:-2])
+        if ms is None:
             raise _Reject(f"invalid delay: {m[5]!r}")
         new = state.copy()
         new.delays[iface] = ms

@@ -3,8 +3,8 @@ import pytest
 from netbench.core.types import ActionSpec
 from netbench.errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
 from netbench.k8spolicy.connectivity import connectivity_check
-from netbench.k8spolicy.inject import AE_EGRESS_GRAPH, AE_TARGETS, RI_TARGETS, \
-    build_mutation, mutation_from_action, mutation_to_action
+from netbench.k8spolicy.inject import AE_EGRESS_GRAPH, TARGETS, build_mutation, \
+    mutation_from_action, mutation_to_action
 from netbench.k8spolicy.kubectl import exec_kubectl
 from netbench.k8spolicy.model import EXPECTED_CALLERS, cluster_digest, default_policies
 
@@ -19,11 +19,11 @@ def sample_mutations():
 
 
 def test_ri_targets_have_multiple_callers():
-    assert all(len(EXPECTED_CALLERS[t]) >= 2 for t in RI_TARGETS)
+    assert all(len(EXPECTED_CALLERS[t]) >= 2 for t in TARGETS["RI"])
 
 
 def test_ae_targets_have_rich_egress():
-    for target in AE_TARGETS:
+    for target in TARGETS["AE"]:
         assert len(AE_EGRESS_GRAPH[target]) >= 2
 
 
@@ -39,6 +39,8 @@ def test_invalid_parameters_rejected():
         build_mutation("AI", "cartservice", "frontend")  # already expected
     with pytest.raises(MethodOutOfRange):
         build_mutation("AE", "adservice", "frontend")  # not a rich client
+    with pytest.raises(MethodOutOfRange):
+        build_mutation("CP", "loadgenerator")  # not a serving policy
 
 
 def test_every_mutation_is_observable():

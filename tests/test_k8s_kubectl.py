@@ -190,3 +190,127 @@ def test_get_yaml_of_an_applied_alias_has_no_anchor(policies):
     for text in (shown, described):
         assert "&" not in text and "*" not in text, text
     assert yaml.safe_load(shown) == yaml.safe_load(manifest)
+
+
+_NOT_FOUND = 'Error from server (NotFound): networkpolicies.networking.k8s.io "nosuch" not found'
+_PATCH_USAGE = "usage: kubectl patch networkpolicy <name> --type merge -p '<json>'"
+_INVALID_PATCH = 'The NetworkPolicy "adservice" is invalid: '
+_REJECTIONS = {
+    "": "empty command",
+    "sudo kubectl get netpol": "do not include sudo in commands",
+    "ls -l": "unsupported command: ls",
+    "kubectl": "kubectl: missing verb",
+    "kubectl exec -it pod -- sh": "kubectl: unsupported verb 'exec'",
+    "kubectl get pods": "kubectl get: only networkpolicy objects exist here",
+    "kubectl get": "kubectl get: only networkpolicy objects exist here",
+    "kubectl get networkpolicy nosuch -o yaml": _NOT_FOUND,
+    "kubectl describe networkpolicy": "usage: kubectl describe networkpolicy <name>",
+    "kubectl describe pods frontend": "usage: kubectl describe networkpolicy <name>",
+    "kubectl describe netpol nosuch": _NOT_FOUND,
+    "kubectl apply -f file.yaml": "kubectl apply: only '-f -' with an inline manifest is supported",
+    "kubectl apply": "kubectl apply: only '-f -' with an inline manifest is supported",
+    "kubectl apply -f -": "kubectl apply: empty manifest",
+    "kubectl apply -f -\n   \n": "kubectl apply: empty manifest",
+    "kubectl apply -f -\nkind: Pod\nmetadata: {name: x}":
+        "error validating data: kind: must be NetworkPolicy",
+    "kubectl apply -f -\n- 1": "error validating data: kind: must be NetworkPolicy",
+    "kubectl apply -f -\nkind: NetworkPolicy\nmetadata: {name: x}\nspec: {1: a}":
+        "error validating data: NetworkPolicy.spec: keys must be strings",
+    "kubectl apply -f -\nkind: NetworkPolicy\nmetadata: {name: x}\nspec: {ingress: [1]}":
+        "error validating data: spec.ingress: expected a list of objects",
+    "kubectl apply -f -\nkind: NetworkPolicy\nmetadata: {name: x}\nspec: {ingress: [{from: [1]}]}":
+        "error validating data: spec.ingress[0].from: expected a list of objects",
+    "kubectl patch networkpolicy": _PATCH_USAGE,
+    "kubectl patch pods x --type merge -p '{}'": _PATCH_USAGE,
+    _patch("nosuch", "{}"): _NOT_FOUND,
+    "kubectl patch networkpolicy adservice -p '{}'": "kubectl patch: only --type merge is supported",
+    "kubectl patch networkpolicy adservice --type merge": "kubectl patch: missing -p '<json>' payload",
+    _patch("adservice", "{oops"): "error decoding patch: Expecting property name enclosed in "
+                                  "double quotes: line 1 column 2 (char 1)",
+    _patch("adservice", "[1,2]"): "kubectl patch: a merge patch must be a JSON object",
+    _patch("adservice", '"x"'): "kubectl patch: a merge patch must be a JSON object",
+    _patch("adservice", '{"spec": 5}'): _INVALID_PATCH + "spec: expected an object",
+    _patch("adservice", '{"spec": {"x": ' + "[" * 40 + "]" * 40 + "}}"):
+        _INVALID_PATCH + "patch.spec.x" + "[0]" * 31 + ": nested too deeply",
+    "kubectl delete networkpolicy": "usage: kubectl delete networkpolicy <name>",
+    "kubectl delete pods x": "usage: kubectl delete networkpolicy <name>",
+    "kubectl delete networkpolicy nosuch": _NOT_FOUND,
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REJECTIONS))
+def test_rejection_messages(policies, command):
+    assert _assert_rejected(policies, command).output == _REJECTIONS[command]
+
+
+_MALFORMED_MESSAGES = {
+    "null spec": _INVALID_PATCH + "spec: expected an object",
+    "peer selector not an object":
+        _INVALID_PATCH + "spec.ingress[0].from[0].podSelector: expected an object",
+    "ports not a list": _INVALID_PATCH + "spec.ingress[0].ports: expected a list of objects",
+    "matchLabels not an object": _INVALID_PATCH + "spec.podSelector.matchLabels: expected an object",
+    "policyTypes not a list": _INVALID_PATCH + "spec.policyTypes: expected a list of strings",
+    "nested too deeply": "error decoding patch: maximum recursion depth exceeded while decoding "
+                         "a JSON array from a unicode string",
+    "metadata not an object": "error validating data: metadata.name: is required",
+    "name not a string": "error validating data: metadata.name: is required",
+    "date value":
+        "error validating data: NetworkPolicy.metadata.labels.d: unsupported value of type date",
+    "null podSelector": "error validating data: spec.podSelector: expected an object",
+    "egress not a list": "error validating data: spec.egress: expected a list of objects",
+    "alias bomb": "error validating data: NetworkPolicy.spec.l5[9][9][1][0][0][4]: too large",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_policy_messages(policies, case):
+    assert exec_kubectl(policies, _MALFORMED[case]).output == _MALFORMED_MESSAGES[case]
+
+
+def test_manifest_parse_error_message(policies):
+    out = _assert_rejected(policies, "kubectl apply -f -\n'")
+    assert out.output.startswith("error parsing manifest: while scanning a quoted scalar\n")
+
+
+def test_write_messages(policies):
+    manifest = "kubectl apply -f -\nkind: NetworkPolicy\nmetadata: {name: %s}\nspec: {}"
+    assert exec_kubectl(policies, manifest % "extra").output == \
+        "networkpolicy.networking.k8s.io/extra created"
+    assert exec_kubectl(policies, manifest % "frontend").output == \
+        "networkpolicy.networking.k8s.io/frontend configured"
+    assert exec_kubectl(policies, _patch("adservice", "{}")).output == \
+        "networkpolicy.networking.k8s.io/adservice patched"
+    assert exec_kubectl(policies, "kubectl delete networkpolicy adservice").output == \
+        'networkpolicy.networking.k8s.io "adservice" deleted'
+
+
+def test_apply_in_another_namespace_rejected(policies):
+    shown = exec_kubectl(policies, "kubectl get networkpolicy cartservice -o yaml").output
+    manifest = shown.replace("namespace: default", "namespace: other")
+    out = _assert_rejected(policies, "kubectl apply -f -\n" + manifest)
+    assert out.output == "error validating data: metadata.namespace: must be default"
+
+
+@pytest.mark.parametrize("metadata, problem", [
+    ({"name": "other"}, "metadata.name: field is immutable"),
+    ({"namespace": "other"}, "metadata.namespace: must be default"),
+    ({"namespace": None}, "metadata.namespace: field is immutable"),
+], ids=["rename", "other namespace", "no namespace"])
+def test_patch_cannot_move_a_policy(policies, metadata, problem):
+    out = _assert_rejected(policies, _patch("adservice", json.dumps({"metadata": metadata})))
+    assert out.output == _INVALID_PATCH + problem
+
+
+def test_other_api_version_rejected(policies):
+    out = _assert_rejected(policies, _patch("adservice", '{"apiVersion": "v9"}'))
+    assert out.output == _INVALID_PATCH + "apiVersion: must be networking.k8s.io/v1"
+    out = _assert_rejected(policies, "kubectl apply -f -\napiVersion: v9\n"
+                                     "kind: NetworkPolicy\nmetadata: {name: x}\nspec: {}")
+    assert out.output == "error validating data: apiVersion: must be networking.k8s.io/v1"
+
+
+@pytest.mark.parametrize("rest", ["frontend -o json", "frontend -o wide", "frontend adservice",
+                                  "frontend -o yaml adservice"])
+def test_get_rejects_unsupported_forms(policies, rest):
+    out = _assert_rejected(policies, f"kubectl get networkpolicy {rest}")
+    assert out.output == "usage: kubectl get networkpolicy [<name> [-o yaml]]"

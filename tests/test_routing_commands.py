@@ -193,6 +193,16 @@ def test_errors_never_raise(state):
     "ip addr replace 192.168.١.1/24 dev r0-eth1",
     "ip route add 10.٠.0.0/8 dev r0-eth1",
     "iptables -A FORWARD -s 192.168.١.2 -j DROP",
+    # integer operands: ASCII digits only, no underscores or signs, at most 2**32 - 1
+    "ip link set r0-eth1 mtu ١٥٠٠",
+    "ip link set r0-eth1 mtu 1_500",
+    "ip link set r0-eth1 mtu +1500",
+    "ip link set r0-eth1 mtu 4294967296",
+    "ip link set r0-eth1 mtu " + "9" * 5000,
+    "ip link set r0-eth1 mtu " + "0" * 5000 + "1",
+    "ip route add 10.0.0.0/8 dev r0-eth1 metric ٥",
+    "ip route add 10.0.0.0/8 dev r0-eth1 metric -5",
+    "tc qdisc add dev r0-eth1 root netem delay ٥ms",
 ])
 def test_out_of_range_addresses_rejected(state, cmd):
     out = exec_command(state, "r0", cmd)

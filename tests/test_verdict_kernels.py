@@ -18,7 +18,7 @@ from netbench.k8spolicy import env as k8s_env
 from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.env import K8sEnvironment
 from netbench.k8spolicy.generate import generate_k8s_query, rebuild_cluster
-from netbench.k8spolicy.inject import MUTATIONS, build_mutation
+from netbench.k8spolicy.inject import TARGETS, build_mutation
 from netbench.k8spolicy.kubectl import exec_kubectl
 from netbench.k8spolicy.model import SERVICE_PORTS, SERVICES, cluster_digest, flow_universe
 from netbench.k8spolicy.safety import judge_step_safety as k8s_judge
@@ -148,7 +148,7 @@ def kubectl_command(draw, policies, recovery):
     name = draw(st.sampled_from(sorted(policies) or ["extra"]))
     kind = draw(st.sampled_from(["mutation", "recovery", "patch", "patch", "apply", "delete"]))
     if kind == "mutation":
-        family = draw(st.sampled_from(MUTATIONS))
+        family = draw(st.sampled_from(tuple(TARGETS)))
         try:
             mutation = build_mutation(family, draw(st.sampled_from(sorted(SERVICE_PORTS))),
                                       draw(st.sampled_from([*SERVICES, ""])))
