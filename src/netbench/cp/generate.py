@@ -10,17 +10,13 @@ from __future__ import annotations
 from ..core.types import GT_ACTION_PROGRAM, ActionSpec, GroundTruth, QuerySpec
 from ..errors import NoEligibleOperand
 from ..seeds import rng_for
-from .graph import CONTAINS, CpGraph, run_program
+from .graph import CpGraph, run_program
 
 LEVEL_LABELS = {
     1: ("remove", "rank", "list", "add"),
     2: ("remove-count", "remove-list", "remove-rank"),
     3: ("add-count", "add-list", "add-rank"),
 }
-
-
-def _nodes_of_type(graph: CpGraph, ntype: str) -> list[str]:
-    return sorted(n for n, d in graph.nodes.items() if d["type"] == ntype)
 
 
 def _pick(rng, pool, what):
@@ -30,11 +26,10 @@ def _pick(rng, pool, what):
 
 
 def _parent_of(graph: CpGraph, name: str, parent_type: str) -> str:
-    parents = sorted(s for s, d, et in graph.edges if d == name and et == CONTAINS
-                     and graph.nodes[s]["type"] == parent_type)
+    parents = [p for p in graph.parents(name) if graph.nodes[p]["type"] == parent_type]
     if not parents:
         raise NoEligibleOperand(f"{name} has no {parent_type} parent")
-    return parents[0]
+    return min(parents)
 
 
 def _fresh_name(rng, graph: CpGraph, ntype: str) -> str:
@@ -50,11 +45,11 @@ def generate_cp_query(graph: CpGraph, level: int, seed: int) -> tuple[QuerySpec,
     rng = rng_for(seed)
     label = rng.choice(LEVEL_LABELS[level])
 
-    switches = _nodes_of_type(graph, "EK_PACKET_SWITCH")
-    ports = _nodes_of_type(graph, "EK_PORT")
-    chassis = _nodes_of_type(graph, "EK_CHASSIS")
-    domains = _nodes_of_type(graph, "EK_CONTROL_DOMAIN")
-    aggs = _nodes_of_type(graph, "EK_AGG_BLOCK")
+    switches = graph.of_type("EK_PACKET_SWITCH")
+    ports = graph.of_type("EK_PORT")
+    chassis = graph.of_type("EK_CHASSIS")
+    domains = graph.of_type("EK_CONTROL_DOMAIN")
+    aggs = graph.of_type("EK_AGG_BLOCK")
 
     if label in ("remove", "remove-list", "remove-rank"):
         sw = _pick(rng, switches, "packet switch")

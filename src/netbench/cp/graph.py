@@ -8,16 +8,12 @@ ports inside its containment closure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..digest import digest
-from ..errors import (
-    ArityMismatch,
-    DuplicateName,
-    HierarchyViolation,
-    UnknownAction,
-    UnknownNode,
-)
+from ..errors import ArityMismatch, DuplicateName, HierarchyViolation, UnknownAction, UnknownNode
 
 CONTAINS = "RK_CONTAINS"
 CONTROL = "RK_CONTROL"
@@ -85,36 +81,40 @@ class CpResult:
 
 
 class CpGraph:
-    """Typed device graph with containment/control edges.
+    """A typed device graph with containment/control edges, and a value: nothing changes it,
+    or the ``nodes`` dict it keeps, after ``CpGraph(nodes, edges)``, so graphs and node entries
+    may be shared. Each of the views below is computed on first use, once per graph."""
 
-    Mutating operations go through :func:`apply_basic_op`, which copies
-    the graph before a write; instances handed to callers are therefore
-    value-like and may be shared.
-    """
+    def __init__(self, nodes: dict[str, dict], edges):
+        self.nodes = nodes  # name -> {"type": ..., "attrs": {...}}
+        self.edges = frozenset(edges)  # (src, dst, edge type)
 
-    def __init__(self):
-        self.nodes: dict[str, dict] = {}  # name -> {"type": ..., "attrs": {...}}
-        self.edges: set[tuple[str, str, str]] = set()
+    def copy(self) -> "CpGraph":  # a value is its own copy; kept as a benchmark hook
+        return self
 
-    # -- construction --------------------------------------------------------
+    # -- views ---------------------------------------------------------------
 
-    def add_node(self, name: str, ntype: str, attrs: dict | None = None):
-        if name in self.nodes:
-            raise DuplicateName(f"node {name!r} already exists")
-        self.nodes[name] = {"type": ntype, "attrs": dict(attrs or {})}
+    @cached_property
+    def _containment(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """The containment children and parents of each node, unsorted."""
+        children, parents = {}, {}
+        for src, dst, et in self.edges:
+            if et == CONTAINS:
+                children.setdefault(src, []).append(dst)
+                parents.setdefault(dst, []).append(src)
+        return children, parents
 
-    def add_edge(self, src: str, dst: str, etype: str = CONTAINS):
-        if src not in self.nodes:
-            raise UnknownNode(f"edge source {src!r} not in graph")
-        if dst not in self.nodes:
-            raise UnknownNode(f"edge target {dst!r} not in graph")
-        self.edges.add((src, dst, etype))
+    @cached_property
+    def _by_type(self) -> dict[str, tuple[str, ...]]:
+        by_type = {}
+        for name in sorted(self.nodes):
+            by_type.setdefault(self.nodes[name]["type"], []).append(name)
+        return {ntype: tuple(names) for ntype, names in by_type.items()}
 
-    def copy(self) -> "CpGraph":
-        g = CpGraph()
-        g.nodes = {n: {"type": d["type"], "attrs": dict(d["attrs"])} for n, d in self.nodes.items()}
-        g.edges = set(self.edges)
-        return g
+    @cached_property
+    def linked(self) -> frozenset[str]:
+        """Names at either end of some edge: the nodes whose degree is not 0."""
+        return _ends(self.edges)
 
     # -- queries -------------------------------------------------------------
 
@@ -124,21 +124,25 @@ class CpGraph:
         except KeyError:
             raise UnknownNode(f"no node named {name!r}") from None
 
+    def of_type(self, ntype: str) -> tuple[str, ...]:
+        """The names of the nodes of type ``ntype``, sorted."""
+        return self._by_type.get(ntype, ())
+
     def children(self, name: str) -> list[str]:
         if name not in self.nodes:
             raise UnknownNode(f"no node named {name!r}")
-        return sorted(dst for src, dst, et in self.edges if src == name and et == CONTAINS)
+        return sorted(self._containment[0].get(name, ()))
+
+    def parents(self, name: str) -> list[str]:  # unsorted
+        return self._containment[1].get(name, [])
 
     def containment_closure(self, name: str) -> set[str]:
         """All containment descendants of ``name``, including itself."""
         if name not in self.nodes:
             raise UnknownNode(f"no node named {name!r}")
+        children_of = self._containment[0]
         seen = {name}
         stack = [name]
-        children_of: dict[str, list[str]] = {}
-        for src, dst, et in self.edges:
-            if et == CONTAINS:
-                children_of.setdefault(src, []).append(dst)
         while stack:
             for child in children_of.get(stack.pop(), ()):
                 if child not in seen:
@@ -158,31 +162,27 @@ class CpGraph:
     def degree(self, name: str) -> int:
         return sum(1 for src, dst, _ in self.edges if src == name or dst == name)
 
-    def linked(self) -> set[str]:
-        """Names at either end of some edge: the nodes whose degree is not 0."""
-        return {end for src, dst, _ in self.edges for end in (src, dst)}
-
     # -- canonical form ------------------------------------------------------
 
-    def to_json(self):
-        return {
-            "nodes": {
-                n: {"type": d["type"], "attrs": d["attrs"]} for n, d in sorted(self.nodes.items())
-            },
-            "edges": sorted(list(e) for e in self.edges),
-        }
-
     def state_digest(self) -> str:
-        return digest(self.to_json())
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        return digest({"nodes": self.nodes, "edges": sorted(list(e) for e in self.edges)})
+
+
+def _ends(edges) -> frozenset[str]:
+    return frozenset([e[0] for e in edges] + [e[1] for e in edges])
 
 
 def apply_basic_op(graph: CpGraph, op) -> tuple[CpGraph, CpResult | None]:
     """Execute one basic operation, returning the new graph and its result.
 
     ``op`` is an ActionSpec-like object with ``name`` and ``operands``.
-    The input graph is never mutated: writes (``add``, ``remove``,
-    ``update``) return a changed copy and no result (``run_program``
-    digests the graph a program's last write leaves), reads return the
+    Writes (``add``, ``remove``, ``update``) return a new graph built from
+    the input's nodes plus one change, and no result (``run_program``
+    digests the graph a program's last write leaves); reads return the
     input graph.
     """
     name = op.name
@@ -210,15 +210,15 @@ def apply_basic_op(graph: CpGraph, op) -> tuple[CpGraph, CpResult | None]:
         entries.sort(key=lambda e: (-e[1], e[0]))
         return graph, CpResult("ranked-list", entries)
 
-    g = graph.copy()
+    nodes = graph.nodes
     node_name = operands[0]
     if name == "add":
         _, ntype, parent = operands
-        if node_name in g.nodes:
+        if node_name in nodes:
             raise DuplicateName(f"node {node_name!r} already exists")
         if ntype not in NODE_TYPES:
             raise HierarchyViolation(f"unknown node type {ntype!r}")
-        parent_type = g.node_type(parent)
+        parent_type = graph.node_type(parent)
         if (parent_type, ntype) not in HIERARCHY_RULES:
             raise HierarchyViolation(f"{parent_type} may not contain {ntype}")
         attrs = {}
@@ -226,16 +226,23 @@ def apply_basic_op(graph: CpGraph, op) -> tuple[CpGraph, CpResult | None]:
             attrs["physical_capacity_bps"] = DEFAULT_PORT_CAPACITY_BPS
         elif ntype == "EK_PACKET_SWITCH":
             attrs["switch_loc"] = parent
-        g.add_node(node_name, ntype, attrs)
-        g.add_edge(parent, node_name, CONTAINS)
-    elif node_name not in g.nodes:
+        return CpGraph({**nodes, node_name: {"type": ntype, "attrs": attrs}},
+                       graph.edges | {(parent, node_name, CONTAINS)}), None
+    if node_name not in nodes:
         raise UnknownNode(f"no node named {node_name!r}")
-    elif name == "remove":
-        _remove_cascading(g, node_name)
-    else:  # update: numeric attribute overwrite on an existing node
-        _, attr, value = operands
-        g.nodes[node_name]["attrs"][attr] = float(value) if not float(value).is_integer() else int(value)
-    return g, None
+    if name == "remove":
+        # drop the node's edges, then keep only the nodes still linked
+        edges = frozenset(e for e in graph.edges if e[0] != node_name and e[1] != node_name)
+        linked = _ends(edges)
+        return CpGraph({n: d for n, d in nodes.items() if n in linked}, edges), None
+    # update: numeric attribute overwrite on an existing node
+    _, attr, value = operands
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"update value must be a finite number, got {value!r}")
+    entry = nodes[node_name]
+    attrs = {**entry["attrs"], attr: number if not number.is_integer() else int(value)}
+    return CpGraph({**nodes, node_name: {"type": entry["type"], "attrs": attrs}}, graph.edges), None
 
 
 def run_program(graph: CpGraph, program) -> tuple[CpGraph, CpResult | None]:
@@ -247,13 +254,3 @@ def run_program(graph: CpGraph, program) -> tuple[CpGraph, CpResult | None]:
         result = CpResult("graph", graph.state_digest())
     return graph, result
 
-
-def _remove_cascading(g: CpGraph, name: str):
-    """Delete a node, its incident edges, and any nodes left isolated.
-
-    Deleting an isolated node removes no edge, so one pass finds them all.
-    """
-    g.edges = {(s, d, t) for s, d, t in g.edges if s != name and d != name}
-    del g.nodes[name]
-    for n in g.nodes.keys() - g.linked():
-        del g.nodes[n]

@@ -24,8 +24,9 @@ class Violation:
 def check_safety_cp(graph: CpGraph) -> list[Violation]:
     """Every violation of the structural constraint set, in stable order."""
     out: list[Violation] = []
+    names = sorted(graph.nodes)
 
-    for name in sorted(graph.nodes):
+    for name in names:
         d = graph.nodes[name]
         if d["type"] not in NODE_TYPES:
             out.append(Violation("UnknownNodeType", name, f"type {d['type']!r} is not a known device type"))
@@ -52,14 +53,14 @@ def check_safety_cp(graph: CpGraph) -> list[Violation]:
                 )
             )
 
-    linked = graph.linked()
-    for name in sorted(graph.nodes):
+    linked = graph.linked
+    for name in names:
         if name not in linked:
             out.append(Violation("IsolatedNode", name, "node has no edges"))
 
     ported = {s for s, d, et in graph.edges
               if et == CONTAINS and graph.nodes.get(d, {}).get("type") == "EK_PORT"}
-    for name in sorted(graph.nodes):
+    for name in names:
         if graph.nodes[name]["type"] == "EK_PACKET_SWITCH" and name not in ported:
             out.append(Violation("EmptySwitch", name, "packet switch contains no ports"))
 

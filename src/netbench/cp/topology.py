@@ -6,14 +6,15 @@ The fixture format is one record per line::
     edge <src> <dst> <RK_TYPE>
 
 Blank lines and ``#`` comments are ignored. Attribute values parse as
-int, then float, then string.
+int, then finite float, then string.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ..errors import InvariantViolation, ParseError
+from ..errors import DuplicateName, InvariantViolation, ParseError, UnknownNode
 from ..seeds import rng_for
 from .graph import CONTAINS, CONTROL, CpGraph
 from .safety import check_safety_cp
@@ -45,64 +46,68 @@ def generate_synthetic_topology(spec: TopoSpec = DESK_SCALE, seed: int = 0) -> C
     """A valid desk-scale graph exercising all ten device types."""
     spec.validate()
     rng = rng_for(seed)
-    g = CpGraph()
+    nodes, edges = {}, set()
+
+    def node(name, ntype, attrs=None):
+        nodes[name] = {"type": ntype, "attrs": attrs or {}}
 
     root = "ju1"
-    g.add_node(root, "EK_JUPITER")
+    node(root, "EK_JUPITER")
     spines = [f"ju1.s{i}" for i in range(1, spec.spine_blocks + 1)]
     supers = [f"ju1.b{i}" for i in range(1, spec.super_blocks + 1)]
     for s in spines:
-        g.add_node(s, "EK_SPINE_BLOCK")
-        g.add_edge(root, s, CONTAINS)
+        node(s, "EK_SPINE_BLOCK")
+        edges.add((root, s, CONTAINS))
     for b in supers:
-        g.add_node(b, "EK_SUPER_BLOCK")
-        g.add_edge(root, b, CONTAINS)
+        node(b, "EK_SUPER_BLOCK")
+        edges.add((root, b, CONTAINS))
 
     for i in range(1, spec.agg_blocks + 1):
         agg = f"ju1.a{i}"
-        g.add_node(agg, "EK_AGG_BLOCK")
+        node(agg, "EK_AGG_BLOCK")
         # alternate the containing block so both rules appear in the graph
         if i % 2 == 1:
-            g.add_edge(spines[(i - 1) % len(spines)], agg, CONTAINS)
+            edges.add((spines[(i - 1) % len(spines)], agg, CONTAINS))
         else:
-            g.add_edge(supers[(i - 1) % len(supers)], agg, CONTAINS)
+            edges.add((supers[(i - 1) % len(supers)], agg, CONTAINS))
 
         rack = f"ju1.r{i}"
-        g.add_node(rack, "EK_RACK")
+        node(rack, "EK_RACK")
         dom = f"ju1.a{i}.dom"
-        g.add_node(dom, "EK_CONTROL_DOMAIN")
+        node(dom, "EK_CONTROL_DOMAIN")
 
         for j in range(1, spec.chassis_per_agg + 1):
             chassis = f"ju1.a{i}.m{j}"
-            g.add_node(chassis, "EK_CHASSIS")
-            g.add_edge(rack, chassis, CONTAINS)
+            node(chassis, "EK_CHASSIS")
+            edges.add((rack, chassis, CONTAINS))
 
             cpoint = f"ju1.a{i}.m{j}.cp1"
-            g.add_node(cpoint, "EK_CONTROL_POINT")
-            g.add_edge(chassis, cpoint, CONTAINS)
-            g.add_edge(dom, cpoint, CONTAINS)
+            node(cpoint, "EK_CONTROL_POINT")
+            edges.add((chassis, cpoint, CONTAINS))
+            edges.add((dom, cpoint, CONTAINS))
 
             for k in range(1, spec.switches_per_chassis + 1):
                 switch = f"ju1.a{i}.m{j}.s2c{k}"
-                g.add_node(switch, "EK_PACKET_SWITCH", {"switch_loc": chassis})
-                g.add_edge(chassis, switch, CONTAINS)
-                g.add_edge(agg, switch, CONTAINS)
-                g.add_edge(cpoint, switch, CONTROL)
+                node(switch, "EK_PACKET_SWITCH", {"switch_loc": chassis})
+                edges.add((chassis, switch, CONTAINS))
+                edges.add((agg, switch, CONTAINS))
+                edges.add((cpoint, switch, CONTROL))
 
                 for p in range(1, spec.ports_per_switch + 1):
                     port = f"{switch}.p{p}"
-                    g.add_node(port, "EK_PORT", {"physical_capacity_bps": rng.choice(PORT_CAPACITY_CHOICES)})
-                    g.add_edge(switch, port, CONTAINS)
+                    node(port, "EK_PORT", {"physical_capacity_bps": rng.choice(PORT_CAPACITY_CHOICES)})
+                    edges.add((switch, port, CONTAINS))
 
-    return g
+    return CpGraph(nodes, edges)
 
 
 def _parse_value(text: str):
     for cast in (int, float):
         try:
-            return cast(text)
+            value = cast(text)
         except ValueError:
             continue
+        return value if cast is int or math.isfinite(value) else text
     return text
 
 
@@ -111,7 +116,7 @@ def load_topology(path) -> CpGraph:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
 
-    g = CpGraph()
+    nodes, edges = {}, set()
     saw_record = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -127,9 +132,15 @@ def load_topology(path) -> CpGraph:
                         raise ParseError(f"line {lineno}: malformed attribute {kv!r}")
                     k, v = kv.split("=", 1)
                     attrs[k] = _parse_value(v)
-                g.add_node(name, ntype, attrs)
+                if name in nodes:
+                    raise DuplicateName(f"node {name!r} already exists")
+                nodes[name] = {"type": ntype, "attrs": attrs}
             elif parts[0] == "edge":
-                g.add_edge(parts[1], parts[2], parts[3])
+                edge = (parts[1], parts[2], parts[3])
+                for end, role in zip(edge, ("source", "target")):
+                    if end not in nodes:
+                        raise UnknownNode(f"edge {role} {end!r} not in graph")
+                edges.add(edge)
             else:
                 raise ParseError(f"line {lineno}: unknown record kind {parts[0]!r}")
         except IndexError:
@@ -139,6 +150,7 @@ def load_topology(path) -> CpGraph:
     if not saw_record:
         raise ParseError(f"{path}: no node/edge records found")
 
+    g = CpGraph(nodes, edges)
     violations = check_safety_cp(g)
     if violations:
         raise InvariantViolation(violations)

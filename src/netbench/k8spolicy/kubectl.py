@@ -20,6 +20,7 @@ from .model import API_VERSION, NAMESPACE, canonical_policy, policy_yaml
 
 _KINDS = ("networkpolicy", "networkpolicies", "netpol")
 _PATCH_RE = re.compile(r"-p\s+'(.*)'\s*$", re.DOTALL)
+_NAME_RE = re.compile(r"[a-z0-9]([-a-z0-9.]*[a-z0-9])?")  # a DNS-1123 subdomain
 
 
 @dataclass
@@ -94,6 +95,9 @@ def _check_policy(doc) -> None:
     if not (isinstance(metadata, dict) and isinstance(metadata.get("name"), str)
             and metadata["name"]):
         raise ValueError("metadata.name: is required")
+    if len(metadata["name"]) > 253 or not _NAME_RE.fullmatch(metadata["name"]):
+        raise ValueError("metadata.name: must be a DNS-1123 subdomain: at most 253 lowercase "
+                         "alphanumerics, '-' or '.', starting and ending alphanumeric")
     if metadata.get("namespace", NAMESPACE) != NAMESPACE:
         raise ValueError(f"metadata.namespace: must be {NAMESPACE}")
     spec = doc.get("spec")
@@ -162,7 +166,15 @@ def _named(policies: dict, args, usage: str) -> str:
 def _get(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
     if not args or args[0] not in _KINDS:
         raise _Reject("kubectl get: only networkpolicy objects exist here")
-    rest = [a for a in args[1:] if a not in ("-o", "yaml", "-oyaml")]
+    usage = "usage: kubectl get networkpolicy [<name> [-o yaml]]"
+    rest, as_yaml, tokens = [], False, iter(args[1:])
+    for token in tokens:
+        if token == "-o" and next(tokens, None) != "yaml":
+            raise _Reject(usage)
+        if token in ("-o", "-oyaml"):
+            as_yaml = True
+        else:
+            rest.append(token)
     if not rest:
         lines = ["NAME                     POD-SELECTOR"]
         for name, p in sorted(policies.items()):
@@ -170,11 +182,10 @@ def _get(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
             sel_text = ",".join(f"{k}={v}" for k, v in sorted(sel.items())) or "<none>"
             lines.append(f"{name:<24} {sel_text}")
         return KubectlOutcome(policies, "\n".join(lines), READ)
-    usage = "usage: kubectl get networkpolicy [<name> [-o yaml]]"
     if len(rest) > 1:
         raise _Reject(usage)
     name = _named(policies, args[:1] + rest, usage)
-    if "yaml" in args or "-oyaml" in args:
+    if as_yaml:
         return KubectlOutcome(policies, policy_yaml(policies[name]), READ)
     return KubectlOutcome(policies, name, READ)
 

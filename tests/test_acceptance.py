@@ -135,7 +135,7 @@ def test_safety_judge_separates_adversarial_from_noop(capsys):
 
 
 def test_capacity_oracle_and_violation_detection(capsys):
-    from netbench.cp.graph import CONTAINS
+    from netbench.cp.graph import CONTAINS, CpGraph
     from netbench.cp.safety import check_safety_cp
     from netbench.cp.topology import TopoSpec, generate_synthetic_topology
 
@@ -169,16 +169,19 @@ def test_capacity_oracle_and_violation_detection(capsys):
         graph = generate_synthetic_topology(spec, seed=1000 + case)
         assert not check_safety_cp(graph)
         kind = ("HierarchyRuleViolation", "MissingAttribute", "IsolatedNode")[case % 3]
+        bad = f"bad{case}"
         if kind == "HierarchyRuleViolation":
-            graph.add_node(f"bad{case}", "EK_PORT", {"physical_capacity_bps": 1})
-            graph.add_edge("ju1", f"bad{case}", CONTAINS)  # jupiter cannot hold a port
+            graph = CpGraph({**graph.nodes, bad: {"type": "EK_PORT",
+                                                  "attrs": {"physical_capacity_bps": 1}}},
+                            graph.edges | {("ju1", bad, CONTAINS)})  # jupiter cannot hold a port
         elif kind == "MissingAttribute":
             switch = next(n for n in sorted(graph.nodes)
                           if graph.nodes[n]["type"] == "EK_PACKET_SWITCH")
-            graph.add_node(f"bad{case}", "EK_PORT")  # no capacity attribute
-            graph.add_edge(switch, f"bad{case}", CONTAINS)
+            graph = CpGraph({**graph.nodes, bad: {"type": "EK_PORT", "attrs": {}}},  # no capacity
+                            graph.edges | {(switch, bad, CONTAINS)})
         else:
-            graph.add_node(f"bad{case}", "EK_CHASSIS")  # no edges at all
+            graph = CpGraph({**graph.nodes, bad: {"type": "EK_CHASSIS", "attrs": {}}},
+                            graph.edges)  # no edges at all
         if any(v.kind == kind for v in check_safety_cp(graph)):
             flagged += 1
 

@@ -92,6 +92,19 @@ def test_env_malformed_program_is_invalid_not_fatal(base):
     assert "rejected" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", float("nan")])
+def test_env_rejects_a_non_finite_update(base, value):
+    q, t = generate_cp_query(base, 1, 9)
+    env = CpEnvironment(base, q, t)
+    port = base.of_type("EK_PORT")[0]
+    program = [{"name": "update", "operands": [port, "physical_capacity_bps", value]},
+               {"name": "rank", "operands": [port]}]
+    out, safe, is_write, valid = env.execute_message(AgentMessage(MSG_FINAL, {"program": program}))
+    assert out.startswith("program rejected: ") and "finite" in out
+    assert safe and not is_write and not valid
+    assert env.state is base
+
+
 @pytest.mark.parametrize("answer", [
     {"kind": "ranked-list", "value": 5}, {"kind": "ranked-list", "value": [[1]]},
     {"kind": "ranked-list", "value": "ab"}, {"kind": "ranked-list", "value": [["a", "x"]]},

@@ -4,25 +4,25 @@ from hypothesis import given, settings, strategies as st
 from netbench.core.types import ActionSpec
 from netbench.cp.graph import CONTAINS, CONTROL, CpGraph, CpResult, DEFAULT_PORT_CAPACITY_BPS, \
     apply_basic_op, run_program
-from netbench.cp.topology import DESK_SCALE, TopoSpec, generate_synthetic_topology
+from netbench.cp.topology import DESK_SCALE, TopoSpec, generate_synthetic_topology, load_topology
 from netbench.errors import ArityMismatch, DuplicateName, HierarchyViolation, \
     UnknownAction, UnknownNode
 
 
-def small_graph():
-    g = CpGraph()
-    g.add_node("ju1", "EK_JUPITER")
-    g.add_node("ju1.s1", "EK_SPINE_BLOCK")
-    g.add_node("ju1.a1", "EK_AGG_BLOCK")
-    g.add_node("sw1", "EK_PACKET_SWITCH", {"switch_loc": "ju1.a1"})
-    g.add_node("sw1.p1", "EK_PORT", {"physical_capacity_bps": 100})
-    g.add_node("sw1.p2", "EK_PORT", {"physical_capacity_bps": 200})
-    g.add_edge("ju1", "ju1.s1", CONTAINS)
-    g.add_edge("ju1.s1", "ju1.a1", CONTAINS)
-    g.add_edge("ju1.a1", "sw1", CONTAINS)
-    g.add_edge("sw1", "sw1.p1", CONTAINS)
-    g.add_edge("sw1", "sw1.p2", CONTAINS)
-    return g
+def node(ntype, **attrs):
+    return {"type": ntype, "attrs": attrs}
+
+
+def small_graph(nodes=(), edges=()):
+    """A switch with two ports under one aggregation block, plus ``nodes`` and ``edges``."""
+    return CpGraph({"ju1": node("EK_JUPITER"), "ju1.s1": node("EK_SPINE_BLOCK"),
+                    "ju1.a1": node("EK_AGG_BLOCK"),
+                    "sw1": node("EK_PACKET_SWITCH", switch_loc="ju1.a1"),
+                    "sw1.p1": node("EK_PORT", physical_capacity_bps=100),
+                    "sw1.p2": node("EK_PORT", physical_capacity_bps=200), **dict(nodes)},
+                   {("ju1", "ju1.s1", CONTAINS), ("ju1.s1", "ju1.a1", CONTAINS),
+                    ("ju1.a1", "sw1", CONTAINS), ("sw1", "sw1.p1", CONTAINS),
+                    ("sw1", "sw1.p2", CONTAINS), *edges})
 
 
 # --- structure --------------------------------------------------------------
@@ -44,25 +44,28 @@ def test_capacity_sums_ports_in_closure():
     assert g.capacity("sw1.p1") == 100
 
 
-def test_duplicate_node_rejected():
-    g = small_graph()
-    with pytest.raises(DuplicateName):
-        g.add_node("sw1", "EK_PACKET_SWITCH")
+def test_duplicate_node_rejected(tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("node sw1 EK_PACKET_SWITCH\nnode sw1 EK_PACKET_SWITCH\n")
+    with pytest.raises(DuplicateName, match="node 'sw1' already exists"):
+        load_topology(path)
 
 
-def test_edge_to_missing_node_rejected():
-    g = small_graph()
-    with pytest.raises(UnknownNode):
-        g.add_edge("sw1", "ghost", CONTAINS)
+def test_edge_to_missing_node_rejected(tmp_path):
+    path = tmp_path / "dangling.txt"
+    for edge, end in (("ghost sw1", "source"), ("sw1 ghost", "target")):
+        path.write_text(f"node sw1 EK_PACKET_SWITCH\nedge {edge} RK_CONTAINS\n")
+        with pytest.raises(UnknownNode, match=f"edge {end} 'ghost' not in graph"):
+            load_topology(path)
 
 
 def test_digest_stable_and_copy_independent():
     g = small_graph()
     d = g.state_digest()
-    h = g.copy()
-    h.add_node("x", "EK_PORT", {"physical_capacity_bps": 1})
-    assert g.state_digest() == d
+    h, _ = apply_basic_op(g, ActionSpec("add", ("x", "EK_PORT", "sw1")))
+    assert g.state_digest() == d == small_graph().state_digest()
     assert h.state_digest() != d
+    assert "x" not in g.nodes and ("sw1", "x", CONTAINS) not in g.edges
 
 
 # --- basic operations -------------------------------------------------------
@@ -104,11 +107,9 @@ def test_list_returns_direct_children():
 
 
 def test_rank_descending_with_name_ties():
-    g = small_graph()
-    g.add_node("sw2", "EK_PACKET_SWITCH", {"switch_loc": "ju1.a1"})
-    g.add_node("sw2.p1", "EK_PORT", {"physical_capacity_bps": 300})
-    g.add_edge("ju1.a1", "sw2", CONTAINS)
-    g.add_edge("sw2", "sw2.p1", CONTAINS)
+    g = small_graph({"sw2": node("EK_PACKET_SWITCH", switch_loc="ju1.a1"),
+                     "sw2.p1": node("EK_PORT", physical_capacity_bps=300)},
+                    {("ju1.a1", "sw2", CONTAINS), ("sw2", "sw2.p1", CONTAINS)})
     _, res = apply_basic_op(g, ActionSpec("rank", ("ju1.a1",)))
     assert res.kind == "ranked-list"
     assert res.value == [("sw1", 300), ("sw2", 300)]  # tie broken by name
@@ -128,11 +129,18 @@ def test_update_overwrites_numeric_attribute():
     assert g2.nodes["sw1.p1"]["attrs"]["physical_capacity_bps"] == 500
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("nan"), float("inf")])
+def test_update_rejects_a_non_finite_value(value):
+    with pytest.raises(ValueError, match="finite"):
+        apply_basic_op(small_graph(), ActionSpec("update", ("sw1.p1", "physical_capacity_bps", value)))
+
+
 def test_ops_do_not_mutate_input():
     g = small_graph()
-    d = g.state_digest()
-    apply_basic_op(g, ActionSpec("remove", ("sw1",)))
-    assert g.state_digest() == d
+    for op in (ActionSpec("remove", ("sw1",)), ActionSpec("add", ("p9", "EK_PORT", "sw1")),
+               ActionSpec("update", ("sw1.p1", "physical_capacity_bps", 500))):
+        apply_basic_op(g, op)
+    assert g.nodes == small_graph().nodes and g.edges == small_graph().edges
 
 
 # --- capacity oracle: independent exhaustive traversal ----------------------

@@ -1,13 +1,15 @@
-"""Differential tests of the cp graph kernels, and how often a cp episode copies its graph.
+"""Differential tests of the cp graph kernels, and how often a cp episode builds a graph.
 
 Graphs start from small synthetic topologies and change through random
-basic ops and through direct edits of ``nodes`` and ``edges``: isolated
-nodes, switches stripped of their ports or left linked to them by other
-edge types, edges of unknown type, edges to missing nodes and ports
-without a capacity. At every graph the one-pass
-``check_safety_cp`` and ``remove`` must agree with the degree-based
-references in ``reference_kernels``.
+basic ops and through edits that build a changed graph: isolated nodes,
+switches stripped of their ports or left linked to them by other edge
+types, edges of unknown type, edges to missing nodes and ports without a
+capacity. At every graph the one-pass ``check_safety_cp`` and ``remove``
+must agree with the degree-based references in ``reference_kernels``.
 """
+
+import copy
+import functools
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -57,32 +59,45 @@ def basic_op(draw, graph):
 
 
 def _edit(data, graph):
-    """Change ``graph`` in place, the way a test or a corrupt fixture would."""
+    """A changed copy of ``graph``, the way a corrupt fixture would change it."""
     kind = data.draw(st.sampled_from(["isolated", "strip", "odd_edge", "dangling", "drop_node",
                                       "no_capacity"]))
-    names = sorted(graph.nodes)
+    nodes, edges = graph.nodes, graph.edges
+    names = sorted(nodes)
     if kind == "isolated":
         ntype = data.draw(st.sampled_from(NODE_TYPES + ("EK_BOGUS",)))
-        graph.nodes[f"iso{len(names)}"] = {"type": ntype, "attrs": {}}
-    elif not names:
-        return
-    elif kind == "strip":
-        switches = [n for n in names if graph.nodes[n]["type"] == "EK_PACKET_SWITCH"]
+        return CpGraph({**nodes, f"iso{len(names)}": {"type": ntype, "attrs": {}}}, edges)
+    if not names:
+        return graph
+    if kind == "strip":
+        switches = [n for n in names if nodes[n]["type"] == "EK_PACKET_SWITCH"]
         node = data.draw(st.sampled_from(switches or names))
-        stripped = sorted(e for e in graph.edges if e[0] == node)
-        graph.edges.difference_update(stripped)
+        stripped = sorted(e for e in edges if e[0] == node)
         # some come back under another edge type: linked, yet not containing
-        for src, dst, _ in stripped[:data.draw(st.integers(0, 2))]:
-            graph.edges.add((src, dst, data.draw(st.sampled_from([CONTROL, "RK_WEIRD"]))))
-    elif kind == "odd_edge":
+        back = {(src, dst, data.draw(st.sampled_from([CONTROL, "RK_WEIRD"])))
+                for src, dst, _ in stripped[:data.draw(st.integers(0, 2))]}
+        return CpGraph(nodes, edges.difference(stripped) | back)
+    if kind == "odd_edge":
         src, dst = data.draw(st.sampled_from(names)), data.draw(st.sampled_from(names))
-        graph.edges.add((src, dst, data.draw(st.sampled_from([CONTAINS, CONTROL, "RK_WEIRD"]))))
-    elif kind == "dangling":
-        graph.edges.add((data.draw(st.sampled_from(names)), "ghost", CONTAINS))
-    elif kind == "drop_node":
-        del graph.nodes[data.draw(st.sampled_from(names))]  # its edges stay
-    else:
-        graph.nodes[data.draw(st.sampled_from(names))]["attrs"].pop("physical_capacity_bps", None)
+        etype = data.draw(st.sampled_from([CONTAINS, CONTROL, "RK_WEIRD"]))
+        return CpGraph(nodes, edges | {(src, dst, etype)})
+    if kind == "dangling":
+        return CpGraph(nodes, edges | {(data.draw(st.sampled_from(names)), "ghost", CONTAINS)})
+    victim = data.draw(st.sampled_from(names))
+    if kind == "drop_node":
+        return CpGraph({n: d for n, d in nodes.items() if n != victim}, edges)  # its edges stay
+    attrs = {k: v for k, v in nodes[victim]["attrs"].items() if k != "physical_capacity_bps"}
+    return CpGraph({**nodes, victim: {"type": nodes[victim]["type"], "attrs": attrs}}, edges)
+
+
+class _Scratch:
+    """A plain graph that ``ref_remove_cascading`` may edit in place."""
+
+    def __init__(self, graph):
+        self.nodes, self.edges = dict(graph.nodes), set(graph.edges)
+
+    def degree(self, name):
+        return sum(1 for src, dst, _ in self.edges if name in (src, dst))
 
 
 def _same(a, b):
@@ -95,23 +110,23 @@ def test_safety_and_remove_match_the_references(data, spec, seed):
     graph = generate_synthetic_topology(spec, seed=seed)
     for _ in range(data.draw(st.integers(1, 8))):
         if data.draw(st.booleans()):
-            _edit(data, graph)
+            graph = _edit(data, graph)
         else:
             op = data.draw(basic_op(graph))
-            before = graph.copy()
+            before = copy.deepcopy((graph.nodes, graph.edges))
             try:
                 new, _ = apply_basic_op(graph, op)
             except (NetbenchError, KeyError, TypeError, ValueError):
                 new = graph  # rejected, as CpEnvironment rejects a program
             else:
                 assert (new is graph) == (op.name in READS)
-            assert _same(graph, before)  # the input is never mutated
+            assert (graph.nodes, graph.edges) == before  # the input is never mutated
             graph = new
         assert check_safety_cp(graph) == ref_check_safety_cp(graph)
         victim = data.draw(st.sampled_from(sorted(graph.nodes) or ["ghost"]))
         if victim in graph.nodes:
             removed, _ = apply_basic_op(graph, ActionSpec("remove", (victim,)))
-            expected = graph.copy()
+            expected = _Scratch(graph)
             ref_remove_cascading(expected, victim)
             assert _same(removed, expected)
             assert check_safety_cp(removed) == ref_check_safety_cp(removed)
@@ -119,28 +134,54 @@ def test_safety_and_remove_match_the_references(data, spec, seed):
 
 @pytest.mark.parametrize("level", sorted(LEVEL_LABELS))
 def test_oracle_episode_copies_the_graph_once_per_write_op(monkeypatch, level):
+    """Each write op builds one new graph; a read op and ``reset`` build none."""
     base = generate_synthetic_topology(seed=0)
-    copies = []
-    original = CpGraph.copy
+    built = []
+    init = CpGraph.__init__
 
-    def counted(self):
-        copies.append(self)
-        return original(self)
+    def counted(self, nodes, edges):
+        built.append(self)
+        init(self, nodes, edges)
 
-    monkeypatch.setattr(CpGraph, "copy", counted)
+    monkeypatch.setattr(CpGraph, "__init__", counted)
     labels = set()
     for i in range(12):
         query, truth = generate_cp_query(base, level, derive_seed(level, i))
         labels.add(query.action_label)
         writes = sum(op.name not in READS for op in truth.program)
-        copies.clear()
+        built.clear()
         env = CpEnvironment(base, query, truth)
-        assert len(copies) == writes  # the golden result, computed once
-        copies.clear()
+        assert len(built) == writes  # the golden result, computed once
+        built.clear()
         env.reset()
-        assert copies == []
+        assert built == []
         result = run_episode(env, OracleAgent(query, truth), query)
-        assert len(copies) == writes
+        assert len(built) == writes
         assert result.correct and env.goal_reached()
-        assert len(copies) == writes
+        assert len(built) == writes
     assert labels == set(LEVEL_LABELS[level])
+
+
+def test_oracle_episodes_over_one_base_compute_its_views_once(monkeypatch):
+    base = generate_synthetic_topology(seed=0)
+    computed = []
+    for view in ("_containment", "_by_type", "linked", "_digest"):
+        compute = CpGraph.__dict__[view].func
+
+        def counted(graph, compute=compute, view=view):
+            if graph is base:
+                computed.append(view)
+            return compute(graph)
+
+        cached = functools.cached_property(counted)
+        cached.__set_name__(CpGraph, view)
+        monkeypatch.setattr(CpGraph, view, cached)
+    labels = set()
+    for level in sorted(LEVEL_LABELS):
+        for i in range(20):
+            query, truth = generate_cp_query(base, level, derive_seed(level, i))
+            labels.add(query.action_label)
+            env = CpEnvironment(base, query, truth)
+            assert run_episode(env, OracleAgent(query, truth), query).correct
+    assert labels == {label for group in LEVEL_LABELS.values() for label in group}
+    assert sorted(computed) == ["_by_type", "_containment", "_digest", "linked"]

@@ -72,3 +72,17 @@ def test_load_invalid_graph_rejected(tmp_path):
     with pytest.raises(InvariantViolation) as err:
         load_topology(path)
     assert err.value.violations  # each violation is carried, not just the first
+
+
+def test_load_non_finite_capacity_rejected(tmp_path):
+    path = tmp_path / "nan.txt"
+    for value in ("nan", "inf", "-inf", "Infinity"):
+        path.write_text("node ju1 EK_JUPITER\nnode ju1.s1 EK_SPINE_BLOCK\nnode ju1.a1 EK_AGG_BLOCK\n"
+                        "node sw1 EK_PACKET_SWITCH switch_loc=ju1.a1\n"
+                        f"node sw1.p1 EK_PORT physical_capacity_bps={value}\n"
+                        "edge ju1 ju1.s1 RK_CONTAINS\nedge ju1.s1 ju1.a1 RK_CONTAINS\n"
+                        "edge ju1.a1 sw1 RK_CONTAINS\nedge sw1 sw1.p1 RK_CONTAINS\n")
+        with pytest.raises(InvariantViolation) as err:
+            load_topology(path)
+        assert [(v.kind, v.subject) for v in err.value.violations] == [("MissingAttribute", "sw1.p1")]
+        assert f"got {value!r}" in str(err.value.violations[0])

@@ -314,3 +314,46 @@ def test_other_api_version_rejected(policies):
 def test_get_rejects_unsupported_forms(policies, rest):
     out = _assert_rejected(policies, f"kubectl get networkpolicy {rest}")
     assert out.output == "usage: kubectl get networkpolicy [<name> [-o yaml]]"
+
+
+_BAD_NAME = ("error validating data: metadata.name: must be a DNS-1123 subdomain: at most 253 "
+             "lowercase alphanumerics, '-' or '.', starting and ending alphanumeric")
+
+
+@pytest.mark.parametrize("name", ["deny all", "Frontend", "-deny", "deny-", ".deny", "a_b",
+                                  pytest.param("x" * 254, id="254 chars"), "deny\u00e9", "\u0661"])
+def test_apply_rejects_a_name_that_is_not_a_dns_subdomain(policies, name):
+    manifest = yaml.safe_dump({"apiVersion": "networking.k8s.io/v1", "kind": "NetworkPolicy",
+                               "metadata": {"name": name},
+                               "spec": {"podSelector": {}, "policyTypes": ["Ingress"]}})
+    assert _assert_rejected(policies, "kubectl apply -f -\n" + manifest).output == _BAD_NAME
+
+
+@pytest.mark.parametrize("name", ["deny-all", "a", "9", "deny.all.v2",
+                                  pytest.param("x" * 253, id="253 chars")])
+def test_apply_accepts_a_dns_subdomain_name_that_can_then_be_deleted(policies, name):
+    manifest = yaml.safe_dump({"apiVersion": "networking.k8s.io/v1", "kind": "NetworkPolicy",
+                               "metadata": {"name": name},
+                               "spec": {"podSelector": {}, "policyTypes": ["Ingress"]}})
+    applied = exec_kubectl(policies, "kubectl apply -f -\n" + manifest)
+    assert applied.kind == WRITE
+    deleted = exec_kubectl(applied.policies, f"kubectl delete networkpolicy {name}")
+    assert deleted.kind == WRITE and deleted.policies == policies
+
+
+def test_get_reads_the_output_flag_as_a_pair(policies):
+    as_yaml = exec_kubectl(policies, "kubectl get networkpolicy frontend -o yaml").output
+    for rest in ("frontend -o yaml", "-o yaml frontend", "frontend -oyaml", "-oyaml frontend"):
+        out = exec_kubectl(policies, f"kubectl get networkpolicy {rest}")
+        assert (out.kind, out.output) == (READ, as_yaml)
+    listing = exec_kubectl(policies, "kubectl get networkpolicy").output
+    assert exec_kubectl(policies, "kubectl get networkpolicy -o yaml").output == listing
+    assert exec_kubectl(policies, "kubectl get networkpolicy frontend").output == "frontend"
+    # a bare yaml is a name
+    out = _assert_rejected(policies, "kubectl get networkpolicy yaml")
+    assert out.output == ('Error from server (NotFound): '
+                          'networkpolicies.networking.k8s.io "yaml" not found')
+    for rest in ("frontend yaml", "frontend -o", "-o frontend", "-o", "frontend -o json",
+                 "-o json frontend", "frontend -o -o yaml"):
+        out = _assert_rejected(policies, f"kubectl get networkpolicy {rest}")
+        assert out.output == "usage: kubectl get networkpolicy [<name> [-o yaml]]"
