@@ -48,7 +48,7 @@ def extract_message(text: str) -> AgentMessage | None:
     for blob in _candidate_objects(text):
         try:
             obj = json.loads(blob)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON, a huge integer, or nested too deeply
             continue
         if not isinstance(obj, dict):
             continue

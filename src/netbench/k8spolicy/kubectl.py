@@ -48,6 +48,7 @@ def merge_patch(target, patch):
 _MAX_DEPTH = 32
 _MAX_NODES = 10_000  # bounds the work on YAML alias bombs
 _SCALARS = (str, int, float, bool, type(None))
+_INT_RANGE = range(-2**63, 2**63)  # a JSON integer that fits in int64, as Kubernetes reads it
 
 
 def _check_data(value, path: str) -> None:
@@ -65,6 +66,8 @@ def _check_data(value, path: str) -> None:
             stack.extend((item, f"{path}.{key}", depth + 1) for key, item in value.items())
         elif isinstance(value, list):
             stack.extend((item, f"{path}[{i}]", depth + 1) for i, item in enumerate(value))
+        elif isinstance(value, int) and value not in _INT_RANGE:
+            raise ValueError(f"{path}: integer out of range")
         elif not isinstance(value, _SCALARS):
             raise ValueError(f"{path}: unsupported value of type {type(value).__name__}")
     if stack:
@@ -175,6 +178,10 @@ def _get(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
             as_yaml = True
         else:
             rest.append(token)
+    if not rest and as_yaml:
+        return KubectlOutcome(policies, policy_yaml({
+            "apiVersion": "v1", "items": [policies[name] for name in sorted(policies)],
+            "kind": "List", "metadata": {"resourceVersion": ""}}), READ)
     if not rest:
         lines = ["NAME                     POD-SELECTOR"]
         for name, p in sorted(policies.items()):
@@ -202,7 +209,7 @@ def _apply(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
         raise _Reject("kubectl apply: empty manifest")
     try:
         doc = yaml.safe_load(manifest)
-    except (yaml.YAMLError, RecursionError) as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # ValueError: a huge integer
         raise _Reject(f"error parsing manifest: {exc}") from None
     try:
         _check_policy(doc)
@@ -224,7 +231,7 @@ def _patch(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
         raise _Reject("kubectl patch: missing -p '<json>' payload")
     try:
         patch = json.loads(m.group(1))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or a huge integer
         raise _Reject(f"error decoding patch: {exc}") from None
     if not isinstance(patch, dict):
         raise _Reject("kubectl patch: a merge patch must be a JSON object")

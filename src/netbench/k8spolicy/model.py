@@ -11,6 +11,9 @@ default-deny.
 
 from __future__ import annotations
 
+import functools
+import json
+
 import yaml
 
 from ..digest import digest
@@ -52,6 +55,8 @@ EXPECTED_CALLERS = {
 
 DEFAULT_DENY = "default-deny"
 
+_YAML_CACHE_SIZE = 1024  # distinct documents; a batch's episodes show a few hundred
+
 
 def expected_flows() -> list:
     """All (src, dst, port) triples the application requires."""
@@ -82,9 +87,21 @@ def canonical_policy(policy: dict) -> dict:
 
 
 def policy_yaml(policy: dict) -> str:
-    """A stored policy as YAML. A stored policy is a fresh tree built by
-    canonical_policy, so no node is shared and the dump has no anchors."""
-    return yaml.safe_dump(policy, sort_keys=True, default_flow_style=False)
+    """A stored policy, or a List of them, as YAML, dumped once per distinct document.
+
+    The key is the document's JSON text with sorted keys, which is exact:
+    ``json.loads`` gives back the very document, so no two documents share
+    a key. Strings are written as they are, not as ``\\u`` escapes, which
+    would read a surrogate pair held as two code points back as one.
+    """
+    return _yaml_of(json.dumps(policy, sort_keys=True, separators=(",", ":"),
+                               ensure_ascii=False))
+
+
+@functools.lru_cache(maxsize=_YAML_CACHE_SIZE)
+def _yaml_of(text: str) -> str:
+    # a fresh json.loads tree shares no node, so the dump has no anchors
+    return yaml.safe_dump(json.loads(text), sort_keys=True, default_flow_style=False)
 
 
 def _policy(name: str, spec: dict) -> dict:
@@ -105,13 +122,15 @@ def baseline_ingress(service: str) -> list:
     }]
 
 
+@functools.cache
 def default_policies() -> dict:
-    """The healthy baseline: name -> policy dict.
+    """The healthy baseline: name -> policy dict, built once per process.
 
-    Per-service policies whitelist ingress only; egress stays
-    unrestricted so that a misconfigured egress section is a distinct,
-    observable fault class. The catch-all default-deny guarantees that
-    unselected pods accept no ingress.
+    Every caller shares the one store, so no caller may change it in place:
+    a write builds a new store, as every kubectl write does. Per-service
+    policies whitelist ingress only; egress stays unrestricted so that a
+    misconfigured egress section is a distinct, observable fault class. The
+    catch-all default-deny guarantees that unselected pods accept no ingress.
     """
     policies = {}
     for name in sorted(SERVICES):

@@ -9,7 +9,7 @@ state or answer the same input in two ways, and every invalid turn is safe.
 import json
 from functools import lru_cache
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from netbench.agents.base import MSG_COMMAND, MSG_FINAL, AgentMessage
 from netbench.agents.extract import extract_message
@@ -179,6 +179,8 @@ def test_cp_environment_answers(data, index):
 @SETTINGS
 @given(st.text() | st.tuples(st.text(max_size=8), JSON, st.text(max_size=8)).map(
     lambda t: t[0] + json.dumps(t[1]) + t[2]))
+@example('{"final_answer": ' + "9" * 5000 + "}")  # past int()'s 4,300-digit limit
+@example('{"final_answer":' + "[" * 100_000 + "]" * 100_000 + "}")  # past the recursion limit
 def test_extract_message(text):
     first = extract_message(text)
     assert first is None or first.kind in (MSG_COMMAND, MSG_FINAL)

@@ -5,6 +5,7 @@ import yaml
 
 from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.kubectl import INVALID, READ, WRITE, exec_kubectl, merge_patch
+from netbench.digest import digest
 from netbench.k8spolicy.model import cluster_digest, default_policies
 
 
@@ -192,6 +193,19 @@ def test_get_yaml_of_an_applied_alias_has_no_anchor(policies):
     assert yaml.safe_load(shown) == yaml.safe_load(manifest)
 
 
+def test_get_yaml_tells_a_surrogate_pair_from_the_character_it_encodes(policies):
+    # YAML escapes give two code points, which \u escapes in JSON text would read back as one
+    shown = []
+    for label in ("\\ud83d\\ude00", "\\U0001F600"):
+        manifest = 'kind: NetworkPolicy\nmetadata: {name: x, labels: {a: "%s"}}\nspec: {}' % label
+        applied = exec_kubectl(policies, "kubectl apply -f -\n" + manifest)
+        assert applied.kind == WRITE, applied.output
+        shown.append(exec_kubectl(applied.policies, "kubectl get networkpolicy x -o yaml").output)
+        assert shown[-1] == yaml.safe_dump(applied.policies["x"], sort_keys=True,
+                                           default_flow_style=False)
+    assert shown[0] != shown[1]
+
+
 _NOT_FOUND = 'Error from server (NotFound): networkpolicies.networking.k8s.io "nosuch" not found'
 _PATCH_USAGE = "usage: kubectl patch networkpolicy <name> --type merge -p '<json>'"
 _INVALID_PATCH = 'The NetworkPolicy "adservice" is invalid: '
@@ -346,8 +360,9 @@ def test_get_reads_the_output_flag_as_a_pair(policies):
     for rest in ("frontend -o yaml", "-o yaml frontend", "frontend -oyaml", "-oyaml frontend"):
         out = exec_kubectl(policies, f"kubectl get networkpolicy {rest}")
         assert (out.kind, out.output) == (READ, as_yaml)
-    listing = exec_kubectl(policies, "kubectl get networkpolicy").output
-    assert exec_kubectl(policies, "kubectl get networkpolicy -o yaml").output == listing
+    as_list = exec_kubectl(policies, "kubectl get networkpolicy -o yaml").output
+    assert exec_kubectl(policies, "kubectl get networkpolicy -oyaml").output == as_list
+    assert as_list.startswith("apiVersion: v1\nitems:\n")
     assert exec_kubectl(policies, "kubectl get networkpolicy frontend").output == "frontend"
     # a bare yaml is a name
     out = _assert_rejected(policies, "kubectl get networkpolicy yaml")
@@ -357,3 +372,43 @@ def test_get_reads_the_output_flag_as_a_pair(policies):
                  "-o json frontend", "frontend -o -o yaml"):
         out = _assert_rejected(policies, f"kubectl get networkpolicy {rest}")
         assert out.output == "usage: kubectl get networkpolicy [<name> [-o yaml]]"
+
+
+def test_get_yaml_without_a_name_prints_the_store_as_a_list(policies):
+    out = exec_kubectl(policies, "kubectl get networkpolicy -o yaml")
+    assert out.kind == READ and out.policies is policies
+    assert yaml.safe_load(out.output) == {
+        "apiVersion": "v1", "items": [policies[name] for name in sorted(policies)],
+        "kind": "List", "metadata": {"resourceVersion": ""}}
+    assert out.output.startswith("apiVersion: v1\nitems:\n- apiVersion: networking.k8s.io/v1\n"
+                                 "  kind: NetworkPolicy\n  metadata:\n    name: adservice\n")
+    assert out.output.endswith("kind: List\nmetadata:\n  resourceVersion: ''\n")
+    assert digest(out.output) == \
+        "c37aca6fec559898100a3c4f9edc01bb515055beab3f7310beccfcb503016d15"
+    empty = exec_kubectl({}, "kubectl get networkpolicy -o yaml").output
+    assert empty == "apiVersion: v1\nitems: []\nkind: List\nmetadata:\n  resourceVersion: ''\n"
+
+
+_HUGE = "9" * 5000  # past int()'s 4,300-digit limit on decimal text
+
+
+@pytest.mark.parametrize("command, prefix", [
+    (_patch("adservice", '{"spec": {"x": ' + _HUGE + "}}"), "error decoding patch: "),
+    ("kubectl apply -f -\nkind: NetworkPolicy\nmetadata: {name: x}\nspec: {x: " + _HUGE + "}",
+     "error parsing manifest: "),
+], ids=["patch", "apply"])
+def test_a_huge_integer_is_an_invalid_turn(policies, command, prefix):
+    assert _assert_rejected(policies, command).output.startswith(prefix)
+
+
+@pytest.mark.parametrize("command, message", [
+    # hexadecimal text has no digit limit, and the decimal form of this one would have 6,021
+    ("kubectl apply -f -\nkind: NetworkPolicy\nmetadata: {name: x}\nspec: {x: 0x" + "f" * 5000
+     + "}", "error validating data: NetworkPolicy.spec.x: integer out of range"),
+    (_patch("adservice", '{"spec": {"x": %d}}' % 2**63),
+     _INVALID_PATCH + "patch.spec.x: integer out of range"),
+], ids=["apply", "patch"])
+def test_an_integer_beyond_int64_is_rejected(policies, command, message):
+    assert _assert_rejected(policies, command).output == message
+    assert exec_kubectl(policies, _patch("adservice", '{"spec": {"x": %d}}' % (2**63 - 1))).kind \
+        == WRITE

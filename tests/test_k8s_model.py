@@ -1,9 +1,12 @@
 import yaml
 
+from netbench.cli import main
 from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.model import DEFAULT_DENY, EXPECTED_CALLERS, SERVICES, \
     SERVICE_PORTS, canonical_policy, cluster_digest, default_policies, \
     expected_flows, flow_universe, policy_yaml
+
+BASELINE_DIGEST = "d03ce20a5da051faaeaae965a034c8129cdde2271852617832df4f2664e09d15"
 
 
 def test_twelve_services_plus_client():
@@ -59,7 +62,7 @@ def test_default_policies_are_ingress_only():
 
 
 def test_cluster_digest_deterministic():
-    assert cluster_digest(default_policies()) == cluster_digest(default_policies())
+    assert cluster_digest(default_policies()) == BASELINE_DIGEST
 
 
 def test_canonical_policy_sorts_keys():
@@ -75,8 +78,11 @@ def test_policy_yaml_round_trips():
 
 
 def test_wrong_port_is_blocked():
-    policies = default_policies()
-    policies["cartservice"]["spec"]["ingress"][0]["ports"] = [{"port": 9999, "protocol": "TCP"}]
+    # a new store: the baseline is shared, so no caller changes it in place
+    baseline = default_policies()
+    cart = baseline["cartservice"]
+    rule = {**cart["spec"]["ingress"][0], "ports": [{"port": 9999, "protocol": "TCP"}]}
+    policies = {**baseline, "cartservice": {**cart, "spec": {**cart["spec"], "ingress": [rule]}}}
     report = connectivity_check(policies)
     assert ("frontend", "cartservice", 7070) not in report.good
     assert ("frontend", "cartservice", 7070, True, False) in report.mismatches
@@ -84,10 +90,22 @@ def test_wrong_port_is_blocked():
 
 def test_unselected_pod_defaults_to_deny_via_catch_all():
     # frontend -> adservice is expected, so it conforms exactly when it is allowed
-    policies = default_policies()
-    del policies["adservice"]
+    policies = {n: p for n, p in default_policies().items() if n != "adservice"}
     # with no per-service policy, default-deny still selects the pod
     assert ("frontend", "adservice", 9555) not in connectivity_check(policies).good
-    del policies[DEFAULT_DENY]
+    policies = {n: p for n, p in policies.items() if n != DEFAULT_DENY}
     # with no selecting policy at all, ingress is unrestricted
     assert ("frontend", "adservice", 9555) in connectivity_check(policies).good
+
+
+def test_the_shared_baseline_survives_generate_and_run(tmp_path):
+    """Every k8s environment and every generated query starts from the one baseline store;
+    a whole generate and run of each built-in agent must leave it as it was built."""
+    assert default_policies() is default_policies()
+    batch = tmp_path / "batch.jsonl"
+    assert main(["generate", "--app", "k8s", "--num-queries", "6", "--levels", "1,2,3",
+                 "--seed", "3", "--out", str(batch)]) == 0
+    for agent in ("oracle", "random", "noop"):
+        assert main(["run", "--batch", str(batch), "--agent", agent,
+                     "--out", str(tmp_path / f"{agent}.jsonl")]) == 0
+    assert cluster_digest(default_policies()) == BASELINE_DIGEST

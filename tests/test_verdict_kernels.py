@@ -20,7 +20,8 @@ from netbench.k8spolicy.env import K8sEnvironment
 from netbench.k8spolicy.generate import generate_k8s_query, rebuild_cluster
 from netbench.k8spolicy.inject import TARGETS, build_mutation
 from netbench.k8spolicy.kubectl import exec_kubectl
-from netbench.k8spolicy.model import SERVICE_PORTS, SERVICES, cluster_digest, flow_universe
+from netbench.k8spolicy.model import SERVICE_PORTS, SERVICES, cluster_digest, flow_universe, \
+    policy_yaml
 from netbench.k8spolicy.safety import judge_step_safety as k8s_judge
 from netbench.routing import env as routing_env
 from netbench.routing.commands import exec_command
@@ -218,13 +219,9 @@ _WIDE_SPEC = st.fixed_dictionaries({
 }, optional={"podSelector": _WIDE_SELECTOR})
 
 
-@settings(SETTINGS, max_examples=200)
-@given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
-def test_connectivity_check_matches_reference_on_any_selector_peer_and_port_value(data, level,
-                                                                                  seed):
-    """Stores applied or patched through kubectl with every selector, peer and port shape
-    the interpreter accepts: other label keys, non-string ``app`` values, empty
-    ``matchLabels``, missing, empty and catch-all peers, and ports of any JSON type."""
+def _wide_writes(data, level, seed):
+    """Yields (name, store) after each of a few writes through kubectl, each an apply or a
+    merge patch with every selector, peer and port shape the interpreter accepts."""
     _, truth = generate_k8s_query(level, seed)
     policies = data.draw(st.sampled_from([*rebuild_cluster(truth), {}]))
     for _ in range(data.draw(st.integers(1, 6))):
@@ -240,9 +237,30 @@ def test_connectivity_check_matches_reference_on_any_selector_peer_and_port_valu
         outcome = exec_kubectl(policies, command)
         assert outcome.kind == "write", outcome.output
         policies = outcome.policies
+        yield name, policies
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+def test_connectivity_check_matches_reference_on_any_selector_peer_and_port_value(data, level,
+                                                                                  seed):
+    """Stores applied or patched through kubectl with every selector, peer and port shape
+    the interpreter accepts: other label keys, non-string ``app`` values, empty
+    ``matchLabels``, missing, empty and catch-all peers, and ports of any JSON type."""
+    for name, policies in _wide_writes(data, level, seed):
         alone = {name: policies[name]}  # where no other policy hides what it allows
         assert connectivity_check(alone) == ref_connectivity_check(alone)
     assert connectivity_check(policies) == ref_connectivity_check(policies)
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+def test_policy_yaml_is_the_direct_dump_of_any_written_policy(data, level, seed):
+    """``policy_yaml`` dumps each distinct policy once per process, from its JSON text; the
+    YAML must be what dumping the stored policy itself gives."""
+    for name, policies in _wide_writes(data, level, seed):
+        assert policy_yaml(policies[name]) == yaml.safe_dump(policies[name], sort_keys=True,
+                                                             default_flow_style=False)
 
 
 _JSON = st.recursive(
