@@ -51,27 +51,51 @@ _SCALARS = (str, int, float, bool, type(None))
 _INT_RANGE = range(-2**63, 2**63)  # a JSON integer that fits in int64, as Kubernetes reads it
 
 
+def _encodes(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: it cannot encode a surrogate code point."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _check_data(value, path: str) -> None:
-    """Rejects ``value`` unless it is plain JSON data of bounded size."""
-    stack = [(value, path, 0)]
-    for _ in range(_MAX_NODES):
-        if not stack:
-            return
-        value, path, depth = stack.pop()
-        if depth > _MAX_DEPTH:
-            raise ValueError(f"{path}: nested too deeply")
-        if isinstance(value, dict):
-            if not all(isinstance(key, str) for key in value):
-                raise ValueError(f"{path}: keys must be strings")
-            stack.extend((item, f"{path}.{key}", depth + 1) for key, item in value.items())
-        elif isinstance(value, list):
-            stack.extend((item, f"{path}[{i}]", depth + 1) for i, item in enumerate(value))
-        elif isinstance(value, int) and value not in _INT_RANGE:
-            raise ValueError(f"{path}: integer out of range")
-        elif not isinstance(value, _SCALARS):
-            raise ValueError(f"{path}: unsupported value of type {type(value).__name__}")
-    if stack:
-        raise ValueError(f"{path}: too large")
+    """Rejects ``value`` unless it is plain JSON data of bounded size whose strings are
+    valid UTF-8, as Kubernetes accepts."""
+    stack = [(value, path, None, 0)]  # (value, its container's trail, step, depth)
+    try:
+        for _ in range(_MAX_NODES):
+            if not stack:
+                return
+            value, trail, step, depth = stack.pop()
+            if depth > _MAX_DEPTH:
+                raise ValueError("nested too deeply")
+            if isinstance(value, dict):
+                try:
+                    keys = "".join(value)  # a TypeError unless every key is a string
+                except TypeError:
+                    raise ValueError("keys must be strings") from None
+                if not (keys.isascii() or _encodes(keys)):
+                    raise ValueError("keys must be valid UTF-8")
+                stack.extend((item, (trail, step), key, depth + 1) for key, item in value.items())
+            elif isinstance(value, list):
+                stack.extend((item, (trail, step), i, depth + 1) for i, item in enumerate(value))
+            elif isinstance(value, str):
+                if not (value.isascii() or _encodes(value)):
+                    raise ValueError("strings must be valid UTF-8")
+            elif isinstance(value, int) and value not in _INT_RANGE:
+                raise ValueError("integer out of range")
+            elif not isinstance(value, _SCALARS):
+                raise ValueError(f"unsupported value of type {type(value).__name__}")
+        if stack:
+            raise ValueError("too large")
+    except ValueError as exc:  # the path is spelt out only for the value rejected
+        steps = []
+        while step is not None:
+            steps.append(f"[{step}]" if isinstance(step, int) else f".{step}")
+            trail, step = trail
+        raise ValueError(f"{trail}{''.join(reversed(steps))}: {exc}") from None
 
 
 def _check_objects(value, path: str) -> None:

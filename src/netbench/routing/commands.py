@@ -188,22 +188,32 @@ def _need_cidr(token: str) -> str:
     return token
 
 
+def _network(token: str) -> tuple[str, bool]:
+    """The network of prefix ``token`` in canonical text, with host bits cleared
+    (``192.168.02.5/24`` is ``192.168.2.0/24``), and whether ``token`` set host bits."""
+    ip, plen = _need_cidr(token).split("/")
+    net = parse_cidr(token)[0]
+    text = ".".join(str(net >> shift & 255) for shift in (24, 16, 8, 0)) + f"/{int(plen)}"
+    return text, net != ip_to_int(ip)
+
+
 def _need_prefix(token: str) -> str:
     """A route destination: a prefix with no host bits set, in canonical text, so
-    that equal prefixes compare equal (``192.168.02.0/24`` is ``192.168.2.0/24``)."""
-    ip, plen = _need_cidr(token).split("/")
-    if parse_cidr(token)[0] != ip_to_int(ip):
+    that equal prefixes compare equal."""
+    text, host_bits = _network(token)
+    if host_bits:
         raise _Reject("Error: Invalid prefix for given prefix length.")
-    return ".".join(str(int(octet)) for octet in ip.split(".")) + f"/{int(plen)}"
+    return text
 
 
 def _need_host_or_cidr(token: str) -> str:
-    """An iptables address: a prefix, or a single host taken as its /32."""
-    if "/" in token:
-        return _need_cidr(token)
-    if not _is_ip(token):
-        raise _Reject(f"invalid address: {token!r}")
-    return token + "/32"
+    """An iptables address as Linux stores it: the network of a prefix, in canonical
+    text, or a single host taken as its /32."""
+    if "/" not in token:
+        if not _is_ip(token):
+            raise _Reject(f"invalid address: {token!r}")
+        token += "/32"
+    return _network(token)[0]
 
 
 def _set_iface(state: NetState, iface: str, **fields) -> CommandOutcome:

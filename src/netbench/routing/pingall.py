@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 
-from .state import MIN_DATAGRAM_MTU, NetState, ip_to_int, parse_cidr, prefix_len
+from .state import MIN_DATAGRAM_MTU, NetState, ip_to_int
 
 DEFAULT_DELAY_CEILING_MS = 10_000
 MAX_ROUTE_HOPS = 8
@@ -29,7 +30,7 @@ class PingMatrix:
 
     @property
     def received(self) -> int:
-        return sum(1 for v in self.reachable.values() if v)
+        return len(self.good)
 
     @cached_property
     def good(self) -> frozenset:
@@ -62,30 +63,27 @@ def _iface_healthy(state: NetState, subnet: int) -> bool:
             and iface.ip == state.expected_gateway(subnet) and iface.mask == 24)
 
 
-def _route_delivers(routes, own: set, dst_ip: str, egress: str) -> bool:
+def _route_delivers(routes, own: set, addr: int, egress: str) -> bool:
     """Longest-prefix/lowest-metric lookup must reach the correct egress.
 
-    ``routes`` are (network, netmask, (prefix length, -metric), gateway,
-    dev) tuples in table order; the first of equal rank wins. Gateway hops
-    are followed up to MAX_ROUTE_HOPS; a next hop that is not one of the
-    router's own addresses is a blackhole (there is no second router to
-    hand the packet to).
+    Of the ``routes`` in table order, the first of the highest rank wins.
+    Gateway hops are followed up to MAX_ROUTE_HOPS; a next hop that is not
+    one of the router's own addresses is a blackhole (there is no second
+    router to hand the packet to).
     """
-    cur = dst_ip
     for _ in range(MAX_ROUTE_HOPS + 1):
-        addr = ip_to_int(cur)
-        best = None
-        for net, mask, rank, gateway, dev in routes:
-            if addr & mask == net and (best is None or rank > best[0]):
-                best = rank, gateway, dev
+        best, best_rank = None, None
+        for route in routes:
+            net, mask, rank = route.match
+            if addr & mask == net and (best is None or rank > best_rank):
+                best, best_rank = route, rank
         if best is None:
             return False
-        _, gateway, dev = best
-        if gateway is None:
-            return dev == egress
-        if gateway not in own:
+        if best.gateway is None:
+            return best.dev == egress
+        if best.gateway not in own:
             return False
-        cur = gateway
+        addr = ip_to_int(best.gateway)
     return False  # loop: hop budget exhausted
 
 
@@ -93,9 +91,12 @@ class _Facts:
     """The pair-independent facts of one state, computed once per pingall.
 
     Per subnet: interface health and whether its interface is delayed. Per
-    host: its address as an integer and whether the routing table delivers
-    to it. Globally: forwarding, the FORWARD filters that can match ICMP
-    with prefixes as integers, and whether the total delay is too much.
+    host: whether the routing table delivers to it, and its class key: its
+    subnet, its delivery, and per FORWARD filter that can match ICMP whether
+    the source and the destination prefix match its address. That is all
+    ``oneway`` reads of a host, so hosts of one class are judged alike; the
+    router is its own class. Globally: forwarding, and whether the total
+    delay is too much.
     """
 
     def __init__(self, state: NetState, delay_ceiling_ms: int):
@@ -106,20 +107,20 @@ class _Facts:
         self.delayed = {k: state.delays.get(state.iface_name(k), 0) > 0 for k in subnets}
         self.forwarding = state.ip_forward and not state.prohibit_rules
         self.too_slow = sum(state.delays.values()) > delay_ceiling_ms
-        self.addr = {name: ip_to_int(h.ip) for name, h in state.hosts.items()}
-        routes = [(*parse_cidr(r.dest), (prefix_len(r.dest), -r.metric), r.gateway, r.dev)
-                  for r in state.routes]
         own = state.router_own_ips()
-        self.delivers = {name: _route_delivers(routes, own, h.ip, state.iface_name(h.subnet))
+        egress = {k: state.iface_name(k) for k in subnets}
+        self.delivers = {name: _route_delivers(state.routes, own, h.addr, egress[h.subnet])
                          for name, h in state.hosts.items()}
         # first match wins; injected sets are non-conflicting so any match blocks
-        self.filters = [(*parse_cidr(r.src or "0.0.0.0/0"), *parse_cidr(r.dst or "0.0.0.0/0"),
-                         r.verdict in ("DROP", "REJECT"))
-                        for r in state.filter_rules
+        self.filters = [(*r.match, r.verdict in ("DROP", "REJECT")) for r in state.filter_rules
                         if r.chain == "FORWARD" and r.proto in (None, "icmp")]
+        self.key = {name: (h.subnet, self.delivers[name],
+                           *[(h.addr & f[1] == f[0], h.addr & f[3] == f[2]) for f in self.filters])
+                    for name, h in state.hosts.items()}
+        self.key[self.router] = None
 
     def _blocked(self, src: str, dst: str) -> bool:
-        a, b = self.addr[src], self.addr[dst]
+        a, b = self.hosts[src].addr, self.hosts[dst].addr
         for src_net, src_mask, dst_net, dst_mask, blocks in self.filters:
             if a & src_mask == src_net and b & dst_mask == dst_net:
                 return blocks
@@ -158,7 +159,16 @@ class _Facts:
 
 
 def pingall(state: NetState, delay_ceiling_ms: int = DEFAULT_DELAY_CEILING_MS) -> PingMatrix:
+    """Judges one pair per ordered pair of host classes, then expands the verdicts."""
     facts = _Facts(state, delay_ceiling_ms)
     nodes = state.node_names()
-    reachable = {(a, b): facts.pair(a, b) for a in nodes for b in nodes if a != b}
-    return PingMatrix(nodes=nodes, reachable=reachable)
+    reps = {}  # class key -> the first node of the class
+    for node in nodes:
+        reps.setdefault(facts.key[node], node)
+    number = {key: i for i, key in enumerate(reps)}
+    ids = [number[facts.key[node]] for node in nodes]
+    # two nodes of one class share a subnet, so they reach each other
+    verdict = [[a == b or facts.pair(a, b) for b in reps.values()] for a in reps.values()]
+    # permutations yield the ordered pairs of distinct nodes in row order
+    values = [verdict[i][j] for i, j in permutations(ids, 2)]
+    return PingMatrix(nodes=nodes, reachable=dict(zip(permutations(nodes, 2), values)))

@@ -6,11 +6,14 @@ switch-local segment with hosts numbered consecutively across subnets.
 The model tracks exactly the state the fault families mutate:
 interfaces, addresses, routes, filter rules, policy prohibitions,
 forwarding flag and netem delays.
+Hosts, routes and filter rules are frozen values, shared by copies, that
+parse their text once; interfaces stay mutable, as writes set their fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..digest import digest
 from ..errors import ParameterOutOfRange
@@ -33,7 +36,7 @@ class Interface:
                 "mask": self.mask, "up": self.up, "mtu": self.mtu}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Host:
     name: str
     subnet: int
@@ -45,8 +48,12 @@ class Host:
         return {"name": self.name, "subnet": self.subnet, "ip": self.ip,
                 "mask": self.mask, "gateway": self.gateway}
 
+    @cached_property
+    def addr(self) -> int:
+        return ip_to_int(self.ip)
 
-@dataclass
+
+@dataclass(frozen=True)
 class Route:
     dest: str  # cidr text, e.g. "192.168.2.0/24"
     dev: str
@@ -56,8 +63,13 @@ class Route:
     def to_json(self):
         return {"dest": self.dest, "dev": self.dev, "gateway": self.gateway, "metric": self.metric}
 
+    @cached_property
+    def match(self) -> tuple:
+        """(network, netmask, (prefix length, -metric)): a lookup takes the highest rank."""
+        return (*parse_cidr(self.dest), (prefix_len(self.dest), -self.metric))
 
-@dataclass
+
+@dataclass(frozen=True)
 class FilterRule:
     chain: str
     verdict: str  # DROP | REJECT
@@ -68,6 +80,11 @@ class FilterRule:
     def to_json(self):
         return {"chain": self.chain, "verdict": self.verdict, "src": self.src,
                 "dst": self.dst, "proto": self.proto}
+
+    @cached_property
+    def match(self) -> tuple:
+        """(source network, netmask, destination network, netmask); no prefix matches all."""
+        return (*parse_cidr(self.src or "0.0.0.0/0"), *parse_cidr(self.dst or "0.0.0.0/0"))
 
 
 def ip_to_int(ip: str) -> int:
@@ -131,11 +148,12 @@ class NetState:
     # -- value semantics -----------------------------------------------------
 
     def copy(self) -> "NetState":
+        """A state whose containers are new; the frozen elements are shared."""
         s = NetState(self.prefix, self.num_switches, self.hosts_per_subnet)
         s.interfaces = {n: Interface(**vars(i)) for n, i in self.interfaces.items()}
-        s.hosts = {n: Host(**vars(h)) for n, h in self.hosts.items()}
-        s.routes = [Route(**vars(r)) for r in self.routes]
-        s.filter_rules = [FilterRule(**vars(f)) for f in self.filter_rules]
+        s.hosts = dict(self.hosts)
+        s.routes = list(self.routes)
+        s.filter_rules = list(self.filter_rules)
         s.prohibit_rules = list(self.prohibit_rules)
         s.delays = dict(self.delays)
         s.ip_forward = self.ip_forward

@@ -193,17 +193,26 @@ def test_get_yaml_of_an_applied_alias_has_no_anchor(policies):
     assert yaml.safe_load(shown) == yaml.safe_load(manifest)
 
 
-def test_get_yaml_tells_a_surrogate_pair_from_the_character_it_encodes(policies):
-    # YAML escapes give two code points, which \u escapes in JSON text would read back as one
-    shown = []
-    for label in ("\\ud83d\\ude00", "\\U0001F600"):
-        manifest = 'kind: NetworkPolicy\nmetadata: {name: x, labels: {a: "%s"}}\nspec: {}' % label
-        applied = exec_kubectl(policies, "kubectl apply -f -\n" + manifest)
-        assert applied.kind == WRITE, applied.output
-        shown.append(exec_kubectl(applied.policies, "kubectl get networkpolicy x -o yaml").output)
-        assert shown[-1] == yaml.safe_dump(applied.policies["x"], sort_keys=True,
-                                           default_flow_style=False)
-    assert shown[0] != shown[1]
+def test_strings_holding_a_surrogate_are_rejected_and_the_character_is_kept(policies):
+    # YAML escapes give two lone surrogates, which no UTF-8 text holds; JSON joins the pair
+    patched = exec_kubectl(policies, "kubectl patch networkpolicy frontend --type merge -p "
+                                     """'{"metadata": {"labels": {"x": "\\ud83d\\ude00"}}}'""")
+    assert patched.kind == WRITE, patched.output
+    assert patched.policies["frontend"]["metadata"]["labels"] == {"x": "\U0001F600"}
+    shown = exec_kubectl(patched.policies, "kubectl get networkpolicy frontend -o yaml").output
+    assert shown == yaml.safe_dump(patched.policies["frontend"], sort_keys=True,
+                                   default_flow_style=False)
+    manifest = yaml.safe_dump(policies["frontend"]).replace(
+        "name: frontend", 'labels: {x: "\\ud83d\\ude00"}\n  name: frontend')
+    applied = exec_kubectl(policies, "kubectl apply -f -\n" + manifest)
+    assert (applied.kind, applied.output) == (
+        INVALID, "error validating data: NetworkPolicy.metadata.labels.x: "
+                 "strings must be valid UTF-8")
+    lone = exec_kubectl(policies, "kubectl patch networkpolicy frontend --type merge -p "
+                                  """'{"metadata": {"labels": {"\\udc00": "x"}}}'""")
+    assert (lone.kind, lone.output) == (
+        INVALID, 'The NetworkPolicy "frontend" is invalid: patch.metadata.labels: '
+                 'keys must be valid UTF-8')
 
 
 _NOT_FOUND = 'Error from server (NotFound): networkpolicies.networking.k8s.io "nosuch" not found'

@@ -294,3 +294,16 @@ def test_iptables_delete_needs_every_field_to_match(state):
         assert _rejected(s, command) == "iptables: Bad rule (does a matching rule exist?)"
     out = exec_command(s, "r0", "iptables -D FORWARD -p icmp -j DROP -s 192.168.1.0/24")
     assert out.kind == WRITE and out.state.filter_rules == []
+
+
+def test_iptables_stores_the_network_of_a_prefix_as_linux_does(state):
+    s = exec_command(state, "r0", "iptables -A FORWARD -s 192.168.1.5/24 -j DROP").state
+    s = exec_command(s, "r0", "iptables -A FORWARD -d 192.168.001.2 -j REJECT").state
+    listing = exec_command(s, "r0", "iptables -L FORWARD").output
+    assert listing.splitlines()[2:] == [
+        "DROP       all  --  192.168.1.0/24       anywhere",
+        "REJECT     all  --  anywhere             192.168.1.2/32"]
+    out = exec_command(s, "r0", "iptables -D FORWARD -s 192.168.1.0/24 -j DROP")
+    assert out.kind == WRITE
+    out = exec_command(out.state, "r0", "iptables -D FORWARD -d 192.168.1.2/32 -j REJECT")
+    assert out.kind == WRITE and out.state.state_digest() == state.state_digest()

@@ -7,8 +7,10 @@ patches, applies and deletes). At every state the optimized kernels must
 agree with the per-pair references in ``reference_kernels``.
 """
 
+import dataclasses
 import json
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -23,13 +25,14 @@ from netbench.k8spolicy.kubectl import exec_kubectl
 from netbench.k8spolicy.model import SERVICE_PORTS, SERVICES, cluster_digest, flow_universe, \
     policy_yaml
 from netbench.k8spolicy.safety import judge_step_safety as k8s_judge
-from netbench.routing import env as routing_env
+from netbench.routing import env as routing_env, pingall as routing_pingall
 from netbench.routing.commands import exec_command
 from netbench.routing.env import RoutingEnvironment
 from netbench.routing.generate import generate_routing_query, rebuild_states
 from netbench.routing.inject import FAMILY_METHODS, build_fault
 from netbench.routing.pingall import pingall
 from netbench.routing.safety import judge_step_safety as routing_judge
+from netbench.routing.state import build_topology
 from reference_kernels import ref_cluster_digest, ref_connectivity_check, ref_pingall
 
 SETTINGS = settings(max_examples=100, deadline=None,
@@ -119,6 +122,88 @@ def test_pingall_matches_reference_on_reachable_states(data, level, seed):
                     before.good, after.good, before.total, rule)
             state = outcome.state
         assert pingall(state, ceiling) == ref_pingall(state, ceiling)
+
+
+@st.composite
+def class_split_command(draw, state):
+    """A write that splits hosts into classes: a per-host /32 filter on either side,
+    overlapping prefixes, an ICMP rule, a /32 host route, a gateway chain or a delay."""
+    r = state.router_name
+    subnets = st.integers(1, state.num_switches)
+    host = draw(st.sampled_from(sorted(state.hosts.values(), key=lambda h: h.name)))
+    k = host.subnet
+    prefix = draw(st.sampled_from([f"{host.ip}/32", f"{host.ip}", f"192.168.{k}.0/25",
+                                   f"192.168.{k}.128/25", f"192.168.{k}.0/30", "192.168.0.0/16",
+                                   f"192.168.{draw(subnets)}.0/24"]))
+    kind = draw(st.sampled_from(["filter", "filter", "filter", "host route", "chain", "delay"]))
+    if kind == "filter":
+        other = draw(st.sampled_from([f"192.168.{draw(subnets)}.0/24", f"{host.ip}/31",
+                                      "192.168.0.0/16"]))
+        sides = draw(st.sampled_from([f"-s {prefix}", f"-d {prefix}",
+                                      f"-s {prefix} -d {other}", f"-s {other} -d {prefix}"]))
+        proto = draw(st.sampled_from(["", "-p icmp ", "-p tcp "]))
+        verdict = draw(st.sampled_from(["DROP", "REJECT"]))
+        return r, f"iptables -A FORWARD {proto}{sides} -j {verdict}"
+    dev = state.iface_name(draw(st.sampled_from([k, draw(subnets)])))
+    if kind == "host route":
+        via = draw(st.sampled_from(["", f" via 192.168.{k}.250",
+                                    f" via 192.168.{draw(subnets)}.1"]))
+        return r, f"ip route replace {host.ip}/32{via} dev {dev}"
+    if kind == "chain":
+        # a hop to one of the router's own addresses is looked up again
+        return r, f"ip route replace 192.168.{k}.0/24 via 192.168.{draw(subnets)}.1 dev {dev}"
+    ms = draw(st.sampled_from([1, 400, 700, 6000, 20000]))
+    return r, f"tc qdisc add dev {state.iface_name(k)} root netem delay {ms}ms"
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 4), st.integers(2, 4))
+def test_pingall_matches_reference_when_hosts_split_into_classes(data, num_switches, hosts):
+    state = build_topology(num_switches, hosts, prefix=data.draw(st.sampled_from(["", "n7_"])))
+    for _ in range(data.draw(st.integers(1, 10))):
+        outcome = exec_command(state, *data.draw(class_split_command(state)))
+        if outcome.kind == "write":
+            state = outcome.state
+    for ceiling in (10_000, 600, 0):
+        assert pingall(state, ceiling) == ref_pingall(state, ceiling)
+
+
+def test_pingall_judges_one_pair_per_pair_of_classes(monkeypatch):
+    judged = []
+    pair = routing_pingall._Facts.pair
+    monkeypatch.setattr(routing_pingall._Facts, "pair",
+                        lambda self, a, b: judged.append((a, b)) or pair(self, a, b))
+    matrix = pingall(build_topology(4, 4))
+    assert matrix.total == 272 and matrix.received == 272
+    assert len(judged) <= (4 + 1) ** 2  # the four subnets and the router
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+def test_a_write_shares_the_elements_it_leaves_and_keeps_its_parent(data, level, seed):
+    _, truth = generate_routing_query(level, seed)
+    state = data.draw(st.sampled_from(rebuild_states(truth)))
+    for _ in range(data.draw(st.integers(1, 8))):
+        parent = state.state_digest()
+        outcome = exec_command(state, *data.draw(routing_command(state, truth.recovery)))
+        if outcome.kind != "write":
+            continue
+        new = outcome.state
+        assert all(new.hosts[name] is host for name, host in state.hosts.items())
+        for old, written in ((state.routes, new.routes), (state.filter_rules, new.filter_rules)):
+            # a write adds at most one element; every other one is its parent's own object
+            assert len([e for e in written if not any(e is o for o in old)]) <= 1
+        assert state.state_digest() == parent
+        state = new
+
+
+def test_routing_state_elements_are_frozen():
+    state = exec_command(build_topology(2, 2), "r0",
+                         "iptables -A FORWARD -d 192.168.1.2 -j DROP").state
+    for element, field in ((state.hosts["h1"], "ip"), (state.routes[0], "dest"),
+                           (state.filter_rules[0], "dst")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(element, field, "10.0.0.0/8")
 
 
 # --- k8s ---------------------------------------------------------------------
