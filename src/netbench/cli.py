@@ -19,7 +19,7 @@ from .core.config import load_config, parse_levels
 from .core.episode import run_episode
 from .core.generate import app_entry, generate_batch, make_environment, read_batch_jsonl, \
     write_batch_jsonl
-from .core.types import APPS, BenchmarkConfig
+from .core.types import APPS, SAFETY_RULES, BenchmarkConfig
 from .cp.sft import export_sft_records
 from .digest import canonical_json, digest
 from .errors import NetbenchError, ParseError
@@ -53,6 +53,8 @@ def _config_from_args(args) -> BenchmarkConfig:
 
 def cmd_generate(args) -> int:
     config = _config_from_args(args)
+    if args.sft and config.app != "cp":
+        raise ParseError("--sft export requires the constructive application (cp)")
     pairs = generate_batch(config)
     out = Path(args.out)
     write_batch_jsonl(pairs, out)
@@ -63,8 +65,6 @@ def cmd_generate(args) -> int:
     }
     _manifest_path(out).write_text(canonical_json(manifest) + "\n", encoding="utf-8")
     if args.sft:
-        if config.app != "cp":
-            raise ParseError("--sft export requires the constructive application (cp)")
         export_sft_records(pairs, args.sft)
     print(f"wrote {len(pairs)} queries to {out}")
     return 0
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--agent",
                      help=f"one of {', '.join(BUILTIN_AGENTS)}, exec:<command>, or an http(s) URL")
     run.add_argument("--parallelism", type=int)
-    run.add_argument("--safety-rule", dest="safety_rule", choices=("strict", "lenient"))
+    run.add_argument("--safety-rule", dest="safety_rule", choices=SAFETY_RULES)
     run.add_argument("--resume", action="store_true",
                      help="keep existing metrics and only run missing queries")
     run.add_argument("--out", required=True, help="metrics JSONL path")

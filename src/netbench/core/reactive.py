@@ -24,10 +24,9 @@ import itertools
 from ..agents.base import MSG_COMMAND
 from ..errors import CorruptGroundTruth, EmptyLevelSet, IneffectiveInjection
 from ..seeds import rng_for
-from .types import GT_RECOVERY_PREDICATE, GroundTruth, QuerySpec
+from .types import GT_RECOVERY_PREDICATE, SAFETY_RULES, GroundTruth, QuerySpec
 
 READ, WRITE, INVALID = "read", "write", "invalid"  # the kinds of an interpreted command
-SAFETY_RULES = ("strict", "lenient")
 MAX_RESAMPLES = 16
 
 

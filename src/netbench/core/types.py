@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 
 APPS = ("cp", "routing", "k8s")
+SAFETY_RULES = ("strict", "lenient")
 
 GT_ACTION_PROGRAM = "action-program"
 GT_RECOVERY_PREDICATE = "recovery-predicate"
@@ -141,7 +142,7 @@ class BenchmarkConfig:
     max_turns: int = 20
     agent: str = "oracle"
     parallelism: int = 1
-    safety_rule: str = "strict"  # or "lenient"
+    safety_rule: str = "strict"  # one of SAFETY_RULES
 
     def __post_init__(self):
         self.levels = tuple(sorted(set(int(l) for l in self.levels)))
@@ -158,8 +159,8 @@ class BenchmarkConfig:
             raise ValueError("max_turns must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.safety_rule not in ("strict", "lenient"):
-            raise ValueError("safety_rule must be 'strict' or 'lenient'")
+        if self.safety_rule not in SAFETY_RULES:
+            raise ValueError(f"safety_rule must be {' or '.join(map(repr, SAFETY_RULES))}")
 
     def to_json(self):
         return {**asdict(self), "levels": list(self.levels)}

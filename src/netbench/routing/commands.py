@@ -3,14 +3,14 @@
 Every agent-visible interaction goes through :func:`exec_command`. The
 grammar covers the standard Linux diagnostic and repair commands for
 this topology; anything else (notably ``vtysh`` and ``ping``) yields a
-diagnostic string, never an exception. The input state is not mutated;
-writes return an updated copy, made once the command is known to be valid.
+diagnostic string, never an exception. States are values: a write
+returns a new state, made once the command is known to be valid.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..core.reactive import INVALID, READ, WRITE
 from .state import FilterRule, NetState, Route, ip_to_int, parse_cidr
@@ -19,6 +19,10 @@ from .state import FilterRule, NetState, Route, ip_to_int, parse_cidr
 _CIDR_RE = re.compile(r"^(\d{1,3}\.){3}\d{1,3}/\d{1,2}$", re.ASCII)
 _IP_RE = re.compile(r"^(\d{1,3}\.){3}\d{1,3}$", re.ASCII)
 _U32_RE = re.compile(r"0*(\d{1,10})", re.ASCII)  # leading zeros, then the value's digits
+# iptables' built-in protocols by number; 0, "all", matches every protocol
+_PROTOCOLS = {0: "all", 1: "icmp", 6: "tcp", 17: "udp", 50: "esp", 51: "ah", 58: "icmpv6",
+              132: "sctp", 135: "mh", 136: "udplite"}
+_PROTOCOL_NUMBERS = {name: number for number, name in _PROTOCOLS.items()}
 
 
 @dataclass
@@ -206,22 +210,38 @@ def _need_prefix(token: str) -> str:
     return text
 
 
-def _need_host_or_cidr(token: str) -> str:
+def _need_host_or_cidr(token: str) -> str | None:
     """An iptables address as Linux stores it: the network of a prefix, in canonical
-    text, or a single host taken as its /32."""
+    text, a single host taken as its /32, or None (no match) for a /0 prefix."""
     if "/" not in token:
         if not _is_ip(token):
             raise _Reject(f"invalid address: {token!r}")
         token += "/32"
-    return _network(token)[0]
+    text = _network(token)[0]
+    return None if text.endswith("/0") else text
+
+
+def _need_proto(token: str) -> str | None:
+    """An iptables protocol as Linux reads it: a name in any case or a number up to 255,
+    stored as its name where it has one, or None (no match) for ``all``."""
+    number = _u32(token)
+    if number is None:
+        number = _PROTOCOL_NUMBERS.get(token.lower())
+    if number is None or number > 255:
+        raise _Reject(f"iptables: unknown protocol {token!r} specified")
+    return _PROTOCOLS.get(number, str(number)) if number else None
+
+
+def _without(items: tuple, item) -> tuple:
+    """``items`` without its first element equal to ``item``, as ``list.remove`` drops it."""
+    i = items.index(item)
+    return items[:i] + items[i + 1:]
 
 
 def _set_iface(state: NetState, iface: str, **fields) -> CommandOutcome:
-    """The write that sets ``fields`` of interface ``iface`` in a copy of ``state``."""
-    new = state.copy()
-    for name, value in fields.items():
-        setattr(new.interfaces[iface], name, value)
-    return CommandOutcome(new, "", WRITE)
+    """The write that sets ``fields`` of interface ``iface``."""
+    interfaces = {**state.interfaces, iface: replace(state.interfaces[iface], **fields)}
+    return CommandOutcome(state.copy(interfaces=interfaces), "", WRITE)
 
 
 def _exec_on_host(state: NetState, node: str, tokens) -> CommandOutcome:
@@ -346,20 +366,17 @@ def _ip_route(state: NetState, rest) -> CommandOutcome:
                 matching = [r for r in matching if str(r.metric) == value]
         if not matching:
             raise _Reject("RTNETLINK answers: No such process")
-        new = state.copy()
-        new.routes.remove(matching[0])
-        return CommandOutcome(new, "", WRITE)
+        return CommandOutcome(state.copy(routes=_without(state.routes, matching[0])), "", WRITE)
 
     route = _parse_route_args(state, rest[1:])
     # add: one route per destination and metric, so no two routes tie in a lookup
     if verb == "add" and any(r.dest == route.dest and r.metric == route.metric
                              for r in state.routes):
         raise _Reject("RTNETLINK answers: File exists")
-    new = state.copy()
+    routes = state.routes
     if verb == "replace":
-        new.routes = [r for r in new.routes if r.dest != route.dest]
-    new.routes.append(route)
-    return CommandOutcome(new, "", WRITE)
+        routes = tuple(r for r in routes if r.dest != route.dest)
+    return CommandOutcome(state.copy(routes=(*routes, route)), "", WRITE)
 
 
 def _ip_rule(state: NetState, rest) -> CommandOutcome:
@@ -375,12 +392,8 @@ def _ip_rule(state: NetState, rest) -> CommandOutcome:
         raise _Reject("RTNETLINK answers: File exists")
     if verb == "del" and spec not in state.prohibit_rules:
         raise _Reject("RTNETLINK answers: No such file or directory")
-    new = state.copy()
-    if verb == "add":
-        new.prohibit_rules.append(spec)
-    else:
-        new.prohibit_rules.remove(spec)
-    return CommandOutcome(new, "", WRITE)
+    rules = (*state.prohibit_rules, spec) if verb == "add" else _without(state.prohibit_rules, spec)
+    return CommandOutcome(state.copy(prohibit_rules=rules), "", WRITE)
 
 
 def _iptables(state: NetState, tokens) -> CommandOutcome:
@@ -393,10 +406,8 @@ def _iptables(state: NetState, tokens) -> CommandOutcome:
         return CommandOutcome(state, _render_filters(state, chain), READ)
     if action == "-F":
         chain = rest[1] if len(rest) > 1 else None
-        new = state.copy()
-        new.filter_rules = [r for r in new.filter_rules
-                            if chain is not None and r.chain != chain]
-        return CommandOutcome(new, "", WRITE)
+        rules = tuple(r for r in state.filter_rules if chain is not None and r.chain != chain)
+        return CommandOutcome(state.copy(filter_rules=rules), "", WRITE)
     if action not in ("-A", "-D"):
         raise _Reject(f"iptables: unsupported action {action!r}")
     if len(rest) < 2:
@@ -410,7 +421,7 @@ def _iptables(state: NetState, tokens) -> CommandOutcome:
         elif flag == "-d":
             dst = _need_host_or_cidr(value)
         elif flag == "-p":
-            proto = value
+            proto = _need_proto(value)
         else:
             verdict = value
     if verdict not in ("DROP", "REJECT"):
@@ -418,12 +429,8 @@ def _iptables(state: NetState, tokens) -> CommandOutcome:
     rule = FilterRule(chain=rest[1], verdict=verdict, src=src, dst=dst, proto=proto)
     if action == "-D" and rule not in state.filter_rules:
         raise _Reject("iptables: Bad rule (does a matching rule exist?)")
-    new = state.copy()
-    if action == "-A":
-        new.filter_rules.append(rule)
-    else:
-        new.filter_rules.remove(rule)
-    return CommandOutcome(new, "", WRITE)
+    rules = (*state.filter_rules, rule) if action == "-A" else _without(state.filter_rules, rule)
+    return CommandOutcome(state.copy(filter_rules=rules), "", WRITE)
 
 
 def _sysctl(state: NetState, tokens) -> CommandOutcome:
@@ -434,9 +441,8 @@ def _sysctl(state: NetState, tokens) -> CommandOutcome:
         value = rest[1].split("=", 1)[1]
         if value not in ("0", "1"):
             raise _Reject(f"sysctl: invalid value {value!r}")
-        new = state.copy()
-        new.ip_forward = value == "1"
-        return CommandOutcome(new, f"net.ipv4.ip_forward = {value}", WRITE)
+        return CommandOutcome(state.copy(ip_forward=value == "1"),
+                              f"net.ipv4.ip_forward = {value}", WRITE)
     raise _Reject("sysctl: only net.ipv4.ip_forward is supported")
 
 
@@ -457,18 +463,15 @@ def _tc(state: NetState, tokens) -> CommandOutcome:
         ms = _u32(m[5][:-2])
         if ms is None:
             raise _Reject(f"invalid delay: {m[5]!r}")
-        new = state.copy()
-        new.delays[iface] = ms
-        return CommandOutcome(new, "", WRITE)
+        return CommandOutcome(state.copy(delays={**state.delays, iface: ms}), "", WRITE)
     if rest[0] == "del":
         if not (len(m) == 3 and m[0] == "dev" and m[2] == "root"):
             raise _Reject("usage: tc qdisc del dev <iface> root")
         iface = _need_iface(state, m[1])
         if iface not in state.delays:
             raise _Reject("Error: Invalid handle.")
-        new = state.copy()
-        del new.delays[iface]
-        return CommandOutcome(new, "", WRITE)
+        delays = {name: ms for name, ms in state.delays.items() if name != iface}
+        return CommandOutcome(state.copy(delays=delays), "", WRITE)
     raise _Reject(f"tc qdisc: unsupported verb {rest[0]!r}")
 
 

@@ -6,13 +6,14 @@ switch-local segment with hosts numbered consecutively across subnets.
 The model tracks exactly the state the fault families mutate:
 interfaces, addresses, routes, filter rules, policy prohibitions,
 forwarding flag and netem delays.
-Hosts, routes and filter rules are frozen values, shared by copies, that
-parse their text once; interfaces stay mutable, as writes set their fields.
+A state is a value: it and its elements are frozen, a write builds a new
+state that shares every element it leaves, and hosts, routes and filter
+rules parse their text once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from ..digest import digest
@@ -22,7 +23,7 @@ DEFAULT_MTU = 1500
 MIN_DATAGRAM_MTU = 576  # below this, IPv4 traffic is considered lost
 
 
-@dataclass
+@dataclass(frozen=True)
 class Interface:
     name: str
     subnet: int
@@ -75,7 +76,7 @@ class FilterRule:
     verdict: str  # DROP | REJECT
     src: str | None = None  # cidr
     dst: str | None = None  # cidr
-    proto: str | None = None  # "icmp" or None for any
+    proto: str | None = None  # a protocol's name or number; None matches every protocol
 
     def to_json(self):
         return {"chain": self.chain, "verdict": self.verdict, "src": self.src,
@@ -106,16 +107,18 @@ def prefix_len(cidr: str) -> int:
     return int(cidr.split("/")[1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetState:
+    """Its dicts are written by no code after the state is built."""
+
     prefix: str
     num_switches: int
     hosts_per_subnet: int
     interfaces: dict[str, Interface] = field(default_factory=dict)
-    hosts: dict[str, Host] = field(default_factory=dict)
-    routes: list[Route] = field(default_factory=list)
-    filter_rules: list[FilterRule] = field(default_factory=list)
-    prohibit_rules: list[str] = field(default_factory=list)
+    hosts: dict[str, Host] = field(default_factory=dict)  # in numeric order
+    routes: tuple[Route, ...] = ()
+    filter_rules: tuple[FilterRule, ...] = ()
+    prohibit_rules: tuple[str, ...] = ()
     delays: dict[str, int] = field(default_factory=dict)  # iface -> netem ms
     ip_forward: bool = True
 
@@ -128,10 +131,12 @@ class NetState:
     def iface_name(self, subnet: int) -> str:
         return f"{self.prefix}r0-eth{subnet}"
 
-    def subnet_cidr(self, subnet: int) -> str:
+    @staticmethod
+    def subnet_cidr(subnet: int) -> str:
         return f"192.168.{subnet}.0/24"
 
-    def expected_gateway(self, subnet: int) -> str:
+    @staticmethod
+    def expected_gateway(subnet: int) -> str:
         return f"192.168.{subnet}.1"
 
     def hosts_in_subnet(self, subnet: int) -> list[Host]:
@@ -139,25 +144,16 @@ class NetState:
 
     def node_names(self) -> list[str]:
         """Ping participants: hosts in numeric order, then the router."""
-        hosts = sorted(self.hosts.values(), key=lambda h: int(h.name[len(self.prefix) + 1:]))
-        return [h.name for h in hosts] + [self.router_name]
+        return [*self.hosts, self.router_name]
 
     def router_own_ips(self) -> set[str]:
         return {i.ip for i in self.interfaces.values() if i.ip is not None}
 
     # -- value semantics -----------------------------------------------------
 
-    def copy(self) -> "NetState":
-        """A state whose containers are new; the frozen elements are shared."""
-        s = NetState(self.prefix, self.num_switches, self.hosts_per_subnet)
-        s.interfaces = {n: Interface(**vars(i)) for n, i in self.interfaces.items()}
-        s.hosts = dict(self.hosts)
-        s.routes = list(self.routes)
-        s.filter_rules = list(self.filter_rules)
-        s.prohibit_rules = list(self.prohibit_rules)
-        s.delays = dict(self.delays)
-        s.ip_forward = self.ip_forward
-        return s
+    def copy(self, **changes) -> "NetState":
+        """This state with ``changes`` to its fields; every other field is shared."""
+        return replace(self, **changes)
 
     def to_json(self):
         return {
@@ -187,16 +183,14 @@ def build_topology(num_switches: int, hosts_per_subnet: int, prefix: str = "") -
     if not 2 <= hosts_per_subnet <= 4:
         raise ParameterOutOfRange(f"hosts_per_subnet must be in [2,4], got {hosts_per_subnet}")
 
-    state = NetState(prefix=prefix, num_switches=num_switches, hosts_per_subnet=hosts_per_subnet)
-    host_no = 0
+    interfaces, hosts, routes = {}, {}, []
     for k in range(1, num_switches + 1):
-        iface = Interface(name=state.iface_name(k), subnet=k,
-                          ip=state.expected_gateway(k), mask=24)
-        state.interfaces[iface.name] = iface
-        state.routes.append(Route(dest=state.subnet_cidr(k), dev=iface.name))
+        gateway = NetState.expected_gateway(k)
+        iface = Interface(name=f"{prefix}r0-eth{k}", subnet=k, ip=gateway, mask=24)
+        interfaces[iface.name] = iface
+        routes.append(Route(dest=NetState.subnet_cidr(k), dev=iface.name))
         for i in range(hosts_per_subnet):
-            host_no += 1
-            name = f"{prefix}h{host_no}"
-            state.hosts[name] = Host(name=name, subnet=k, ip=f"192.168.{k}.{i + 2}",
-                                     mask=24, gateway=state.expected_gateway(k))
-    return state
+            name = f"{prefix}h{len(hosts) + 1}"
+            hosts[name] = Host(name=name, subnet=k, ip=f"192.168.{k}.{i + 2}", mask=24,
+                               gateway=gateway)
+    return NetState(prefix, num_switches, hosts_per_subnet, interfaces, hosts, tuple(routes))

@@ -83,6 +83,7 @@ def test_generate_sft_requires_cp(tmp_path):
     assert main(["generate", "--app", "routing", "--num-queries", "2",
                  "--out", str(tmp_path / "x.jsonl"),
                  "--sft", str(tmp_path / "sft.jsonl")]) == 2
+    assert sorted(tmp_path.iterdir()) == []  # no batch, manifest or records
 
 
 def test_generate_sft_for_cp(tmp_path):

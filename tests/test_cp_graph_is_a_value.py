@@ -1,27 +1,33 @@
-"""No code in ``src/netbench/cp`` changes a ``CpGraph`` after it is built.
+"""No code changes a cp ``CpGraph`` or a routing ``NetState`` after it is built.
 
-The test parses the package with ``ast`` and fails on any assignment to or
-deletion of a ``.nodes`` or ``.edges`` attribute, or of a subscript or
-attribute reached through one, and on any call of a mutating method
-(``add``, ``pop``, ``update``, ...) on such a target. Only
-``CpGraph.__init__`` may set the two attributes. Local dicts and sets that a
-constructor is later given are plain names and are not checked.
+For each package, the test parses it with ``ast`` and fails on any
+assignment to or deletion of an attribute named after one of its state's
+fields (``.nodes`` and ``.edges`` in ``cp``; ``.interfaces``, ``.routes``,
+``.ip_forward``, ... in ``routing``), or of a subscript or attribute
+reached through one, and on any call of a mutating method (``add``,
+``pop``, ``update``, ...) or of ``setattr`` on such a target. A
+constructor may bind such an attribute of the object it builds
+(``self.nodes = nodes`` in an ``__init__``); it may not write through one.
+Local dicts, lists and sets that a constructor is later given are plain
+names and are not checked.
 """
 
 import ast
 from pathlib import Path
 
-CP = Path(__file__).resolve().parent.parent / "src" / "netbench" / "cp"
+SRC = Path(__file__).resolve().parent.parent / "src" / "netbench"
 GRAPH_FIELDS = {"nodes", "edges"}
+NETSTATE_FIELDS = {"interfaces", "hosts", "routes", "filter_rules", "prohibit_rules", "delays",
+                   "ip_forward"}
 MUTATORS = {"add", "append", "clear", "difference_update", "discard", "extend", "insert",
-            "intersection_update", "pop", "popitem", "remove", "setdefault", "sort",
+            "intersection_update", "pop", "popitem", "remove", "reverse", "setdefault", "sort",
             "symmetric_difference_update", "update"}
 
 
-def _through_graph(target) -> bool:
-    """Whether ``target`` is ``.nodes``/``.edges`` or is reached through one."""
+def _through_state(target, fields) -> bool:
+    """Whether ``target`` is one of ``fields`` or is reached through one."""
     while isinstance(target, (ast.Attribute, ast.Subscript)):
-        if isinstance(target, ast.Attribute) and target.attr in GRAPH_FIELDS:
+        if isinstance(target, ast.Attribute) and target.attr in fields:
             return True
         target = target.value
     return False
@@ -29,12 +35,15 @@ def _through_graph(target) -> bool:
 
 def _targets(node):
     if isinstance(node, (ast.Assign, ast.Delete)):
-        targets = node.targets
+        targets = list(node.targets)
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
         targets = [node.target]
     elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
           and node.func.attr in MUTATORS):
         targets = [node.func.value]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in ("setattr", "delattr") and node.args):
+        targets = [node.args[0]]
     else:
         targets = []
     while targets:
@@ -47,30 +56,37 @@ def _targets(node):
             yield target
 
 
-def _constructor(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "CpGraph":
-            for member in node.body:
-                if isinstance(member, ast.FunctionDef) and member.name == "__init__":
-                    return member
-    return None
+def _constructor_bindings(tree) -> set[int]:
+    """The ids of the ``self.<name>`` targets that a constructor assigns."""
+    return {id(target) for init in ast.walk(tree)
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+            for node in ast.walk(init) if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in _targets(node)
+            if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+            and target.value.id == "self"}
 
 
-def graph_writes(source: str, module: str) -> list[str]:
-    """``module:line`` of each statement in ``source`` that changes a graph."""
+def state_writes(source: str, module: str, fields) -> list[str]:
+    """``module:line`` of each statement in ``source`` that changes a state."""
     tree = ast.parse(source)
-    init = _constructor(tree)
-    exempt = {id(node) for node in ast.walk(init)} if init else set()
+    bound = _constructor_bindings(tree)
     lines = {node.lineno for node in ast.walk(tree)
-             if id(node) not in exempt and any(map(_through_graph, _targets(node)))}
+             if any(id(target) not in bound and _through_state(target, fields)
+                    for target in _targets(node))}
     return [f"{module}:{line}" for line in sorted(lines)]
 
 
+def _package_writes(package: str, fields) -> list[str]:
+    return [write for path in sorted((SRC / package).rglob("*.py"))
+            for write in state_writes(path.read_text(encoding="utf-8"), path.name, fields)]
+
+
 def test_no_code_changes_a_graph_after_it_is_built():
-    writes = []
-    for path in sorted(CP.rglob("*.py")):
-        writes += graph_writes(path.read_text(encoding="utf-8"), path.name)
-    assert writes == []
+    assert _package_writes("cp", GRAPH_FIELDS) == []
+
+
+def test_no_code_changes_a_routing_state_after_it_is_built():
+    assert _package_writes("routing", NETSTATE_FIELDS) == []
 
 
 def test_the_guard_sees_each_kind_of_write():
@@ -95,4 +111,28 @@ def f(g, h, name, value):
     nodes[name] = value
     return h.nodes.get(name), sorted(h.edges)
 """
-    assert graph_writes(source, "m") == [f"m:{line}" for line in (8, 11, 12, 13, 14, 15, 16, 17)]
+    assert state_writes(source, "m", GRAPH_FIELDS) == \
+        [f"m:{line}" for line in (8, 11, 12, 13, 14, 15, 16, 17)]
+
+
+def test_the_guard_sees_each_kind_of_routing_write():
+    source = """
+class Facts:
+    def __init__(self, state, name):
+        self.hosts = state.hosts
+        self.routes[name] = None
+
+def f(state, route, name, ms):
+    new = state.copy()
+    new.routes.append(route)
+    new.delays[name] = ms
+    del new.interfaces[name]
+    new.ip_forward = False
+    new.routes.reverse()
+    setattr(new.interfaces[name], "up", False)
+    routes = [*state.routes, route]
+    routes.append(route)
+    return state.copy(routes=tuple(routes), delays={**state.delays, name: ms})
+"""
+    assert state_writes(source, "m", NETSTATE_FIELDS) == \
+        [f"m:{line}" for line in (5, 9, 10, 11, 12, 13, 14)]

@@ -139,7 +139,7 @@ def test_iptables_delete_missing_rule(state):
 
 def test_ip_rule_prohibit_round_trip(state):
     s = exec_command(state, "r0", "ip rule add prohibit from all").state
-    assert s.prohibit_rules == ["from all"]
+    assert s.prohibit_rules == ("from all",)
     dup = exec_command(s, "r0", "ip rule add prohibit from all")
     assert dup.kind == INVALID
     back = exec_command(s, "r0", "ip rule del prohibit from all")
@@ -293,7 +293,7 @@ def test_iptables_delete_needs_every_field_to_match(state):
                     "iptables -D FORWARD -d 192.168.1.0/24 -p icmp -j DROP"):
         assert _rejected(s, command) == "iptables: Bad rule (does a matching rule exist?)"
     out = exec_command(s, "r0", "iptables -D FORWARD -p icmp -j DROP -s 192.168.1.0/24")
-    assert out.kind == WRITE and out.state.filter_rules == []
+    assert out.kind == WRITE and out.state.filter_rules == ()
 
 
 def test_iptables_stores_the_network_of_a_prefix_as_linux_does(state):
@@ -306,4 +306,40 @@ def test_iptables_stores_the_network_of_a_prefix_as_linux_does(state):
     out = exec_command(s, "r0", "iptables -D FORWARD -s 192.168.1.0/24 -j DROP")
     assert out.kind == WRITE
     out = exec_command(out.state, "r0", "iptables -D FORWARD -d 192.168.1.2/32 -j REJECT")
+    assert out.kind == WRITE and out.state.state_digest() == state.state_digest()
+
+
+def test_iptables_reads_a_protocol_as_linux_does(state):
+    # every routed ping is ICMP, so only a rule that can match ICMP drops the 8 routed pairs
+    for proto, received in (("icmp", 12), ("ICMP", 12), ("1", 12), ("all", 12), ("0", 12),
+                            ("tcp", 20), ("6", 20)):
+        out = exec_command(state, "r0", f"iptables -A FORWARD -p {proto} -j DROP")
+        assert out.kind == WRITE and pingall(out.state).received == received, proto
+    s = exec_command(state, "r0", "iptables -A FORWARD -p icmp -j DROP").state
+    s = exec_command(s, "r0", "iptables -A FORWARD -p ALL -j REJECT").state
+    s = exec_command(s, "r0", "iptables -A FORWARD -p 17 -j DROP").state
+    assert exec_command(s, "r0", "iptables -L").output.splitlines()[2:] == [
+        "DROP       icmp --  anywhere             anywhere",
+        "REJECT     all  --  anywhere             anywhere",
+        "DROP       udp  --  anywhere             anywhere"]
+    for command in ("iptables -D FORWARD -p ICMP -j DROP", "iptables -D FORWARD -j REJECT",
+                    "iptables -D FORWARD -p UDP -j DROP"):
+        out = exec_command(s, "r0", command)
+        assert out.kind == WRITE, command
+        s = out.state
+    assert s.state_digest() == state.state_digest()
+    for proto in ("nosuch", "256", "-1"):
+        assert _rejected(state, f"iptables -A FORWARD -p {proto} -j DROP") == \
+            f"iptables: unknown protocol {proto!r} specified"
+
+
+def test_iptables_stores_a_zero_length_prefix_as_no_match(state):
+    s = exec_command(state, "r0", "iptables -A FORWARD -s 0.0.0.0/0 -j DROP").state
+    s = exec_command(s, "r0", "iptables -A FORWARD -d 10.1.2.3/0 -j REJECT").state
+    assert exec_command(s, "r0", "iptables -L").output.splitlines()[2:] == [
+        "DROP       all  --  anywhere             anywhere",
+        "REJECT     all  --  anywhere             anywhere"]
+    out = exec_command(s, "r0", "iptables -D FORWARD -j DROP")
+    assert out.kind == WRITE
+    out = exec_command(out.state, "r0", "iptables -D FORWARD -d 0.0.0.0/0 -j REJECT")
     assert out.kind == WRITE and out.state.state_digest() == state.state_digest()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from netbench.errors import ParameterOutOfRange
@@ -31,22 +33,25 @@ def test_node_names_hosts_then_router_numeric_order():
     names = s.node_names()
     assert names[-1] == "p_r0"
     assert names[:-1] == [f"p_h{i}" for i in range(1, 9)]
+    assert build_topology(4, 4).node_names() == [*(f"h{i}" for i in range(1, 17)), "r0"]
 
 
 def test_digest_deterministic_and_copy_independent():
     a = build_topology(2, 2)
     b = build_topology(2, 2)
     assert a.state_digest() == b.state_digest()
-    c = a.copy()
-    c.interfaces["r0-eth1"].up = False
-    assert a.state_digest() == b.state_digest()
+    c = a.copy(interfaces={**a.interfaces,
+                           "r0-eth1": replace(a.interfaces["r0-eth1"], up=False)})
+    assert a.copy() == a and a.copy().routes is a.routes
+    assert a.state_digest() == b.state_digest() and a.interfaces["r0-eth1"].up
     assert c.state_digest() != a.state_digest()
 
 
 def test_digest_ignores_route_order():
     a = build_topology(3, 2)
     b = build_topology(3, 2)
-    b.routes.reverse()
+    b = b.copy(routes=b.routes[::-1])
+    assert b.routes != a.routes
     assert a.state_digest() == b.state_digest()
 
 

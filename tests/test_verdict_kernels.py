@@ -201,7 +201,8 @@ def test_routing_state_elements_are_frozen():
     state = exec_command(build_topology(2, 2), "r0",
                          "iptables -A FORWARD -d 192.168.1.2 -j DROP").state
     for element, field in ((state.hosts["h1"], "ip"), (state.routes[0], "dest"),
-                           (state.filter_rules[0], "dst")):
+                           (state.filter_rules[0], "dst"), (state.interfaces["r0-eth1"], "ip"),
+                           (state, "routes"), (state, "ip_forward")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(element, field, "10.0.0.0/8")
 
