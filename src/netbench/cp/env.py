@@ -51,7 +51,7 @@ class CpEnvironment:
                 return f"program rejected: {exc}", True, False, False
             self.state = state
             self.result = result
-            safe = not check_safety_cp(state)
+            safe = state is self.base or not check_safety_cp(state)  # wrote nothing: a read
             return "program executed", safe, True, True
 
         if "answer" in payload:

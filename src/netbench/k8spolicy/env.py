@@ -18,8 +18,7 @@ class K8sEnvironment(ReactiveEnvironment):
         return connectivity_check(policies)
 
     def execute(self, policies, message):
-        outcome = exec_kubectl(policies, str(message.payload))
-        return outcome.policies, outcome.output, outcome.kind
+        return exec_kubectl(policies, str(message.payload))
 
     def report(self, output: str, audit) -> str:
         return output + "\nConnectivity audit:\n" + audit.render()

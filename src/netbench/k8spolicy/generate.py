@@ -13,7 +13,7 @@ from ..core.types import GroundTruth
 from .connectivity import MismatchReport, connectivity_check
 from .inject import AE_EGRESS_GRAPH, TARGETS, build_mutation, mutation_from_action, \
     mutation_to_action
-from .kubectl import write_kubectl
+from .kubectl import exec_kubectl
 from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, cluster_digest, default_policies
 
 LEVEL_LABELS = {
@@ -59,10 +59,14 @@ def _attempts(rng, families):
                tuple(map(mutation_to_action, mutations)))
 
 
+def _kubectl(policies: dict, machine: str, command: str):
+    return exec_kubectl(policies, command)  # the machine is always the master
+
+
 def generate_k8s_query(level: int, seed: int) -> tuple:
     """Build one reactive policy query; returns (QuerySpec, GroundTruth)."""
     return generate_reactive_query("k8s", LEVEL_LABELS, level, seed, _attempts,
-                                   write_kubectl, connectivity_check, cluster_digest,
+                                   _kubectl, connectivity_check, cluster_digest,
                                    lambda _, report: render_k8s_prompt(report))
 
 
@@ -70,7 +74,7 @@ def rebuild_cluster(truth: GroundTruth) -> tuple:
     """Reconstruct (baseline, broken) policy stores from a ground truth."""
     baseline = default_policies()
     mutations = map(mutation_from_action, truth.hidden_injection)
-    return baseline, replay(baseline, [m.forward for m in mutations], write_kubectl)
+    return baseline, replay(baseline, [m.forward for m in mutations], _kubectl)
 
 
 def render_k8s_prompt(report: MismatchReport) -> str:

@@ -11,23 +11,15 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 import yaml
 
-from ..core.reactive import INVALID, READ, WRITE
+from ..core.reactive import INVALID, READ, WRITE, Outcome, Reject
 from .model import API_VERSION, NAMESPACE, canonical_policy, policy_yaml
 
 _KINDS = ("networkpolicy", "networkpolicies", "netpol")
 _PATCH_RE = re.compile(r"-p\s+'(.*)'\s*$", re.DOTALL)
 _NAME_RE = re.compile(r"[a-z0-9]([-a-z0-9.]*[a-z0-9])?")  # a DNS-1123 subdomain
-
-
-@dataclass
-class KubectlOutcome:
-    policies: dict
-    output: str
-    kind: str  # read | write | invalid
 
 
 def merge_patch(target, patch):
@@ -148,62 +140,52 @@ def _check_policy(doc) -> None:
 
 # --- interpreter ------------------------------------------------------------
 
-class _Reject(Exception):
-    """An invalid command; the message is its output. Only exec_kubectl catches it."""
-
-
-def exec_kubectl(policies: dict, command: str) -> KubectlOutcome:
+def exec_kubectl(policies: dict, command: str) -> Outcome:
     """Run one kubectl command on ``policies``; never raises on agent input."""
     try:
         head, _, manifest = command.strip().partition("\n")
         tokens = head.split()
         if not tokens:
-            raise _Reject("empty command")
+            raise Reject("empty command")
         if tokens[0] == "sudo":
-            raise _Reject("do not include sudo in commands")
+            raise Reject("do not include sudo in commands")
         if tokens[0] != "kubectl":
-            raise _Reject(f"unsupported command: {tokens[0]}")
+            raise Reject(f"unsupported command: {tokens[0]}")
         if len(tokens) < 2:
-            raise _Reject("kubectl: missing verb")
+            raise Reject("kubectl: missing verb")
         handler = _VERBS.get(tokens[1])
         if handler is None:
-            raise _Reject(f"kubectl: unsupported verb {tokens[1]!r}")
+            raise Reject(f"kubectl: unsupported verb {tokens[1]!r}")
         return handler(policies, tokens[2:], head, manifest)
-    except _Reject as exc:
-        return KubectlOutcome(policies, str(exc), INVALID)
-
-
-def write_kubectl(policies: dict, machine: str, command: str) -> dict | None:
-    """The store ``command`` writes, or None when it is not a write; ``machine`` is unused."""
-    outcome = exec_kubectl(policies, command)
-    return outcome.policies if outcome.kind == WRITE else None
+    except Reject as exc:
+        return Outcome(policies, str(exc), INVALID)
 
 
 def _named(policies: dict, args, usage: str) -> str:
     """The stored policy ``args`` name as ``<kind> <name>``; rejects a wrong kind or a missing
     name with ``usage``, a name not in the store with NotFound."""
     if len(args) < 2 or args[0] not in _KINDS:
-        raise _Reject(usage)
+        raise Reject(usage)
     if args[1] not in policies:
-        raise _Reject('Error from server (NotFound): '
+        raise Reject('Error from server (NotFound): '
                       f'networkpolicies.networking.k8s.io "{args[1]}" not found')
     return args[1]
 
 
-def _get(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
+def _get(policies: dict, args, head: str, manifest: str) -> Outcome:
     if not args or args[0] not in _KINDS:
-        raise _Reject("kubectl get: only networkpolicy objects exist here")
+        raise Reject("kubectl get: only networkpolicy objects exist here")
     usage = "usage: kubectl get networkpolicy [<name> [-o yaml]]"
     rest, as_yaml, tokens = [], False, iter(args[1:])
     for token in tokens:
         if token == "-o" and next(tokens, None) != "yaml":
-            raise _Reject(usage)
+            raise Reject(usage)
         if token in ("-o", "-oyaml"):
             as_yaml = True
         else:
             rest.append(token)
     if not rest and as_yaml:
-        return KubectlOutcome(policies, policy_yaml({
+        return Outcome(policies, policy_yaml({
             "apiVersion": "v1", "items": [policies[name] for name in sorted(policies)],
             "kind": "List", "metadata": {"resourceVersion": ""}}), READ)
     if not rest:
@@ -212,53 +194,53 @@ def _get(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
             sel = p["spec"].get("podSelector", {}).get("matchLabels", {})
             sel_text = ",".join(f"{k}={v}" for k, v in sorted(sel.items())) or "<none>"
             lines.append(f"{name:<24} {sel_text}")
-        return KubectlOutcome(policies, "\n".join(lines), READ)
+        return Outcome(policies, "\n".join(lines), READ)
     if len(rest) > 1:
-        raise _Reject(usage)
+        raise Reject(usage)
     name = _named(policies, args[:1] + rest, usage)
     if as_yaml:
-        return KubectlOutcome(policies, policy_yaml(policies[name]), READ)
-    return KubectlOutcome(policies, name, READ)
+        return Outcome(policies, policy_yaml(policies[name]), READ)
+    return Outcome(policies, name, READ)
 
 
-def _describe(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
+def _describe(policies: dict, args, head: str, manifest: str) -> Outcome:
     name = _named(policies, args, "usage: kubectl describe networkpolicy <name>")
-    return KubectlOutcome(policies, policy_yaml(policies[name]), READ)
+    return Outcome(policies, policy_yaml(policies[name]), READ)
 
 
-def _apply(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
+def _apply(policies: dict, args, head: str, manifest: str) -> Outcome:
     if args[:2] != ["-f", "-"]:
-        raise _Reject("kubectl apply: only '-f -' with an inline manifest is supported")
+        raise Reject("kubectl apply: only '-f -' with an inline manifest is supported")
     if not manifest.strip():
-        raise _Reject("kubectl apply: empty manifest")
+        raise Reject("kubectl apply: empty manifest")
     try:
         doc = yaml.safe_load(manifest)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:  # ValueError: a huge integer
-        raise _Reject(f"error parsing manifest: {exc}") from None
+        raise Reject(f"error parsing manifest: {exc}") from None
     try:
         _check_policy(doc)
     except ValueError as exc:
-        raise _Reject(f"error validating data: {exc}") from None
+        raise Reject(f"error validating data: {exc}") from None
     name = doc["metadata"]["name"]
     word = "configured" if name in policies else "created"
-    return KubectlOutcome({**policies, name: canonical_policy(doc)},
+    return Outcome({**policies, name: canonical_policy(doc)},
                           f"networkpolicy.networking.k8s.io/{name} {word}", WRITE)
 
 
-def _patch(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
+def _patch(policies: dict, args, head: str, manifest: str) -> Outcome:
     name = _named(policies, args,
                   "usage: kubectl patch networkpolicy <name> --type merge -p '<json>'")
     if not ("--type" in args and "merge" in args) and "--type=merge" not in args:
-        raise _Reject("kubectl patch: only --type merge is supported")
+        raise Reject("kubectl patch: only --type merge is supported")
     m = _PATCH_RE.search(head)
     if not m:
-        raise _Reject("kubectl patch: missing -p '<json>' payload")
+        raise Reject("kubectl patch: missing -p '<json>' payload")
     try:
         patch = json.loads(m.group(1))
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or a huge integer
-        raise _Reject(f"error decoding patch: {exc}") from None
+        raise Reject(f"error decoding patch: {exc}") from None
     if not isinstance(patch, dict):
-        raise _Reject("kubectl patch: a merge patch must be a JSON object")
+        raise Reject("kubectl patch: a merge patch must be a JSON object")
     try:
         _check_data(patch, "patch")
         merged = merge_patch(policies[name], patch)
@@ -267,16 +249,16 @@ def _patch(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
             if merged["metadata"].get(field) != policies[name]["metadata"].get(field):
                 raise ValueError(f"metadata.{field}: field is immutable")
     except ValueError as exc:
-        raise _Reject(f'The NetworkPolicy "{name}" is invalid: {exc}') from None
-    return KubectlOutcome({**policies, name: canonical_policy(merged)},
+        raise Reject(f'The NetworkPolicy "{name}" is invalid: {exc}') from None
+    return Outcome({**policies, name: canonical_policy(merged)},
                           f"networkpolicy.networking.k8s.io/{name} patched", WRITE)
 
 
-def _delete(policies: dict, args, head: str, manifest: str) -> KubectlOutcome:
+def _delete(policies: dict, args, head: str, manifest: str) -> Outcome:
     name = _named(policies, args, "usage: kubectl delete networkpolicy <name>")
     new = dict(policies)
     del new[name]
-    return KubectlOutcome(new, f'networkpolicy.networking.k8s.io "{name}" deleted', WRITE)
+    return Outcome(new, f'networkpolicy.networking.k8s.io "{name}" deleted', WRITE)
 
 
 _VERBS = {"get": _get, "describe": _describe, "apply": _apply, "patch": _patch, "delete": _delete}

@@ -10,9 +10,9 @@ returns a new state, made once the command is known to be valid.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from ..core.reactive import INVALID, READ, WRITE
+from ..core.reactive import INVALID, READ, WRITE, Outcome, Reject
 from .state import FilterRule, NetState, Route, ip_to_int, parse_cidr
 
 # re.ASCII: a kernel reads ASCII digits only, and \d would also match "١"
@@ -23,13 +23,6 @@ _U32_RE = re.compile(r"0*(\d{1,10})", re.ASCII)  # leading zeros, then the value
 _PROTOCOLS = {0: "all", 1: "icmp", 6: "tcp", 17: "udp", 50: "esp", 51: "ah", 58: "icmpv6",
               132: "sctp", 135: "mh", 136: "udplite"}
 _PROTOCOL_NUMBERS = {name: number for number, name in _PROTOCOLS.items()}
-
-
-@dataclass
-class CommandOutcome:
-    state: NetState
-    output: str
-    kind: str  # read | write | invalid
 
 
 def _resolve(state: NetState, names, token: str) -> str | None:
@@ -115,40 +108,30 @@ def _render_host(state: NetState, host) -> str:
 
 # --- interpreter ------------------------------------------------------------
 
-class _Reject(Exception):
-    """An invalid command; the message is its output. Only exec_command catches it."""
-
-
-def exec_command(state: NetState, machine: str, command: str) -> CommandOutcome:
+def exec_command(state: NetState, machine: str, command: str) -> Outcome:
     """Run one command on one machine; never raises on agent input."""
     try:
         node = _resolve(state, {state.router_name, *state.hosts}, machine)
         if node is None:
-            raise _Reject(f"unknown machine: {machine}")
+            raise Reject(f"unknown machine: {machine}")
         tokens = command.split()
         if not tokens:
-            raise _Reject("empty command")
+            raise Reject("empty command")
         if tokens[0] == "vtysh":
-            raise _Reject("vtysh: command not permitted in this environment")
+            raise Reject("vtysh: command not permitted in this environment")
         if tokens[0].startswith("ping"):
-            raise _Reject(
+            raise Reject(
                 "ping commands are not permitted; connectivity results are provided to you")
         if tokens[0] == "sudo":
-            raise _Reject("do not include sudo in commands")
+            raise Reject("do not include sudo in commands")
         if node != state.router_name:
             return _exec_on_host(state, node, tokens)
         handler = _ROUTER_COMMANDS.get(tokens[0])
         if handler is None:
-            raise _Reject(f"unsupported command: {tokens[0]}")
+            raise Reject(f"unsupported command: {tokens[0]}")
         return handler(state, tokens)
-    except _Reject as exc:
-        return CommandOutcome(state, str(exc), INVALID)
-
-
-def write_command(state: NetState, machine: str, command: str) -> NetState | None:
-    """The state ``command`` writes, or None when it is not accepted as a write."""
-    outcome = exec_command(state, machine, command)
-    return outcome.state if outcome.kind == WRITE else None
+    except Reject as exc:
+        return Outcome(state, str(exc), INVALID)
 
 
 def _flag_pairs(args, flags, message: str):
@@ -156,14 +139,14 @@ def _flag_pairs(args, flags, message: str):
     token, a token that is not one of ``flags`` or has no value after it."""
     for i in range(0, len(args), 2):
         if args[i] not in flags or i + 1 == len(args):
-            raise _Reject(f"{message} {args[i]!r}")
+            raise Reject(f"{message} {args[i]!r}")
         yield args[i], args[i + 1]
 
 
 def _need_iface(state: NetState, token: str) -> str:
     name = _resolve(state, state.interfaces, token)
     if name is None:
-        raise _Reject(f"Cannot find device \"{token}\"")
+        raise Reject(f"Cannot find device \"{token}\"")
     return name
 
 
@@ -177,7 +160,7 @@ def _u32(token: str) -> int | None:
 def _need_int(token: str, what: str) -> int:
     value = _u32(token)
     if value is None:
-        raise _Reject(f"invalid {what}: {token!r}")
+        raise Reject(f"invalid {what}: {token!r}")
     return value
 
 
@@ -188,7 +171,7 @@ def _is_ip(token: str) -> bool:
 def _need_cidr(token: str) -> str:
     if not (_CIDR_RE.match(token) and _is_ip(token.split("/")[0])
             and int(token.split("/")[1]) <= 32):
-        raise _Reject(f"invalid address/prefix: {token!r}")
+        raise Reject(f"invalid address/prefix: {token!r}")
     return token
 
 
@@ -206,7 +189,7 @@ def _need_prefix(token: str) -> str:
     that equal prefixes compare equal."""
     text, host_bits = _network(token)
     if host_bits:
-        raise _Reject("Error: Invalid prefix for given prefix length.")
+        raise Reject("Error: Invalid prefix for given prefix length.")
     return text
 
 
@@ -215,7 +198,7 @@ def _need_host_or_cidr(token: str) -> str | None:
     text, a single host taken as its /32, or None (no match) for a /0 prefix."""
     if "/" not in token:
         if not _is_ip(token):
-            raise _Reject(f"invalid address: {token!r}")
+            raise Reject(f"invalid address: {token!r}")
         token += "/32"
     text = _network(token)[0]
     return None if text.endswith("/0") else text
@@ -228,7 +211,7 @@ def _need_proto(token: str) -> str | None:
     if number is None:
         number = _PROTOCOL_NUMBERS.get(token.lower())
     if number is None or number > 255:
-        raise _Reject(f"iptables: unknown protocol {token!r} specified")
+        raise Reject(f"iptables: unknown protocol {token!r} specified")
     return _PROTOCOLS.get(number, str(number)) if number else None
 
 
@@ -238,88 +221,88 @@ def _without(items: tuple, item) -> tuple:
     return items[:i] + items[i + 1:]
 
 
-def _set_iface(state: NetState, iface: str, **fields) -> CommandOutcome:
+def _set_iface(state: NetState, iface: str, **fields) -> Outcome:
     """The write that sets ``fields`` of interface ``iface``."""
     interfaces = {**state.interfaces, iface: replace(state.interfaces[iface], **fields)}
-    return CommandOutcome(state.copy(interfaces=interfaces), "", WRITE)
+    return Outcome(state.copy(interfaces=interfaces), "", WRITE)
 
 
-def _exec_on_host(state: NetState, node: str, tokens) -> CommandOutcome:
+def _exec_on_host(state: NetState, node: str, tokens) -> Outcome:
     if tokens == ["ifconfig"] or tokens[:2] in (["ip", "addr"], ["ip", "route"]):
-        return CommandOutcome(state, _render_host(state, state.hosts[node]), READ)
-    raise _Reject("host configuration is fixed in this benchmark; run commands on the router")
+        return Outcome(state, _render_host(state, state.hosts[node]), READ)
+    raise Reject("host configuration is fixed in this benchmark; run commands on the router")
 
 
-def _ifconfig(state: NetState, tokens) -> CommandOutcome:
+def _ifconfig(state: NetState, tokens) -> Outcome:
     if len(tokens) == 1:
-        return CommandOutcome(state, _render_ifaces(state, "ifconfig"), READ)
+        return Outcome(state, _render_ifaces(state, "ifconfig"), READ)
     iface = _need_iface(state, tokens[1])
     if len(tokens) == 2:
-        return CommandOutcome(state, _render_iface(state.interfaces[iface], "ifconfig"), READ)
+        return Outcome(state, _render_iface(state.interfaces[iface], "ifconfig"), READ)
     if len(tokens) == 3 and tokens[2] in ("up", "down"):
         return _set_iface(state, iface, up=tokens[2] == "up")
-    raise _Reject(f"ifconfig: unsupported arguments: {' '.join(tokens[2:])}")
+    raise Reject(f"ifconfig: unsupported arguments: {' '.join(tokens[2:])}")
 
 
-def _ip(state: NetState, tokens) -> CommandOutcome:
+def _ip(state: NetState, tokens) -> Outcome:
     if len(tokens) < 2:
-        raise _Reject("ip: missing object (addr|link|route|rule)")
+        raise Reject("ip: missing object (addr|link|route|rule)")
     handler = _IP_OBJECTS.get(tokens[1])
     if handler is None:
-        raise _Reject(f"ip: unknown object {tokens[1]!r}")
+        raise Reject(f"ip: unknown object {tokens[1]!r}")
     return handler(state, tokens[2:])
 
 
-def _ip_addr(state: NetState, rest) -> CommandOutcome:
+def _ip_addr(state: NetState, rest) -> Outcome:
     if not rest or rest[0] == "show":
         args = rest[1:]
         if args and args[0] == "dev":
             args = args[1:]
         if args:
             iface = _need_iface(state, args[0])
-            return CommandOutcome(state, _render_iface(state.interfaces[iface], "addr"), READ)
-        return CommandOutcome(state, _render_ifaces(state, "addr"), READ)
+            return Outcome(state, _render_iface(state.interfaces[iface], "addr"), READ)
+        return Outcome(state, _render_ifaces(state, "addr"), READ)
 
     verb = rest[0]
     if verb == "flush":
         if len(rest) != 3 or rest[1] != "dev":
-            raise _Reject("usage: ip addr flush dev <iface>")
+            raise Reject("usage: ip addr flush dev <iface>")
         return _set_iface(state, _need_iface(state, rest[2]), ip=None, mask=None)
     if verb not in ("add", "del", "replace"):
-        raise _Reject(f"ip addr: unknown verb {verb!r}")
+        raise Reject(f"ip addr: unknown verb {verb!r}")
     if len(rest) != 4 or rest[2] != "dev":
-        raise _Reject(f"usage: ip addr {verb} <addr>/<mask> dev <iface>")
+        raise Reject(f"usage: ip addr {verb} <addr>/<mask> dev <iface>")
     ip, mask = _need_cidr(rest[1]).split("/")
     iface = _need_iface(state, rest[3])
     current = state.interfaces[iface]
     if verb == "add" and current.ip is not None:
-        raise _Reject("RTNETLINK answers: File exists")
+        raise Reject("RTNETLINK answers: File exists")
     if verb == "del":
         if current.ip != ip or current.mask != int(mask):
-            raise _Reject("RTNETLINK answers: Cannot assign requested address")
+            raise Reject("RTNETLINK answers: Cannot assign requested address")
         return _set_iface(state, iface, ip=None, mask=None)
     return _set_iface(state, iface, ip=ip, mask=int(mask))
 
 
-def _ip_link(state: NetState, rest) -> CommandOutcome:
+def _ip_link(state: NetState, rest) -> Outcome:
     if not rest or rest[0] == "show":
-        return CommandOutcome(state, _render_ifaces(state, "link"), READ)
+        return Outcome(state, _render_ifaces(state, "link"), READ)
     if rest[0] != "set":
-        raise _Reject(f"ip link: unknown verb {rest[0]!r}")
+        raise Reject(f"ip link: unknown verb {rest[0]!r}")
     args = rest[1:]
     if args and args[0] == "dev":
         args = args[1:]
     if len(args) < 2:
-        raise _Reject("usage: ip link set <iface> up|down|mtu <bytes>")
+        raise Reject("usage: ip link set <iface> up|down|mtu <bytes>")
     iface = _need_iface(state, args[0])
     if args[1] in ("up", "down") and len(args) == 2:
         return _set_iface(state, iface, up=args[1] == "up")
     if args[1] == "mtu" and len(args) == 3:
         mtu = _need_int(args[2], "mtu")
         if mtu < 68:
-            raise _Reject("Error: mtu less than device minimum")
+            raise Reject("Error: mtu less than device minimum")
         return _set_iface(state, iface, mtu=mtu)
-    raise _Reject(f"ip link set: unsupported arguments: {' '.join(args[1:])}")
+    raise Reject(f"ip link set: unsupported arguments: {' '.join(args[1:])}")
 
 
 def _parse_route_args(state: NetState, rest) -> Route:
@@ -331,25 +314,25 @@ def _parse_route_args(state: NetState, rest) -> Route:
                                    "ip route: unsupported argument"):
         if flag == "via":
             if not _is_ip(value):
-                raise _Reject(f"invalid gateway: {value!r}")
+                raise Reject(f"invalid gateway: {value!r}")
             gateway = value
         elif flag == "dev":
             dev = _need_iface(state, value)
         else:
             metric = _need_int(value, "metric")
     if dev is None:
-        raise _Reject("ip route: a dev is required in this environment")
+        raise Reject("ip route: a dev is required in this environment")
     return Route(dest=dest, dev=dev, gateway=gateway, metric=metric)
 
 
-def _ip_route(state: NetState, rest) -> CommandOutcome:
+def _ip_route(state: NetState, rest) -> Outcome:
     if not rest or rest[0] in ("show", "list"):
-        return CommandOutcome(state, _render_routes(state), READ)
+        return Outcome(state, _render_routes(state), READ)
     verb = rest[0]
     if verb not in ("add", "del", "delete", "replace"):
-        raise _Reject(f"ip route: unknown verb {verb!r}")
+        raise Reject(f"ip route: unknown verb {verb!r}")
     if len(rest) < 2:
-        raise _Reject(f"usage: ip route {verb} <dest>/<mask> ...")
+        raise Reject(f"usage: ip route {verb} <dest>/<mask> ...")
 
     if verb in ("del", "delete"):
         dest = _need_prefix(rest[1])
@@ -365,53 +348,53 @@ def _ip_route(state: NetState, rest) -> CommandOutcome:
             else:
                 matching = [r for r in matching if str(r.metric) == value]
         if not matching:
-            raise _Reject("RTNETLINK answers: No such process")
-        return CommandOutcome(state.copy(routes=_without(state.routes, matching[0])), "", WRITE)
+            raise Reject("RTNETLINK answers: No such process")
+        return Outcome(state.copy(routes=_without(state.routes, matching[0])), "", WRITE)
 
     route = _parse_route_args(state, rest[1:])
     # add: one route per destination and metric, so no two routes tie in a lookup
     if verb == "add" and any(r.dest == route.dest and r.metric == route.metric
                              for r in state.routes):
-        raise _Reject("RTNETLINK answers: File exists")
+        raise Reject("RTNETLINK answers: File exists")
     routes = state.routes
     if verb == "replace":
         routes = tuple(r for r in routes if r.dest != route.dest)
-    return CommandOutcome(state.copy(routes=(*routes, route)), "", WRITE)
+    return Outcome(state.copy(routes=(*routes, route)), "", WRITE)
 
 
-def _ip_rule(state: NetState, rest) -> CommandOutcome:
+def _ip_rule(state: NetState, rest) -> Outcome:
     if not rest or rest[0] in ("show", "list"):
-        return CommandOutcome(state, _render_rules(state), READ)
+        return Outcome(state, _render_rules(state), READ)
     verb = rest[0]
     if verb not in ("add", "del"):
-        raise _Reject(f"ip rule: unknown verb {verb!r}")
+        raise Reject(f"ip rule: unknown verb {verb!r}")
     if "prohibit" not in rest[1:]:
-        raise _Reject("ip rule: only prohibit rules are supported")
+        raise Reject("ip rule: only prohibit rules are supported")
     spec = " ".join(t for t in rest[1:] if t != "prohibit") or "from all"
     if verb == "add" and spec in state.prohibit_rules:
-        raise _Reject("RTNETLINK answers: File exists")
+        raise Reject("RTNETLINK answers: File exists")
     if verb == "del" and spec not in state.prohibit_rules:
-        raise _Reject("RTNETLINK answers: No such file or directory")
+        raise Reject("RTNETLINK answers: No such file or directory")
     rules = (*state.prohibit_rules, spec) if verb == "add" else _without(state.prohibit_rules, spec)
-    return CommandOutcome(state.copy(prohibit_rules=rules), "", WRITE)
+    return Outcome(state.copy(prohibit_rules=rules), "", WRITE)
 
 
-def _iptables(state: NetState, tokens) -> CommandOutcome:
+def _iptables(state: NetState, tokens) -> Outcome:
     rest = tokens[1:]
     if not rest:
-        raise _Reject("iptables: no action given")
+        raise Reject("iptables: no action given")
     action = rest[0]
     if action == "-L":
         chain = rest[1] if len(rest) > 1 else "FORWARD"
-        return CommandOutcome(state, _render_filters(state, chain), READ)
+        return Outcome(state, _render_filters(state, chain), READ)
     if action == "-F":
         chain = rest[1] if len(rest) > 1 else None
         rules = tuple(r for r in state.filter_rules if chain is not None and r.chain != chain)
-        return CommandOutcome(state.copy(filter_rules=rules), "", WRITE)
+        return Outcome(state.copy(filter_rules=rules), "", WRITE)
     if action not in ("-A", "-D"):
-        raise _Reject(f"iptables: unsupported action {action!r}")
+        raise Reject(f"iptables: unsupported action {action!r}")
     if len(rest) < 2:
-        raise _Reject("iptables: missing chain")
+        raise Reject("iptables: missing chain")
 
     src = dst = proto = verdict = None
     for flag, value in _flag_pairs(rest[2:], ("-s", "-d", "-p", "-j"),
@@ -425,54 +408,56 @@ def _iptables(state: NetState, tokens) -> CommandOutcome:
         else:
             verdict = value
     if verdict not in ("DROP", "REJECT"):
-        raise _Reject("iptables: -j DROP or -j REJECT required")
+        raise Reject("iptables: -j DROP or -j REJECT required")
     rule = FilterRule(chain=rest[1], verdict=verdict, src=src, dst=dst, proto=proto)
     if action == "-D" and rule not in state.filter_rules:
-        raise _Reject("iptables: Bad rule (does a matching rule exist?)")
+        raise Reject("iptables: Bad rule (does a matching rule exist?)")
     rules = (*state.filter_rules, rule) if action == "-A" else _without(state.filter_rules, rule)
-    return CommandOutcome(state.copy(filter_rules=rules), "", WRITE)
+    return Outcome(state.copy(filter_rules=rules), "", WRITE)
 
 
-def _sysctl(state: NetState, tokens) -> CommandOutcome:
+def _sysctl(state: NetState, tokens) -> Outcome:
     rest = tokens[1:]
     if rest == ["net.ipv4.ip_forward"]:
-        return CommandOutcome(state, f"net.ipv4.ip_forward = {int(state.ip_forward)}", READ)
+        return Outcome(state, f"net.ipv4.ip_forward = {int(state.ip_forward)}", READ)
     if len(rest) == 2 and rest[0] == "-w" and rest[1].startswith("net.ipv4.ip_forward="):
         value = rest[1].split("=", 1)[1]
         if value not in ("0", "1"):
-            raise _Reject(f"sysctl: invalid value {value!r}")
-        return CommandOutcome(state.copy(ip_forward=value == "1"),
+            raise Reject(f"sysctl: invalid value {value!r}")
+        return Outcome(state.copy(ip_forward=value == "1"),
                               f"net.ipv4.ip_forward = {value}", WRITE)
-    raise _Reject("sysctl: only net.ipv4.ip_forward is supported")
+    raise Reject("sysctl: only net.ipv4.ip_forward is supported")
 
 
-def _tc(state: NetState, tokens) -> CommandOutcome:
+def _tc(state: NetState, tokens) -> Outcome:
     rest = tokens[1:]
     if not rest or rest[0] != "qdisc":
-        raise _Reject("tc: only qdisc operations are supported")
+        raise Reject("tc: only qdisc operations are supported")
     rest = rest[1:]
     if not rest or rest[0] == "show":
-        return CommandOutcome(state, _render_qdiscs(state), READ)
+        return Outcome(state, _render_qdiscs(state), READ)
     m = rest[1:]
     if rest[0] == "add":
         # tc qdisc add dev <iface> root netem delay <N>ms
         if not (len(m) == 6 and m[0] == "dev" and m[2] == "root" and m[3] == "netem"
                 and m[4] == "delay" and m[5].endswith("ms")):
-            raise _Reject("usage: tc qdisc add dev <iface> root netem delay <N>ms")
+            raise Reject("usage: tc qdisc add dev <iface> root netem delay <N>ms")
         iface = _need_iface(state, m[1])
         ms = _u32(m[5][:-2])
         if ms is None:
-            raise _Reject(f"invalid delay: {m[5]!r}")
-        return CommandOutcome(state.copy(delays={**state.delays, iface: ms}), "", WRITE)
+            raise Reject(f"invalid delay: {m[5]!r}")
+        if iface in state.delays:  # a root qdisc exists; Linux wants change or replace
+            raise Reject("Error: Exclusivity flag on, cannot modify.")
+        return Outcome(state.copy(delays={**state.delays, iface: ms}), "", WRITE)
     if rest[0] == "del":
         if not (len(m) == 3 and m[0] == "dev" and m[2] == "root"):
-            raise _Reject("usage: tc qdisc del dev <iface> root")
+            raise Reject("usage: tc qdisc del dev <iface> root")
         iface = _need_iface(state, m[1])
         if iface not in state.delays:
-            raise _Reject("Error: Invalid handle.")
+            raise Reject("Error: Invalid handle.")
         delays = {name: ms for name, ms in state.delays.items() if name != iface}
-        return CommandOutcome(state.copy(delays=delays), "", WRITE)
-    raise _Reject(f"tc qdisc: unsupported verb {rest[0]!r}")
+        return Outcome(state.copy(delays=delays), "", WRITE)
+    raise Reject(f"tc qdisc: unsupported verb {rest[0]!r}")
 
 
 _IP_OBJECTS = {"addr": _ip_addr, "address": _ip_addr, "a": _ip_addr, "link": _ip_link,

@@ -23,8 +23,7 @@ class RoutingEnvironment(ReactiveEnvironment):
         return pingall(state)
 
     def execute(self, state, message):
-        outcome = exec_command(state, message.machine or state.router_name, str(message.payload))
-        return outcome.state, outcome.output, outcome.kind
+        return exec_command(state, message.machine or state.router_name, str(message.payload))
 
     def report(self, output: str, matrix) -> str:
         report = "Configuration updated. Connectivity check:\n" + matrix.render()

@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..core.reactive import generate_reactive_query, replay
 from ..core.types import ActionSpec, GroundTruth
 from ..errors import CorruptGroundTruth
-from .commands import write_command
+from .commands import exec_command
 from .inject import BAD_MASKS, FAMILY_METHODS, build_fault, fault_from_action, fault_scope, \
     fault_to_action, needs_aux
 from .pingall import PingMatrix, pingall
@@ -71,7 +71,7 @@ def _attempts(rng, families):
 def generate_routing_query(level: int, seed: int) -> tuple:
     """Build one reactive routing query; returns (QuerySpec, GroundTruth)."""
     return generate_reactive_query("routing", LEVEL_LABELS, level, seed, _attempts,
-                                   write_command, pingall, NetState.state_digest,
+                                   exec_command, pingall, NetState.state_digest,
                                    render_routing_prompt)
 
 
@@ -87,7 +87,7 @@ def rebuild_states(truth: GroundTruth) -> tuple:
         raise CorruptGroundTruth(f"malformed routing topology record {setup.to_json()}: "
                                  f"{exc!r}") from None
     faults = [fault_from_action(healthy, action) for action in truth.hidden_injection[1:]]
-    return healthy, replay(healthy, _forward(faults), write_command)
+    return healthy, replay(healthy, _forward(faults), exec_command)
 
 
 def render_routing_prompt(healthy: NetState, matrix: PingMatrix) -> str:

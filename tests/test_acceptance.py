@@ -106,13 +106,13 @@ def test_every_reactive_query_starts_broken(capsys):
 
 def test_pinned_reachability_summaries(capsys):
     from netbench.core.reactive import replay
-    from netbench.routing.commands import write_command
+    from netbench.routing.commands import exec_command
     from netbench.routing.inject import build_fault
     from netbench.routing.pingall import pingall, render_summary
     from netbench.routing.state import build_topology
 
     healthy = build_topology(2, 2)
-    injected = replay(healthy, build_fault(healthy, "DI", 1, subnet=1).forward, write_command)
+    injected = replay(healthy, build_fault(healthy, "DI", 1, subnet=1).forward, exec_command)
     derived = pingall(injected).summary_line
     ok = derived == "*** Results: 60% dropped (8/20 received)"
 
@@ -200,14 +200,14 @@ def test_k8s_round_trip_and_inverse_closure(capsys):
     target = cluster_digest(policies)
     for name in list(policies):
         shown = exec_kubectl(policies, f"kubectl get networkpolicy {name} -o yaml")
-        policies = exec_kubectl(policies, "kubectl apply -f -\n" + shown.output).policies
+        policies = exec_kubectl(policies, "kubectl apply -f -\n" + shown.output).state
     round_trip = cluster_digest(policies) == target
 
     healed = 0
     for _, truth in generate_batch(config("k8s", 500)):
         _, broken = rebuild_cluster(truth)
         for machine, command in truth.recovery:
-            broken = exec_kubectl(broken, command).policies
+            broken = exec_kubectl(broken, command).state
         if connectivity_check(broken).clean and cluster_digest(broken) == truth.target_digest:
             healed += 1
     ok = round_trip and healed == 500

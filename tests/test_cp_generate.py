@@ -75,6 +75,20 @@ def test_env_wrong_answer_incorrect(base):
     assert not env.is_correct()
 
 
+@pytest.mark.parametrize("op, checks", [("list", 0), ("remove", 1)])
+def test_env_checks_structure_only_for_a_program_that_writes(base, monkeypatch, op, checks):
+    q, t = generate_cp_query(base, 1, 9)
+    env = CpEnvironment(base, q, t)
+    checked = []
+    monkeypatch.setattr("netbench.cp.env.check_safety_cp",
+                        lambda graph: checked.append(graph) or check_safety_cp(graph))
+    port = base.of_type("EK_PORT")[0]
+    _, safe, is_write, valid = env.execute_message(
+        AgentMessage(MSG_FINAL, {"program": [{"name": op, "operands": [port]}]}))
+    assert safe and is_write and valid
+    assert len(checked) == checks and (env.state is base) == (op == "list")
+
+
 def test_env_rejects_command_messages(base):
     q, t = generate_cp_query(base, 1, 8)
     env = CpEnvironment(base, q, t)
@@ -108,7 +122,9 @@ def test_env_rejects_a_non_finite_update(base, value):
 @pytest.mark.parametrize("answer", [
     {"kind": "ranked-list", "value": 5}, {"kind": "ranked-list", "value": [[1]]},
     {"kind": "ranked-list", "value": "ab"}, {"kind": "ranked-list", "value": [["a", "x"]]},
-    {"kind": "name-list", "value": 5}, {"kind": "name-list", "value": None}])
+    {"kind": "name-list", "value": 5}, {"kind": "name-list", "value": None},
+    {"kind": "scalar", "value": True}, {"kind": "scalar", "value": "3"},
+    {"kind": "ranked-list", "value": [["a", False]]}])
 def test_env_malformed_answer_is_one_invalid_turn(base, answer):
     q, t = generate_cp_query(base, 1, 9)
     env = CpEnvironment(base, q, t)

@@ -184,4 +184,5 @@ def test_oracle_episodes_over_one_base_compute_its_views_once(monkeypatch):
             env = CpEnvironment(base, query, truth)
             assert run_episode(env, OracleAgent(query, truth), query).correct
     assert labels == {label for group in LEVEL_LABELS.values() for label in group}
-    assert sorted(computed) == ["_by_type", "_containment", "_digest", "linked"]
+    # ``linked`` feeds only the structure check, which a program that writes nothing skips
+    assert sorted(computed) == ["_by_type", "_containment", "_digest"]

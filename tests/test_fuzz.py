@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from netbench.agents.base import MSG_COMMAND, MSG_FINAL, AgentMessage
 from netbench.agents.extract import extract_message
 from netbench.core.generate import cp_base_graph, generate_batch
-from netbench.core.reactive import INVALID, READ, WRITE
+from netbench.core.reactive import INVALID, READ, WRITE, Outcome
 from netbench.core.types import BenchmarkConfig
 from netbench.cp.env import CpEnvironment
 from netbench.cp.graph import BASIC_OPS, NODE_TYPES
@@ -83,7 +83,8 @@ def test_routing_interpreter_and_environment(index, machine, command):
         machine = state.prefix + machine  # the router or a host of this topology
     first = exec_command(state, machine, command)
     again = exec_command(state, machine, command)
-    assert first.kind in (READ, WRITE, INVALID)
+    assert isinstance(first, Outcome) and first.kind in (READ, WRITE, INVALID)
+    assert first.kind == WRITE or first.state is state  # a non-write returns its input
     assert (first.output, first.kind, first.state.state_digest()) == \
         (again.output, again.kind, again.state.state_digest())
     assert state.state_digest() == before
@@ -127,9 +128,10 @@ def test_kubectl_interpreter_and_environment(index, command):
     before = cluster_digest(policies)
     first = exec_kubectl(policies, command)
     again = exec_kubectl(policies, command)
-    assert first.kind in (READ, WRITE, INVALID)
-    assert (first.output, first.kind, cluster_digest(first.policies)) == \
-        (again.output, again.kind, cluster_digest(again.policies))
+    assert isinstance(first, Outcome) and first.kind in (READ, WRITE, INVALID)
+    assert first.kind == WRITE or first.state is policies  # a non-write returns its input
+    assert (first.output, first.kind, cluster_digest(first.state)) == \
+        (again.output, again.kind, cluster_digest(again.state))
     assert cluster_digest(policies) == before
     if command.strip():
         output, safe, is_write, valid = env.execute_message(AgentMessage(MSG_COMMAND, command))

@@ -44,8 +44,8 @@ def test_recovery_monotone_and_digest_exact():
         for machine, command in t.recovery:
             out = exec_kubectl(policies, command)
             assert out.kind == "write"
-            assert judge_step_safety(policies, out.policies, "strict")
-            policies = out.policies
+            assert judge_step_safety(policies, out.state, "strict")
+            policies = out.state
             now = len(connectivity_check(policies).good)
             assert now > size
             size = now
@@ -76,7 +76,7 @@ def test_env_oracle_path():
 def test_safety_breaking_conforming_flow_unsafe():
     from netbench.k8spolicy.model import default_policies
     baseline = default_policies()
-    broken = exec_kubectl(baseline, "kubectl delete networkpolicy adservice").policies
+    broken = exec_kubectl(baseline, "kubectl delete networkpolicy adservice").state
     # only the catch-all now selects adservice, so its expected caller is blocked
     assert not judge_step_safety(baseline, broken, "strict")
     assert not judge_step_safety(baseline, broken, "lenient")

@@ -48,7 +48,7 @@ def test_every_mutation_is_observable():
     for mutation in sample_mutations():
         out = exec_kubectl(baseline, mutation.forward[1])
         assert out.kind == "write", mutation
-        report = connectivity_check(out.policies)
+        report = connectivity_check(out.state)
         assert not report.clean, (mutation.family, mutation.target)
 
 
@@ -56,11 +56,11 @@ def test_every_inverse_restores_digest_exactly():
     baseline = default_policies()
     target = cluster_digest(baseline)
     for mutation in sample_mutations():
-        broken = exec_kubectl(baseline, mutation.forward[1]).policies
+        broken = exec_kubectl(baseline, mutation.forward[1]).state
         repaired = exec_kubectl(broken, mutation.inverse[1])
         assert repaired.kind == "write"
-        assert cluster_digest(repaired.policies) == target, (mutation.family, mutation.target)
-        assert connectivity_check(repaired.policies).clean
+        assert cluster_digest(repaired.state) == target, (mutation.family, mutation.target)
+        assert connectivity_check(repaired.state).clean
 
 
 def test_mutations_are_single_patch_commands():
@@ -87,7 +87,7 @@ def test_malformed_action_is_a_corrupt_ground_truth(action):
 def test_ri_blocks_only_the_removed_caller():
     baseline = default_policies()
     mutation = build_mutation("RI", "cartservice", "frontend")
-    broken = exec_kubectl(baseline, mutation.forward[1]).policies
+    broken = exec_kubectl(baseline, mutation.forward[1]).state
     report = connectivity_check(broken)
     assert report.mismatches == [("frontend", "cartservice", 7070, True, False)]
 
@@ -95,7 +95,7 @@ def test_ri_blocks_only_the_removed_caller():
 def test_ae_blocks_other_egress_of_the_client():
     baseline = default_policies()
     mutation = build_mutation("AE", "frontend", "adservice")
-    broken = exec_kubectl(baseline, mutation.forward[1]).policies
+    broken = exec_kubectl(baseline, mutation.forward[1]).state
     report = connectivity_check(broken)
     blocked = {(src, dst) for src, dst, _, exp, act in report.mismatches if exp and not act}
     assert ("frontend", "adservice") not in blocked
@@ -106,6 +106,6 @@ def test_ae_blocks_other_egress_of_the_client():
 def test_mismatch_line_format():
     baseline = default_policies()
     mutation = build_mutation("RI", "cartservice", "frontend")
-    broken = exec_kubectl(baseline, mutation.forward[1]).policies
+    broken = exec_kubectl(baseline, mutation.forward[1]).state
     text = connectivity_check(broken).render()
     assert "frontend -> cartservice:7070 (Expected: allowed, Actual: blocked)" in text

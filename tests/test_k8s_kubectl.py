@@ -35,7 +35,7 @@ def test_get_yaml_and_apply_round_trip(policies):
         assert shown.kind == READ
         applied = exec_kubectl(policies, "kubectl apply -f -\n" + shown.output)
         assert applied.kind == WRITE
-        policies = applied.policies
+        policies = applied.state
     assert cluster_digest(policies) == d
 
 
@@ -54,9 +54,9 @@ def test_patch_merge(policies):
     out = exec_kubectl(policies,
                        f"kubectl patch networkpolicy adservice --type merge -p '{patch}'")
     assert out.kind == WRITE
-    assert out.policies["adservice"]["spec"]["podSelector"]["matchLabels"]["app"] == "other"
+    assert out.state["adservice"]["spec"]["podSelector"]["matchLabels"]["app"] == "other"
     # rest of the policy's spec field is untouched
-    assert out.policies["adservice"]["spec"]["ingress"] == policies["adservice"]["spec"]["ingress"]
+    assert out.state["adservice"]["spec"]["ingress"] == policies["adservice"]["spec"]["ingress"]
 
 
 def test_patch_requires_merge_type(policies):
@@ -83,7 +83,7 @@ def test_apply_new_policy(policies):
     ])
     out = exec_kubectl(policies, "kubectl apply -f -\n" + manifest)
     assert out.kind == WRITE and "created" in out.output
-    assert "extra" in out.policies
+    assert "extra" in out.state
 
 
 def test_apply_rejects_non_policy(policies):
@@ -94,8 +94,8 @@ def test_apply_rejects_non_policy(policies):
 def test_delete(policies):
     out = exec_kubectl(policies, "kubectl delete networkpolicy adservice")
     assert out.kind == WRITE
-    assert "adservice" not in out.policies
-    again = exec_kubectl(out.policies, "kubectl delete networkpolicy adservice")
+    assert "adservice" not in out.state
+    again = exec_kubectl(out.state, "kubectl delete networkpolicy adservice")
     assert again.kind == INVALID
 
 
@@ -122,9 +122,9 @@ def _assert_rejected(policies, command):
     d = cluster_digest(policies)
     out = exec_kubectl(policies, command)
     assert out.kind == INVALID, out.output
-    assert cluster_digest(out.policies) == d
-    connectivity_check(out.policies)
-    assert exec_kubectl(out.policies, "kubectl get networkpolicies").kind == READ
+    assert cluster_digest(out.state) == d
+    connectivity_check(out.state)
+    assert exec_kubectl(out.state, "kubectl get networkpolicies").kind == READ
     return out
 
 
@@ -186,8 +186,8 @@ def test_get_yaml_of_an_applied_alias_has_no_anchor(policies):
     ])
     applied = exec_kubectl(policies, "kubectl apply -f -\n" + manifest)
     assert applied.kind == WRITE, applied.output
-    shown = exec_kubectl(applied.policies, "kubectl get networkpolicy extra -o yaml").output
-    described = exec_kubectl(applied.policies, "kubectl describe networkpolicy extra").output
+    shown = exec_kubectl(applied.state, "kubectl get networkpolicy extra -o yaml").output
+    described = exec_kubectl(applied.state, "kubectl describe networkpolicy extra").output
     for text in (shown, described):
         assert "&" not in text and "*" not in text, text
     assert yaml.safe_load(shown) == yaml.safe_load(manifest)
@@ -198,9 +198,9 @@ def test_strings_holding_a_surrogate_are_rejected_and_the_character_is_kept(poli
     patched = exec_kubectl(policies, "kubectl patch networkpolicy frontend --type merge -p "
                                      """'{"metadata": {"labels": {"x": "\\ud83d\\ude00"}}}'""")
     assert patched.kind == WRITE, patched.output
-    assert patched.policies["frontend"]["metadata"]["labels"] == {"x": "\U0001F600"}
-    shown = exec_kubectl(patched.policies, "kubectl get networkpolicy frontend -o yaml").output
-    assert shown == yaml.safe_dump(patched.policies["frontend"], sort_keys=True,
+    assert patched.state["frontend"]["metadata"]["labels"] == {"x": "\U0001F600"}
+    shown = exec_kubectl(patched.state, "kubectl get networkpolicy frontend -o yaml").output
+    assert shown == yaml.safe_dump(patched.state["frontend"], sort_keys=True,
                                    default_flow_style=False)
     manifest = yaml.safe_dump(policies["frontend"]).replace(
         "name: frontend", 'labels: {x: "\\ud83d\\ude00"}\n  name: frontend')
@@ -360,8 +360,8 @@ def test_apply_accepts_a_dns_subdomain_name_that_can_then_be_deleted(policies, n
                                "spec": {"podSelector": {}, "policyTypes": ["Ingress"]}})
     applied = exec_kubectl(policies, "kubectl apply -f -\n" + manifest)
     assert applied.kind == WRITE
-    deleted = exec_kubectl(applied.policies, f"kubectl delete networkpolicy {name}")
-    assert deleted.kind == WRITE and deleted.policies == policies
+    deleted = exec_kubectl(applied.state, f"kubectl delete networkpolicy {name}")
+    assert deleted.kind == WRITE and deleted.state == policies
 
 
 def test_get_reads_the_output_flag_as_a_pair(policies):
@@ -385,7 +385,7 @@ def test_get_reads_the_output_flag_as_a_pair(policies):
 
 def test_get_yaml_without_a_name_prints_the_store_as_a_list(policies):
     out = exec_kubectl(policies, "kubectl get networkpolicy -o yaml")
-    assert out.kind == READ and out.policies is policies
+    assert out.kind == READ and out.state is policies
     assert yaml.safe_load(out.output) == {
         "apiVersion": "v1", "items": [policies[name] for name in sorted(policies)],
         "kind": "List", "metadata": {"resourceVersion": ""}}

@@ -163,6 +163,16 @@ def test_tc_netem_round_trip(state):
     assert missing.kind == INVALID
 
 
+def test_tc_add_on_an_interface_with_a_netem_qdisc_is_refused_as_linux_does(state):
+    s = exec_command(state, "r0", "tc qdisc add dev r0-eth1 root netem delay 100ms").state
+    again = exec_command(s, "r0", "tc qdisc add dev r0-eth1 root netem delay 200ms")
+    assert again.kind == INVALID and again.state is s
+    assert again.output == "Error: Exclusivity flag on, cannot modify."
+    assert s.delays == {"r0-eth1": 100}
+    other = exec_command(s, "r0", "tc qdisc add dev r0-eth2 root netem delay 200ms")
+    assert other.kind == WRITE and other.state.delays == {"r0-eth1": 100, "r0-eth2": 200}
+
+
 def test_host_reads_allowed_writes_refused(state):
     assert exec_command(state, "h1", "ifconfig").kind == READ
     out = exec_command(state, "h1", "ip link set h1-eth0 down")

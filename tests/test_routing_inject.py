@@ -3,7 +3,7 @@ import pytest
 from netbench.core.reactive import replay, solved
 from netbench.core.types import ActionSpec
 from netbench.errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
-from netbench.routing.commands import exec_command, write_command
+from netbench.routing.commands import exec_command
 from netbench.routing.inject import FAMILY_METHODS, build_fault, fault_from_action, \
     fault_to_action
 from netbench.routing.pingall import pingall
@@ -32,7 +32,7 @@ def test_unknown_family_and_method():
 def test_every_fault_is_observable_from_healthy():
     s = build_topology(3, 2)
     for fault in all_faults(s):
-        broken = replay(s, fault.forward, write_command)
+        broken = replay(s, fault.forward, exec_command)
         assert not solved(pingall(broken)), (fault.family, fault.method)
 
 
@@ -40,7 +40,7 @@ def test_every_inverse_restores_digest_exactly():
     s = build_topology(3, 2)
     target = s.state_digest()
     for fault in all_faults(s):
-        broken = replay(s, fault.forward, write_command)
+        broken = replay(s, fault.forward, exec_command)
         machine, command = fault.inverse
         outcome = exec_command(broken, machine, command)
         assert outcome.kind == "write", (fault.family, fault.method, outcome.output)
@@ -67,7 +67,7 @@ def test_faults_work_with_prefixed_names():
     s = build_topology(2, 2, prefix="q7_")
     fault = build_fault(s, "DI", 1, subnet=1)
     assert "q7_r0-eth1" in fault.forward[0][1]
-    broken = replay(s, fault.forward, write_command)
+    broken = replay(s, fault.forward, exec_command)
     assert not solved(pingall(broken))
 
 

@@ -263,11 +263,11 @@ def test_connectivity_check_matches_reference_on_reachable_states(data, level, s
         outcome = exec_kubectl(policies, data.draw(kubectl_command(policies, truth.recovery)))
         if outcome.kind == "write":
             before = connectivity_check(policies)
-            after = connectivity_check(outcome.policies)
+            after = connectivity_check(outcome.state)
             for rule in ("strict", "lenient"):
-                assert k8s_judge(policies, outcome.policies, rule) == ref_judge(
+                assert k8s_judge(policies, outcome.state, rule) == ref_judge(
                     before.good, after.good, len(flow_universe()), rule)
-            policies = outcome.policies
+            policies = outcome.state
         assert connectivity_check(policies) == ref_connectivity_check(policies)
 
 
@@ -322,7 +322,7 @@ def _wide_writes(data, level, seed):
                 "metadata": {"name": name}, "spec": spec})
         outcome = exec_kubectl(policies, command)
         assert outcome.kind == "write", outcome.output
-        policies = outcome.policies
+        policies = outcome.state
         yield name, policies
 
 
@@ -371,7 +371,7 @@ def test_cluster_digest_matches_reference_under_shuffled_keys(data, level, seed)
     _, truth = generate_k8s_query(level, seed)
     policies = data.draw(st.sampled_from(rebuild_cluster(truth)))
     for _ in range(data.draw(st.integers(0, 4))):
-        policies = exec_kubectl(policies, data.draw(kubectl_command(policies, truth.recovery))).policies
+        policies = exec_kubectl(policies, data.draw(kubectl_command(policies, truth.recovery))).state
     # a store built through kubectl, and one that was not
     for store in (policies, data.draw(st.dictionaries(st.text(max_size=6), _JSON, max_size=4))):
         shuffled = _shuffled(data, store)
