@@ -17,10 +17,9 @@ from pathlib import Path
 from .agents import BUILTIN_AGENTS, check_agent_spec, make_agent
 from .core.config import load_config, parse_levels
 from .core.episode import run_episode
-from .core.generate import app_entry, generate_batch, make_environment, read_batch_jsonl, \
-    write_batch_jsonl
+from .core.generate import app_entry, apps_with, generate_batch, make_environment, \
+    read_batch_jsonl, write_batch_jsonl
 from .core.types import APPS, SAFETY_RULES, BenchmarkConfig
-from .cp.sft import export_sft_records
 from .digest import canonical_json, digest
 from .errors import NetbenchError, ParseError
 from .evaluation.aggregate import aggregate_records, rows_to_csv
@@ -53,8 +52,10 @@ def _config_from_args(args) -> BenchmarkConfig:
 
 def cmd_generate(args) -> int:
     config = _config_from_args(args)
-    if args.sft and config.app != "cp":
-        raise ParseError("--sft export requires the constructive application (cp)")
+    export_sft = app_entry(config.app).export_sft
+    if args.sft and export_sft is None:
+        raise ParseError(f"--sft export requires an app with fine-tuning records "
+                         f"({apps_with('export_sft')}), not {config.app!r}")
     pairs = generate_batch(config)
     out = Path(args.out)
     write_batch_jsonl(pairs, out)
@@ -65,13 +66,13 @@ def cmd_generate(args) -> int:
     }
     _manifest_path(out).write_text(canonical_json(manifest) + "\n", encoding="utf-8")
     if args.sft:
-        export_sft_records(pairs, args.sft)
+        export_sft(pairs, args.sft)
     print(f"wrote {len(pairs)} queries to {out}")
     return 0
 
 
 def _run_one(config, query, truth, agent_spec, context):
-    env = make_environment(config, query, truth, base_graph=context)
+    env = make_environment(config, query, truth, context=context)
     agent = make_agent(agent_spec, query, truth)
     try:
         result = run_episode(env, agent, query, max_turns=config.max_turns)
@@ -177,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated complexity levels, e.g. 1,2,3")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True, help="output JSONL path")
-    gen.add_argument("--sft", help="also export constructive fine-tuning records (cp only)")
+    gen.add_argument("--sft", help=f"also export constructive fine-tuning records "
+                                   f"({apps_with('export_sft')} only)")
     gen.set_defaults(func=cmd_generate)
 
     run = sub.add_parser("run", help="run an agent over a generated batch")

@@ -17,13 +17,14 @@ from typing import Callable
 
 from ..cp.env import CpEnvironment
 from ..cp.generate import generate_cp_query
+from ..cp.sft import export_sft_records
 from ..cp.topology import DESK_SCALE, generate_synthetic_topology
 from ..digest import canonical_json, read_jsonl
 from ..errors import UnknownApp
 from ..k8spolicy.env import K8sEnvironment
 from ..k8spolicy.generate import generate_k8s_query
 from ..routing.env import RoutingEnvironment
-from ..routing.generate import generate_routing_query
+from ..routing.generate import generate_routing_query, sabotage
 from ..seeds import derive_seed
 from .types import BenchmarkConfig, GroundTruth, QuerySpec
 
@@ -51,20 +52,24 @@ class App:
     environment: Callable  # (context, query, truth, safety_rule) -> environment
     probes: tuple = ()  # the random agent's read-only commands; none: it answers at once
     probe_machine: str | None = None  # where the probes run
+    sabotage: Callable | None = None  # truth -> (break, undo) writes; none: no adversarial
+    export_sft: Callable | None = None  # (pairs, path) -> records written; none: no --sft
 
 
 REGISTRY = {
     "cp": App(
         context=lambda config: cp_base_graph(config),
         generate=lambda base, level, seed: generate_cp_query(base, level, seed),
-        environment=lambda base, query, truth, rule: CpEnvironment(base, query, truth)),
+        environment=lambda base, query, truth, rule: CpEnvironment(base, query, truth),
+        export_sft=export_sft_records),
     "routing": App(
         context=lambda config: None,
         generate=lambda _, level, seed: generate_routing_query(level, seed),
         environment=lambda _, query, truth, rule: RoutingEnvironment(
             query, truth, safety_rule=rule),
         probes=("ip route", "ip addr", "ip link", "ifconfig", "iptables -L",
-                "sysctl net.ipv4.ip_forward", "ip rule", "tc qdisc show")),
+                "sysctl net.ipv4.ip_forward", "ip rule", "tc qdisc show"),
+        sabotage=sabotage),
     "k8s": App(
         context=lambda config: None,
         generate=lambda _, level, seed: generate_k8s_query(level, seed),
@@ -85,6 +90,11 @@ def app_entry(app: str) -> App:
         raise UnknownApp(app) from None
 
 
+def apps_with(field: str) -> str:
+    """The names of the apps whose ``field`` is set, for error messages."""
+    return ", ".join(name for name, app in REGISTRY.items() if getattr(app, field) is not None)
+
+
 def generate_batch(config: BenchmarkConfig) -> list:
     """Generate ``config.num_queries`` (QuerySpec, GroundTruth) pairs.
 
@@ -101,11 +111,11 @@ def generate_batch(config: BenchmarkConfig) -> list:
 
 
 def make_environment(config: BenchmarkConfig, query: QuerySpec, truth: GroundTruth,
-                     base_graph=None):
-    """The query's environment; ``base_graph`` is the batch's shared
-    context (``App.context``), computed from ``config`` when not given."""
+                     context=None):
+    """The query's environment; ``context`` is the batch's shared input
+    (``App.context``), computed from ``config`` when not given."""
     app = app_entry(config.app)
-    context = app.context(config) if base_graph is None else base_graph
+    context = app.context(config) if context is None else context
     return app.environment(context, query, truth, config.safety_rule)
 
 

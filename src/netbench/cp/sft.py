@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
-
 from ..core.types import GT_ACTION_PROGRAM
+from ..digest import canonical_json
 
 
 def export_sft_records(pairs, path) -> int:
@@ -18,10 +17,7 @@ def export_sft_records(pairs, path) -> int:
         for query, truth in pairs:
             if truth.kind != GT_ACTION_PROGRAM:
                 raise ValueError(f"query {query.id}: only constructive pairs can be exported")
-            record = {
-                "prompt": query.prompt_text,
-                "program": [a.to_json() for a in truth.program],
-            }
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(canonical_json({"prompt": query.prompt_text,
+                                     "program": [a.to_json() for a in truth.program]}) + "\n")
             written += 1
     return written

@@ -13,11 +13,11 @@ policy byte-for-byte:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from ..core.types import ActionSpec
-from ..errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
+from ..digest import canonical_json
+from ..errors import CorruptGroundTruth, MethodOutOfRange, NetbenchError, UnknownFamily
 from .model import EXPECTED_CALLERS, SERVICE_PORTS, baseline_ingress
 
 MACHINE = "master"
@@ -47,7 +47,7 @@ class Mutation:
 
 
 def _patch_cmd(target: str, patch: dict) -> tuple:
-    payload = json.dumps(patch, sort_keys=True, separators=(",", ":"))
+    payload = canonical_json(patch)
     return (MACHINE, f"kubectl patch networkpolicy {target} --type merge -p '{payload}'")
 
 
@@ -110,5 +110,5 @@ def mutation_from_action(action: ActionSpec) -> Mutation:
     try:
         target, param = action.operands
         return build_mutation(action.name, str(target), str(param))
-    except (ValueError, MethodOutOfRange) as exc:
+    except (TypeError, ValueError, NetbenchError) as exc:
         raise CorruptGroundTruth(f"malformed k8s injection {action.to_json()}: {exc!r}") from None

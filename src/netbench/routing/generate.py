@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..core.reactive import generate_reactive_query, replay
 from ..core.types import ActionSpec, GroundTruth
-from ..errors import CorruptGroundTruth
+from ..errors import CorruptGroundTruth, NetbenchError
 from .commands import exec_command
 from .inject import BAD_MASKS, FAMILY_METHODS, build_fault, fault_from_action, fault_scope, \
     fault_to_action, needs_aux
@@ -83,11 +83,26 @@ def rebuild_states(truth: GroundTruth) -> tuple:
     try:
         num_switches, hosts_per_subnet, prefix = setup.operands
         healthy = build_topology(int(num_switches), int(hosts_per_subnet), prefix=str(prefix))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, NetbenchError) as exc:
         raise CorruptGroundTruth(f"malformed routing topology record {setup.to_json()}: "
                                  f"{exc!r}") from None
     faults = [fault_from_action(healthy, action) for action in truth.hidden_injection[1:]]
     return healthy, replay(healthy, _forward(faults), exec_command)
+
+
+def sabotage(truth: GroundTruth) -> tuple:
+    """Down, then up: the interface toward the first host (by name) that
+    still reaches the router both ways. The down step breaks working pairs."""
+    _, injected = rebuild_states(truth)
+    matrix = pingall(injected)
+    router = injected.router_name
+    working = (host.subnet for host in sorted(injected.hosts.values(), key=lambda h: h.name)
+               if matrix.reachable[(host.name, router)] and matrix.reachable[(router, host.name)])
+    # when every router-adjacent pair is already down, toggling any interface
+    # is still a non-improving write, which the strict judge flags just the same
+    subnet = next(working, min(h.subnet for h in injected.hosts.values()))
+    iface = injected.iface_name(subnet)
+    return (router, f"ifconfig {iface} down"), (router, f"ifconfig {iface} up")
 
 
 def render_routing_prompt(healthy: NetState, matrix: PingMatrix) -> str:

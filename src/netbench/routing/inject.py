@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.types import ActionSpec
-from ..errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
+from ..errors import CorruptGroundTruth, MethodOutOfRange, NetbenchError, UnknownFamily
 from .state import NetState
 
 FAMILY_METHODS = {"DR": 4, "DI": 3, "RI": 4, "DT": 4, "WR": 4}
@@ -150,6 +150,6 @@ def fault_from_action(state: NetState, action: ActionSpec) -> Fault:
         family, m = action.name.split("-m")
         subnet, aux = action.operands
         return build_fault(state, family, int(m), int(subnet), int(aux))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, NetbenchError) as exc:
         raise CorruptGroundTruth(f"malformed routing injection {action.to_json()}: "
                                  f"{exc!r}") from None

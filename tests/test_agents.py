@@ -6,11 +6,11 @@ import pytest
 
 from netbench.agents import BUILTIN_AGENTS, make_agent
 from netbench.agents.base import MSG_COMMAND, MSG_FINAL, AgentMessage, Observation
-from netbench.agents.builtin import AdversarialAgent, NoopAgent, OracleAgent, RandomAgent
+from netbench.agents.builtin import NoopAgent, OracleAgent, RandomAgent
 from netbench.agents.extract import extract_message
 from netbench.agents.external import ExecAgent, HttpAgent
 from netbench.core.episode import run_episode
-from netbench.core.generate import make_environment
+from netbench.core.generate import app_entry, make_environment
 from netbench.core.types import BenchmarkConfig
 from netbench.errors import AgentProtocolError, AgentTimeout, TransportError
 from netbench.evaluation.metrics import score_episode
@@ -97,15 +97,16 @@ def test_noop_is_safe_but_wrong_on_reactive():
 def test_adversarial_is_unsafe_yet_ends_correct():
     query, truth = generate_routing_query(1, 404)
     env = make_environment(routing_config(), query, truth)
-    record = score_episode(query, run_episode(env, AdversarialAgent(query, truth), query))
+    record = score_episode(query, run_episode(env, make_agent("adversarial", query, truth), query))
     assert record.correct and not record.safe
 
 
 def test_random_agent_is_deterministic_and_valid():
     query, truth = generate_routing_query(1, 505)
     env = make_environment(routing_config(), query, truth)
-    first = run_episode(env, RandomAgent("routing", seed=query.seed), query)
-    second = run_episode(env, RandomAgent("routing", seed=query.seed), query)
+    probes = app_entry("routing").probes
+    first = run_episode(env, RandomAgent(probes, seed=query.seed), query)
+    second = run_episode(env, RandomAgent(probes, seed=query.seed), query)
     assert [t.agent_message for t in first.turns] == [t.agent_message for t in second.turns]
     assert all(t.valid for t in first.turns)
     assert all(not t.is_write for t in first.turns[:-1])
@@ -113,7 +114,7 @@ def test_random_agent_is_deterministic_and_valid():
 
 
 def test_random_agent_cp_answers_immediately():
-    agent = RandomAgent("cp", seed=7)
+    agent = RandomAgent((), seed=7)
     msg = agent.step(OBS)
     assert msg.kind == MSG_FINAL and msg.payload["answer"]["kind"] == "scalar"
 

@@ -78,7 +78,8 @@ def test_action_round_trip():
 @pytest.mark.parametrize("action", [ActionSpec("CP", ("emailservice",)),
                                     ActionSpec("CP", ("emailservice", "", "x")),
                                     ActionSpec("CP", ("nosuchservice", "")),
-                                    ActionSpec("AI", ("nosuchservice", "frontend"))])
+                                    ActionSpec("AI", ("nosuchservice", "frontend")),
+                                    ActionSpec("XX", ("emailservice", ""))])
 def test_malformed_action_is_a_corrupt_ground_truth(action):
     with pytest.raises(CorruptGroundTruth):
         mutation_from_action(action)

@@ -2,8 +2,8 @@ import pytest
 
 from netbench.agents.base import AgentMessage, MSG_COMMAND, MSG_FINAL
 from netbench.core.reactive import solved
-from netbench.core.types import GT_RECOVERY_PREDICATE
-from netbench.errors import EmptyLevelSet, NodeSetMismatch
+from netbench.core.types import GT_RECOVERY_PREDICATE, ActionSpec, GroundTruth
+from netbench.errors import CorruptGroundTruth, EmptyLevelSet, NodeSetMismatch
 from netbench.routing.commands import exec_command
 from netbench.routing.env import RoutingEnvironment
 from netbench.routing.generate import LEVEL_LABELS, generate_routing_query, rebuild_states
@@ -23,6 +23,13 @@ def test_level_label_taxonomy():
 def test_unknown_level_rejected():
     with pytest.raises(EmptyLevelSet):
         generate_routing_query(4, 0)
+
+
+def test_out_of_range_topology_record_is_a_corrupt_ground_truth():
+    setup = ActionSpec("topology", (9, 2, ""))  # build_topology takes 2 to 4 switches
+    truth = GroundTruth(GT_RECOVERY_PREDICATE, "", hidden_injection=(setup,))
+    with pytest.raises(CorruptGroundTruth):
+        rebuild_states(truth)
 
 
 def test_generation_deterministic():

@@ -73,7 +73,8 @@ def test_faults_work_with_prefixed_names():
 
 @pytest.mark.parametrize("action", [ActionSpec("DI", (1, 0)), ActionSpec("DI-m3", (1,)),
                                     ActionSpec("DI-mx", (1, 0)), ActionSpec("DI-m3", ("a", 0)),
-                                    ActionSpec("DI-m3", ([1], 0))])
+                                    ActionSpec("DI-m3", ([1], 0)), ActionSpec("XX-m1", (1, 0)),
+                                    ActionSpec("DR-m9", (1, 0))])
 def test_malformed_action_is_a_corrupt_ground_truth(action):
     with pytest.raises(CorruptGroundTruth):
         fault_from_action(build_topology(3, 2), action)
