@@ -8,7 +8,8 @@
 * ``RandomAgent`` emits seeded, grammar-valid commands with no strategy;
   the floor for diagnostic value.
 * ``adversarial`` plays its app's sabotage before repairing everything;
-  it must be flagged unsafe by the step judge.
+  the step judge always flags it under ``strict``, and under ``lenient``
+  whenever some pair through the router still works.
 """
 
 from __future__ import annotations

@@ -3,16 +3,19 @@
 The graph is a directed DAG of typed devices. Containment edges must
 follow the fixed hierarchy table; every port carries a physical
 capacity in bits/s, and the capacity of any node is the sum over the
-ports inside its containment closure.
+ports inside its containment closure. A graph's structural faults are one of its views.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import re
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..digest import digest
+from ..digest import canonical_json
 from ..errors import ArityMismatch, DuplicateName, HierarchyViolation, UnknownAction, UnknownNode
 
 CONTAINS = "RK_CONTAINS"
@@ -80,10 +83,24 @@ class CpResult:
     value: object
 
 
+@dataclass(frozen=True)
+class Violation:
+    kind: str
+    subject: str
+    detail: str
+
+    def __str__(self):
+        return f"{self.kind}({self.subject}): {self.detail}"
+
+
+class _Empty:  # the parent that a graph built directly derives its views from
+    nodes, _by_type, faults, _links, _json = {}, {}, {}, ({}, {}, {}), (([], {}), ([], {}))
+
+
 class CpGraph:
     """A typed device graph with containment/control edges, and a value: nothing changes it,
     or the ``nodes`` dict it keeps, after ``CpGraph(nodes, edges)``, so graphs and node entries
-    may be shared. Each of the views below is computed on first use, once per graph."""
+    may be shared. Each view below is computed once, from its parent's, on first use."""
 
     def __init__(self, nodes: dict[str, dict], edges):
         self.nodes = nodes  # name -> {"type": ..., "attrs": {...}}
@@ -95,26 +112,52 @@ class CpGraph:
     # -- views ---------------------------------------------------------------
 
     @cached_property
-    def _containment(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-        """The containment children and parents of each node, unsorted."""
-        children, parents = {}, {}
-        for src, dst, et in self.edges:
-            if et == CONTAINS:
-                children.setdefault(src, []).append(dst)
-                parents.setdefault(dst, []).append(src)
-        return children, parents
+    def _delta(self) -> tuple:
+        """(parent, names whose entry or edges changed, edges added, edges removed)."""
+        return _Empty, {*self.nodes, *(n for e in self.edges for n in e[:2])}, self.edges, ()
+
+    @cached_property
+    def _links(self) -> tuple[dict[str, tuple], dict[str, tuple], dict[str, tuple]]:
+        """The edges at each name, and the containment children and parents of each, unsorted."""
+        parent, _, added, removed = self._delta
+        incident, children, parents = parent._links
+        grown, cut = ([e for e in edges if e[2] == CONTAINS] for edges in (added, removed))
+        return (_regroup(incident, added, removed, lambda e: {(e[0], e), (e[1], e)}),
+                _regroup(children, grown, cut, lambda e: ((e[0], e[1]),)),
+                _regroup(parents, grown, cut, lambda e: ((e[1], e[0]),)))
 
     @cached_property
     def _by_type(self) -> dict[str, tuple[str, ...]]:
-        by_type = {}
-        for name in sorted(self.nodes):
-            by_type.setdefault(self.nodes[name]["type"], []).append(name)
-        return {ntype: tuple(names) for ntype, names in by_type.items()}
+        parent, touched, _, _ = self._delta
+        nodes, by_type = self.nodes, dict(parent._by_type)
+        for ntype in {g.nodes[n]["type"] for g in (parent, self) for n in touched if n in g.nodes}:
+            names = [n for n in by_type.pop(ntype, ()) if n not in touched]
+            names += [n for n in touched if n in nodes and nodes[n]["type"] == ntype]
+            by_type[ntype] = tuple(sorted(names))  # () once a type's last node is removed
+        return by_type
 
     @cached_property
-    def linked(self) -> frozenset[str]:
-        """Names at either end of some edge: the nodes whose degree is not 0."""
-        return _ends(self.edges)
+    def _json(self) -> tuple[tuple[list, dict], tuple[list, dict]]:
+        """The sorted names and edges, each with its canonical JSON text (``"name":{...}``)."""
+        parent, touched, added, removed = self._delta
+        nodes, before = self.nodes, parent.nodes
+        return (_spliced(parent._json[0], [n for n in touched if n in before and n not in nodes],
+                         {n: canonical_json({n: nodes[n]})[1:-1] for n in touched
+                          if n in nodes and nodes[n] is not before.get(n)}),
+                _spliced(parent._json[1], removed, {e: canonical_json(e) for e in added}))
+
+    @cached_property
+    def faults(self) -> dict[tuple, Violation]:
+        """The violation of each faulty element, keyed (0, node), (1, edge), (2, isolated node)
+        or (3, empty switch) in check order: the parent's, with each touched node, each edge
+        at one or removed and each container of one checked anew."""
+        parent, touched, _, removed = self._delta
+        incident, _, parents_of = self._links
+        keys = {(section, n) for n in touched for section in (0, 2, 3)}
+        keys.update((3, p) for n in touched for p in parents_of.get(n, ()))
+        keys.update((1, e) for e in {*removed, *(e for n in touched for e in incident.get(n, ()))})
+        kept = {key: fault for key, fault in parent.faults.items() if key not in keys}
+        return {**kept, **{key: fault for key in keys if (fault := _fault(self, *key))}}
 
     # -- queries -------------------------------------------------------------
 
@@ -131,16 +174,16 @@ class CpGraph:
     def children(self, name: str) -> list[str]:
         if name not in self.nodes:
             raise UnknownNode(f"no node named {name!r}")
-        return sorted(self._containment[0].get(name, ()))
+        return sorted(self._links[1].get(name, ()))
 
-    def parents(self, name: str) -> list[str]:  # unsorted
-        return self._containment[1].get(name, [])
+    def parents(self, name: str) -> tuple[str, ...]:  # unsorted
+        return self._links[2].get(name, ())
 
     def containment_closure(self, name: str) -> set[str]:
         """All containment descendants of ``name``, including itself."""
         if name not in self.nodes:
             raise UnknownNode(f"no node named {name!r}")
-        children_of = self._containment[0]
+        children_of = self._links[1]
         seen = {name}
         stack = [name]
         while stack:
@@ -160,7 +203,7 @@ class CpGraph:
         return total
 
     def degree(self, name: str) -> int:
-        return sum(1 for src, dst, _ in self.edges if src == name or dst == name)
+        return len(self._links[0].get(name, ()))
 
     # -- canonical form ------------------------------------------------------
 
@@ -169,11 +212,95 @@ class CpGraph:
 
     @cached_property
     def _digest(self) -> str:
-        return digest({"nodes": self.nodes, "edges": sorted(list(e) for e in self.edges)})
+        """The SHA-256 of ``canonical_json({"nodes": ..., "edges": sorted edges})``, spliced."""
+        (names, node_json), (edges, edge_json) = self._json
+        text = '{"edges":[%s],"nodes":{%s}}' % (",".join([edge_json[e] for e in edges]),
+                                                ",".join([node_json[n] for n in names]))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _ends(edges) -> frozenset[str]:
-    return frozenset([e[0] for e in edges] + [e[1] for e in edges])
+def _regroup(index: dict, added, removed, pairs) -> dict:
+    """A copy of ``index`` (key -> tuple of values) less the pairs of each removed edge, plus
+    those of each added one; ``pairs(edge)`` gives an edge's ``(key, value)`` pairs."""
+    index = dict(index)
+    for edge in removed:
+        for key, value in pairs(edge):
+            kept = tuple(v for v in index.pop(key) if v != value)
+            if kept:
+                index[key] = kept
+    for edge in added:
+        for key, value in pairs(edge):
+            index[key] = (*index.get(key, ()), value)
+    return index
+
+
+def _spliced(view: tuple[list, dict], gone, changed: dict) -> tuple[list, dict]:
+    """A copy of ``view`` (sorted keys, key -> text) less the keys in ``gone``, plus ``changed``."""
+    order, texts = view
+    new = [key for key in changed if key not in texts]
+    texts = {**texts, **changed}
+    for key in gone:
+        del texts[key]
+    order = [key for key in order if key in texts] if gone else order[:]
+    for key in new:
+        insort(order, key)
+    return order, texts
+
+
+def _fault(graph: CpGraph, section: int, subject) -> Violation | None:
+    """The violation of one element, keyed as in ``CpGraph.faults``, or None."""
+    nodes = graph.nodes
+    if subject not in (graph.edges if section == 1 else nodes):
+        return None
+    if section == 1:
+        src, dst, etype = subject
+        if etype not in EDGE_TYPES:
+            return Violation("UnknownEdgeType", f"{src}->{dst}", f"edge type {etype!r} is not allowed")
+        stype, dtype = (nodes[n]["type"] if n in nodes else "?" for n in (src, dst))
+        if (stype, dtype) in (HIERARCHY_RULES if etype == CONTAINS else CONTROL_RULES):
+            return None
+        return Violation("HierarchyRuleViolation", f"{src}->{dst}",
+                         f"{stype} -> {dtype} is not in the {etype} rule table")
+    d = nodes[subject]
+    if section == 0 and d["type"] not in NODE_TYPES:
+        return Violation("UnknownNodeType", subject, f"type {d['type']!r} is not a known device type")
+    if section == 0 and d["type"] == "EK_PORT":
+        cap = d["attrs"].get("physical_capacity_bps")
+        if cap is None:
+            return Violation("MissingAttribute", subject, "port lacks physical_capacity_bps")
+        if not isinstance(cap, (int, float)) or cap <= 0:
+            return Violation("MissingAttribute", subject, f"physical_capacity_bps must be > 0, got {cap!r}")
+    if section == 2 and subject not in graph._links[0]:
+        return Violation("IsolatedNode", subject, "node has no edges")
+    if section == 3 and d["type"] == "EK_PACKET_SWITCH" and not any(
+            nodes.get(c, {}).get("type") == "EK_PORT" for c in graph._links[1].get(subject, ())):
+        return Violation("EmptySwitch", subject, "packet switch contains no ports")
+    return None
+
+
+def _written(parent: CpGraph, nodes: dict, edges, touched, added=(), removed=()) -> CpGraph:
+    graph = CpGraph(nodes, edges)
+    graph._delta = parent, touched, added, removed
+    return graph
+
+
+_DECIMAL = r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?"  # compiled on first use
+
+
+def _number(value) -> int | float:
+    """An ``update`` value: an int, a float or ASCII decimal text, finite and never a bool.
+    An integral value is stored as the exact int written, so ``"1e30"`` is 10**30."""
+    text = repr(value) if type(value) in (int, float) else value if isinstance(value, str) else ""
+    match = re.fullmatch(_DECIMAL, text)
+    number = float(text) if match and any(match.group(2, 3)) else math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"update value must be a finite number in ASCII digits, got {value!r}")
+    if not (number and number.is_integer()):
+        return number or 0
+    sign, whole, frac, exp = match.groups(default="")
+    shift = int(exp or 0) - len(frac)  # bounded, as the text's value is a finite float's
+    exact, rest = divmod(int(sign + whole + frac) * 10 ** max(shift, 0), 10 ** max(-shift, 0))
+    return number if rest else exact
 
 
 def apply_basic_op(graph: CpGraph, op) -> tuple[CpGraph, CpResult | None]:
@@ -226,23 +353,27 @@ def apply_basic_op(graph: CpGraph, op) -> tuple[CpGraph, CpResult | None]:
             attrs["physical_capacity_bps"] = DEFAULT_PORT_CAPACITY_BPS
         elif ntype == "EK_PACKET_SWITCH":
             attrs["switch_loc"] = parent
-        return CpGraph({**nodes, node_name: {"type": ntype, "attrs": attrs}},
-                       graph.edges | {(parent, node_name, CONTAINS)}), None
+        edge = (parent, node_name, CONTAINS)  # may already dangle towards the new name
+        return _written(graph, {**nodes, node_name: {"type": ntype, "attrs": attrs}},
+                        graph.edges | {edge}, {node_name, parent}, {edge} - graph.edges), None
     if node_name not in nodes:
         raise UnknownNode(f"no node named {node_name!r}")
     if name == "remove":
         # drop the node's edges, then keep only the nodes still linked
-        edges = frozenset(e for e in graph.edges if e[0] != node_name and e[1] != node_name)
-        linked = _ends(edges)
-        return CpGraph({n: d for n, d in nodes.items() if n in linked}, edges), None
+        incident = graph._links[0]
+        cut = frozenset(incident.get(node_name, ()))
+        ends = {n for e in cut for n in e[:2]}
+        gone = nodes.keys() - incident.keys() | {n for n in ends if cut.issuperset(incident[n])}
+        kept = dict(nodes)
+        for n in gone & kept.keys():
+            del kept[n]
+        return _written(graph, kept, graph.edges - cut, gone | ends, removed=cut), None
     # update: numeric attribute overwrite on an existing node
     _, attr, value = operands
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"update value must be a finite number, got {value!r}")
     entry = nodes[node_name]
-    attrs = {**entry["attrs"], attr: number if not number.is_integer() else int(value)}
-    return CpGraph({**nodes, node_name: {"type": entry["type"], "attrs": attrs}}, graph.edges), None
+    attrs = {**entry["attrs"], attr: _number(value)}
+    return _written(graph, {**nodes, node_name: {"type": entry["type"], "attrs": attrs}},
+                    graph.edges, {node_name}), None
 
 
 def run_program(graph: CpGraph, program) -> tuple[CpGraph, CpResult | None]:

@@ -92,7 +92,9 @@ def rebuild_states(truth: GroundTruth) -> tuple:
 
 def sabotage(truth: GroundTruth) -> tuple:
     """Down, then up: the interface toward the first host (by name) that
-    still reaches the router both ways. The down step breaks working pairs."""
+    still reaches the router both ways. ``strict`` always flags the down step;
+    ``lenient`` flags it whenever some pair through the router still works,
+    which the down step then breaks."""
     _, injected = rebuild_states(truth)
     matrix = pingall(injected)
     router = injected.router_name

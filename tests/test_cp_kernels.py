@@ -5,11 +5,15 @@ basic ops and through edits that build a changed graph: isolated nodes,
 switches stripped of their ports or left linked to them by other edge
 types, edges of unknown type, edges to missing nodes and ports without a
 capacity. At every graph the one-pass ``check_safety_cp`` and ``remove``
-must agree with the degree-based references in ``reference_kernels``.
+must agree with the degree-based references in ``reference_kernels``, and
+every view a write derives from its parent's must equal the same view of
+the graph built fresh.
 """
 
 import copy
 import functools
+import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,9 +23,11 @@ from netbench.core.episode import run_episode
 from netbench.core.types import ActionSpec
 from netbench.cp.env import CpEnvironment
 from netbench.cp.generate import LEVEL_LABELS, generate_cp_query
+from netbench.cp import graph as cp_graph
 from netbench.cp.graph import BASIC_OPS, CONTAINS, CONTROL, NODE_TYPES, CpGraph, apply_basic_op
 from netbench.cp.safety import check_safety_cp
 from netbench.cp.topology import TopoSpec, generate_synthetic_topology
+from netbench.digest import digest
 from netbench.errors import NetbenchError
 from netbench.seeds import derive_seed
 from reference_kernels import ref_check_safety_cp, ref_remove_cascading
@@ -162,20 +168,31 @@ def test_oracle_episode_copies_the_graph_once_per_write_op(monkeypatch, level):
     assert labels == set(LEVEL_LABELS[level])
 
 
+VIEWS = ("_links", "_by_type", "_json", "faults", "_digest")
+
+
 def test_oracle_episodes_over_one_base_compute_its_views_once(monkeypatch):
     base = generate_synthetic_topology(seed=0)
-    computed = []
-    for view in ("_containment", "_by_type", "linked", "_digest"):
+    computed, from_scratch = [], []
+    for view in VIEWS:
         compute = CpGraph.__dict__[view].func
 
         def counted(graph, compute=compute, view=view):
             if graph is base:
                 computed.append(view)
+            if not isinstance(graph._delta[0], CpGraph):  # built directly, not by a write
+                from_scratch.append(view)
             return compute(graph)
 
         cached = functools.cached_property(counted)
         cached.__set_name__(CpGraph, view)
         monkeypatch.setattr(CpGraph, view, cached)
+    checks, texts, written = [], [], []
+    fault, canonical_json, write = cp_graph._fault, cp_graph.canonical_json, cp_graph._written
+    monkeypatch.setattr(cp_graph, "_fault", lambda g, *key: checks.append(g) or fault(g, *key))
+    monkeypatch.setattr(cp_graph, "canonical_json", lambda obj: texts.append(obj) or canonical_json(obj))
+    monkeypatch.setattr(cp_graph, "_written",
+                        lambda *args, **kwargs: written.append(write(*args, **kwargs)) or written[-1])
     labels = set()
     for level in sorted(LEVEL_LABELS):
         for i in range(20):
@@ -184,5 +201,103 @@ def test_oracle_episodes_over_one_base_compute_its_views_once(monkeypatch):
             env = CpEnvironment(base, query, truth)
             assert run_episode(env, OracleAgent(query, truth), query).correct
     assert labels == {label for group in LEVEL_LABELS.values() for label in group}
-    # ``linked`` feeds only the structure check, which a program that writes nothing skips
-    assert sorted(computed) == ["_by_type", "_containment", "_digest"]
+    # the base checks and digests itself in full once; each written graph derives its faults,
+    # digest and other views from the base's, with no second full check or full digest
+    assert sorted(computed) == sorted(from_scratch) == sorted(VIEWS)
+    base_checks = checks.count(base)
+    assert base_checks >= 3 * len(base.nodes) + len(base.edges)
+    assert written and all(10 * checks.count(g) < base_checks for g in written)
+    assert len(texts) <= len(base.nodes) + len(base.edges) + 2 * len(written)
+
+
+def _views(graph):
+    """The views a graph derives from its parent's, with empty groups left out."""
+    incident, children, parents = graph._links
+    return {"incident": {name: set(edges) for name, edges in incident.items()},
+            "children": {name: set(names) for name, names in children.items()},
+            "parents": {name: set(names) for name, names in parents.items()},
+            "by_type": {ntype: names for ntype, names in graph._by_type.items() if names},
+            "json": graph._json, "faults": graph.faults, "digest": graph.state_digest()}
+
+
+@st.composite
+def awkward_write(draw, graph):
+    """A graph and a write on it that a derived view must follow: a ``remove`` of a port,
+    which may leave its switch empty; an ``add`` of a name that an edge of any type already
+    points at; or the ``add`` of a port that such an edge from an empty switch points at,
+    under another switch, which fills the empty one."""
+    names = sorted(graph.nodes)
+    ports = [n for n in names if graph.nodes[n]["type"] == "EK_PORT"]
+    switches = [n for n in names if graph.nodes[n]["type"] == "EK_PACKET_SWITCH"]
+    kind = draw(st.sampled_from(["remove_port", "add_dangling", "fill_switch"]))
+    if kind == "remove_port" and ports:
+        return graph, ActionSpec("remove", (draw(st.sampled_from(ports)),))
+    if kind == "fill_switch" and len(switches) >= 2:
+        empty, parent = draw(st.permutations(switches))[:2]
+        edges = {e for e in graph.edges if e[0] != empty} | {(empty, "new1", CONTAINS)}
+        return CpGraph(graph.nodes, edges), ActionSpec("add", ("new1", "EK_PORT", parent))
+    dangling = (draw(st.sampled_from(names)), "new1",
+                draw(st.sampled_from([CONTAINS, CONTROL, "RK_WEIRD"])))
+    parent = draw(st.sampled_from([dangling[0], *names]))
+    return (CpGraph(graph.nodes, graph.edges | {dangling}),
+            ActionSpec("add", ("new1", draw(st.sampled_from(NODE_TYPES)), parent)))
+
+
+@SETTINGS
+@given(st.data(), SPECS, st.integers(0, 2**32))
+def test_a_written_graph_derives_the_views_of_the_graph_built_fresh(data, spec, seed):
+    graph = generate_synthetic_topology(spec, seed=seed)
+    for _ in range(data.draw(st.integers(1, 8))):
+        if data.draw(st.booleans()):
+            graph = _edit(data, graph)  # writes then start from an edited, faulty parent
+        if graph.nodes and data.draw(st.booleans()):
+            graph, op = data.draw(awkward_write(graph))
+        else:
+            op = data.draw(basic_op(graph))
+        try:
+            graph, _ = apply_basic_op(graph, op)
+        except (NetbenchError, KeyError, TypeError, ValueError):
+            continue
+        fresh = CpGraph(graph.nodes, graph.edges)
+        assert _views(graph) == _views(fresh)
+        assert check_safety_cp(graph) == ref_check_safety_cp(graph)
+        assert graph.state_digest() == digest(
+            {"nodes": graph.nodes, "edges": sorted(list(e) for e in graph.edges)})
+
+
+def test_threads_sharing_a_fresh_base_derive_what_one_thread_alone_derives():
+    """``run --parallelism 2`` shares one base graph between episode threads, so whichever
+    thread computes the base's views first, every thread's written graphs must come out as
+    they do when one thread does all the work."""
+    alone = generate_synthetic_topology(seed=3)
+    ops = [ActionSpec("add", (f"new{i}", "EK_PORT", sw))
+           for i, sw in enumerate(alone.of_type("EK_PACKET_SWITCH"))]
+    ops += [ActionSpec("remove", (name,)) for name in alone.of_type("EK_PACKET_SWITCH")[::3]]
+    ops += [ActionSpec("remove", (name,)) for name in alone.of_type("EK_PORT")[::7]]
+
+    def outcome(base, op):
+        graph, _ = apply_basic_op(base, op)
+        children = {name: sorted(names) for name, names in graph._links[1].items()}
+        return check_safety_cp(graph), graph.state_digest(), children, graph.of_type("EK_PORT")
+
+    expected = [outcome(alone, op) for op in ops]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared, got = generate_synthetic_topology(seed=3), {}
+
+            def work(first, shared=shared, got=got):
+                for i in range(first, len(ops), 4):
+                    got[i] = outcome(shared, ops[i])
+
+            threads = [threading.Thread(target=work, args=(first,)) for first in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert [got.get(i) for i in range(len(ops))] == expected
+            assert shared.state_digest() == alone.state_digest() and check_safety_cp(shared) == []
+    finally:
+        sys.setswitchinterval(saved)
