@@ -97,6 +97,12 @@ class _Empty:  # the parent that a graph built directly derives its views from
     nodes, _by_type, faults, _links, _json = {}, {}, {}, ({}, {}, {}), (([], {}), ([], {}))
 
 
+class _Views:  # a written graph's nodes and views, all computed, that a write on it derives
+    def __init__(self, g):  # from in its place: so no view derives two deep, and g is freed
+        self.nodes, self._by_type, self.faults, self._links, self._json = (
+            g.nodes, g._by_type, g.faults, g._links, g._json)
+
+
 class CpGraph:
     """A typed device graph with containment/control edges, and a value: nothing changes it,
     or the ``nodes`` dict it keeps, after ``CpGraph(nodes, edges)``, so graphs and node entries
@@ -183,9 +189,7 @@ class CpGraph:
         """All containment descendants of ``name``, including itself."""
         if name not in self.nodes:
             raise UnknownNode(f"no node named {name!r}")
-        children_of = self._links[1]
-        seen = {name}
-        stack = [name]
+        children_of, seen, stack = self._links[1], {name}, [name]
         while stack:
             for child in children_of.get(stack.pop(), ()):
                 if child not in seen:
@@ -195,12 +199,9 @@ class CpGraph:
 
     def capacity(self, name: str) -> int:
         """Sum of physical_capacity_bps over ports inside the closure."""
-        total = 0
-        for n in self.containment_closure(name):
-            d = self.nodes[n]
-            if d["type"] == "EK_PORT":
-                total += int(d["attrs"].get("physical_capacity_bps", 0))
-        return total
+        nodes = self.nodes
+        return sum(int(nodes[n]["attrs"].get("physical_capacity_bps", 0))
+                   for n in self.containment_closure(name) if nodes[n]["type"] == "EK_PORT")
 
     def degree(self, name: str) -> int:
         return len(self._links[0].get(name, ()))
@@ -279,6 +280,8 @@ def _fault(graph: CpGraph, section: int, subject) -> Violation | None:
 
 
 def _written(parent: CpGraph, nodes: dict, edges, touched, added=(), removed=()) -> CpGraph:
+    if parent._delta[0] is not _Empty:  # written too: keep its views, so none derives deeper
+        parent = _Views(parent)
     graph = CpGraph(nodes, edges)
     graph._delta = parent, touched, added, removed
     return graph
@@ -321,14 +324,11 @@ def apply_basic_op(graph: CpGraph, op) -> tuple[CpGraph, CpResult | None]:
 
     if name == "count":
         child_type, node = operands
-        closure = graph.containment_closure(node)
-        closure.discard(node)
-        n = sum(1 for c in closure if graph.nodes[c]["type"] == child_type)
-        return graph, CpResult("scalar", n)
+        closure = graph.containment_closure(node) - {node}
+        return graph, CpResult("scalar", sum(1 for c in closure if graph.nodes[c]["type"] == child_type))
 
     if name == "list":
-        (node,) = operands
-        return graph, CpResult("name-list", graph.children(node))
+        return graph, CpResult("name-list", graph.children(operands[0]))
 
     if name == "rank":
         (node,) = operands

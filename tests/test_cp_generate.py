@@ -106,7 +106,8 @@ def test_env_malformed_program_is_invalid_not_fatal(base):
     assert "rejected" in out
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", float("nan")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", float("nan"),
+                                   True, "\u0661\u0665\u0660\u0660", "1_000", "  7 "])
 def test_env_rejects_a_non_finite_update(base, value):
     q, t = generate_cp_query(base, 1, 9)
     env = CpEnvironment(base, q, t)
@@ -115,17 +116,6 @@ def test_env_rejects_a_non_finite_update(base, value):
                {"name": "rank", "operands": [port]}]
     out, safe, is_write, valid = env.execute_message(AgentMessage(MSG_FINAL, {"program": program}))
     assert out.startswith("program rejected: ") and "finite" in out
-    assert safe and not is_write and not valid
-    assert env.state is base
-
-
-@pytest.mark.parametrize("value", [True, "\u0661\u0665\u0660\u0660", "1_000", "  7 "])
-def test_env_rejects_an_update_that_is_not_an_ascii_number(base, value):
-    q, t = generate_cp_query(base, 1, 9)
-    env = CpEnvironment(base, q, t)
-    program = [{"name": "update", "operands": [base.of_type("EK_PORT")[0], "physical_capacity_bps", value]}]
-    out, safe, is_write, valid = env.execute_message(AgentMessage(MSG_FINAL, {"program": program}))
-    assert out.startswith("program rejected: update value must be a finite number")
     assert safe and not is_write and not valid
     assert env.state is base
 

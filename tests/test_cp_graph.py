@@ -129,27 +129,22 @@ def test_update_overwrites_numeric_attribute():
     assert g2.nodes["sw1.p1"]["attrs"]["physical_capacity_bps"] == 500
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("nan"), float("inf")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("nan"), float("inf"),
+                                   True, False, "\u0661\u0665\u0660\u0660", "1_000", "  7 ", "7\n", "",
+                                   ".", "e5", "-", "0x10", "1e", None, [1]])
 def test_update_rejects_a_non_finite_value(value):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite number in ASCII digits"):
         apply_basic_op(small_graph(), ActionSpec("update", ("sw1.p1", "physical_capacity_bps", value)))
 
 
 @pytest.mark.parametrize("value, stored", [
-    (500, 500), (10**30, 10**30), (1000.0, 1000), (2.5, 2.5), ("3.0", 3), ("1e3", 1000),
+    (10**30, 10**30), (1000.0, 1000), (2.5, 2.5), ("3.0", 3), ("1e3", 1000),
     ("5e0", 5), ("1e30", 10**30), ("-2.50", -2.5), ("+7", 7), (".5", 0.5), ("12.", 12),
     ("1000000000000000000000000000001", 10**30 + 1), ("0.0", 0)])
 def test_update_reads_an_ascii_number_and_keeps_an_integral_one_exact(value, stored):
     g2, _ = apply_basic_op(small_graph(), ActionSpec("update", ("sw1.p1", "physical_capacity_bps", value)))
     got = g2.nodes["sw1.p1"]["attrs"]["physical_capacity_bps"]
     assert got == stored and type(got) is type(stored)
-
-
-@pytest.mark.parametrize("value", [True, False, "\u0661\u0665\u0660\u0660", "1_000", "  7 ", "7\n", "",
-                                   ".", "e5", "-", "0x10", "1e", None, [1]])
-def test_update_rejects_a_bool_and_text_that_is_not_ascii_decimal(value):
-    with pytest.raises(ValueError, match="finite number in ASCII digits"):
-        apply_basic_op(small_graph(), ActionSpec("update", ("sw1.p1", "physical_capacity_bps", value)))
 
 
 def test_ops_do_not_mutate_input():

@@ -18,6 +18,7 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from netbench.agents.base import AgentMessage, MSG_FINAL
 from netbench.agents.builtin import OracleAgent
 from netbench.core.episode import run_episode
 from netbench.core.types import ActionSpec
@@ -180,7 +181,7 @@ def test_oracle_episodes_over_one_base_compute_its_views_once(monkeypatch):
         def counted(graph, compute=compute, view=view):
             if graph is base:
                 computed.append(view)
-            if not isinstance(graph._delta[0], CpGraph):  # built directly, not by a write
+            if graph._delta[0] is cp_graph._Empty:  # built directly, not by a write
                 from_scratch.append(view)
             return compute(graph)
 
@@ -263,6 +264,31 @@ def test_a_written_graph_derives_the_views_of_the_graph_built_fresh(data, spec, 
         assert check_safety_cp(graph) == ref_check_safety_cp(graph)
         assert graph.state_digest() == digest(
             {"nodes": graph.nodes, "edges": sorted(list(e) for e in graph.edges)})
+
+
+@pytest.mark.parametrize("kind", ["update", "add", "add_then_remove"])
+def test_a_long_program_derives_its_views_from_the_base_alone(kind):
+    """However many writes a program makes, each view of its graphs derives one graph deep,
+    so a long program is scored like a short one, with no recursion through its graphs."""
+    base = generate_synthetic_topology(seed=0)
+    port, switches = base.of_type("EK_PORT")[0], base.of_type("EK_PACKET_SWITCH")
+    if kind == "update":
+        program = [{"name": "update", "operands": [port, "physical_capacity_bps", i + 1]}
+                   for i in range(2000)]
+    else:
+        program = [{"name": "add", "operands": [f"new{i}", "EK_PORT", switches[i % len(switches)]]}
+                   for i in range(2000)]
+    if kind == "add_then_remove":  # half the added edges are cut again, and some re-added
+        program += [{"name": "remove", "operands": [f"new{i}"]} for i in range(0, 2000, 2)]
+        program += program[:20:2]
+    query, truth = generate_cp_query(base, 1, 9)
+    env = CpEnvironment(base, query, truth)
+    assert env.execute_message(AgentMessage(MSG_FINAL, {"program": program}))[1:] == (True, True, True)
+    state, fresh = env.state, CpGraph(env.state.nodes, env.state.edges)
+    assert state is not base
+    assert env.result.value == env.final_digest() == fresh.state_digest()
+    assert check_safety_cp(state) == ref_check_safety_cp(fresh) == []
+    assert _views(state) == _views(fresh)
 
 
 def test_threads_sharing_a_fresh_base_derive_what_one_thread_alone_derives():
