@@ -46,7 +46,6 @@ def generate_cp_query(graph: CpGraph, level: int, seed: int) -> tuple[QuerySpec,
     label = rng.choice(LEVEL_LABELS[level])
 
     switches = graph.of_type("EK_PACKET_SWITCH")
-    ports = graph.of_type("EK_PORT")
     chassis = graph.of_type("EK_CHASSIS")
     domains = graph.of_type("EK_CONTROL_DOMAIN")
     aggs = graph.of_type("EK_AGG_BLOCK")
@@ -79,10 +78,7 @@ def generate_cp_query(graph: CpGraph, level: int, seed: int) -> tuple[QuerySpec,
 
     elif label == "remove-count":
         # keep at least one sibling port so the switch stays structurally valid
-        eligible = [p for p in ports
-                    if len([c for c in graph.children(_parent_of(graph, p, "EK_PACKET_SWITCH"))
-                            if graph.nodes[c]["type"] == "EK_PORT"]) >= 2]
-        port = _pick(rng, eligible, "removable port")
+        port = _pick(rng, graph.removable_ports, "removable port")
         sw = _parent_of(graph, port, "EK_PACKET_SWITCH")
         prompt = (f"Remove {port}. Count the number of nodes with type=EK_PORT "
                   f"under {sw} in the updated graph.")

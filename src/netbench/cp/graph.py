@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..digest import canonical_json
-from ..errors import ArityMismatch, DuplicateName, HierarchyViolation, UnknownAction, UnknownNode
+from ..errors import ArityMismatch, DuplicateName, HierarchyViolation, NoEligibleOperand, \
+    OperandTypeMismatch, UnknownAction, UnknownNode
 
 CONTAINS = "RK_CONTAINS"
 CONTROL = "RK_CONTROL"
@@ -203,6 +204,21 @@ class CpGraph:
         return sum(int(nodes[n]["attrs"].get("physical_capacity_bps", 0))
                    for n in self.containment_closure(name) if nodes[n]["type"] == "EK_PORT")
 
+    @cached_property
+    def removable_ports(self) -> list[str]:
+        """The ports, sorted, whose switch (the least-named switch containing them) holds
+        another port, so that removing one leaves its switch valid. Raises NoEligibleOperand
+        for the first port that no switch contains."""
+        nodes, children_of = self.nodes, self._links[1]
+        removable = []
+        for port in self.of_type("EK_PORT"):
+            switches = [p for p in self.parents(port) if nodes[p]["type"] == "EK_PACKET_SWITCH"]
+            if not switches:
+                raise NoEligibleOperand(f"{port} has no EK_PACKET_SWITCH parent")
+            if sum(nodes[c]["type"] == "EK_PORT" for c in children_of.get(min(switches), ())) >= 2:
+                removable.append(port)
+        return removable
+
     def degree(self, name: str) -> int:
         return len(self._links[0].get(name, ()))
 
@@ -341,6 +357,10 @@ def apply_basic_op(graph: CpGraph, op) -> tuple[CpGraph, CpResult | None]:
     node_name = operands[0]
     if name == "add":
         _, ntype, parent = operands
+        for operand in operands:  # a name of another type could not be sorted among the rest
+            if not isinstance(operand, str):
+                raise OperandTypeMismatch(f"add takes a string name, type and parent, "
+                                          f"got {operand!r}")
         if node_name in nodes:
             raise DuplicateName(f"node {node_name!r} already exists")
         if ntype not in NODE_TYPES:

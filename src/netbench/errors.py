@@ -60,6 +60,10 @@ class HierarchyViolation(NetbenchError):
     pass
 
 
+class OperandTypeMismatch(NetbenchError):
+    """An operand is not of the type its operation takes."""
+
+
 class InvariantViolation(NetbenchError):
     def __init__(self, violations):
         self.violations = list(violations)

@@ -6,26 +6,31 @@ matched by some selecting policy's rules pass. A flow is allowed only
 if both the destination's ingress side and the source's egress side
 permit it.
 
-``connectivity_check`` compiles a policy store once into allow sets:
-per direction, each selected service maps to the peers some rule admits
-on the flow's server port. Pods carry only the ``app`` label, so every
-selector becomes a set of services in one pass over its keys, and each
-candidate flow is then two set lookups (the allow-matrix idea of Kano,
-Li et al. 2019).
+``connectivity_check`` merges a policy store into allow sets: per
+direction, each selected service maps to the peers some rule admits on
+the flow's server port. Each policy's contribution to them is one of its
+views in the store (``PolicyStore.view``), compiled once, so a verdict
+after a write compiles only the policy written. Pods carry only the
+``app`` label, so every selector becomes a set of services in one pass
+over its keys, and each candidate flow is then two set lookups (the
+allow-matrix idea of Kano, Li et al. 2019).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import SERVICE_PORTS, SERVICES, expected_flows, flow_universe
+from .model import SERVICE_PORTS, SERVICES, as_store, expected_flows, flow_universe
 
 _FLOWS = frozenset(flow_universe())
 _EXPECTED = frozenset(expected_flows())
 
 _ALL = frozenset(SERVICES)
 _SERVERS = frozenset(SERVICE_PORTS)
+_FLOWS_TO = {dst: {src: (src, dst, port) for src, d, port in sorted(_FLOWS) if d == dst}
+             for dst in sorted(_SERVERS)}  # dst -> {src: its flow}
 
 
 def _selected(selector: dict) -> frozenset:
@@ -51,32 +56,49 @@ def _ports_match(ports, port: int) -> bool:
     return any(p.get("port") == port for p in ports)
 
 
-def _allow_sets(policies: dict, direction: str) -> dict:
-    """Selected service -> the peers its ``direction`` rules admit on the server's port.
+def _contribution(policy: dict, direction: str) -> dict:
+    """Selected service -> the peers ``policy``'s ``direction`` rules admit on the server's port.
+
+    Empty unless the policy is of that direction; then every service it
+    selects is present, possibly with no peers.
+    """
+    policy_type, peer_key = ("Ingress", "from") if direction == "ingress" else ("Egress", "to")
+    spec = policy["spec"]
+    if policy_type not in spec.get("policyTypes", []):
+        return {}
+    selected = _selected(spec.get("podSelector", {}))
+    allow = {service: set() for service in selected}
+    for rule in spec.get(direction) or []:
+        peers, ports = _peers(rule.get(peer_key)), rule.get("ports")
+        if direction == "ingress":
+            for service in selected & _SERVERS:
+                if _ports_match(ports, SERVICE_PORTS[service]):
+                    allow[service] |= peers
+        else:
+            admitted = {peer for peer in peers & _SERVERS
+                        if _ports_match(ports, SERVICE_PORTS[peer])}
+            for service in selected:
+                allow[service] |= admitted
+    return {service: frozenset(peers) for service, peers in allow.items()}
+
+
+def _compiled(name: str, policy: dict) -> tuple[dict, dict]:
+    """A stored policy's view: its ingress and its egress contribution."""
+    return _contribution(policy, "ingress"), _contribution(policy, "egress")
+
+
+def _allow_sets(policies: Mapping) -> tuple[dict, dict]:
+    """Per direction, selected service -> the peers its rules admit on the server's port.
 
     A service is absent when no policy of that direction selects it, and
     present (possibly with no peers) as soon as one does.
     """
-    policy_type, peer_key = ("Ingress", "from") if direction == "ingress" else ("Egress", "to")
-    allow = {}
-    for policy in policies.values():
-        spec = policy["spec"]
-        if policy_type not in spec.get("policyTypes", []):
-            continue
-        selected = _selected(spec.get("podSelector", {}))
-        for service in selected:
-            allow.setdefault(service, set())
-        for rule in spec.get(direction) or []:
-            peers, ports = _peers(rule.get(peer_key)), rule.get("ports")
-            if direction == "ingress":
-                for service in selected & _SERVERS:
-                    if _ports_match(ports, SERVICE_PORTS[service]):
-                        allow[service] |= peers
-            else:
-                admitted = {peer for peer in peers & _SERVERS
-                            if _ports_match(ports, SERVICE_PORTS[peer])}
-                for service in selected:
-                    allow[service] |= admitted
+    store = as_store(policies)
+    allow = {}, {}
+    for name in store:
+        for merged, contribution in zip(allow, store.view(name, _compiled)):
+            for service, peers in contribution.items():
+                merged[service] = merged[service] | peers if service in merged else peers
     return allow
 
 
@@ -113,10 +135,13 @@ def _word(allowed: bool) -> str:
     return "allowed" if allowed else "blocked"
 
 
-def connectivity_check(policies: dict) -> MismatchReport:
-    ingress = _allow_sets(policies, "ingress")
-    egress = _allow_sets(policies, "egress")
-    actual = {(src, dst, port) for src, dst, port in _FLOWS
-              if src in ingress.get(dst, _ALL) and dst in egress.get(src, _ALL)}
+def connectivity_check(policies: Mapping) -> MismatchReport:
+    ingress, egress = _allow_sets(policies)
+    actual = set()
+    for dst, flows in _FLOWS_TO.items():
+        callers = ingress.get(dst)
+        for src in flows if callers is None else callers & flows.keys():
+            if dst in egress.get(src, _ALL):
+                actual.add(flows[src])
     return MismatchReport(mismatches=sorted(
         (*flow, flow in _EXPECTED, flow in actual) for flow in actual ^ _EXPECTED))

@@ -3,19 +3,20 @@
 Supports exactly what the troubleshooting task needs: get/describe to
 inspect policies, apply with an inline manifest, merge patch, and
 delete. Errors come back as kubectl-style diagnostic text, never as
-exceptions. The input store is not mutated; writes return a new dict.
-Every policy lives in the ``default`` namespace.
+exceptions. The input store is not mutated; writes return a new
+``PolicyStore``. Every policy lives in the ``default`` namespace.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 
 import yaml
 
 from ..core.reactive import INVALID, READ, WRITE, Outcome, Reject
-from .model import API_VERSION, NAMESPACE, canonical_policy, policy_yaml
+from .model import API_VERSION, NAMESPACE, as_store, canonical_policy, policy_yaml
 
 _KINDS = ("networkpolicy", "networkpolicies", "netpol")
 _PATCH_RE = re.compile(r"-p\s+'(.*)'\s*$", re.DOTALL)
@@ -140,8 +141,15 @@ def _check_policy(doc) -> None:
 
 # --- interpreter ------------------------------------------------------------
 
-def exec_kubectl(policies: dict, command: str) -> Outcome:
+def exec_kubectl(policies: Mapping, command: str) -> Outcome:
     """Run one kubectl command on ``policies``; never raises on agent input."""
+    return interpret(policies, command)
+
+
+def interpret(policies: Mapping, command: str) -> Outcome:
+    """What ``exec_kubectl`` does. Generation's injection memo runs its misses through this
+    name, not the one ``perfbench`` traces, so the traced count of ``exec_kubectl`` does not
+    depend on what the process's memo already holds."""
     try:
         head, _, manifest = command.strip().partition("\n")
         tokens = head.split()
@@ -161,7 +169,7 @@ def exec_kubectl(policies: dict, command: str) -> Outcome:
         return Outcome(policies, str(exc), INVALID)
 
 
-def _named(policies: dict, args, usage: str) -> str:
+def _named(policies: Mapping, args, usage: str) -> str:
     """The stored policy ``args`` name as ``<kind> <name>``; rejects a wrong kind or a missing
     name with ``usage``, a name not in the store with NotFound."""
     if len(args) < 2 or args[0] not in _KINDS:
@@ -172,7 +180,7 @@ def _named(policies: dict, args, usage: str) -> str:
     return args[1]
 
 
-def _get(policies: dict, args, head: str, manifest: str) -> Outcome:
+def _get(policies: Mapping, args, head: str, manifest: str) -> Outcome:
     if not args or args[0] not in _KINDS:
         raise Reject("kubectl get: only networkpolicy objects exist here")
     usage = "usage: kubectl get networkpolicy [<name> [-o yaml]]"
@@ -203,12 +211,12 @@ def _get(policies: dict, args, head: str, manifest: str) -> Outcome:
     return Outcome(policies, name, READ)
 
 
-def _describe(policies: dict, args, head: str, manifest: str) -> Outcome:
+def _describe(policies: Mapping, args, head: str, manifest: str) -> Outcome:
     name = _named(policies, args, "usage: kubectl describe networkpolicy <name>")
     return Outcome(policies, policy_yaml(policies[name]), READ)
 
 
-def _apply(policies: dict, args, head: str, manifest: str) -> Outcome:
+def _apply(policies: Mapping, args, head: str, manifest: str) -> Outcome:
     if args[:2] != ["-f", "-"]:
         raise Reject("kubectl apply: only '-f -' with an inline manifest is supported")
     if not manifest.strip():
@@ -223,11 +231,11 @@ def _apply(policies: dict, args, head: str, manifest: str) -> Outcome:
         raise Reject(f"error validating data: {exc}") from None
     name = doc["metadata"]["name"]
     word = "configured" if name in policies else "created"
-    return Outcome({**policies, name: canonical_policy(doc)},
-                          f"networkpolicy.networking.k8s.io/{name} {word}", WRITE)
+    return Outcome(as_store(policies).written(name, canonical_policy(doc)),
+                   f"networkpolicy.networking.k8s.io/{name} {word}", WRITE)
 
 
-def _patch(policies: dict, args, head: str, manifest: str) -> Outcome:
+def _patch(policies: Mapping, args, head: str, manifest: str) -> Outcome:
     name = _named(policies, args,
                   "usage: kubectl patch networkpolicy <name> --type merge -p '<json>'")
     if not ("--type" in args and "merge" in args) and "--type=merge" not in args:
@@ -250,15 +258,14 @@ def _patch(policies: dict, args, head: str, manifest: str) -> Outcome:
                 raise ValueError(f"metadata.{field}: field is immutable")
     except ValueError as exc:
         raise Reject(f'The NetworkPolicy "{name}" is invalid: {exc}') from None
-    return Outcome({**policies, name: canonical_policy(merged)},
-                          f"networkpolicy.networking.k8s.io/{name} patched", WRITE)
+    return Outcome(as_store(policies).written(name, canonical_policy(merged)),
+                   f"networkpolicy.networking.k8s.io/{name} patched", WRITE)
 
 
-def _delete(policies: dict, args, head: str, manifest: str) -> Outcome:
+def _delete(policies: Mapping, args, head: str, manifest: str) -> Outcome:
     name = _named(policies, args, "usage: kubectl delete networkpolicy <name>")
-    new = dict(policies)
-    del new[name]
-    return Outcome(new, f'networkpolicy.networking.k8s.io "{name}" deleted', WRITE)
+    return Outcome(as_store(policies).without(name),
+                   f'networkpolicy.networking.k8s.io "{name}" deleted', WRITE)
 
 
 _VERBS = {"get": _get, "describe": _describe, "apply": _apply, "patch": _patch, "delete": _delete}

@@ -4,19 +4,21 @@ A fixed twelve-service microservice shop runs in the ``default``
 namespace, one pod per service labeled ``app: <service>``. The expected
 service graph (who may call whom, on which port) is the correctness
 target; connectivity is governed purely by NetworkPolicy objects held
-as plain dicts in canonical form. The healthy baseline is thirteen
-policies: one ingress whitelist per service plus a cluster-wide
-default-deny.
+as plain dicts in canonical form, in a ``PolicyStore``. The healthy
+baseline is thirteen policies: one ingress whitelist per service plus a
+cluster-wide default-deny.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
+from collections.abc import Mapping
 
 import yaml
 
-from ..digest import digest
+from ..digest import canonical_json, digest
 
 NAMESPACE = "default"
 API_VERSION = "networking.k8s.io/v1"
@@ -122,32 +124,93 @@ def baseline_ingress(service: str) -> list:
     }]
 
 
+class PolicyStore(Mapping):
+    """Policy name -> policy dict, and a value: nothing changes it, the ``policies`` dict it
+    keeps or a policy in it after ``PolicyStore(policies)``, so stores and policies may be
+    shared. A write builds a new store (``written``, ``without``).
+
+    Each stored policy carries its views (``view``): values computed from the name and policy
+    alone, once, on first use. A written store shares the views of every policy it keeps
+    from its parent, and a policy that is the baseline's very object shares the baseline's,
+    so a write leaves one policy's views to compute. The views live in the stores that hold
+    the policy, and no longer.
+    """
+
+    def __init__(self, policies: dict, views: dict | None = None):
+        self.policies = policies
+        # name -> {view function: its value}; one dict per policy, shared by the stores that
+        # hold that policy under that name
+        self._views = {name: {} for name in policies} if views is None else views
+
+    def __getitem__(self, name):
+        return self.policies[name]
+
+    def __iter__(self):
+        return iter(self.policies)
+
+    def __len__(self):
+        return len(self.policies)
+
+    def view(self, name, of):
+        """``of(name, policy)`` for the policy stored as ``name``, computed once per policy.
+        A view is pure, so threads sharing a store (the baseline) may both compute it."""
+        views = self._views[name]
+        if of not in views:
+            views[of] = of(name, self.policies[name])
+        return views[of]
+
+    def written(self, name: str, policy: dict) -> "PolicyStore":
+        """This store with ``policy`` stored as ``name``."""
+        baseline = default_policies()
+        views = baseline._views[name] if baseline.policies.get(name) is policy else {}
+        return PolicyStore({**self.policies, name: policy}, {**self._views, name: views})
+
+    def without(self, name: str) -> "PolicyStore":
+        """This store less the policy stored as ``name``."""
+        return PolicyStore({n: p for n, p in self.policies.items() if n != name},
+                           {n: v for n, v in self._views.items() if n != name})
+
+
+def as_store(policies: Mapping) -> PolicyStore:
+    """``policies`` if it is a store, else a store of a copy of the mapping."""
+    return policies if isinstance(policies, PolicyStore) else PolicyStore(dict(policies))
+
+
 @functools.cache
-def default_policies() -> dict:
+def default_policies() -> PolicyStore:
     """The healthy baseline: name -> policy dict, built once per process.
 
-    Every caller shares the one store, so no caller may change it in place:
-    a write builds a new store, as every kubectl write does. Per-service
-    policies whitelist ingress only; egress stays unrestricted so that a
-    misconfigured egress section is a distinct, observable fault class. The
-    catch-all default-deny guarantees that unselected pods accept no ingress.
+    Every caller shares the one store and the views of its policies.
+    Per-service policies whitelist ingress only; egress stays unrestricted so
+    that a misconfigured egress section is a distinct, observable fault class.
+    The catch-all default-deny guarantees that unselected pods accept no
+    ingress.
     """
-    policies = {}
+    baseline = {}
     for name in sorted(SERVICES):
-        policies[name] = _policy(name, {
+        baseline[name] = _policy(name, {
             "podSelector": {"matchLabels": {"app": name}},
             "policyTypes": ["Ingress"],
             # loadgenerator is a pure client: nothing may call it
             "ingress": [] if name == "loadgenerator" else baseline_ingress(name),
         })
-    policies[DEFAULT_DENY] = _policy(DEFAULT_DENY, {
+    baseline[DEFAULT_DENY] = _policy(DEFAULT_DENY, {
         "podSelector": {},
         "policyTypes": ["Ingress"],
         "ingress": [],
     })
-    return policies
+    return PolicyStore(baseline)
 
 
-def cluster_digest(policies: dict) -> str:
-    # canonical_json sorts keys at every depth, which is all canonical_policy does
-    return digest(policies)
+def _fragment(name: str, policy: dict) -> str:
+    """A stored policy's canonical JSON text as a member of its store's: ``"name":{...}``."""
+    return canonical_json({name: policy})[1:-1]
+
+
+def cluster_digest(policies: Mapping) -> str:
+    """The SHA-256 of ``canonical_json(policies)``; a store's is spliced from its policies'
+    fragments in name order, which is the order ``canonical_json`` sorts them in."""
+    if not isinstance(policies, PolicyStore):
+        return digest(policies)  # canonical_json sorts keys at every depth, as canonical_policy
+    text = "{%s}" % ",".join([policies.view(name, _fragment) for name in sorted(policies)])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -14,9 +14,11 @@ routing rules:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from ..core.reactive import judge_verdicts
 from .connectivity import connectivity_check
 
 
-def judge_step_safety(before: dict, after: dict, rule: str = "strict") -> bool:
+def judge_step_safety(before: Mapping, after: Mapping, rule: str = "strict") -> bool:
     return judge_verdicts(connectivity_check(before), connectivity_check(after), rule)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from netbench.agents.base import AgentMessage, MSG_COMMAND, MSG_FINAL
-from netbench.core.types import GT_ACTION_PROGRAM
+from netbench.core.types import GT_ACTION_PROGRAM, ActionSpec
 from netbench.cp.compare import compare_results
 from netbench.cp.env import CpEnvironment
 from netbench.cp.generate import LEVEL_LABELS, generate_cp_query
@@ -118,6 +118,39 @@ def test_env_rejects_a_non_finite_update(base, value):
     assert out.startswith("program rejected: ") and "finite" in out
     assert safe and not is_write and not valid
     assert env.state is base
+
+
+@pytest.mark.parametrize("operands", [(5, "EK_PACKET_SWITCH", "ju1.a1.m1"),
+                                      (True, "EK_PACKET_SWITCH", "ju1.a1.m1"),
+                                      (None, "EK_PACKET_SWITCH", "ju1.a1.m1"),
+                                      ("x", ["EK_PORT"], "ju1.a1.m1"), ("x", "EK_PORT", 3)])
+def test_env_rejects_an_add_whose_operand_is_not_a_string(base, operands):
+    q, t = generate_cp_query(base, 1, 9)
+    env = CpEnvironment(base, q, t)
+    program = [{"name": "add", "operands": list(operands)},
+               {"name": "add", "operands": ["x", "EK_PACKET_SWITCH", "ju1.a1.m1"]},
+               {"name": "list", "operands": ["ju1.a1"]}]
+    out, safe, is_write, valid = env.execute_message(AgentMessage(MSG_FINAL, {"program": program}))
+    odd = next(o for o in operands if not isinstance(o, str))
+    assert out == f"program rejected: add takes a string name, type and parent, got {odd!r}"
+    assert safe and not is_write and not valid
+    assert env.state is base
+
+
+def test_removable_ports_are_the_ports_whose_switch_holds_another(base):
+    """The view ``remove-count`` draws from, computed once per graph; on the base every port
+    is removable, so the last port of one switch is left alone to be excluded."""
+    sw = base.of_type("EK_PACKET_SWITCH")[0]
+    ports = [c for c in base.children(sw) if base.node_type(c) == "EK_PORT"]
+    graph, _ = run_program(base, [ActionSpec("remove", (p,)) for p in ports[1:]])
+
+    def switch_of(port):
+        return min(p for p in graph.parents(port) if graph.node_type(p) == "EK_PACKET_SWITCH")
+    expected = [p for p in graph.of_type("EK_PORT")
+                if sum(graph.node_type(c) == "EK_PORT" for c in graph.children(switch_of(p))) >= 2]
+    assert graph.removable_ports == expected and graph.removable_ports is graph.removable_ports
+    assert ports[0] not in expected and len(expected) == len(graph.of_type("EK_PORT")) - 1
+    assert base.removable_ports == list(base.of_type("EK_PORT"))
 
 
 @pytest.mark.parametrize("answer", [

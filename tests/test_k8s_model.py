@@ -1,6 +1,7 @@
 import yaml
 
 from netbench.cli import main
+from netbench.digest import digest
 from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.model import DEFAULT_DENY, EXPECTED_CALLERS, SERVICES, \
     SERVICE_PORTS, canonical_policy, cluster_digest, default_policies, \
@@ -109,3 +110,5 @@ def test_the_shared_baseline_survives_generate_and_run(tmp_path):
         assert main(["run", "--batch", str(batch), "--agent", agent,
                      "--out", str(tmp_path / f"{agent}.jsonl")]) == 0
     assert cluster_digest(default_policies()) == BASELINE_DIGEST
+    # serialised anew too: the spliced digest reuses fragments computed before the run
+    assert digest(default_policies().policies) == BASELINE_DIGEST

@@ -9,6 +9,9 @@ agree with the per-pair references in ``reference_kernels``.
 
 import dataclasses
 import json
+import sys
+import threading
+from collections.abc import Mapping
 
 import pytest
 import yaml
@@ -16,14 +19,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from netbench.agents.base import MSG_COMMAND, MSG_FINAL, AgentMessage
 from netbench.errors import MethodOutOfRange
-from netbench.k8spolicy import env as k8s_env
-from netbench.k8spolicy.connectivity import connectivity_check
+from netbench.digest import digest
+from netbench.k8spolicy import env as k8s_env, generate as k8s_generate
+from netbench.k8spolicy.connectivity import _compiled, connectivity_check
 from netbench.k8spolicy.env import K8sEnvironment
 from netbench.k8spolicy.generate import generate_k8s_query, rebuild_cluster
 from netbench.k8spolicy.inject import TARGETS, build_mutation
 from netbench.k8spolicy.kubectl import exec_kubectl
-from netbench.k8spolicy.model import SERVICE_PORTS, SERVICES, cluster_digest, flow_universe, \
-    policy_yaml
+from netbench.k8spolicy.model import SERVICE_PORTS, SERVICES, PolicyStore, _fragment, as_store, \
+    cluster_digest, flow_universe, policy_yaml
 from netbench.k8spolicy.safety import judge_step_safety as k8s_judge
 from netbench.routing import env as routing_env, pingall as routing_pingall
 from netbench.routing.commands import exec_command
@@ -33,6 +37,7 @@ from netbench.routing.inject import FAMILY_METHODS, build_fault
 from netbench.routing.pingall import pingall
 from netbench.routing.safety import judge_step_safety as routing_judge
 from netbench.routing.state import build_topology
+from netbench.seeds import derive_seed
 from reference_kernels import ref_cluster_digest, ref_connectivity_check, ref_pingall
 
 SETTINGS = settings(max_examples=100, deadline=None,
@@ -357,8 +362,8 @@ _JSON = st.recursive(
 
 
 def _shuffled(data, value):
-    """``value`` rebuilt with the keys of every dict in a drawn order."""
-    if isinstance(value, dict):
+    """``value`` rebuilt with the keys of every dict (a policy store's too) in a drawn order."""
+    if isinstance(value, Mapping):
         return {k: _shuffled(data, value[k]) for k in data.draw(st.permutations(list(value)))}
     if isinstance(value, list):
         return [_shuffled(data, v) for v in value]
@@ -376,6 +381,88 @@ def test_cluster_digest_matches_reference_under_shuffled_keys(data, level, seed)
     for store in (policies, data.draw(st.dictionaries(st.text(max_size=6), _JSON, max_size=4))):
         shuffled = _shuffled(data, store)
         assert cluster_digest(shuffled) == ref_cluster_digest(shuffled) == ref_cluster_digest(store)
+        assert cluster_digest(as_store(shuffled)) == ref_cluster_digest(store)  # spliced
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+def test_a_written_store_derives_the_views_of_a_store_built_fresh(data, level, seed):
+    """Along random kubectl sequences, and recoveries replayed as generation replays them,
+    each policy's compiled contribution and digest fragment, carried from the parent store or
+    from the baseline, equal those of a store built anew, and the spliced digest is the
+    digest of the canonical JSON."""
+    _, truth = generate_k8s_query(level, seed)
+    policies = data.draw(st.sampled_from(rebuild_cluster(truth)))
+    for _ in range(data.draw(st.integers(1, 8))):
+        connectivity_check(policies), cluster_digest(policies)  # views a write can carry
+        if data.draw(st.booleans()):
+            outcome = k8s_generate._kubectl(policies, *data.draw(st.sampled_from(truth.recovery)))
+        else:
+            outcome = exec_kubectl(policies, data.draw(kubectl_command(policies, truth.recovery)))
+        policies = outcome.state
+        fresh = PolicyStore(dict(policies))
+        for name in policies:
+            for view in (_compiled, _fragment):
+                assert policies.view(name, view) == fresh.view(name, view)
+        assert cluster_digest(policies) == cluster_digest(fresh) == digest(dict(policies))
+        assert connectivity_check(policies) == ref_connectivity_check(policies)
+
+
+def _builtin_mutations() -> dict:
+    """Forward command -> mutation, for every mutation ``build_mutation`` can make."""
+    mutations = {}
+    for family, targets in TARGETS.items():
+        for target in targets:
+            for param in [*SERVICES, ""]:
+                try:
+                    mutation = build_mutation(family, target, param)
+                except MethodOutOfRange:
+                    continue
+                mutations[mutation.forward[1]] = mutation
+    return mutations
+
+
+def test_each_injection_and_inverse_is_validated_once_per_policy_it_patches(monkeypatch):
+    """Generation's injection memo holds, per forward command, the one baseline policy it
+    patches, and per inverse, at most one forward's output per mutation; a query generated
+    again interprets no command."""
+    monkeypatch.setattr(k8s_generate, "_INJECTED", {})
+    for i in range(3000):
+        generate_k8s_query(1 + i % 3, derive_seed(11, i))
+    memo, mutations = k8s_generate._INJECTED, _builtin_mutations()
+    forwards = memo.keys() & mutations.keys()
+    assert all(len(memo[command]) == 1 for command in forwards) and len(forwards) > 100
+    assert sum(map(len, memo.values())) <= 2 * len(mutations)  # a forward and an inverse each
+    calls = _count_calls(monkeypatch, k8s_generate, "interpret")
+    for i in range(300):
+        generate_k8s_query(1 + i % 3, derive_seed(11, i))
+    assert calls == []
+
+
+def test_threads_replaying_injections_at_once_record_each_once(monkeypatch):
+    """Episode threads rebuild their clusters at once; the memo must still hold one entry per
+    forward command, and each thread the stores a lone thread builds."""
+    truths = [generate_k8s_query(1 + i % 3, derive_seed(12, i))[1] for i in range(60)]
+    expected = [cluster_digest(rebuild_cluster(truth)[1]) for truth in truths]
+    monkeypatch.setattr(k8s_generate, "_INJECTED", {})
+    results = {}
+
+    def rebuild(k):
+        results[k] = [cluster_digest(rebuild_cluster(truth)[1]) for truth in truths]
+
+    threads = [threading.Thread(target=rebuild, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {k: expected for k in range(4)}
+    assert all(len(runs) == 1 for runs in k8s_generate._INJECTED.values())
 
 
 # --- verdicts per turn ---------------------------------------------------------
