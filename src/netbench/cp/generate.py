@@ -25,13 +25,6 @@ def _pick(rng, pool, what):
     return rng.choice(pool)
 
 
-def _parent_of(graph: CpGraph, name: str, parent_type: str) -> str:
-    parents = [p for p in graph.parents(name) if graph.nodes[p]["type"] == parent_type]
-    if not parents:
-        raise NoEligibleOperand(f"{name} has no {parent_type} parent")
-    return min(parents)
-
-
 def _fresh_name(rng, graph: CpGraph, ntype: str) -> str:
     short = ntype  # names carry the full EK_* type so it can be inferred back
     while True:
@@ -52,7 +45,7 @@ def generate_cp_query(graph: CpGraph, level: int, seed: int) -> tuple[QuerySpec,
 
     if label in ("remove", "remove-list", "remove-rank"):
         sw = _pick(rng, switches, "packet switch")
-        parent = _parent_of(graph, sw, "EK_CHASSIS")
+        parent = graph.parent_of(sw, "EK_CHASSIS")
         prompt = {
             "remove": (f"Remove {sw} from the graph. "
                        f"List the direct child nodes of {parent} in the updated graph."),
@@ -79,7 +72,7 @@ def generate_cp_query(graph: CpGraph, level: int, seed: int) -> tuple[QuerySpec,
     elif label == "remove-count":
         # keep at least one sibling port so the switch stays structurally valid
         port = _pick(rng, graph.removable_ports, "removable port")
-        sw = _parent_of(graph, port, "EK_PACKET_SWITCH")
+        sw = graph.parent_of(port, "EK_PACKET_SWITCH")
         prompt = (f"Remove {port}. Count the number of nodes with type=EK_PORT "
                   f"under {sw} in the updated graph.")
         program = [ActionSpec("remove", (port,)), ActionSpec("count", ("EK_PORT", sw))]

@@ -204,18 +204,25 @@ class CpGraph:
         return sum(int(nodes[n]["attrs"].get("physical_capacity_bps", 0))
                    for n in self.containment_closure(name) if nodes[n]["type"] == "EK_PORT")
 
+    def parent_of(self, name: str, parent_type: str) -> str:
+        """The least-named container of ``name`` of type ``parent_type``; raises
+        NoEligibleOperand if none contains it."""
+        nodes = self.nodes
+        parents = [p for p in self.parents(name) if nodes[p]["type"] == parent_type]
+        if not parents:
+            raise NoEligibleOperand(f"{name} has no {parent_type} parent")
+        return min(parents)
+
     @cached_property
     def removable_ports(self) -> list[str]:
-        """The ports, sorted, whose switch (the least-named switch containing them) holds
-        another port, so that removing one leaves its switch valid. Raises NoEligibleOperand
-        for the first port that no switch contains."""
+        """The ports, sorted, whose switch (``parent_of`` the port) holds another port, so that
+        removing one leaves its switch valid. Raises NoEligibleOperand for the first port that
+        no switch contains."""
         nodes, children_of = self.nodes, self._links[1]
         removable = []
         for port in self.of_type("EK_PORT"):
-            switches = [p for p in self.parents(port) if nodes[p]["type"] == "EK_PACKET_SWITCH"]
-            if not switches:
-                raise NoEligibleOperand(f"{port} has no EK_PACKET_SWITCH parent")
-            if sum(nodes[c]["type"] == "EK_PORT" for c in children_of.get(min(switches), ())) >= 2:
+            switch = self.parent_of(port, "EK_PACKET_SWITCH")
+            if sum(nodes[c]["type"] == "EK_PORT" for c in children_of.get(switch, ())) >= 2:
                 removable.append(port)
         return removable
 

@@ -8,16 +8,14 @@ where every patch strictly grows the set of conforming flows.
 
 from __future__ import annotations
 
-import threading
-
 from ..core.reactive import WRITE, Outcome, generate_reactive_query, replay
 from ..core.types import GroundTruth
 from .connectivity import MismatchReport, connectivity_check
 from .inject import AE_EGRESS_GRAPH, TARGETS, build_mutation, mutation_from_action, \
-    mutation_to_action
-from .kubectl import interpret
-from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, PolicyStore, cluster_digest, \
-    default_policies
+    mutation_to_action, patch_of
+from .kubectl import merge_patch
+from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, PolicyStore, canonical_policy, \
+    cluster_digest, default_policies
 
 LEVEL_LABELS = {
     1: ("RI", "AI", "CP", "CPR", "AE"),
@@ -62,32 +60,17 @@ def _attempts(rng, families):
                tuple(map(mutation_to_action, mutations)))
 
 
-# command -> (name, policy patched, policy written, output) for each policy it has patched
-_INJECTED: dict[str, list] = {}
-_INJECTING = threading.Lock()  # episode threads replay injections at once
-
-
 def _kubectl(policies: PolicyStore, machine: str, command: str) -> Outcome:
-    """``exec_kubectl`` for the commands generation and ``rebuild_cluster`` replay: the built-in
-    injections and their inverses, each a merge patch of one policy. Each is validated once per
-    process for each policy it patches, and a second run stores the policy the first wrote. An
-    inverse that gives a baseline policy back stores the very baseline object, whose views the
-    baseline store already holds. The machine is always the master."""
-    with _INJECTING:
-        runs = _INJECTED.setdefault(command, [])
-        for name, patched, written, output in runs:
-            if policies.get(name) is patched:
-                break
-        else:
-            outcome = interpret(policies, command)
-            if outcome.kind != WRITE:
-                return outcome
-            (name,) = (n for n, policy in outcome.state.items() if policy is not policies.get(n))
-            written, output = outcome.state[name], outcome.output
-            if written == default_policies().get(name):
-                written = default_policies()[name]
-            runs.append((name, policies[name], written, output))
-    return Outcome(policies.written(name, written), output, WRITE)
+    """What ``exec_kubectl`` does with the commands generation and ``rebuild_cluster`` replay,
+    the built-in injections and their inverses, less its validation: ``build_mutation`` builds
+    only valid merge patches of one stored policy. A patch that gives a baseline policy back
+    stores the very baseline object, whose views the baseline store already holds. The machine
+    is always the master."""
+    name, patch = patch_of(command)
+    policy = canonical_policy(merge_patch(policies[name], patch))
+    baseline = default_policies()[name]
+    return Outcome(policies.written(name, baseline if policy == baseline else policy),
+                   f"networkpolicy.networking.k8s.io/{name} patched", WRITE)
 
 
 def generate_k8s_query(level: int, seed: int) -> tuple:

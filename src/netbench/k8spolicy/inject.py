@@ -13,6 +13,7 @@ policy byte-for-byte:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from ..core.types import ActionSpec
@@ -49,6 +50,12 @@ class Mutation:
 def _patch_cmd(target: str, patch: dict) -> tuple:
     payload = canonical_json(patch)
     return (MACHINE, f"kubectl patch networkpolicy {target} --type merge -p '{payload}'")
+
+
+def patch_of(command: str) -> tuple[str, dict]:
+    """The (target, patch) of a command ``build_mutation`` built."""
+    _, _, _, target, _, _, _, payload = command.split(" ", 7)
+    return target, json.loads(payload[1:-1])
 
 
 def build_mutation(family: str, target: str, param: str = "") -> Mutation:

@@ -143,13 +143,6 @@ def _check_policy(doc) -> None:
 
 def exec_kubectl(policies: Mapping, command: str) -> Outcome:
     """Run one kubectl command on ``policies``; never raises on agent input."""
-    return interpret(policies, command)
-
-
-def interpret(policies: Mapping, command: str) -> Outcome:
-    """What ``exec_kubectl`` does. Generation's injection memo runs its misses through this
-    name, not the one ``perfbench`` traces, so the traced count of ``exec_kubectl`` does not
-    depend on what the process's memo already holds."""
     try:
         head, _, manifest = command.strip().partition("\n")
         tokens = head.split()

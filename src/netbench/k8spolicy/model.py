@@ -18,7 +18,7 @@ from collections.abc import Mapping
 
 import yaml
 
-from ..digest import canonical_json, digest
+from ..digest import canonical_json
 
 NAMESPACE = "default"
 API_VERSION = "networking.k8s.io/v1"
@@ -208,9 +208,8 @@ def _fragment(name: str, policy: dict) -> str:
 
 
 def cluster_digest(policies: Mapping) -> str:
-    """The SHA-256 of ``canonical_json(policies)``; a store's is spliced from its policies'
-    fragments in name order, which is the order ``canonical_json`` sorts them in."""
-    if not isinstance(policies, PolicyStore):
-        return digest(policies)  # canonical_json sorts keys at every depth, as canonical_policy
-    text = "{%s}" % ",".join([policies.view(name, _fragment) for name in sorted(policies)])
+    """The SHA-256 of ``canonical_json(policies)``, spliced from the store's fragments in name
+    order, which is the order ``canonical_json`` sorts them in."""
+    store = as_store(policies)
+    text = "{%s}" % ",".join([store.view(name, _fragment) for name in sorted(store)])
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

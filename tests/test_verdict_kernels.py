@@ -9,8 +9,6 @@ agree with the per-pair references in ``reference_kernels``.
 
 import dataclasses
 import json
-import sys
-import threading
 from collections.abc import Mapping
 
 import pytest
@@ -18,16 +16,17 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from netbench.agents.base import MSG_COMMAND, MSG_FINAL, AgentMessage
+from netbench.core.reactive import WRITE
 from netbench.errors import MethodOutOfRange
 from netbench.digest import digest
 from netbench.k8spolicy import env as k8s_env, generate as k8s_generate
 from netbench.k8spolicy.connectivity import _compiled, connectivity_check
 from netbench.k8spolicy.env import K8sEnvironment
 from netbench.k8spolicy.generate import generate_k8s_query, rebuild_cluster
-from netbench.k8spolicy.inject import TARGETS, build_mutation
+from netbench.k8spolicy.inject import TARGETS, build_mutation, patch_of
 from netbench.k8spolicy.kubectl import exec_kubectl
 from netbench.k8spolicy.model import SERVICE_PORTS, SERVICES, PolicyStore, _fragment, as_store, \
-    cluster_digest, flow_universe, policy_yaml
+    cluster_digest, default_policies, flow_universe, policy_yaml
 from netbench.k8spolicy.safety import judge_step_safety as k8s_judge
 from netbench.routing import env as routing_env, pingall as routing_pingall
 from netbench.routing.commands import exec_command
@@ -37,7 +36,6 @@ from netbench.routing.inject import FAMILY_METHODS, build_fault
 from netbench.routing.pingall import pingall
 from netbench.routing.safety import judge_step_safety as routing_judge
 from netbench.routing.state import build_topology
-from netbench.seeds import derive_seed
 from reference_kernels import ref_cluster_digest, ref_connectivity_check, ref_pingall
 
 SETTINGS = settings(max_examples=100, deadline=None,
@@ -395,8 +393,9 @@ def test_a_written_store_derives_the_views_of_a_store_built_fresh(data, level, s
     policies = data.draw(st.sampled_from(rebuild_cluster(truth)))
     for _ in range(data.draw(st.integers(1, 8))):
         connectivity_check(policies), cluster_digest(policies)  # views a write can carry
-        if data.draw(st.booleans()):
-            outcome = k8s_generate._kubectl(policies, *data.draw(st.sampled_from(truth.recovery)))
+        machine, command = data.draw(st.sampled_from(truth.recovery))
+        if data.draw(st.booleans()) and patch_of(command)[0] in policies:
+            outcome = k8s_generate._kubectl(policies, machine, command)
         else:
             outcome = exec_kubectl(policies, data.draw(kubectl_command(policies, truth.recovery)))
         policies = outcome.state
@@ -422,47 +421,22 @@ def _builtin_mutations() -> dict:
     return mutations
 
 
-def test_each_injection_and_inverse_is_validated_once_per_policy_it_patches(monkeypatch):
-    """Generation's injection memo holds, per forward command, the one baseline policy it
-    patches, and per inverse, at most one forward's output per mutation; a query generated
-    again interprets no command."""
-    monkeypatch.setattr(k8s_generate, "_INJECTED", {})
-    for i in range(3000):
-        generate_k8s_query(1 + i % 3, derive_seed(11, i))
-    memo, mutations = k8s_generate._INJECTED, _builtin_mutations()
-    forwards = memo.keys() & mutations.keys()
-    assert all(len(memo[command]) == 1 for command in forwards) and len(forwards) > 100
-    assert sum(map(len, memo.values())) <= 2 * len(mutations)  # a forward and an inverse each
-    calls = _count_calls(monkeypatch, k8s_generate, "interpret")
-    for i in range(300):
-        generate_k8s_query(1 + i % 3, derive_seed(11, i))
-    assert calls == []
-
-
-def test_threads_replaying_injections_at_once_record_each_once(monkeypatch):
-    """Episode threads rebuild their clusters at once; the memo must still hold one entry per
-    forward command, and each thread the stores a lone thread builds."""
-    truths = [generate_k8s_query(1 + i % 3, derive_seed(12, i))[1] for i in range(60)]
-    expected = [cluster_digest(rebuild_cluster(truth)[1]) for truth in truths]
-    monkeypatch.setattr(k8s_generate, "_INJECTED", {})
-    results = {}
-
-    def rebuild(k):
-        results[k] = [cluster_digest(rebuild_cluster(truth)[1]) for truth in truths]
-
-    threads = [threading.Thread(target=rebuild, args=(k,)) for k in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert results == {k: expected for k in range(4)}
-    assert all(len(runs) == 1 for runs in k8s_generate._INJECTED.values())
+def test_generation_replays_each_builtin_patch_as_kubectl_writes_it():
+    """Generation and ``rebuild_cluster`` apply the built-in injections and inverses without
+    kubectl's validation: each must be a write that ``exec_kubectl`` accepts, storing the same
+    policy with the same output, and each inverse gives back the very baseline policy."""
+    baseline = default_policies()
+    mutations = _builtin_mutations().values()
+    for mutation in mutations:
+        policies = baseline
+        for machine, command in (mutation.forward, mutation.inverse):
+            replayed = k8s_generate._kubectl(policies, machine, command)
+            checked = exec_kubectl(policies, command)
+            assert replayed.kind == checked.kind == WRITE
+            assert replayed.output == checked.output and replayed.state == checked.state
+            policies = replayed.state
+        assert policies[mutation.target] is baseline[mutation.target]
+    assert len(mutations) == 160  # distinct forward patches
 
 
 # --- verdicts per turn ---------------------------------------------------------
