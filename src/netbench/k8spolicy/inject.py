@@ -63,6 +63,8 @@ def build_mutation(family: str, target: str, param: str = "") -> Mutation:
         raise UnknownFamily(f"unknown mutation family {family!r}")
     if target not in TARGETS[family]:
         raise MethodOutOfRange(f"{family} cannot patch {target!r}")
+    if family in ("CP", "CPR") and param:
+        raise MethodOutOfRange(f"{family} takes no parameter, got {param!r}")
     restore_ingress = _patch_cmd(target, {"spec": {"ingress": baseline_ingress(target)}})
 
     if family == "RI":

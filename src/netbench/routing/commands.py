@@ -53,15 +53,23 @@ def _render_ifaces(state: NetState, style: str) -> str:
     return "\n".join(_render_iface(i, style) for _, i in sorted(state.interfaces.items()))
 
 
+def _connected_words(state: NetState, r: Route) -> dict[str, str]:
+    """The words a listing shows for a connected route (its subnet, through the interface
+    holding the subnet's gateway address): ``proto kernel scope link src <ip>``; none for
+    any other route."""
+    iface = state.interfaces.get(r.dev)
+    connected = (r.gateway is None and r.metric == 0 and iface is not None
+                 and iface.ip is not None and r.dest == state.subnet_cidr(iface.subnet)
+                 and iface.ip == state.expected_gateway(iface.subnet))
+    return {"proto": "kernel", "scope": "link", "src": iface.ip} if connected else {}
+
+
 def _render_routes(state: NetState) -> str:
     lines = []
     for r in state.routes:
-        iface = state.interfaces.get(r.dev)
-        connected = (r.gateway is None and r.metric == 0 and iface is not None
-                     and iface.ip is not None and r.dest == state.subnet_cidr(iface.subnet)
-                     and iface.ip == state.expected_gateway(iface.subnet))
-        if connected:
-            lines.append(f"{r.dest} dev {r.dev} proto kernel scope link src {iface.ip}")
+        words = _connected_words(state, r)
+        if words:
+            lines.append(f"{r.dest} dev {r.dev} proto kernel scope link src {words['src']}")
         else:
             line = f"{r.dest}"
             if r.gateway is not None:
@@ -338,15 +346,17 @@ def _ip_route(state: NetState, rest) -> Outcome:
         dest = _need_prefix(rest[1])
         matching = [r for r in state.routes if r.dest == dest]
         # every selector narrows the match; an unknown dev just matches nothing
-        for flag, value in _flag_pairs(rest[2:], ("dev", "via", "metric"),
-                                       "ip route del: unsupported argument"):
+        for flag, value in _flag_pairs(rest[2:], ("dev", "via", "metric", "proto", "scope",
+                                                  "src"), "ip route del: unsupported argument"):
             if flag == "dev":
                 dev = _resolve(state, state.interfaces, value) or value
                 matching = [r for r in matching if r.dev == dev]
             elif flag == "via":
                 matching = [r for r in matching if r.gateway == value]
-            else:
+            elif flag == "metric":
                 matching = [r for r in matching if str(r.metric) == value]
+            else:  # matched against the words that the route's listed line shows
+                matching = [r for r in matching if _connected_words(state, r).get(flag) == value]
         if not matching:
             raise Reject("RTNETLINK answers: No such process")
         return Outcome(state.copy(routes=_without(state.routes, matching[0])), "", WRITE)

@@ -8,9 +8,8 @@ traverses the router.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, compress, permutations
 
 from .state import MIN_DATAGRAM_MTU, NetState, ip_to_int
 
@@ -18,10 +17,54 @@ DEFAULT_DELAY_CEILING_MS = 10_000
 MAX_ROUTE_HOPS = 8
 
 
-@dataclass
 class PingMatrix:
-    nodes: list[str]
-    reachable: dict  # (src, dst) -> bool over ordered pairs, diagonal excluded
+    """All-pairs reachability, held in class form.
+
+    ``ids[i]`` is the class of ``nodes[i]`` and ``verdict[c][d]`` says whether a
+    node of class c reaches a node of class d; ``pairs`` are the ordered pairs of
+    distinct nodes in row order. ``PingMatrix(nodes, reachable)`` takes the full
+    matrix, (src, dst) -> bool over those pairs, as the form where each node is a
+    class of its own. Two matrices are equal when their nodes and their reachable
+    pairs are.
+    """
+
+    def __init__(self, nodes, reachable=None, *, ids=None, verdict=None, pairs=None):
+        if verdict is None:
+            ids = range(len(nodes))
+            verdict = [[a == b or reachable[(a, b)] for b in nodes] for a in nodes]
+            pairs = tuple(permutations(nodes, 2))
+        self.nodes, self.ids, self.verdict, self.pairs = nodes, ids, verdict, pairs
+        # the reachable pairs: the set the step safety judge compares
+        self.good = frozenset(compress(pairs, self._flags()))
+
+    def _to_nodes(self) -> list[list[bool]]:
+        """Per class, its verdict toward each node."""
+        return [list(map(row.__getitem__, self.ids)) for row in self.verdict]
+
+    def _per_pair(self, rows) -> list:
+        """Per pair of ``pairs``, the entry that ``rows`` (a row per class, an entry per
+        node) holds for the source's class and the destination."""
+        entries = list(chain.from_iterable(map(rows.__getitem__, self.ids)))
+        del entries[::len(self.nodes) + 1]  # the diagonal of the node x node matrix
+        return entries
+
+    def _flags(self) -> list[bool]:
+        """Whether each of ``pairs`` is reachable."""
+        return self._per_pair(self._to_nodes())
+
+    @cached_property
+    def reachable(self) -> dict:
+        """(src, dst) -> bool over the ordered pairs of distinct nodes."""
+        return dict(zip(self.pairs, self._flags()))
+
+    def __eq__(self, other):
+        if not isinstance(other, PingMatrix):
+            return NotImplemented
+        # over the same nodes, the reachable pairs decide the whole matrix
+        return self.nodes == other.nodes and self.good == other.good
+
+    def __repr__(self) -> str:
+        return f"PingMatrix(nodes={self.nodes!r}, reachable={self.reachable!r})"
 
     @property
     def total(self) -> int:
@@ -32,20 +75,18 @@ class PingMatrix:
     def received(self) -> int:
         return len(self.good)
 
-    @cached_property
-    def good(self) -> frozenset:
-        """The reachable pairs: the set the step safety judge compares."""
-        return frozenset(pair for pair, ok in self.reachable.items() if ok)
-
     @property
     def summary_line(self) -> str:
         return render_summary(self.received, self.total)
 
     def render(self) -> str:
+        """A line per node: each other node, or X where it is not reachable."""
+        nodes, width = self.nodes, len(self.nodes) - 1
+        shown = self._per_pair([[b if ok else "X" for b, ok in zip(nodes, row)]
+                                for row in self._to_nodes()])
         lines = ["*** Fast Ping: testing ping reachability"]
-        for a in self.nodes:
-            row = [b if self.reachable[(a, b)] else "X" for b in self.nodes if b != a]
-            lines.append(f"{a} -> " + " ".join(row))
+        for k, a in enumerate(nodes):
+            lines.append(f"{a} -> " + " ".join(shown[k * width:(k + 1) * width]))
         lines.append(self.summary_line)
         return "\n".join(lines)
 
@@ -159,16 +200,14 @@ class _Facts:
 
 
 def pingall(state: NetState, delay_ceiling_ms: int = DEFAULT_DELAY_CEILING_MS) -> PingMatrix:
-    """Judges one pair per ordered pair of host classes, then expands the verdicts."""
+    """Judges one pair per ordered pair of host classes, and keeps the verdict in that form."""
     facts = _Facts(state, delay_ceiling_ms)
     nodes = state.node_names()
     reps = {}  # class key -> the first node of the class
     for node in nodes:
         reps.setdefault(facts.key[node], node)
     number = {key: i for i, key in enumerate(reps)}
-    ids = [number[facts.key[node]] for node in nodes]
     # two nodes of one class share a subnet, so they reach each other
     verdict = [[a == b or facts.pair(a, b) for b in reps.values()] for a in reps.values()]
-    # permutations yield the ordered pairs of distinct nodes in row order
-    values = [verdict[i][j] for i, j in permutations(ids, 2)]
-    return PingMatrix(nodes=nodes, reachable=dict(zip(permutations(nodes, 2), values)))
+    return PingMatrix(nodes, ids=[number[facts.key[node]] for node in nodes], verdict=verdict,
+                      pairs=state.topology.pairs)

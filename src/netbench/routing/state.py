@@ -8,15 +8,19 @@ interfaces, addresses, routes, filter rules, policy prohibitions,
 forwarding flag and netem delays.
 A state is a value: it and its elements are frozen, a write builds a new
 state that shares every element it leaves, and hosts, routes and filter
-rules parse their text once.
+rules parse their text when they are built. What no command writes (the
+prefix, the sizes and the hosts) is one ``Topology`` value that every state
+written from a built one shares, with the views that depend on it alone.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import permutations
 
-from ..digest import digest
+from ..digest import canonical_json
 from ..errors import ParameterOutOfRange
 
 DEFAULT_MTU = 1500
@@ -44,14 +48,14 @@ class Host:
     ip: str
     mask: int
     gateway: str
+    addr: int = field(init=False, repr=False, compare=False)  # the ip as an integer
+
+    def __post_init__(self):
+        object.__setattr__(self, "addr", ip_to_int(self.ip))
 
     def to_json(self):
         return {"name": self.name, "subnet": self.subnet, "ip": self.ip,
                 "mask": self.mask, "gateway": self.gateway}
-
-    @cached_property
-    def addr(self) -> int:
-        return ip_to_int(self.ip)
 
 
 @dataclass(frozen=True)
@@ -60,14 +64,15 @@ class Route:
     dev: str
     gateway: str | None = None
     metric: int = 0
+    # (network, netmask, (prefix length, -metric)): a lookup takes the highest rank
+    match: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "match",
+                           (*parse_cidr(self.dest), (prefix_len(self.dest), -self.metric)))
 
     def to_json(self):
         return {"dest": self.dest, "dev": self.dev, "gateway": self.gateway, "metric": self.metric}
-
-    @cached_property
-    def match(self) -> tuple:
-        """(network, netmask, (prefix length, -metric)): a lookup takes the highest rank."""
-        return (*parse_cidr(self.dest), (prefix_len(self.dest), -self.metric))
 
 
 @dataclass(frozen=True)
@@ -77,19 +82,20 @@ class FilterRule:
     src: str | None = None  # cidr
     dst: str | None = None  # cidr
     proto: str | None = None  # a protocol's name or number; None matches every protocol
+    # (source network, netmask, destination network, netmask); no prefix matches all
+    match: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "match", (*parse_cidr(self.src or "0.0.0.0/0"),
+                                           *parse_cidr(self.dst or "0.0.0.0/0")))
 
     def to_json(self):
         return {"chain": self.chain, "verdict": self.verdict, "src": self.src,
                 "dst": self.dst, "proto": self.proto}
 
-    @cached_property
-    def match(self) -> tuple:
-        """(source network, netmask, destination network, netmask); no prefix matches all."""
-        return (*parse_cidr(self.src or "0.0.0.0/0"), *parse_cidr(self.dst or "0.0.0.0/0"))
-
 
 def ip_to_int(ip: str) -> int:
-    a, b, c, d = (int(p) for p in ip.split("."))
+    a, b, c, d = map(int, ip.split("."))
     return (a << 24) | (b << 16) | (c << 8) | d
 
 
@@ -108,19 +114,63 @@ def prefix_len(cidr: str) -> int:
 
 
 @dataclass(frozen=True)
-class NetState:
-    """Its dicts are written by no code after the state is built."""
+class Topology:
+    """What no command writes: the naming prefix, the sizes and the hosts.
+
+    Its views are computed on first use and held by the value, so they live
+    as long as the states that share it.
+    """
 
     prefix: str
     num_switches: int
     hosts_per_subnet: int
+    hosts: dict[str, Host]  # in numeric order
+
+    @cached_property
+    def nodes(self) -> tuple[str, ...]:
+        """Ping participants: hosts in numeric order, then the router."""
+        return (*self.hosts, f"{self.prefix}r0")
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """The ordered pairs of distinct nodes, in row order."""
+        return tuple(permutations(self.nodes, 2))
+
+    @cached_property
+    def hosts_fragment(self) -> str:
+        """``"hosts":{...}``, the hosts' member of a state's canonical JSON text."""
+        return canonical_json({"hosts": {n: h.to_json() for n, h in self.hosts.items()}})[1:-1]
+
+
+@dataclass(frozen=True)
+class NetState:
+    """Its dicts are written by no code after the state is built."""
+
+    topology: Topology
     interfaces: dict[str, Interface] = field(default_factory=dict)
-    hosts: dict[str, Host] = field(default_factory=dict)  # in numeric order
     routes: tuple[Route, ...] = ()
     filter_rules: tuple[FilterRule, ...] = ()
     prohibit_rules: tuple[str, ...] = ()
     delays: dict[str, int] = field(default_factory=dict)  # iface -> netem ms
     ip_forward: bool = True
+
+    # -- the topology --------------------------------------------------------
+
+    @property
+    def prefix(self) -> str:
+        return self.topology.prefix
+
+    @property
+    def num_switches(self) -> int:
+        return self.topology.num_switches
+
+    @property
+    def hosts_per_subnet(self) -> int:
+        return self.topology.hosts_per_subnet
+
+    @property
+    def hosts(self) -> dict[str, Host]:
+        return self.topology.hosts
 
     # -- naming --------------------------------------------------------------
 
@@ -144,7 +194,7 @@ class NetState:
 
     def node_names(self) -> list[str]:
         """Ping participants: hosts in numeric order, then the router."""
-        return [*self.hosts, self.router_name]
+        return list(self.topology.nodes)
 
     def router_own_ips(self) -> set[str]:
         return {i.ip for i in self.interfaces.values() if i.ip is not None}
@@ -155,25 +205,39 @@ class NetState:
         """This state with ``changes`` to its fields; every other field is shared."""
         return replace(self, **changes)
 
-    def to_json(self):
-        return {
-            "prefix": self.prefix,
-            "num_switches": self.num_switches,
-            "hosts_per_subnet": self.hosts_per_subnet,
-            "interfaces": {n: i.to_json() for n, i in sorted(self.interfaces.items())},
-            "hosts": {n: h.to_json() for n, h in sorted(self.hosts.items())},
-            "routes": sorted((r.to_json() for r in self.routes),
-                             key=lambda r: (r["dest"], r["dev"], str(r["gateway"]), r["metric"])),
+    def _members(self) -> tuple[dict, dict]:
+        """The members of ``to_json()`` but the hosts: those whose keys sort before
+        ``"hosts"`` and those whose keys sort after it."""
+        before = {
+            "delays": dict(sorted(self.delays.items())),
             "filter_rules": sorted((f.to_json() for f in self.filter_rules),
                                    key=lambda f: (f["chain"], str(f["src"]), str(f["dst"]),
                                                   str(f["proto"]), f["verdict"])),
-            "prohibit_rules": sorted(self.prohibit_rules),
-            "delays": dict(sorted(self.delays.items())),
-            "ip_forward": self.ip_forward,
         }
+        after = {
+            "hosts_per_subnet": self.hosts_per_subnet,
+            "interfaces": {n: i.to_json() for n, i in sorted(self.interfaces.items())},
+            "ip_forward": self.ip_forward,
+            "num_switches": self.num_switches,
+            "prefix": self.prefix,
+            "prohibit_rules": sorted(self.prohibit_rules),
+            "routes": sorted((r.to_json() for r in self.routes),
+                             key=lambda r: (r["dest"], r["dev"], str(r["gateway"]), r["metric"])),
+        }
+        return before, after
+
+    def to_json(self):
+        before, after = self._members()
+        return {**before, "hosts": {n: h.to_json() for n, h in sorted(self.hosts.items())},
+                **after}
 
     def state_digest(self) -> str:
-        return digest(self.to_json())
+        """``digest(self.to_json())``: the canonical text with the topology's hosts
+        fragment spliced in where its key sorts."""
+        before, after = self._members()
+        text = (f"{canonical_json(before)[:-1]},{self.topology.hosts_fragment},"
+                f"{canonical_json(after)[1:]}")
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def build_topology(num_switches: int, hosts_per_subnet: int, prefix: str = "") -> NetState:
@@ -193,4 +257,5 @@ def build_topology(num_switches: int, hosts_per_subnet: int, prefix: str = "") -
             name = f"{prefix}h{len(hosts) + 1}"
             hosts[name] = Host(name=name, subnet=k, ip=f"192.168.{k}.{i + 2}", mask=24,
                                gateway=gateway)
-    return NetState(prefix, num_switches, hosts_per_subnet, interfaces, hosts, tuple(routes))
+    return NetState(Topology(prefix, num_switches, hosts_per_subnet, hosts), interfaces,
+                    tuple(routes))

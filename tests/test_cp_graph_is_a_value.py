@@ -3,18 +3,18 @@ is built.
 
 For each package, the test parses it with ``ast`` and fails on any
 assignment to or deletion of an attribute named after one of its state's
-fields (``.nodes`` and ``.edges`` in ``cp``; ``.interfaces``, ``.routes``,
-``.ip_forward``, ... in ``routing``; ``.policies`` in ``k8spolicy``), or of a
-subscript or attribute reached through one, and on any call of a mutating
-method (``add``, ``pop``, ``update``, ...) or of ``setattr`` on such a
-target. k8s code holds a store and a stored policy in names, so there a
+fields (``.nodes`` and ``.edges`` in ``cp``; ``.topology`` and the topology's own
+fields, ``.interfaces``, ``.routes``, ``.ip_forward``, ... in ``routing``;
+``.policies`` in ``k8spolicy``), or of a subscript or attribute reached through one,
+and on any call of a mutating method (``add``, ``pop``, ``update``, ...) or of
+``setattr`` on such a target. k8s code holds a store and a stored policy in names, so there a
 subscript or attribute reached through a name ``policies`` or ``policy`` is
 checked too; rebinding the name is not a write. A constructor may bind such
 an attribute of the object it builds (``self.nodes = nodes`` in an
 ``__init__``); it may not write through one. Local dicts, lists and sets that
 a constructor is later given are plain names and are not checked. A store's
 per-policy views are caches filled on first use, as a graph's cached views
-are, and are not a field.
+and a routing topology's views are, and are not a field.
 """
 
 import ast
@@ -22,8 +22,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "netbench"
 GRAPH_FIELDS = {"nodes", "edges"}
-NETSTATE_FIELDS = {"interfaces", "hosts", "routes", "filter_rules", "prohibit_rules", "delays",
-                   "ip_forward"}
+NETSTATE_FIELDS = {"topology", "prefix", "num_switches", "hosts_per_subnet", "interfaces", "hosts",
+                   "routes", "filter_rules", "prohibit_rules", "delays", "ip_forward"}
 STORE_FIELDS, STORE_NAMES = {"policies"}, {"policies", "policy"}
 MUTATORS = {"add", "append", "clear", "difference_update", "discard", "extend", "insert",
             "intersection_update", "pop", "popitem", "remove", "reverse", "setdefault", "sort",
@@ -142,12 +142,13 @@ def f(state, route, name, ms):
     new.ip_forward = False
     new.routes.reverse()
     setattr(new.interfaces[name], "up", False)
+    new.topology = state.topology
     routes = [*state.routes, route]
     routes.append(route)
     return state.copy(routes=tuple(routes), delays={**state.delays, name: ms})
 """
     assert state_writes(source, "m", NETSTATE_FIELDS) == \
-        [f"m:{line}" for line in (5, 9, 10, 11, 12, 13, 14)]
+        [f"m:{line}" for line in (5, 9, 10, 11, 12, 13, 14, 15)]
 
 
 def test_the_guard_sees_each_kind_of_policy_store_write():

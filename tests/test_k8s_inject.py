@@ -41,6 +41,9 @@ def test_invalid_parameters_rejected():
         build_mutation("AE", "adservice", "frontend")  # not a rich client
     with pytest.raises(MethodOutOfRange):
         build_mutation("CP", "loadgenerator")  # not a serving policy
+    for family in ("CP", "CPR"):  # neither family reads a parameter, so none may be recorded
+        with pytest.raises(MethodOutOfRange):
+            build_mutation(family, "adservice", "frontend")
 
 
 def test_every_mutation_is_observable():
@@ -78,6 +81,8 @@ def test_action_round_trip():
 @pytest.mark.parametrize("action", [ActionSpec("CP", ("emailservice",)),
                                     ActionSpec("CP", ("emailservice", "", "x")),
                                     ActionSpec("CP", ("nosuchservice", "")),
+                                    ActionSpec("CP", ("adservice", "frontend")),
+                                    ActionSpec("CPR", ("adservice", "frontend")),
                                     ActionSpec("AI", ("nosuchservice", "frontend")),
                                     ActionSpec("XX", ("emailservice", ""))])
 def test_malformed_action_is_a_corrupt_ground_truth(action):

@@ -285,6 +285,20 @@ def test_route_del_via_and_metric_selectors(state):
         assert out.kind == WRITE and out.state.state_digest() == state.state_digest()
 
 
+def test_route_del_matches_the_words_a_connected_route_lists(state):
+    listed = "192.168.1.0/24 dev r0-eth1 proto kernel scope link src 192.168.1.1"
+    assert listed in exec_command(state, "r0", "ip route").output
+    out = exec_command(state, "r0", f"ip route del {listed}")
+    assert out.kind == WRITE and out.state.routes == state.routes[1:]
+    for selectors in ("proto boot", "scope global", "src 192.168.2.1", "proto kernel metric 5"):
+        assert _rejected(state, f"ip route del 192.168.1.0/24 {selectors}") == \
+            "RTNETLINK answers: No such process"
+    # a route that is not connected lists none of these words, so none of them selects it
+    s = exec_command(state, "r0", "ip route replace 192.168.1.0/24 dev r0-eth2").state
+    assert _rejected(s, "ip route del 192.168.1.0/24 dev r0-eth2 proto kernel") == \
+        "RTNETLINK answers: No such process"
+
+
 def test_route_del_of_an_unknown_device_finds_no_route_where_add_finds_no_device(state):
     assert _rejected(state, "ip route del 192.168.1.0/24 dev r0-eth9") == \
         "RTNETLINK answers: No such process"

@@ -3,7 +3,8 @@ from dataclasses import replace
 import pytest
 
 from netbench.errors import ParameterOutOfRange
-from netbench.routing.state import build_topology, ip_to_int, parse_cidr, prefix_len
+from netbench.routing.state import FilterRule, Host, Route, build_topology, ip_to_int, \
+    parse_cidr, prefix_len
 
 
 def test_parameter_ranges_enforced():
@@ -45,6 +46,22 @@ def test_digest_deterministic_and_copy_independent():
     assert a.copy() == a and a.copy().routes is a.routes
     assert a.state_digest() == b.state_digest() and a.interfaces["r0-eth1"].up
     assert c.state_digest() != a.state_digest()
+
+
+def test_elements_parse_their_text_when_built():
+    assert vars(Host("h1", 1, "192.168.1.2", 24, "192.168.1.1"))["addr"] == \
+        ip_to_int("192.168.1.2")
+    assert vars(Route("192.168.1.0/24", "r0-eth1", metric=5))["match"] == \
+        (*parse_cidr("192.168.1.0/24"), (24, -5))
+    assert vars(FilterRule("FORWARD", "DROP", dst="192.168.1.0/24"))["match"] == \
+        (0, 0, *parse_cidr("192.168.1.0/24"))
+
+
+def test_a_topology_holds_its_own_views():
+    a, b = build_topology(2, 2), build_topology(2, 2)
+    assert a.topology.pairs == b.topology.pairs and a.topology.pairs is not b.topology.pairs
+    assert a.topology.hosts_fragment == b.topology.hosts_fragment
+    assert a.copy(ip_forward=False).topology.pairs is a.topology.pairs
 
 
 def test_digest_ignores_route_order():

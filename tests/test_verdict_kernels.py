@@ -36,7 +36,8 @@ from netbench.routing.inject import FAMILY_METHODS, build_fault
 from netbench.routing.pingall import pingall
 from netbench.routing.safety import judge_step_safety as routing_judge
 from netbench.routing.state import build_topology
-from reference_kernels import ref_cluster_digest, ref_connectivity_check, ref_pingall
+from reference_kernels import ref_cluster_digest, ref_connectivity_check, ref_pair_reachable, \
+    ref_pingall
 
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -127,6 +128,33 @@ def test_pingall_matches_reference_on_reachable_states(data, level, seed):
         assert pingall(state, ceiling) == ref_pingall(state, ceiling)
 
 
+def per_pair_render(state) -> str:
+    """The ping matrix as rendered pair by pair, from the reference's per-pair verdicts."""
+    nodes = state.node_names()
+    lines, received = ["*** Fast Ping: testing ping reachability"], 0
+    for a in nodes:
+        row = [b if ref_pair_reachable(state, a, b)[0] else "X" for b in nodes if b != a]
+        received += sum(entry != "X" for entry in row)
+        lines.append(f"{a} -> " + " ".join(row))
+    total = len(nodes) * (len(nodes) - 1)
+    lines.append(f"*** Results: {round(100 * (total - received) / total)}% dropped "
+                 f"({received}/{total} received)")
+    return "\n".join(lines)
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+def test_spliced_digest_and_class_form_render_match_their_references(data, level, seed):
+    _, truth = generate_routing_query(level, seed)
+    states = [data.draw(st.sampled_from(rebuild_states(truth)))]
+    for _ in range(data.draw(st.integers(1, 8))):
+        state = states[-1]
+        states.append(exec_command(state, *data.draw(routing_command(state, truth.recovery))).state)
+    for state in states:
+        assert state.state_digest() == digest(state.to_json())
+        assert pingall(state).render() == per_pair_render(state)
+
+
 @st.composite
 def class_split_command(draw, state):
     """A write that splits hosts into classes: a per-host /32 filter on either side,
@@ -192,6 +220,7 @@ def test_a_write_shares_the_elements_it_leaves_and_keeps_its_parent(data, level,
         if outcome.kind != "write":
             continue
         new = outcome.state
+        assert new.topology is state.topology
         assert all(new.hosts[name] is host for name, host in state.hosts.items())
         for old, written in ((state.routes, new.routes), (state.filter_rules, new.filter_rules)):
             # a write adds at most one element; every other one is its parent's own object
