@@ -13,8 +13,11 @@ computed once and held next to it.
 Each app's interpreter, ``execute(state, machine, command)``, returns an
 :class:`Outcome`: the state after the command, its output, and its kind,
 a read, a write or an invalid turn. A read or an invalid turn returns the
-very input state. Generation, injection replay, the recovery-order search
-and the environment all go through it.
+very input state. The environment goes through it; generation, injection
+replay and the recovery-order search may take a leaner ``execute`` for the
+commands an app's builder makes, as k8s replays its built-in patches
+through ``k8spolicy.generate._kubectl`` without kubectl's validation. Each
+app's builder turns a recorded ``ActionSpec`` into an :class:`Injection`.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import itertools
 from dataclasses import dataclass
 
 from ..agents.base import MSG_COMMAND
-from ..errors import CorruptGroundTruth, EmptyLevelSet, IneffectiveInjection
+from ..errors import CorruptGroundTruth, EmptyLevelSet, IneffectiveInjection, NetbenchError
 from ..seeds import rng_for
-from .types import GT_RECOVERY_PREDICATE, SAFETY_RULES, GroundTruth, QuerySpec
+from .types import GT_RECOVERY_PREDICATE, SAFETY_RULES, ActionSpec, GroundTruth, QuerySpec
 
 READ, WRITE, INVALID = "read", "write", "invalid"  # the kinds of an interpreted command
 MAX_RESAMPLES = 16
@@ -37,6 +40,14 @@ class Outcome:
     state: object
     output: str
     kind: str  # READ | WRITE | INVALID
+
+
+@dataclass(frozen=True)
+class Injection:
+    """An injection: the action a batch records, the writes that make it, the write undoing it."""
+    action: ActionSpec
+    forward: tuple  # ordered (machine, command) pairs
+    inverse: tuple  # one (machine, command) pair
 
 
 class Reject(Exception):
@@ -73,6 +84,19 @@ def replay(state, commands, execute):
     return state
 
 
+def rebuild(app: str, healthy, actions, build, execute):
+    """The state that the stored ``actions`` leave in ``healthy``, each built into an
+    :class:`Injection` by ``build(action)``; a malformed action is a ``CorruptGroundTruth``."""
+    forward = []
+    for action in actions:
+        try:
+            forward += build(action).forward
+        except (AttributeError, TypeError, ValueError, NetbenchError) as exc:
+            raise CorruptGroundTruth(f"malformed {app} injection {action.to_json()}: "
+                                     f"{exc!r}") from None
+    return replay(healthy, forward, execute)
+
+
 def monotone_order(start, start_verdict, inverses, execute, verdict, state_digest,
                    target_digest: str) -> list | None:
     """Find an order of ``inverses`` whose every step strictly grows the good set.
@@ -104,28 +128,30 @@ def generate_reactive_query(app, labels, level, seed, attempts, execute, verdict
 
     A label is drawn from ``labels[level]`` and its ``+``-joined families
     are passed to ``attempts(rng, families)``, a lazy generator of
-    candidates (healthy state, forward commands, inverse commands,
-    recorded injection). The first of at most ``MAX_RESAMPLES`` candidates
-    whose injection is observable and whose inverses have a monotone
-    order becomes the query, prompted with ``prompt(healthy, verdict)``.
+    candidates (healthy state, setup records, injections). The first of at
+    most ``MAX_RESAMPLES`` candidates whose injections are observable and
+    whose inverses have a monotone order becomes the query, prompted with
+    ``prompt(healthy, verdict)``. Its hidden injection is the setup
+    records, then each injection's action.
     """
     if level not in labels:
         raise EmptyLevelSet(f"no {app} injections defined for level {level}")
     rng = rng_for(seed)
     label = rng.choice(labels[level])
     candidates = attempts(rng, label.split("+"))
-    for healthy, forward, inverses, injection in itertools.islice(candidates, MAX_RESAMPLES):
-        broken = replay(healthy, forward, execute)
+    for healthy, setup, injections in itertools.islice(candidates, MAX_RESAMPLES):
+        broken = replay(healthy, [c for i in injections for c in i.forward], execute)
         broken_verdict = verdict(broken)
         if solved(broken_verdict):
             continue  # the injection is not observable; resample
         target_digest = state_digest(healthy)
-        recovery = monotone_order(broken, broken_verdict, inverses, execute, verdict,
-                                  state_digest, target_digest)
+        recovery = monotone_order(broken, broken_verdict, [i.inverse for i in injections],
+                                  execute, verdict, state_digest, target_digest)
         if recovery is None:
             continue
         truth = GroundTruth(kind=GT_RECOVERY_PREDICATE, target_digest=target_digest,
-                            hidden_injection=injection, recovery=recovery)
+                            hidden_injection=(*setup, *(i.action for i in injections)),
+                            recovery=recovery)
         query = QuerySpec(id=f"{app}-L{level}-{seed:016x}", app=app, level=level,
                           action_label=label, prompt_text=prompt(healthy, broken_verdict),
                           seed=seed)

@@ -41,9 +41,11 @@ class GroundTruth:
 
     ``kind`` is ``action-program`` for constructive queries (``program``
     holds the golden action sequence) and ``recovery-predicate`` for
-    reactive ones (``hidden_injection`` holds the fault sequence and
-    ``recovery`` the ordered (machine, command) repairs that invert it;
-    ``target_digest`` is the digest of the healthy pre-injection state).
+    reactive ones (``hidden_injection`` holds the app's setup records, then
+    one action per injection: for routing, ``hidden_injection[0]`` is the
+    ``topology`` setup record, not a fault; ``recovery`` holds the ordered
+    (machine, command) repairs that invert the injections; ``target_digest``
+    is the digest of the healthy pre-injection state).
     """
 
     kind: str

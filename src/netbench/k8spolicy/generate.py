@@ -8,11 +8,10 @@ where every patch strictly grows the set of conforming flows.
 
 from __future__ import annotations
 
-from ..core.reactive import WRITE, Outcome, generate_reactive_query, replay
-from ..core.types import GroundTruth
+from ..core.reactive import WRITE, Outcome, generate_reactive_query, rebuild
+from ..core.types import ActionSpec, GroundTruth
 from .connectivity import MismatchReport, connectivity_check
-from .inject import AE_EGRESS_GRAPH, TARGETS, build_mutation, mutation_from_action, \
-    mutation_to_action, patch_of
+from .inject import AE_EGRESS_GRAPH, TARGETS, build_mutation, patch_of
 from .kubectl import merge_patch
 from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, PolicyStore, canonical_policy, \
     cluster_digest, default_policies
@@ -45,9 +44,9 @@ def _sample_mutations(rng, families) -> list:
             param = rng.choice(pool)
         else:
             param = ""
-        mutations.append(build_mutation(family, target, param))
+        mutations.append(build_mutation(ActionSpec(family, (target, param))))
     order = {f: i for i, f in enumerate(families)}
-    mutations.sort(key=lambda m: order[m.family])
+    mutations.sort(key=lambda m: order[m.action.name])
     return mutations
 
 
@@ -55,13 +54,11 @@ def _attempts(rng, families):
     """Candidates: the baseline with mutations of ``families`` sampled into it."""
     baseline = default_policies()
     while True:
-        mutations = _sample_mutations(rng, families)
-        yield (baseline, [m.forward for m in mutations], [m.inverse for m in mutations],
-               tuple(map(mutation_to_action, mutations)))
+        yield baseline, (), _sample_mutations(rng, families)
 
 
 def _kubectl(policies: PolicyStore, machine: str, command: str) -> Outcome:
-    """What ``exec_kubectl`` does with the commands generation and ``rebuild_cluster`` replay,
+    """What ``exec_kubectl`` does with the commands generation and ``rebuild`` replay,
     the built-in injections and their inverses, less its validation: ``build_mutation`` builds
     only valid merge patches of one stored policy. A patch that gives a baseline policy back
     stores the very baseline object, whose views the baseline store already holds. The machine
@@ -83,8 +80,7 @@ def generate_k8s_query(level: int, seed: int) -> tuple:
 def rebuild_cluster(truth: GroundTruth) -> tuple:
     """Reconstruct (baseline, broken) policy stores from a ground truth."""
     baseline = default_policies()
-    mutations = map(mutation_from_action, truth.hidden_injection)
-    return baseline, replay(baseline, [m.forward for m in mutations], _kubectl)
+    return baseline, rebuild("k8s", baseline, truth.hidden_injection, build_mutation, _kubectl)
 
 
 def render_k8s_prompt(report: MismatchReport) -> str:

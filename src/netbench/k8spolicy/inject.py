@@ -14,11 +14,11 @@ policy byte-for-byte:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ..core.reactive import Injection
 from ..core.types import ActionSpec
 from ..digest import canonical_json
-from ..errors import CorruptGroundTruth, MethodOutOfRange, NetbenchError, UnknownFamily
+from ..errors import MethodOutOfRange, UnknownFamily
 from .model import EXPECTED_CALLERS, SERVICE_PORTS, baseline_ingress
 
 MACHINE = "master"
@@ -38,15 +38,6 @@ AE_EGRESS_GRAPH = {client: tuple(d for d in _SERVING if client in EXPECTED_CALLE
                    for client in TARGETS["AE"]}
 
 
-@dataclass(frozen=True)
-class Mutation:
-    family: str
-    target: str  # policy name being patched
-    param: str  # family-specific: caller removed/added, kept egress target, ""
-    forward: tuple  # single (machine, command)
-    inverse: tuple  # single (machine, command)
-
-
 def _patch_cmd(target: str, patch: dict) -> tuple:
     payload = canonical_json(patch)
     return (MACHINE, f"kubectl patch networkpolicy {target} --type merge -p '{payload}'")
@@ -58,7 +49,12 @@ def patch_of(command: str) -> tuple[str, dict]:
     return target, json.loads(payload[1:-1])
 
 
-def build_mutation(family: str, target: str, param: str = "") -> Mutation:
+def build_mutation(action: ActionSpec) -> Injection:
+    """The patches of the mutation that ``action`` records: its name is the family, and its
+    operands are the policy patched and a family-specific parameter (the caller removed or
+    added, the egress target kept, or "")."""
+    family = action.name
+    target, param = map(str, action.operands)
     if family not in TARGETS:
         raise UnknownFamily(f"unknown mutation family {family!r}")
     if target not in TARGETS[family]:
@@ -74,7 +70,7 @@ def build_mutation(family: str, target: str, param: str = "") -> Mutation:
         rule["from"] = [f for f in rule["from"]
                         if f["podSelector"]["matchLabels"]["app"] != param]
         forward = _patch_cmd(target, {"spec": {"ingress": [rule]}})
-        return Mutation(family, target, param, forward, restore_ingress)
+        return Injection(action, (forward,), restore_ingress)
 
     if family == "AI":
         if param in EXPECTED_CALLERS[target] or param == target:
@@ -82,20 +78,20 @@ def build_mutation(family: str, target: str, param: str = "") -> Mutation:
         rule = baseline_ingress(target)[0]
         rule["from"] = rule["from"] + [{"podSelector": {"matchLabels": {"app": param}}}]
         forward = _patch_cmd(target, {"spec": {"ingress": [rule]}})
-        return Mutation(family, target, param, forward, restore_ingress)
+        return Injection(action, (forward,), restore_ingress)
 
     if family == "CP":
         rule = baseline_ingress(target)[0]
         rule["ports"] = [{"port": SERVICE_PORTS[target] + 1, "protocol": "TCP"}]
         forward = _patch_cmd(target, {"spec": {"ingress": [rule]}})
-        return Mutation(family, target, param, forward, restore_ingress)
+        return Injection(action, (forward,), restore_ingress)
 
     if family == "CPR":
         forward = _patch_cmd(
             target, {"spec": {"podSelector": {"matchLabels": {"app": f"{target}-pods"}}}})
         inverse = _patch_cmd(
             target, {"spec": {"podSelector": {"matchLabels": {"app": target}}}})
-        return Mutation(family, target, param, forward, inverse)
+        return Injection(action, (forward,), inverse)
 
     # AE: pin the client's egress to a single expected destination
     if param not in AE_EGRESS_GRAPH[target]:
@@ -107,17 +103,5 @@ def build_mutation(family: str, target: str, param: str = "") -> Mutation:
     forward = _patch_cmd(target, {"spec": {"egress": egress,
                                            "policyTypes": ["Ingress", "Egress"]}})
     inverse = _patch_cmd(target, {"spec": {"egress": None, "policyTypes": ["Ingress"]}})
-    return Mutation(family, target, param, forward, inverse)
+    return Injection(action, (forward,), inverse)
 
-
-def mutation_to_action(mutation: Mutation) -> ActionSpec:
-    return ActionSpec(name=mutation.family, operands=(mutation.target, mutation.param))
-
-
-def mutation_from_action(action: ActionSpec) -> Mutation:
-    """The mutation a stored action records."""
-    try:
-        target, param = action.operands
-        return build_mutation(action.name, str(target), str(param))
-    except (TypeError, ValueError, NetbenchError) as exc:
-        raise CorruptGroundTruth(f"malformed k8s injection {action.to_json()}: {exc!r}") from None

@@ -359,7 +359,9 @@ def _ip_route(state: NetState, rest) -> Outcome:
                 matching = [r for r in matching if _connected_words(state, r).get(flag) == value]
         if not matching:
             raise Reject("RTNETLINK answers: No such process")
-        return Outcome(state.copy(routes=_without(state.routes, matching[0])), "", WRITE)
+        # as in Linux, whose table keeps a prefix's routes in ascending metric order
+        lowest = min(matching, key=lambda r: r.metric)
+        return Outcome(state.copy(routes=_without(state.routes, lowest)), "", WRITE)
 
     route = _parse_route_args(state, rest[1:])
     # add: one route per destination and metric, so no two routes tie in a lookup

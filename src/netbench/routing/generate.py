@@ -11,12 +11,11 @@ sampled parameters are resampled.
 
 from __future__ import annotations
 
-from ..core.reactive import generate_reactive_query, replay
+from ..core.reactive import generate_reactive_query, rebuild
 from ..core.types import ActionSpec, GroundTruth
 from ..errors import CorruptGroundTruth, NetbenchError
 from .commands import exec_command
-from .inject import BAD_MASKS, FAMILY_METHODS, build_fault, fault_from_action, fault_scope, \
-    fault_to_action, needs_aux
+from .inject import BAD_MASKS, FAMILY_METHODS, GLOBAL, NEEDS_AUX, build_fault, fault_action
 from .pingall import PingMatrix, pingall
 from .state import NetState, build_topology
 
@@ -36,22 +35,15 @@ def _sample_faults(rng, state: NetState, families) -> list:
     faults = []
     for family in families:
         method = rng.randint(1, FAMILY_METHODS[family])
-        if fault_scope(family, method) == "subnet":
-            subnet = subnets.pop()
-        else:
-            subnet = 1  # unused by global methods
-        if needs_aux(family, method):
+        subnet = 1 if (family, method) in GLOBAL else subnets.pop()  # unused by global methods
+        if (family, method) in NEEDS_AUX:
             aux = rng.choice([s for s in range(1, state.num_switches + 1) if s != subnet])
         elif (family, method) == ("RI", 3):
             aux = rng.randrange(len(BAD_MASKS))
         else:
             aux = 0
-        faults.append(build_fault(state, family, method, subnet, aux))
+        faults.append(build_fault(state, fault_action(family, method, subnet, aux)))
     return faults
-
-
-def _forward(faults) -> list:
-    return [command for fault in faults for command in fault.forward]
 
 
 def _attempts(rng, families):
@@ -62,10 +54,8 @@ def _attempts(rng, families):
         num_switches = rng.randint(3, 4) if heavy else rng.randint(2, 4)
         hosts_per_subnet = rng.randint(2, 4)
         healthy = build_topology(num_switches, hosts_per_subnet, prefix=prefix)
-        faults = _sample_faults(rng, healthy, families)
         setup = ActionSpec(SETUP_ACTION, (num_switches, hosts_per_subnet, prefix))
-        yield (healthy, _forward(faults), [f.inverse for f in faults],
-               (setup, *map(fault_to_action, faults)))
+        yield healthy, (setup,), _sample_faults(rng, healthy, families)
 
 
 def generate_routing_query(level: int, seed: int) -> tuple:
@@ -86,8 +76,8 @@ def rebuild_states(truth: GroundTruth) -> tuple:
     except (TypeError, ValueError, NetbenchError) as exc:
         raise CorruptGroundTruth(f"malformed routing topology record {setup.to_json()}: "
                                  f"{exc!r}") from None
-    faults = [fault_from_action(healthy, action) for action in truth.hidden_injection[1:]]
-    return healthy, replay(healthy, _forward(faults), exec_command)
+    return healthy, rebuild("routing", healthy, truth.hidden_injection[1:],
+                            lambda action: build_fault(healthy, action), exec_command)
 
 
 def sabotage(truth: GroundTruth) -> tuple:

@@ -18,49 +18,36 @@ families, each with several concrete methods:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..core.reactive import Injection
 from ..core.types import ActionSpec
-from ..errors import CorruptGroundTruth, MethodOutOfRange, NetbenchError, UnknownFamily
+from ..errors import MethodOutOfRange, UnknownFamily
 from .state import NetState
 
 FAMILY_METHODS = {"DR": 4, "DI": 3, "RI": 4, "DT": 4, "WR": 4}
 
 # methods whose effect is router-global rather than tied to one subnet
-_GLOBAL = {("DR", 1), ("DR", 2), ("DR", 3)}
+GLOBAL = {("DR", 1), ("DR", 2), ("DR", 3)}
 
 # methods that need a second, distinct subnet as auxiliary parameter
-_NEEDS_AUX = {("RI", 4), ("WR", 1), ("WR", 3)}
+NEEDS_AUX = {("RI", 4), ("WR", 1), ("WR", 3)}
 
 BAD_MASKS = (8, 16, 30, 31, 32)
 _NETEM_DELAY_MS = 20_000  # comfortably above the ping delay ceiling
 
 
-@dataclass(frozen=True)
-class Fault:
-    family: str
-    method: int
-    subnet: int
-    aux: int
-    forward: tuple  # ordered (machine, command) pairs that inject the fault
-    inverse: tuple  # the single (machine, command) that undoes it
+def fault_action(family: str, method: int, subnet: int, aux: int) -> ActionSpec:
+    return ActionSpec(f"{family}-m{method}", (subnet, aux))
 
 
-def fault_scope(family: str, method: int) -> str:
-    return "global" if (family, method) in _GLOBAL else "subnet"
+def build_fault(state: NetState, action: ActionSpec) -> Injection:
+    """The commands of the ``<family>-m<method>`` fault that ``action`` records.
 
-
-def needs_aux(family: str, method: int) -> bool:
-    return (family, method) in _NEEDS_AUX
-
-
-def build_fault(state: NetState, family: str, method: int,
-                subnet: int = 1, aux: int = 0) -> Fault:
-    """Construct the command pair for one concrete fault.
-
-    ``subnet`` is the target subnet for subnet-scoped methods; ``aux``
-    is a second distinct subnet (or a mask-choice index for RI m3).
+    Its operands are the target subnet, read by subnet-scoped methods, and
+    ``aux``: a second distinct subnet, or a mask-choice index for RI m3.
     """
+    family, method = action.name.split("-m")
+    method = int(method)
+    subnet, aux = map(int, action.operands)
     if family not in FAMILY_METHODS:
         raise UnknownFamily(f"unknown fault family {family!r}")
     if not 1 <= method <= FAMILY_METHODS[family]:
@@ -83,7 +70,7 @@ def build_fault(state: NetState, family: str, method: int,
                 (r, f"iptables -D FORWARD -s {cidr} -j DROP")),
         }
         fwd, inv = table[method]
-        return Fault(family, method, subnet, aux, (fwd,), inv)
+        return Injection(action, (fwd,), inv)
 
     if family == "DI":
         table = {
@@ -92,7 +79,7 @@ def build_fault(state: NetState, family: str, method: int,
             3: ((r, f"ip link set {iface} mtu 100"), (r, f"ip link set {iface} mtu 1500")),
         }
         fwd, inv = table[method]
-        return Fault(family, method, subnet, aux, (fwd,), inv)
+        return Injection(action, (fwd,), inv)
 
     if family == "RI":
         restore = (r, f"ip addr replace {gw}/24 dev {iface}")
@@ -105,7 +92,7 @@ def build_fault(state: NetState, family: str, method: int,
             fwd = (r, f"ip addr replace {gw}/{mask} dev {iface}")
         else:  # duplicate another subnet's gateway address
             fwd = (r, f"ip addr replace {state.expected_gateway(aux)}/24 dev {iface}")
-        return Fault(family, method, subnet, aux, (fwd,), restore)
+        return Injection(action, (fwd,), restore)
 
     if family == "DT":
         table = {
@@ -119,7 +106,7 @@ def build_fault(state: NetState, family: str, method: int,
                 (r, f"tc qdisc del dev {iface} root")),
         }
         fwd, inv = table[method]
-        return Fault(family, method, subnet, aux, (fwd,), inv)
+        return Injection(action, (fwd,), inv)
 
     # WR
     restore = (r, f"ip route replace {cidr} dev {iface}")
@@ -136,20 +123,5 @@ def build_fault(state: NetState, family: str, method: int,
                    (r, f"ip route add {cidr} dev {iface} metric 9999"))
     else:
         forward = ((r, f"ip route replace {cidr} via {gw[:-1]}254 dev {iface}"),)
-    return Fault(family, method, subnet, aux, forward, restore)
+    return Injection(action, forward, restore)
 
-
-def fault_to_action(fault: Fault) -> ActionSpec:
-    return ActionSpec(name=f"{fault.family}-m{fault.method}",
-                      operands=(fault.subnet, fault.aux))
-
-
-def fault_from_action(state: NetState, action: ActionSpec) -> Fault:
-    """The fault a stored ``<family>-m<method>`` action records."""
-    try:
-        family, m = action.name.split("-m")
-        subnet, aux = action.operands
-        return build_fault(state, family, int(m), int(subnet), int(aux))
-    except (TypeError, ValueError, NetbenchError) as exc:
-        raise CorruptGroundTruth(f"malformed routing injection {action.to_json()}: "
-                                 f"{exc!r}") from None

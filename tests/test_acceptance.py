@@ -107,12 +107,13 @@ def test_every_reactive_query_starts_broken(capsys):
 def test_pinned_reachability_summaries(capsys):
     from netbench.core.reactive import replay
     from netbench.routing.commands import exec_command
-    from netbench.routing.inject import build_fault
+    from netbench.routing.inject import build_fault, fault_action
     from netbench.routing.pingall import pingall, render_summary
     from netbench.routing.state import build_topology
 
     healthy = build_topology(2, 2)
-    injected = replay(healthy, build_fault(healthy, "DI", 1, subnet=1).forward, exec_command)
+    injected = replay(healthy, build_fault(healthy, fault_action("DI", 1, 1, 0)).forward,
+                      exec_command)
     derived = pingall(injected).summary_line
     ok = derived == "*** Results: 60% dropped (8/20 received)"
 

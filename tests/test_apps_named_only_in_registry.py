@@ -1,9 +1,10 @@
 """The agents and the CLI learn what an app supports from ``REGISTRY``, not from its name.
 
 Only ``core/generate.py`` and each app's own package name an app. This
-test parses ``src/netbench/agents/*.py`` and ``src/netbench/cli.py`` and
-fails on any string constant equal to an app name, on any import from an
-app's package, and on any import inside a function or class.
+test parses ``src/netbench/agents/*.py``, ``src/netbench/cli.py`` and the
+shared reactive core ``src/netbench/core/reactive.py``, and fails on any
+string constant equal to an app name, on any import from an app's
+package, and on any import inside a function or class.
 """
 
 import ast
@@ -16,7 +17,7 @@ from netbench.core.types import APPS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "netbench"
 APP_PACKAGES = {"cp", "routing", "k8spolicy"}
-GUARDED = [*sorted((SRC / "agents").glob("*.py")), SRC / "cli.py"]
+GUARDED = [*sorted((SRC / "agents").glob("*.py")), SRC / "cli.py", SRC / "core" / "reactive.py"]
 
 
 def _imported_modules(node, package):

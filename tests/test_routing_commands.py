@@ -285,6 +285,15 @@ def test_route_del_via_and_metric_selectors(state):
         assert out.kind == WRITE and out.state.state_digest() == state.state_digest()
 
 
+def test_route_del_without_a_metric_removes_the_lowest_metric_match(state):
+    s = exec_command(state, "r0", "ip route add 10.0.0.0/8 dev r0-eth1 metric 5").state
+    s = exec_command(s, "r0", "ip route add 10.0.0.0/8 dev r0-eth1").state
+    out = exec_command(s, "r0", "ip route del 10.0.0.0/8 dev r0-eth1")
+    assert out.kind == WRITE
+    assert [r for r in out.state.routes if r.dest == "10.0.0.0/8"] == \
+        [Route("10.0.0.0/8", "r0-eth1", None, 5)]
+
+
 def test_route_del_matches_the_words_a_connected_route_lists(state):
     listed = "192.168.1.0/24 dev r0-eth1 proto kernel scope link src 192.168.1.1"
     assert listed in exec_command(state, "r0", "ip route").output

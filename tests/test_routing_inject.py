@@ -1,11 +1,10 @@
 import pytest
 
-from netbench.core.reactive import replay, solved
+from netbench.core.reactive import rebuild, replay, solved
 from netbench.core.types import ActionSpec
 from netbench.errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
 from netbench.routing.commands import exec_command
-from netbench.routing.inject import FAMILY_METHODS, build_fault, fault_from_action, \
-    fault_to_action
+from netbench.routing.inject import FAMILY_METHODS, build_fault, fault_action
 from netbench.routing.pingall import pingall
 from netbench.routing.state import build_topology
 
@@ -14,7 +13,7 @@ def all_faults(state):
     for family, methods in FAMILY_METHODS.items():
         for method in range(1, methods + 1):
             aux = 2 if (family, method) in (("RI", 4), ("WR", 1), ("WR", 3)) else 0
-            yield build_fault(state, family, method, subnet=1, aux=aux)
+            yield build_fault(state, fault_action(family, method, 1, aux))
 
 
 def test_method_counts_match_taxonomy():
@@ -24,16 +23,16 @@ def test_method_counts_match_taxonomy():
 def test_unknown_family_and_method():
     s = build_topology(2, 2)
     with pytest.raises(UnknownFamily):
-        build_fault(s, "XX", 1)
+        build_fault(s, fault_action("XX", 1, 1, 0))
     with pytest.raises(MethodOutOfRange):
-        build_fault(s, "DI", 4)
+        build_fault(s, fault_action("DI", 4, 1, 0))
 
 
 def test_every_fault_is_observable_from_healthy():
     s = build_topology(3, 2)
     for fault in all_faults(s):
         broken = replay(s, fault.forward, exec_command)
-        assert not solved(pingall(broken)), (fault.family, fault.method)
+        assert not solved(pingall(broken)), fault.action
 
 
 def test_every_inverse_restores_digest_exactly():
@@ -43,8 +42,8 @@ def test_every_inverse_restores_digest_exactly():
         broken = replay(s, fault.forward, exec_command)
         machine, command = fault.inverse
         outcome = exec_command(broken, machine, command)
-        assert outcome.kind == "write", (fault.family, fault.method, outcome.output)
-        assert outcome.state.state_digest() == target, (fault.family, fault.method)
+        assert outcome.kind == "write", (fault.action, outcome.output)
+        assert outcome.state.state_digest() == target, fault.action
         assert solved(pingall(outcome.state))
 
 
@@ -55,17 +54,9 @@ def test_inverse_is_a_single_command():
         assert isinstance(fault.inverse[1], str)
 
 
-def test_action_round_trip():
-    s = build_topology(3, 2)
-    for fault in all_faults(s):
-        action = fault_to_action(fault)
-        again = fault_from_action(s, action)
-        assert again == fault
-
-
 def test_faults_work_with_prefixed_names():
     s = build_topology(2, 2, prefix="q7_")
-    fault = build_fault(s, "DI", 1, subnet=1)
+    fault = build_fault(s, fault_action("DI", 1, 1, 0))
     assert "q7_r0-eth1" in fault.forward[0][1]
     broken = replay(s, fault.forward, exec_command)
     assert not solved(pingall(broken))
@@ -74,7 +65,8 @@ def test_faults_work_with_prefixed_names():
 @pytest.mark.parametrize("action", [ActionSpec("DI", (1, 0)), ActionSpec("DI-m3", (1,)),
                                     ActionSpec("DI-mx", (1, 0)), ActionSpec("DI-m3", ("a", 0)),
                                     ActionSpec("DI-m3", ([1], 0)), ActionSpec("XX-m1", (1, 0)),
-                                    ActionSpec("DR-m9", (1, 0))])
+                                    ActionSpec("DR-m9", (1, 0)), ActionSpec(5, (1, 0))])
 def test_malformed_action_is_a_corrupt_ground_truth(action):
-    with pytest.raises(CorruptGroundTruth):
-        fault_from_action(build_topology(3, 2), action)
+    s = build_topology(3, 2)
+    with pytest.raises(CorruptGroundTruth, match="malformed routing injection"):
+        rebuild("routing", s, [action], lambda a: build_fault(s, a), exec_command)

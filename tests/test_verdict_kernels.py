@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from netbench.agents.base import MSG_COMMAND, MSG_FINAL, AgentMessage
 from netbench.core.reactive import WRITE
+from netbench.core.types import ActionSpec
 from netbench.errors import MethodOutOfRange
 from netbench.digest import digest
 from netbench.k8spolicy import env as k8s_env, generate as k8s_generate
@@ -32,7 +33,8 @@ from netbench.routing import env as routing_env, pingall as routing_pingall
 from netbench.routing.commands import exec_command
 from netbench.routing.env import RoutingEnvironment
 from netbench.routing.generate import generate_routing_query, rebuild_states
-from netbench.routing.inject import FAMILY_METHODS, build_fault
+from netbench.routing.inject import BAD_MASKS, FAMILY_METHODS, NEEDS_AUX, build_fault, \
+    fault_action
 from netbench.routing.pingall import pingall
 from netbench.routing.safety import judge_step_safety as routing_judge
 from netbench.routing.state import build_topology
@@ -70,9 +72,9 @@ def routing_command(draw, state, recovery):
                                  "filter", "filter", "delay", "global", "global"]))
     if kind == "fault":
         family = draw(st.sampled_from(sorted(FAMILY_METHODS)))
-        fault = build_fault(state, family, draw(st.integers(1, FAMILY_METHODS[family])), k,
-                            draw(st.sampled_from([s for s in range(1, state.num_switches + 1)
-                                                  if s != k])))
+        fault = build_fault(state, fault_action(
+            family, draw(st.integers(1, FAMILY_METHODS[family])), k,
+            draw(st.sampled_from([s for s in range(1, state.num_switches + 1) if s != k]))))
         return draw(st.sampled_from([*fault.forward, fault.inverse]))
     if kind == "recovery":
         return draw(st.sampled_from(recovery))
@@ -269,11 +271,12 @@ def kubectl_command(draw, policies, recovery):
     if kind == "mutation":
         family = draw(st.sampled_from(tuple(TARGETS)))
         try:
-            mutation = build_mutation(family, draw(st.sampled_from(sorted(SERVICE_PORTS))),
-                                      draw(st.sampled_from([*SERVICES, ""])))
+            mutation = build_mutation(ActionSpec(family, (
+                draw(st.sampled_from(sorted(SERVICE_PORTS))),
+                draw(st.sampled_from([*SERVICES, ""])))))
         except MethodOutOfRange:  # not a valid combination for this family
             return "kubectl get networkpolicies"
-        return draw(st.sampled_from([mutation.forward[1], mutation.inverse[1]]))
+        return draw(st.sampled_from([mutation.forward[0][1], mutation.inverse[1]]))
     if kind == "recovery":
         return draw(st.sampled_from([command for _, command in recovery]))
     if kind == "delete":
@@ -443,29 +446,55 @@ def _builtin_mutations() -> dict:
         for target in targets:
             for param in [*SERVICES, ""]:
                 try:
-                    mutation = build_mutation(family, target, param)
+                    mutation = build_mutation(ActionSpec(family, (target, param)))
                 except MethodOutOfRange:
                     continue
-                mutations[mutation.forward[1]] = mutation
+                mutations[mutation.forward[0][1]] = mutation
     return mutations
 
 
 def test_generation_replays_each_builtin_patch_as_kubectl_writes_it():
-    """Generation and ``rebuild_cluster`` apply the built-in injections and inverses without
+    """Generation and ``rebuild`` apply the built-in injections and inverses without
     kubectl's validation: each must be a write that ``exec_kubectl`` accepts, storing the same
     policy with the same output, and each inverse gives back the very baseline policy."""
     baseline = default_policies()
     mutations = _builtin_mutations().values()
     for mutation in mutations:
         policies = baseline
-        for machine, command in (mutation.forward, mutation.inverse):
+        for machine, command in (*mutation.forward, mutation.inverse):
             replayed = k8s_generate._kubectl(policies, machine, command)
             checked = exec_kubectl(policies, command)
             assert replayed.kind == checked.kind == WRITE
             assert replayed.output == checked.output and replayed.state == checked.state
             policies = replayed.state
-        assert policies[mutation.target] is baseline[mutation.target]
+        target = mutation.action.operands[0]
+        assert policies[target] is baseline[target]
     assert len(mutations) == 160  # distinct forward patches
+
+
+def _routing_faults(state):
+    """Every fault that generation can sample on ``state``."""
+    subnets = range(1, state.num_switches + 1)
+    for family, methods in FAMILY_METHODS.items():
+        for method in range(1, methods + 1):
+            for subnet in subnets:
+                if (family, method) in NEEDS_AUX:
+                    auxes = [s for s in subnets if s != subnet]
+                else:
+                    auxes = range(len(BAD_MASKS)) if (family, method) == ("RI", 3) else [0]
+                for aux in auxes:
+                    yield build_fault(state, fault_action(family, method, subnet, aux))
+
+
+def test_action_round_trip():
+    """Each injection of both reactive apps rebuilds, from its action as a batch stores it,
+    to an equal injection."""
+    state = build_topology(3, 2)
+    for injections, build in ((_routing_faults(state), lambda a: build_fault(state, a)),
+                              (_builtin_mutations().values(), build_mutation)):
+        for injection in injections:
+            stored = ActionSpec.from_json(json.loads(json.dumps(injection.action.to_json())))
+            assert build(stored) == injection, injection.action
 
 
 # --- verdicts per turn ---------------------------------------------------------
