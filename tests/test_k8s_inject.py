@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from netbench.core.reactive import rebuild
@@ -6,7 +8,8 @@ from netbench.errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
 from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.inject import AE_EGRESS_GRAPH, TARGETS, build_mutation
 from netbench.k8spolicy.kubectl import exec_kubectl
-from netbench.k8spolicy.model import EXPECTED_CALLERS, cluster_digest, default_policies
+from netbench.k8spolicy.model import EXPECTED_CALLERS, SERVICES, cluster_digest, \
+    default_policies
 
 
 def mutation_of(family, target, param=""):
@@ -75,6 +78,23 @@ def test_mutations_are_single_patch_commands():
         assert len(mutation.forward) == 1 and mutation.forward[0][0] == "master"
         assert mutation.forward[0][1].startswith("kubectl patch networkpolicy ")
         assert mutation.inverse[1].startswith("kubectl patch networkpolicy ")
+
+
+def test_action_round_trip():
+    """Each built-in mutation rebuilds, from its action as a batch stores it, to an equal
+    mutation."""
+    built = set()
+    for family, targets in TARGETS.items():
+        for target in targets:
+            for param in [*SERVICES, ""]:
+                try:
+                    mutation = mutation_of(family, target, param)
+                except MethodOutOfRange:
+                    continue
+                stored = ActionSpec.from_json(json.loads(json.dumps(mutation.action.to_json())))
+                assert build_mutation(stored) == mutation, mutation.action
+                built.add(mutation.forward[0][1])
+    assert len(built) == 160  # distinct forward patches
 
 
 @pytest.mark.parametrize("action", [ActionSpec("CP", ("emailservice",)),

@@ -1,10 +1,13 @@
+import json
+
 import pytest
 
 from netbench.core.reactive import rebuild, replay, solved
 from netbench.core.types import ActionSpec
 from netbench.errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
 from netbench.routing.commands import exec_command
-from netbench.routing.inject import FAMILY_METHODS, build_fault, fault_action
+from netbench.routing.inject import BAD_MASKS, FAMILY_METHODS, NEEDS_AUX, build_fault, \
+    fault_action
 from netbench.routing.pingall import pingall
 from netbench.routing.state import build_topology
 
@@ -52,6 +55,28 @@ def test_inverse_is_a_single_command():
     for fault in all_faults(s):
         assert len(fault.inverse) == 2  # exactly one (machine, command) pair
         assert isinstance(fault.inverse[1], str)
+
+
+def generation_faults(state):
+    """Every fault that generation can sample on ``state``."""
+    subnets = range(1, state.num_switches + 1)
+    for family, methods in FAMILY_METHODS.items():
+        for method in range(1, methods + 1):
+            for subnet in subnets:
+                if (family, method) in NEEDS_AUX:
+                    auxes = [s for s in subnets if s != subnet]
+                else:
+                    auxes = range(len(BAD_MASKS)) if (family, method) == ("RI", 3) else [0]
+                for aux in auxes:
+                    yield build_fault(state, fault_action(family, method, subnet, aux))
+
+
+def test_action_round_trip():
+    """Each fault rebuilds, from its action as a batch stores it, to an equal fault."""
+    s = build_topology(3, 2)
+    for fault in generation_faults(s):
+        stored = ActionSpec.from_json(json.loads(json.dumps(fault.action.to_json())))
+        assert build_fault(s, stored) == fault, fault.action
 
 
 def test_faults_work_with_prefixed_names():

@@ -33,8 +33,7 @@ from netbench.routing import env as routing_env, pingall as routing_pingall
 from netbench.routing.commands import exec_command
 from netbench.routing.env import RoutingEnvironment
 from netbench.routing.generate import generate_routing_query, rebuild_states
-from netbench.routing.inject import BAD_MASKS, FAMILY_METHODS, NEEDS_AUX, build_fault, \
-    fault_action
+from netbench.routing.inject import FAMILY_METHODS, build_fault, fault_action
 from netbench.routing.pingall import pingall
 from netbench.routing.safety import judge_step_safety as routing_judge
 from netbench.routing.state import build_topology
@@ -470,31 +469,6 @@ def test_generation_replays_each_builtin_patch_as_kubectl_writes_it():
         target = mutation.action.operands[0]
         assert policies[target] is baseline[target]
     assert len(mutations) == 160  # distinct forward patches
-
-
-def _routing_faults(state):
-    """Every fault that generation can sample on ``state``."""
-    subnets = range(1, state.num_switches + 1)
-    for family, methods in FAMILY_METHODS.items():
-        for method in range(1, methods + 1):
-            for subnet in subnets:
-                if (family, method) in NEEDS_AUX:
-                    auxes = [s for s in subnets if s != subnet]
-                else:
-                    auxes = range(len(BAD_MASKS)) if (family, method) == ("RI", 3) else [0]
-                for aux in auxes:
-                    yield build_fault(state, fault_action(family, method, subnet, aux))
-
-
-def test_action_round_trip():
-    """Each injection of both reactive apps rebuilds, from its action as a batch stores it,
-    to an equal injection."""
-    state = build_topology(3, 2)
-    for injections, build in ((_routing_faults(state), lambda a: build_fault(state, a)),
-                              (_builtin_mutations().values(), build_mutation)):
-        for injection in injections:
-            stored = ActionSpec.from_json(json.loads(json.dumps(injection.action.to_json())))
-            assert build(stored) == injection, injection.action
 
 
 # --- verdicts per turn ---------------------------------------------------------
