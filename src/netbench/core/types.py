@@ -30,6 +30,12 @@ class ActionSpec:
     def to_json(self):
         return {"name": self.name, "operands": list(self.operands)}
 
+    def typed_operands(self, *types) -> tuple:
+        """The operands, if each is of its type in ``types`` exactly (a ``bool`` is no ``int``)."""
+        if [type(v) for v in self.operands] != list(types):
+            raise TypeError(f"expected operands {[t.__name__ for t in types]}: {self.operands}")
+        return self.operands
+
     @classmethod
     def from_json(cls, data):
         return cls(data["name"], tuple(data["operands"]))

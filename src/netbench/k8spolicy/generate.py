@@ -13,8 +13,8 @@ from ..core.types import ActionSpec, GroundTruth
 from .connectivity import MismatchReport, connectivity_check
 from .inject import AE_EGRESS_GRAPH, TARGETS, build_mutation, patch_of
 from .kubectl import merge_patch
-from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, PolicyStore, canonical_policy, \
-    cluster_digest, default_policies
+from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, PolicyStore, cluster_digest, \
+    default_policies
 
 LEVEL_LABELS = {
     1: ("RI", "AI", "CP", "CPR", "AE"),
@@ -64,7 +64,7 @@ def _kubectl(policies: PolicyStore, machine: str, command: str) -> Outcome:
     stores the very baseline object, whose views the baseline store already holds. The machine
     is always the master."""
     name, patch = patch_of(command)
-    policy = canonical_policy(merge_patch(policies[name], patch))
+    policy = merge_patch(policies[name], patch)
     baseline = default_policies()[name]
     return Outcome(policies.written(name, baseline if policy == baseline else policy),
                    f"networkpolicy.networking.k8s.io/{name} patched", WRITE)

@@ -16,7 +16,7 @@ from collections.abc import Mapping
 import yaml
 
 from ..core.reactive import INVALID, READ, WRITE, Outcome, Reject
-from .model import API_VERSION, NAMESPACE, as_store, canonical_policy, policy_yaml
+from .model import API_VERSION, NAMESPACE, as_store, policy_yaml
 
 _KINDS = ("networkpolicy", "networkpolicies", "netpol")
 _PATCH_RE = re.compile(r"-p\s+'(.*)'\s*$", re.DOTALL)
@@ -224,7 +224,7 @@ def _apply(policies: Mapping, args, head: str, manifest: str) -> Outcome:
         raise Reject(f"error validating data: {exc}") from None
     name = doc["metadata"]["name"]
     word = "configured" if name in policies else "created"
-    return Outcome(as_store(policies).written(name, canonical_policy(doc)),
+    return Outcome(as_store(policies).written(name, doc),
                    f"networkpolicy.networking.k8s.io/{name} {word}", WRITE)
 
 
@@ -251,7 +251,7 @@ def _patch(policies: Mapping, args, head: str, manifest: str) -> Outcome:
                 raise ValueError(f"metadata.{field}: field is immutable")
     except ValueError as exc:
         raise Reject(f'The NetworkPolicy "{name}" is invalid: {exc}') from None
-    return Outcome(as_store(policies).written(name, canonical_policy(merged)),
+    return Outcome(as_store(policies).written(name, merged),
                    f"networkpolicy.networking.k8s.io/{name} patched", WRITE)
 
 

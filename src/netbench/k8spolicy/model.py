@@ -4,7 +4,7 @@ A fixed twelve-service microservice shop runs in the ``default``
 namespace, one pod per service labeled ``app: <service>``. The expected
 service graph (who may call whom, on which port) is the correctness
 target; connectivity is governed purely by NetworkPolicy objects held
-as plain dicts in canonical form, in a ``PolicyStore``. The healthy
+as plain dicts, as they were written, in a ``PolicyStore``. The healthy
 baseline is thirteen policies: one ingress whitelist per service plus a
 cluster-wide default-deny.
 """
@@ -75,19 +75,6 @@ def flow_universe() -> list:
                   for src in SERVICES for dst in SERVICE_PORTS if src != dst)
 
 
-def _canon(obj):
-    if isinstance(obj, dict):
-        return {k: _canon(obj[k]) for k in sorted(obj)}
-    if isinstance(obj, list):
-        return [_canon(v) for v in obj]
-    return obj
-
-
-def canonical_policy(policy: dict) -> dict:
-    """Deep-sorted copy; the unit of state comparison and digesting."""
-    return _canon(policy)
-
-
 def policy_yaml(policy: dict) -> str:
     """A stored policy, or a List of them, as YAML, dumped once per distinct document.
 
@@ -107,12 +94,12 @@ def _yaml_of(text: str) -> str:
 
 
 def _policy(name: str, spec: dict) -> dict:
-    return canonical_policy({
+    return {
         "apiVersion": API_VERSION,
         "kind": "NetworkPolicy",
         "metadata": {"name": name, "namespace": NAMESPACE},
         "spec": spec,
-    })
+    }
 
 
 def baseline_ingress(service: str) -> list:
@@ -127,7 +114,10 @@ def baseline_ingress(service: str) -> list:
 class PolicyStore(Mapping):
     """Policy name -> policy dict, and a value: nothing changes it, the ``policies`` dict it
     keeps or a policy in it after ``PolicyStore(policies)``, so stores and policies may be
-    shared. A write builds a new store (``written``, ``without``).
+    shared. A write builds a new store (``written``, ``without``). A policy is stored as
+    written: nothing reads its key order, as digests, YAML and its cache key sort keys
+    themselves, and it may share the subtrees a patch left unchanged with its parent's policy
+    and the nodes a manifest aliased, since nothing writes them.
 
     Each stored policy carries its views (``view``): values computed from the name and policy
     alone, once, on first use. A written store shares the views of every policy it keeps

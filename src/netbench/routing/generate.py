@@ -71,8 +71,8 @@ def rebuild_states(truth: GroundTruth) -> tuple:
     if setup.name != SETUP_ACTION:
         raise CorruptGroundTruth("routing ground truth is missing its topology record")
     try:
-        num_switches, hosts_per_subnet, prefix = setup.operands
-        healthy = build_topology(int(num_switches), int(hosts_per_subnet), prefix=str(prefix))
+        num_switches, hosts_per_subnet, prefix = setup.typed_operands(int, int, str)
+        healthy = build_topology(num_switches, hosts_per_subnet, prefix=prefix)
     except (TypeError, ValueError, NetbenchError) as exc:
         raise CorruptGroundTruth(f"malformed routing topology record {setup.to_json()}: "
                                  f"{exc!r}") from None

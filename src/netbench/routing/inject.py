@@ -45,9 +45,11 @@ def build_fault(state: NetState, action: ActionSpec) -> Injection:
     Its operands are the target subnet, read by subnet-scoped methods, and
     ``aux``: a second distinct subnet, or a mask-choice index for RI m3.
     """
-    family, method = action.name.split("-m")
-    method = int(method)
-    subnet, aux = map(int, action.operands)
+    family, method_text = action.name.split("-m")
+    method = int(method_text)
+    if method_text != str(method):
+        raise ValueError(f"method {method_text!r} is not written as {method}")
+    subnet, aux = action.typed_operands(int, int)
     if family not in FAMILY_METHODS:
         raise UnknownFamily(f"unknown fault family {family!r}")
     if not 1 <= method <= FAMILY_METHODS[family]:

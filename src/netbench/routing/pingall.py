@@ -140,14 +140,14 @@ class _Facts:
     delay is too much.
     """
 
-    def __init__(self, state: NetState, delay_ceiling_ms: int):
+    def __init__(self, state: NetState):
         self.router = state.router_name
         self.hosts = state.hosts
         subnets = {h.subnet for h in state.hosts.values()}
         self.healthy = {k: _iface_healthy(state, k) for k in subnets}
         self.delayed = {k: state.delays.get(state.iface_name(k), 0) > 0 for k in subnets}
         self.forwarding = state.ip_forward and not state.prohibit_rules
-        self.too_slow = sum(state.delays.values()) > delay_ceiling_ms
+        self.too_slow = sum(state.delays.values()) > DEFAULT_DELAY_CEILING_MS
         own = state.router_own_ips()
         egress = {k: state.iface_name(k) for k in subnets}
         self.delivers = {name: _route_delivers(state.routes, own, h.addr, egress[h.subnet])
@@ -199,9 +199,9 @@ class _Facts:
         return rev and not ((d1 or d2) and self.too_slow)
 
 
-def pingall(state: NetState, delay_ceiling_ms: int = DEFAULT_DELAY_CEILING_MS) -> PingMatrix:
+def pingall(state: NetState) -> PingMatrix:
     """Judges one pair per ordered pair of host classes, and keeps the verdict in that form."""
-    facts = _Facts(state, delay_ceiling_ms)
+    facts = _Facts(state)
     nodes = state.node_names()
     reps = {}  # class key -> the first node of the class
     for node in nodes:

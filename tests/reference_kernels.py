@@ -2,7 +2,7 @@
 
 These are the original ``pingall`` and ``connectivity_check``, which
 re-derive every pair-independent fact for every pair, the original
-``cluster_digest``, which re-canonicalises every policy, and cp's
+``cluster_digest``, which serialises the whole store anew, and cp's
 original cascading remove and safety check, which scan the edge set once
 per node. The differential tests hold the optimized kernels in
 ``netbench`` to the same answers.
@@ -12,7 +12,7 @@ from netbench.cp.graph import CONTAINS, CONTROL, CONTROL_RULES, HIERARCHY_RULES,
 from netbench.cp.safety import Violation
 from netbench.digest import digest
 from netbench.k8spolicy.connectivity import MismatchReport
-from netbench.k8spolicy.model import canonical_policy, expected_flows, flow_universe
+from netbench.k8spolicy.model import expected_flows, flow_universe
 from netbench.routing.pingall import DEFAULT_DELAY_CEILING_MS, MAX_ROUTE_HOPS, PingMatrix
 from netbench.routing.state import MIN_DATAGRAM_MTU, prefix_len
 
@@ -203,7 +203,7 @@ def ref_connectivity_check(policies):
 
 
 def ref_cluster_digest(policies):
-    return digest({name: canonical_policy(p) for name, p in sorted(policies.items())})
+    return digest(dict(policies))  # canonical JSON sorts the keys at every level
 
 
 # --- cp ----------------------------------------------------------------------

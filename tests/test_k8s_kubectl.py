@@ -176,7 +176,8 @@ def test_malformed_policy_shapes_rejected(policies, case):
 
 
 def test_get_yaml_of_an_applied_alias_has_no_anchor(policies):
-    # kubectl stores a fresh canonical tree, so a node the manifest shares is dumped twice
+    # the stored policy may share the node the manifest aliases; its YAML is dumped from a
+    # fresh JSON tree, which shares none, so the node is written out twice
     manifest = "\n".join([
         "kind: NetworkPolicy",
         "metadata: {name: extra}",
@@ -421,3 +422,21 @@ def test_an_integer_beyond_int64_is_rejected(policies, command, message):
     assert _assert_rejected(policies, command).output == message
     assert exec_kubectl(policies, _patch("adservice", '{"spec": {"x": %d}}' % (2**63 - 1))).kind \
         == WRITE
+
+
+def test_a_patch_whose_merged_policy_is_too_large_is_rejected(policies):
+    """Each part is within the node bound alone: the applied policy (900 rules of 8 nodes) and
+    the patch (1,200 peers of 4 nodes) are each accepted, but the merged policy is not. Which
+    node the walk stops at depends on the order it visits keys in, so the path is not pinned."""
+    rules = [{"from": [{"podSelector": {}}], "ports": [{"port": 80, "protocol": "TCP"}]}] * 900
+    applied = exec_kubectl(policies, "kubectl apply -f -\n" + json.dumps({
+        "kind": "NetworkPolicy", "metadata": {"name": "big"},
+        "spec": {"podSelector": {}, "ingress": rules}}))
+    assert applied.kind == WRITE, applied.output
+    patch = json.dumps({"spec": {"egress": [
+        {"to": [{"podSelector": {"matchLabels": {"app": "web"}}}] * 1200}]}})
+    assert exec_kubectl(policies, _patch("adservice", patch)).kind == WRITE
+    out = _assert_rejected(applied.state, _patch("big", patch))
+    assert out.state is applied.state
+    assert out.output.startswith('The NetworkPolicy "big" is invalid: NetworkPolicy.')
+    assert out.output.endswith(": too large")

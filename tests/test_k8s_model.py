@@ -4,8 +4,8 @@ from netbench.cli import main
 from netbench.digest import digest
 from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.model import DEFAULT_DENY, EXPECTED_CALLERS, SERVICES, \
-    SERVICE_PORTS, canonical_policy, cluster_digest, default_policies, \
-    expected_flows, flow_universe, policy_yaml
+    SERVICE_PORTS, cluster_digest, default_policies, expected_flows, flow_universe, \
+    policy_yaml
 
 BASELINE_DIGEST = "d03ce20a5da051faaeaae965a034c8129cdde2271852617832df4f2664e09d15"
 
@@ -66,16 +66,10 @@ def test_cluster_digest_deterministic():
     assert cluster_digest(default_policies()) == BASELINE_DIGEST
 
 
-def test_canonical_policy_sorts_keys():
-    p = canonical_policy({"b": {"y": 1, "x": 2}, "a": 3})
-    assert list(p) == ["a", "b"]
-    assert list(p["b"]) == ["x", "y"]
-
-
 def test_policy_yaml_round_trips():
     for name, policy in default_policies().items():
         text = policy_yaml(policy)
-        assert canonical_policy(yaml.safe_load(text)) == policy
+        assert yaml.safe_load(text) == policy
 
 
 def test_wrong_port_is_blocked():

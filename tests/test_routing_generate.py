@@ -25,8 +25,14 @@ def test_unknown_level_rejected():
         generate_routing_query(4, 0)
 
 
-def test_out_of_range_topology_record_is_a_corrupt_ground_truth():
-    setup = ActionSpec("topology", (9, 2, ""))  # build_topology takes 2 to 4 switches
+@pytest.mark.parametrize("operands", [
+    (9, 2, ""),  # build_topology takes 2 to 4 switches
+    # generation writes two ints and a str prefix, and nothing else replays
+    (2.5, 2, ""), (2, True, ""), ("2", 2, ""), (2, 2, 5), (2, 2, None),
+], ids=["nine_switches", "float_switches", "bool_hosts", "str_switches", "int_prefix",
+        "null_prefix"])
+def test_out_of_range_topology_record_is_a_corrupt_ground_truth(operands):
+    setup = ActionSpec("topology", operands)
     truth = GroundTruth(GT_RECOVERY_PREDICATE, "", hidden_injection=(setup,))
     with pytest.raises(CorruptGroundTruth):
         rebuild_states(truth)

@@ -90,7 +90,13 @@ def test_faults_work_with_prefixed_names():
 @pytest.mark.parametrize("action", [ActionSpec("DI", (1, 0)), ActionSpec("DI-m3", (1,)),
                                     ActionSpec("DI-mx", (1, 0)), ActionSpec("DI-m3", ("a", 0)),
                                     ActionSpec("DI-m3", ([1], 0)), ActionSpec("XX-m1", (1, 0)),
-                                    ActionSpec("DR-m9", (1, 0)), ActionSpec(5, (1, 0))])
+                                    ActionSpec("DR-m9", (1, 0)), ActionSpec(5, (1, 0)),
+                                    # generation writes int operands, not bool, and the
+                                    # method as str() writes it; each of these once replayed
+                                    ActionSpec("DI-m1", (1.5, 0)), ActionSpec("DI-m1", (True, 0)),
+                                    ActionSpec("DI-m1", (1, 0.0)), ActionSpec("DI-m1", ("1", 0)),
+                                    ActionSpec("DI-m01", (1, 0)), ActionSpec("DI-m 1", (1, 0)),
+                                    ActionSpec("DI-m+1", (1, 0))])
 def test_malformed_action_is_a_corrupt_ground_truth(action):
     s = build_topology(3, 2)
     with pytest.raises(CorruptGroundTruth, match="malformed routing injection"):

@@ -2,7 +2,7 @@ from hypothesis import given, settings, strategies as st
 
 from netbench.routing.commands import exec_command
 from netbench.core.reactive import solved
-from netbench.routing.pingall import pingall, render_summary
+from netbench.routing.pingall import DEFAULT_DELAY_CEILING_MS, pingall, render_summary
 from netbench.routing.state import build_topology
 
 
@@ -88,12 +88,19 @@ def test_excessive_delay_fails_pairs():
 
 
 def test_moderate_delay_is_slow_but_reachable():
-    s = run(build_topology(2, 2), "tc qdisc add dev r0-eth1 root netem delay 500ms")
-    assert solved(pingall(s))
-    # the delay counts against the ceiling: below 500 ms the delayed pairs fail
-    m = pingall(s, delay_ceiling_ms=499)
-    assert not m.reachable[("h1", "h3")] and not m.reachable[("h1", "r0")]
-    assert m.reachable[("h3", "h4")]
+    half = DEFAULT_DELAY_CEILING_MS // 2
+    s = run(build_topology(3, 2), f"tc qdisc add dev r0-eth1 root netem delay {half}ms",
+            f"tc qdisc add dev r0-eth2 root netem delay {DEFAULT_DELAY_CEILING_MS - half}ms")
+    assert solved(pingall(s))  # the delays sum to the ceiling
+    # one millisecond more fails every pair that crosses a delayed interface, and no other
+    m = pingall(run(s, "tc qdisc del dev r0-eth2 root",
+                    f"tc qdisc add dev r0-eth2 root netem delay "
+                    f"{DEFAULT_DELAY_CEILING_MS - half + 1}ms"))
+    subnet = {host.name: host.subnet for host in s.hosts.values()}  # the router has none
+    for (a, b), ok in m.reachable.items():
+        crosses = subnet.get(a) != subnet.get(b) and {subnet.get(a), subnet.get(b)} & {1, 2}
+        assert ok == (not crosses), (a, b)
+    assert not m.reachable[("h1", "r0")] and m.reachable[("h5", "r0")]
 
 
 def test_render_grid_shape():

@@ -101,7 +101,8 @@ def routing_command(draw, state, recovery):
         verdict = draw(st.sampled_from(["DROP", "REJECT"]))
         return r, f"iptables -A {chain} {proto}{match}-j {verdict}"
     if kind == "delay":
-        ms = draw(st.sampled_from([1, 500, 6000, 20000]))
+        # delays of 6000 and 4000 ms sum to the ceiling and pass; 6000 + 6000 or 20000 exceed it
+        ms = draw(st.sampled_from([1, 500, 4000, 6000, 20000]))
         return r, draw(st.sampled_from([f"tc qdisc add dev {iface} root netem delay {ms}ms",
                                         f"tc qdisc del dev {iface} root"]))
     return r, draw(st.sampled_from(["iptables -F", "ip rule add prohibit from all",
@@ -115,7 +116,6 @@ def routing_command(draw, state, recovery):
 def test_pingall_matches_reference_on_reachable_states(data, level, seed):
     _, truth = generate_routing_query(level, seed)
     state = data.draw(st.sampled_from(rebuild_states(truth)))  # healthy or injected
-    ceiling = data.draw(st.sampled_from([10_000, 600, 0]))
     for _ in range(data.draw(st.integers(1, 8))):
         machine, command = data.draw(routing_command(state, truth.recovery))
         outcome = exec_command(state, machine, command)
@@ -126,7 +126,7 @@ def test_pingall_matches_reference_on_reachable_states(data, level, seed):
                 assert routing_judge(state, outcome.state, rule) == ref_judge(
                     before.good, after.good, before.total, rule)
             state = outcome.state
-        assert pingall(state, ceiling) == ref_pingall(state, ceiling)
+        assert pingall(state) == ref_pingall(state)
 
 
 def per_pair_render(state) -> str:
@@ -184,7 +184,7 @@ def class_split_command(draw, state):
     if kind == "chain":
         # a hop to one of the router's own addresses is looked up again
         return r, f"ip route replace 192.168.{k}.0/24 via 192.168.{draw(subnets)}.1 dev {dev}"
-    ms = draw(st.sampled_from([1, 400, 700, 6000, 20000]))
+    ms = draw(st.sampled_from([1, 400, 700, 4000, 6000, 20000]))
     return r, f"tc qdisc add dev {state.iface_name(k)} root netem delay {ms}ms"
 
 
@@ -196,8 +196,7 @@ def test_pingall_matches_reference_when_hosts_split_into_classes(data, num_switc
         outcome = exec_command(state, *data.draw(class_split_command(state)))
         if outcome.kind == "write":
             state = outcome.state
-    for ceiling in (10_000, 600, 0):
-        assert pingall(state, ceiling) == ref_pingall(state, ceiling)
+    assert pingall(state) == ref_pingall(state)
 
 
 def test_pingall_judges_one_pair_per_pair_of_classes(monkeypatch):
@@ -377,9 +376,12 @@ def test_connectivity_check_matches_reference_on_any_selector_peer_and_port_valu
 @given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
 def test_policy_yaml_is_the_direct_dump_of_any_written_policy(data, level, seed):
     """``policy_yaml`` dumps each distinct policy once per process, from its JSON text; the
-    YAML must be what dumping the stored policy itself gives."""
+    YAML must be what dumping the stored policy itself gives, with no node shared: a policy is
+    stored as written, so it holds the nodes an applied manifest aliased as shared nodes, and
+    the program's YAML has no anchors."""
     for name, policies in _wide_writes(data, level, seed):
-        assert policy_yaml(policies[name]) == yaml.safe_dump(policies[name], sort_keys=True,
+        assert policy_yaml(policies[name]) == yaml.safe_dump(_unshared(policies[name]),
+                                                             sort_keys=True,
                                                              default_flow_style=False)
 
 
@@ -390,6 +392,15 @@ _JSON = st.recursive(
     max_leaves=12)
 
 
+def _unshared(value):
+    """``value`` rebuilt node by node, so that no two of its places hold one dict or list."""
+    if isinstance(value, dict):
+        return {k: _unshared(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_unshared(v) for v in value]
+    return value
+
+
 def _shuffled(data, value):
     """``value`` rebuilt with the keys of every dict (a policy store's too) in a drawn order."""
     if isinstance(value, Mapping):
@@ -397,6 +408,26 @@ def _shuffled(data, value):
     if isinstance(value, list):
         return [_shuffled(data, v) for v in value]
     return value
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+def test_reads_audits_and_digests_ignore_the_key_order_of_a_stored_policy(data, level, seed):
+    """A policy is stored as written, so two stores that differ only in the order of their keys
+    must read alike: the table, each policy as YAML, the store as a YAML List and each
+    description are byte-identical, and the audits and digests are equal."""
+    _, truth = generate_k8s_query(level, seed)
+    policies = data.draw(st.sampled_from(rebuild_cluster(truth)))
+    for _ in range(data.draw(st.integers(0, 6))):
+        policies = exec_kubectl(policies, data.draw(kubectl_command(policies, truth.recovery))).state
+    shuffled = PolicyStore(_shuffled(data, policies))
+    reads = ["kubectl get networkpolicies", "kubectl get networkpolicies -o yaml",
+             *(f"kubectl get networkpolicy {name} -o yaml" for name in policies),
+             *(f"kubectl describe networkpolicy {name}" for name in policies)]
+    for command in reads:
+        assert exec_kubectl(shuffled, command).output == exec_kubectl(policies, command).output
+    assert connectivity_check(shuffled) == connectivity_check(policies)
+    assert cluster_digest(shuffled) == cluster_digest(policies)
 
 
 @SETTINGS
