@@ -47,10 +47,8 @@ class Observation:
 
 @runtime_checkable
 class Agent(Protocol):
-    """An agent consumes observations and produces one message per turn."""
+    """An agent consumes observations and produces one message per turn; one that
+    holds a resource also has ``close()``, which the runner calls after the episode."""
 
     def step(self, observation: Observation) -> AgentMessage:  # pragma: no cover - protocol
-        ...
-
-    def reset(self) -> None:  # pragma: no cover - protocol
         ...

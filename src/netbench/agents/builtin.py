@@ -28,9 +28,6 @@ class _ScriptedAgent:
     def __init__(self, script, final_payload):
         self._script = list(script)
         self._final = final_payload
-        self.reset()
-
-    def reset(self):
         self._cursor = 0
 
     def step(self, observation: Observation) -> AgentMessage:
@@ -72,11 +69,7 @@ class RandomAgent:
     def __init__(self, probes: tuple, machine: str | None = None, seed: int = 0):
         self.probes = probes
         self.machine = machine
-        self.seed = seed
-        self.reset()
-
-    def reset(self):
-        self._rng: random.Random = rng_for(self.seed)
+        self._rng: random.Random = rng_for(seed)
         self._turn = 0
 
     def step(self, observation: Observation) -> AgentMessage:

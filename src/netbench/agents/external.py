@@ -38,9 +38,6 @@ class ExecAgent:
         self.timeout = timeout
         self._proc = None
 
-    def reset(self):
-        self.close()
-
     def _ensure(self):
         if self._proc is None or self._proc.poll() is not None:
             # its own process group, so close() also ends what the shell started
@@ -97,9 +94,6 @@ class HttpAgent:
         self.url = url
         self.query_id = query_id
         self.timeout = timeout
-
-    def reset(self):
-        pass
 
     def step(self, observation: Observation) -> AgentMessage:
         body = json.dumps({"query_id": self.query_id,

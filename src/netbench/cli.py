@@ -72,7 +72,7 @@ def cmd_generate(args) -> int:
 
 
 def _run_one(config, query, truth, agent_spec, context):
-    env = make_environment(config, query, truth, context=context)
+    env = make_environment(config, truth, context=context)
     agent = make_agent(agent_spec, query, truth)
     try:
         result = run_episode(env, agent, query, max_turns=config.max_turns)

@@ -12,19 +12,22 @@ from ..errors import AgentTimeout, NetbenchError, TransportError
 def run_episode(env, agent: Agent, query: QuerySpec, max_turns: int = 20) -> EpisodeResult:
     """Drive the agent until it answers, errors out, or exhausts its turns.
 
+    Every turn shows the agent ``query.prompt_text`` and the history so far.
+    Of the environment this reads only ``execute_message``, ``goal_reached``
+    and ``is_correct``; of the agent only ``step``. Both must be fresh:
+    nothing here rewinds them.
+
     Agent-side failures become invalid turns; transport-level failures
     additionally end the episode. The environment's own errors on agent
     input are already folded into diagnostic observations, so nothing
     here aborts a run.
     """
-    agent.reset()
-    env.reset()
     result = EpisodeResult(query_id=query.id)
     history = []
     started = time.perf_counter()
 
     for _ in range(max_turns):
-        observation = Observation(system_status=env.system_status(), history=history)
+        observation = Observation(system_status=query.prompt_text, history=history)
         try:
             message = agent.step(observation)
         except NetbenchError as exc:

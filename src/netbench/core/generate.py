@@ -49,7 +49,7 @@ class App:
 
     context: Callable  # config -> the input shared by a whole batch
     generate: Callable  # (context, level, seed) -> (QuerySpec, GroundTruth)
-    environment: Callable  # (context, query, truth, safety_rule) -> environment
+    environment: Callable  # (context, truth, safety_rule) -> environment
     probes: tuple = ()  # the random agent's read-only commands; none: it answers at once
     probe_machine: str | None = None  # where the probes run
     sabotage: Callable | None = None  # truth -> (break, undo) writes; none: no adversarial
@@ -60,21 +60,19 @@ REGISTRY = {
     "cp": App(
         context=lambda config: cp_base_graph(config),
         generate=lambda base, level, seed: generate_cp_query(base, level, seed),
-        environment=lambda base, query, truth, rule: CpEnvironment(base, query, truth),
+        environment=lambda base, truth, rule: CpEnvironment(base, truth),
         export_sft=export_sft_records),
     "routing": App(
         context=lambda config: None,
         generate=lambda _, level, seed: generate_routing_query(level, seed),
-        environment=lambda _, query, truth, rule: RoutingEnvironment(
-            query, truth, safety_rule=rule),
+        environment=lambda _, truth, rule: RoutingEnvironment(truth, safety_rule=rule),
         probes=("ip route", "ip addr", "ip link", "ifconfig", "iptables -L",
                 "sysctl net.ipv4.ip_forward", "ip rule", "tc qdisc show"),
         sabotage=sabotage),
     "k8s": App(
         context=lambda config: None,
         generate=lambda _, level, seed: generate_k8s_query(level, seed),
-        environment=lambda _, query, truth, rule: K8sEnvironment(
-            query, truth, safety_rule=rule),
+        environment=lambda _, truth, rule: K8sEnvironment(truth, safety_rule=rule),
         probes=("kubectl get networkpolicies",
                 "kubectl describe networkpolicy frontend",
                 "kubectl get networkpolicy default-deny -o yaml",
@@ -110,13 +108,12 @@ def generate_batch(config: BenchmarkConfig) -> list:
     return pairs
 
 
-def make_environment(config: BenchmarkConfig, query: QuerySpec, truth: GroundTruth,
-                     context=None):
-    """The query's environment; ``context`` is the batch's shared input
-    (``App.context``), computed from ``config`` when not given."""
+def make_environment(config: BenchmarkConfig, truth: GroundTruth, context=None):
+    """The environment that replays ``truth``; ``context`` is the batch's shared
+    input (``App.context``), computed from ``config`` when not given."""
     app = app_entry(config.app)
     context = app.context(config) if context is None else context
-    return app.environment(context, query, truth, config.safety_rule)
+    return app.environment(context, truth, config.safety_rule)
 
 
 def write_batch_jsonl(pairs, path) -> int:

@@ -162,7 +162,8 @@ def generate_reactive_query(app, labels, level, seed, attempts, execute, verdict
 
 
 class ReactiveEnvironment:
-    """Multi-turn episode over a state held together with its verdict.
+    """Multi-turn episode over a state held together with its verdict; it starts
+    from ``state``, the broken state a ground truth rebuilds.
 
     Subclasses supply ``verdict(state)``,
     ``execute(state, message) -> Outcome``,
@@ -171,20 +172,11 @@ class ReactiveEnvironment:
     write computes exactly one verdict, for the state it produces.
     """
 
-    def __init__(self, query, initial, safety_rule: str):
-        self.query = query
+    def __init__(self, state, safety_rule: str):
         self.safety_rule = safety_rule
-        self.initial = initial
-        self.initial_verdict = self.verdict(initial)
-        self.reset()
-
-    def reset(self):
-        self.state, self.current = self.initial, self.initial_verdict
+        self.state, self.current = state, self.verdict(state)
 
     # -- episode protocol ----------------------------------------------------
-
-    def system_status(self) -> str:
-        return self.query.prompt_text
 
     def goal_reached(self) -> bool:
         return solved(self.current)
@@ -201,8 +193,4 @@ class ReactiveEnvironment:
         self.state, self.current = outcome.state, verdict
         return self.report(outcome.output, verdict), safe, True, True
 
-    # -- scoring -------------------------------------------------------------
-
-    def is_correct(self) -> bool:
-        # correct means the verdict is clean, whatever the repair path was
-        return solved(self.current)
+    is_correct = goal_reached  # a clean verdict is correct, whatever the repair path was

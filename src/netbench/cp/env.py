@@ -9,7 +9,7 @@ and compares the outcome against the golden program's result.
 from __future__ import annotations
 
 from ..agents.base import MSG_FINAL, AgentMessage
-from ..core.types import ActionSpec, GroundTruth, QuerySpec
+from ..core.types import ActionSpec, GroundTruth
 from ..errors import NetbenchError
 from .compare import compare_results, compared_value
 from .graph import CpGraph, CpResult, run_program
@@ -20,20 +20,12 @@ class CpEnvironment:
     """A single-turn episode; its safety is structural (``check_safety_cp``), so no
     safety rule applies."""
 
-    def __init__(self, base_graph: CpGraph, query: QuerySpec, truth: GroundTruth):
-        self.base = base_graph
-        self.query = query
-        _, self.golden = run_program(base_graph, truth.program)
-        self.reset()
-
-    def reset(self):
-        self.state = self.base
+    def __init__(self, base_graph: CpGraph, truth: GroundTruth):
+        self.base = self.state = base_graph
         self.result: CpResult | None = None
+        _, self.golden = run_program(base_graph, truth.program)
 
     # -- episode protocol ----------------------------------------------------
-
-    def system_status(self) -> str:
-        return self.query.prompt_text
 
     def execute_message(self, message: AgentMessage) -> tuple[str, bool, bool, bool]:
         """Apply one agent message; returns (output, step_safe, is_write, valid)."""

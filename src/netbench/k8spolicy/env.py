@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..core.reactive import ReactiveEnvironment
-from ..core.types import GroundTruth, QuerySpec
+from ..core.types import GroundTruth
 from .connectivity import connectivity_check
 from .generate import rebuild_cluster
 from .kubectl import exec_kubectl
@@ -11,8 +11,8 @@ from .model import cluster_digest
 
 
 class K8sEnvironment(ReactiveEnvironment):
-    def __init__(self, query: QuerySpec, truth: GroundTruth, safety_rule: str = "strict"):
-        super().__init__(query, rebuild_cluster(truth)[1], safety_rule)
+    def __init__(self, truth: GroundTruth, safety_rule: str = "strict"):
+        super().__init__(rebuild_cluster(truth)[1], safety_rule)
 
     def verdict(self, policies):
         return connectivity_check(policies)

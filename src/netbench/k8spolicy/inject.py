@@ -19,7 +19,7 @@ from ..core.reactive import Injection
 from ..core.types import ActionSpec
 from ..digest import canonical_json
 from ..errors import MethodOutOfRange, UnknownFamily
-from .model import EXPECTED_CALLERS, SERVICE_PORTS, baseline_ingress
+from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, baseline_ingress
 
 MACHINE = "master"
 
@@ -54,7 +54,7 @@ def build_mutation(action: ActionSpec) -> Injection:
     operands are the policy patched and a family-specific parameter (the caller removed or
     added, the egress target kept, or "")."""
     family = action.name
-    target, param = map(str, action.operands)
+    target, param = action.typed_operands(str, str)
     if family not in TARGETS:
         raise UnknownFamily(f"unknown mutation family {family!r}")
     if target not in TARGETS[family]:
@@ -73,6 +73,8 @@ def build_mutation(action: ActionSpec) -> Injection:
         return Injection(action, (forward,), restore_ingress)
 
     if family == "AI":
+        if param not in SERVICES:
+            raise MethodOutOfRange(f"AI caller {param!r} is no service")
         if param in EXPECTED_CALLERS[target] or param == target:
             raise MethodOutOfRange(f"AI caller {param!r} is already expected for {target!r}")
         rule = baseline_ingress(target)[0]

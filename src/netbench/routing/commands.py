@@ -448,20 +448,22 @@ def _tc(state: NetState, tokens) -> Outcome:
     rest = rest[1:]
     if not rest or rest[0] == "show":
         return Outcome(state, _render_qdiscs(state), READ)
-    m = rest[1:]
-    if rest[0] == "add":
-        # tc qdisc add dev <iface> root netem delay <N>ms
+    verb, m = rest[0], rest[1:]
+    if verb in ("add", "change", "replace"):
+        # tc qdisc add|change|replace dev <iface> root netem delay <N>ms
         if not (len(m) == 6 and m[0] == "dev" and m[2] == "root" and m[3] == "netem"
                 and m[4] == "delay" and m[5].endswith("ms")):
-            raise Reject("usage: tc qdisc add dev <iface> root netem delay <N>ms")
+            raise Reject(f"usage: tc qdisc {verb} dev <iface> root netem delay <N>ms")
         iface = _need_iface(state, m[1])
         ms = _u32(m[5][:-2])
         if ms is None:
             raise Reject(f"invalid delay: {m[5]!r}")
-        if iface in state.delays:  # a root qdisc exists; Linux wants change or replace
+        if verb == "add" and iface in state.delays:  # Linux wants change or replace
             raise Reject("Error: Exclusivity flag on, cannot modify.")
+        if verb == "change" and iface not in state.delays:
+            raise Reject("Error: Qdisc not found. To create specify NLM_F_CREATE flag.")
         return Outcome(state.copy(delays={**state.delays, iface: ms}), "", WRITE)
-    if rest[0] == "del":
+    if verb == "del":
         if not (len(m) == 3 and m[0] == "dev" and m[2] == "root"):
             raise Reject("usage: tc qdisc del dev <iface> root")
         iface = _need_iface(state, m[1])
@@ -469,7 +471,7 @@ def _tc(state: NetState, tokens) -> Outcome:
             raise Reject("Error: Invalid handle.")
         delays = {name: ms for name, ms in state.delays.items() if name != iface}
         return Outcome(state.copy(delays=delays), "", WRITE)
-    raise Reject(f"tc qdisc: unsupported verb {rest[0]!r}")
+    raise Reject(f"tc qdisc: unsupported verb {verb!r}")
 
 
 _IP_OBJECTS = {"addr": _ip_addr, "address": _ip_addr, "a": _ip_addr, "link": _ip_link,

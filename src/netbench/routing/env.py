@@ -9,15 +9,15 @@ connectivity check after every configuration change.
 from __future__ import annotations
 
 from ..core.reactive import ReactiveEnvironment
-from ..core.types import GroundTruth, QuerySpec
+from ..core.types import GroundTruth
 from .commands import exec_command
 from .generate import rebuild_states
 from .pingall import pingall
 
 
 class RoutingEnvironment(ReactiveEnvironment):
-    def __init__(self, query: QuerySpec, truth: GroundTruth, safety_rule: str = "strict"):
-        super().__init__(query, rebuild_states(truth)[1], safety_rule)
+    def __init__(self, truth: GroundTruth, safety_rule: str = "strict"):
+        super().__init__(rebuild_states(truth)[1], safety_rule)
 
     def verdict(self, state):
         return pingall(state)

@@ -31,7 +31,7 @@ def run_batch(cfg, agent_spec):
     base = cp_base_graph(cfg) if cfg.app == "cp" else None
     records = []
     for query, truth in generate_batch(cfg):
-        env = make_environment(cfg, query, truth, context=base)
+        env = make_environment(cfg, truth, context=base)
         agent = make_agent(agent_spec, query, truth)
         records.append(score_episode(query, run_episode(env, agent, query)))
     return records

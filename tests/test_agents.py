@@ -72,7 +72,7 @@ def test_extract_unusable_inputs():
 
 def test_oracle_reactive_replays_recovery_and_wins():
     query, truth = generate_routing_query(2, 101)
-    env = make_environment(routing_config(), query, truth)
+    env = make_environment(routing_config(), truth)
     record = score_episode(query, run_episode(env, OracleAgent(query, truth), query))
     assert record.correct and record.safe
     assert record.latency_turns == len(truth.recovery) + 1
@@ -81,15 +81,14 @@ def test_oracle_reactive_replays_recovery_and_wins():
 
 def test_oracle_k8s():
     query, truth = generate_k8s_query(3, 202)
-    env = make_environment(BenchmarkConfig(app="k8s", num_queries=1, levels=(3,), seed=0),
-                           query, truth)
+    env = make_environment(BenchmarkConfig(app="k8s", num_queries=1, levels=(3,), seed=0), truth)
     record = score_episode(query, run_episode(env, OracleAgent(query, truth), query))
     assert record.correct and record.safe
 
 
 def test_noop_is_safe_but_wrong_on_reactive():
     query, truth = generate_routing_query(1, 303)
-    env = make_environment(routing_config(), query, truth)
+    env = make_environment(routing_config(), truth)
     record = score_episode(query, run_episode(env, NoopAgent(), query))
     assert record.safe and not record.correct
     assert record.latency_turns == 1
@@ -97,7 +96,7 @@ def test_noop_is_safe_but_wrong_on_reactive():
 
 def test_adversarial_is_unsafe_yet_ends_correct():
     query, truth = generate_routing_query(1, 404)
-    env = make_environment(routing_config(), query, truth)
+    env = make_environment(routing_config(), truth)
     record = score_episode(query, run_episode(env, make_agent("adversarial", query, truth), query))
     assert record.correct and not record.safe
 
@@ -112,7 +111,7 @@ def test_adversarial_is_flagged_always_under_strict_and_under_lenient_while_a_ro
         config = BenchmarkConfig(app="routing", num_queries=60, levels=(1, 2, 3), seed=7,
                                  safety_rule=rule)
         for query, truth in generate_batch(config):
-            env = make_environment(config, query, truth)
+            env = make_environment(config, truth)
             record = score_episode(query, run_episode(env, make_agent("adversarial", query, truth),
                                                       query))
             _, injected = rebuild_states(truth)
@@ -128,10 +127,9 @@ def test_adversarial_is_flagged_always_under_strict_and_under_lenient_while_a_ro
 
 def test_random_agent_is_deterministic_and_valid():
     query, truth = generate_routing_query(1, 505)
-    env = make_environment(routing_config(), query, truth)
     probes = app_entry("routing").probes
-    first = run_episode(env, RandomAgent(probes, seed=query.seed), query)
-    second = run_episode(env, RandomAgent(probes, seed=query.seed), query)
+    first, second = (run_episode(make_environment(routing_config(), truth),
+                                 RandomAgent(probes, seed=query.seed), query) for _ in range(2))
     assert [t.agent_message for t in first.turns] == [t.agent_message for t in second.turns]
     assert all(t.valid for t in first.turns)
     assert all(not t.is_write for t in first.turns[:-1])
@@ -142,16 +140,6 @@ def test_random_agent_cp_answers_immediately():
     agent = RandomAgent((), seed=7)
     msg = agent.step(OBS)
     assert msg.kind == MSG_FINAL and msg.payload["answer"]["kind"] == "scalar"
-
-
-def test_scripted_agents_reset():
-    query, truth = generate_routing_query(1, 606)
-    agent = OracleAgent(query, truth)
-    opening = agent.step(OBS)
-    while agent.step(OBS).kind != MSG_FINAL:
-        pass
-    agent.reset()
-    assert agent.step(OBS) == opening
 
 
 # --- external bridges ---------------------------------------------------
@@ -215,7 +203,7 @@ def test_exec_agent_timeout_ends_the_episode_with_one_invalid_turn(tmp_path):
             time.sleep(0.05)
         assert not _running(pid)  # killed with its shell, not left behind
         started = time.monotonic()
-        result = run_episode(make_environment(routing_config(), query, truth), agent, query)
+        result = run_episode(make_environment(routing_config(), truth), agent, query)
         assert time.monotonic() - started < 5
     finally:
         agent.close()
@@ -247,7 +235,7 @@ def test_make_agent_builtins():
     query, truth = generate_routing_query(1, 707)
     for spec in BUILTIN_AGENTS:
         agent = make_agent(spec, query, truth)
-        assert hasattr(agent, "step") and hasattr(agent, "reset")
+        assert hasattr(agent, "step")
 
 
 def test_make_agent_bridges():

@@ -125,11 +125,9 @@ def test_read_batch_jsonl_names_a_line_with_missing_or_extra_keys(tmp_path, edit
 def test_make_environment_dispatch(app):
     cfg = config(app=app, num_queries=1)
     (query, truth), = generate_batch(cfg)
-    env = make_environment(cfg, query, truth)
+    env = make_environment(cfg, truth)
     assert type(env) is {"cp": CpEnvironment, "routing": RoutingEnvironment,
                          "k8s": K8sEnvironment}[app]
-    env.reset()
-    assert isinstance(env.system_status(), str)
 
 
 # --- the episode loop ---------------------------------------------------
@@ -137,7 +135,7 @@ def test_make_environment_dispatch(app):
 def test_run_episode_oracle_terminates_on_final():
     cfg = config(num_queries=1)
     (query, truth), = generate_batch(cfg)
-    env = make_environment(cfg, query, truth)
+    env = make_environment(cfg, truth)
     result = run_episode(env, OracleAgent(query, truth), query)
     record = score_episode(query, result)
     assert record.correct and record.safe
@@ -151,7 +149,7 @@ def test_run_episode_oracle_terminates_on_final():
 def test_run_episode_never_digests_the_final_state(app, monkeypatch):
     cfg = config(app=app, num_queries=1)
     (query, truth), = generate_batch(cfg)
-    env = make_environment(cfg, query, truth)
+    env = make_environment(cfg, truth)
     calls = []
     monkeypatch.setattr(type(env), "final_digest", lambda self: calls.append(self))
     assert run_episode(env, OracleAgent(query, truth), query).correct
@@ -160,15 +158,12 @@ def test_run_episode_never_digests_the_final_state(app, monkeypatch):
 
 def test_run_episode_exhausts_max_turns():
     class Chatter:
-        def reset(self):
-            pass
-
         def step(self, observation):
             return AgentMessage("command", "ip route", None)
 
     cfg = config(num_queries=1)
     (query, truth), = generate_batch(cfg)
-    env = make_environment(cfg, query, truth)
+    env = make_environment(cfg, truth)
     result = run_episode(env, Chatter(), query, max_turns=5)
     assert len(result.turns) == 5
     assert not result.correct
@@ -176,15 +171,12 @@ def test_run_episode_exhausts_max_turns():
 
 def test_run_episode_transport_error_ends_episode():
     class Dead:
-        def reset(self):
-            pass
-
         def step(self, observation):
             raise TransportError("gone")
 
     cfg = config(num_queries=1)
     (query, truth), = generate_batch(cfg)
-    env = make_environment(cfg, query, truth)
+    env = make_environment(cfg, truth)
     result = run_episode(env, Dead(), query)
     assert len(result.turns) == 1
     assert not result.turns[0].valid
@@ -195,9 +187,6 @@ def test_run_episode_protocol_error_costs_a_turn_but_continues():
         def __init__(self):
             self.calls = 0
 
-        def reset(self):
-            self.calls = 0
-
         def step(self, observation):
             self.calls += 1
             if self.calls == 1:
@@ -206,7 +195,7 @@ def test_run_episode_protocol_error_costs_a_turn_but_continues():
 
     cfg = config(num_queries=1)
     (query, truth), = generate_batch(cfg)
-    env = make_environment(cfg, query, truth)
+    env = make_environment(cfg, truth)
     result = run_episode(env, Flaky(), query)
     assert len(result.turns) == 2
     assert not result.turns[0].valid and result.turns[1].valid
@@ -216,9 +205,6 @@ def test_run_episode_observation_carries_history():
     seen = []
 
     class Watcher:
-        def reset(self):
-            pass
-
         def step(self, observation):
             seen.append(len(observation.history))
             if len(seen) < 3:
@@ -227,7 +213,7 @@ def test_run_episode_observation_carries_history():
 
     cfg = config(num_queries=1)
     (query, truth), = generate_batch(cfg)
-    env = make_environment(cfg, query, truth)
+    env = make_environment(cfg, truth)
     run_episode(env, Watcher(), query)
     assert seen == [0, 1, 2]
 
@@ -235,9 +221,47 @@ def test_run_episode_observation_carries_history():
 def test_run_episode_noop_counts_single_turn():
     cfg = config(app="k8s", num_queries=1)
     (query, truth), = generate_batch(cfg)
-    env = make_environment(cfg, query, truth)
+    env = make_environment(cfg, truth)
     record = score_episode(query, run_episode(env, NoopAgent(), query))
     assert record.latency_turns == 1 and record.safe and not record.correct
+
+
+def test_run_episode_needs_only_the_protocol():
+    """An environment answers ``execute_message``, ``goal_reached`` and ``is_correct``,
+    and an agent ``step``; the agent sees the query's prompt and the history each turn."""
+    class Counter:
+        writes = 0
+
+        def execute_message(self, message):
+            if message.kind == MSG_FINAL:
+                return "noted", True, False, True
+            self.writes += 1
+            return f"count {self.writes}", self.writes < 2, True, True
+
+        def goal_reached(self):
+            return self.writes >= 2
+
+        def is_correct(self):
+            return self.writes == 2
+
+    seen = []
+
+    class Counting:
+        def step(self, observation):
+            seen.append(observation.render())
+            if len(seen) < 3:
+                return AgentMessage("command", "add", None)
+            return AgentMessage(MSG_FINAL, "done")
+
+    (query, _), = generate_batch(config(num_queries=1))
+    result = run_episode(Counter(), Counting(), query)
+    assert [(t.env_observation, t.safe, t.is_write, t.goal_reached) for t in result.turns] == [
+        ("count 1", True, True, False), ("count 2", False, True, True),
+        ("noted", True, False, True)]
+    assert result.correct and result.latency_wall > 0
+    assert seen[0] == query.prompt_text
+    assert all(text.startswith(query.prompt_text + "\n") for text in seen[1:])
+    assert seen[2].endswith("> {'kind': 'command', 'machine': None, 'payload': 'add'}\ncount 2")
 
 
 # --- the app registry ---------------------------------------------------

@@ -61,7 +61,7 @@ def test_prompt_mentions_operands(base):
 
 def test_env_oracle_program_correct(base):
     q, t = generate_cp_query(base, 3, 5)
-    env = CpEnvironment(base, q, t)
+    env = CpEnvironment(base, t)
     msg = AgentMessage(MSG_FINAL, {"program": [a.to_json() for a in t.program]})
     _, safe, is_write, valid = env.execute_message(msg)
     assert safe and is_write and valid
@@ -70,7 +70,7 @@ def test_env_oracle_program_correct(base):
 
 def test_env_wrong_answer_incorrect(base):
     q, t = generate_cp_query(base, 1, 6)
-    env = CpEnvironment(base, q, t)
+    env = CpEnvironment(base, t)
     env.execute_message(AgentMessage(MSG_FINAL, {"answer": {"kind": "scalar", "value": -1}}))
     assert not env.is_correct()
 
@@ -78,7 +78,7 @@ def test_env_wrong_answer_incorrect(base):
 @pytest.mark.parametrize("op, checks", [("list", 0), ("remove", 1)])
 def test_env_checks_structure_only_for_a_program_that_writes(base, monkeypatch, op, checks):
     q, t = generate_cp_query(base, 1, 9)
-    env = CpEnvironment(base, q, t)
+    env = CpEnvironment(base, t)
     checked = []
     monkeypatch.setattr("netbench.cp.env.check_safety_cp",
                         lambda graph: checked.append(graph) or check_safety_cp(graph))
@@ -91,7 +91,7 @@ def test_env_checks_structure_only_for_a_program_that_writes(base, monkeypatch, 
 
 def test_env_rejects_command_messages(base):
     q, t = generate_cp_query(base, 1, 8)
-    env = CpEnvironment(base, q, t)
+    env = CpEnvironment(base, t)
     out, safe, is_write, valid = env.execute_message(AgentMessage(MSG_COMMAND, "ls"))
     assert safe and not is_write and not valid
     assert "final answer" in out
@@ -99,7 +99,7 @@ def test_env_rejects_command_messages(base):
 
 def test_env_malformed_program_is_invalid_not_fatal(base):
     q, t = generate_cp_query(base, 1, 9)
-    env = CpEnvironment(base, q, t)
+    env = CpEnvironment(base, t)
     out, safe, is_write, valid = env.execute_message(
         AgentMessage(MSG_FINAL, {"program": [{"name": "explode", "operands": []}]}))
     assert safe and not is_write and not valid
@@ -110,7 +110,7 @@ def test_env_malformed_program_is_invalid_not_fatal(base):
                                    True, "\u0661\u0665\u0660\u0660", "1_000", "  7 "])
 def test_env_rejects_a_non_finite_update(base, value):
     q, t = generate_cp_query(base, 1, 9)
-    env = CpEnvironment(base, q, t)
+    env = CpEnvironment(base, t)
     port = base.of_type("EK_PORT")[0]
     program = [{"name": "update", "operands": [port, "physical_capacity_bps", value]},
                {"name": "rank", "operands": [port]}]
@@ -126,7 +126,7 @@ def test_env_rejects_a_non_finite_update(base, value):
                                       ("x", ["EK_PORT"], "ju1.a1.m1"), ("x", "EK_PORT", 3)])
 def test_env_rejects_an_add_whose_operand_is_not_a_string(base, operands):
     q, t = generate_cp_query(base, 1, 9)
-    env = CpEnvironment(base, q, t)
+    env = CpEnvironment(base, t)
     program = [{"name": "add", "operands": list(operands)},
                {"name": "add", "operands": ["x", "EK_PACKET_SWITCH", "ju1.a1.m1"]},
                {"name": "list", "operands": ["ju1.a1"]}]
@@ -161,7 +161,7 @@ def test_removable_ports_are_the_ports_whose_switch_holds_another(base):
     {"kind": "ranked-list", "value": [["a", False]]}])
 def test_env_malformed_answer_is_one_invalid_turn(base, answer):
     q, t = generate_cp_query(base, 1, 9)
-    env = CpEnvironment(base, q, t)
+    env = CpEnvironment(base, t)
     out, safe, is_write, valid = env.execute_message(AgentMessage(MSG_FINAL, {"answer": answer}))
     assert out.startswith("malformed answer: ")
     assert safe and not is_write and not valid

@@ -141,7 +141,7 @@ def test_safety_and_remove_match_the_references(data, spec, seed):
 
 @pytest.mark.parametrize("level", sorted(LEVEL_LABELS))
 def test_oracle_episode_copies_the_graph_once_per_write_op(monkeypatch, level):
-    """Each write op builds one new graph; a read op and ``reset`` build none."""
+    """Each write op builds one new graph; a read op builds none."""
     base = generate_synthetic_topology(seed=0)
     built = []
     init = CpGraph.__init__
@@ -157,11 +157,9 @@ def test_oracle_episode_copies_the_graph_once_per_write_op(monkeypatch, level):
         labels.add(query.action_label)
         writes = sum(op.name not in READS for op in truth.program)
         built.clear()
-        env = CpEnvironment(base, query, truth)
+        env = CpEnvironment(base, truth)
         assert len(built) == writes  # the golden result, computed once
         built.clear()
-        env.reset()
-        assert built == []
         result = run_episode(env, OracleAgent(query, truth), query)
         assert len(built) == writes
         assert result.correct and env.goal_reached()
@@ -199,7 +197,7 @@ def test_oracle_episodes_over_one_base_compute_its_views_once(monkeypatch):
         for i in range(20):
             query, truth = generate_cp_query(base, level, derive_seed(level, i))
             labels.add(query.action_label)
-            env = CpEnvironment(base, query, truth)
+            env = CpEnvironment(base, truth)
             assert run_episode(env, OracleAgent(query, truth), query).correct
     assert labels == {label for group in LEVEL_LABELS.values() for label in group}
     # the base checks and digests itself in full once; each written graph derives its faults,
@@ -282,7 +280,7 @@ def test_a_long_program_derives_its_views_from_the_base_alone(kind):
         program += [{"name": "remove", "operands": [f"new{i}"]} for i in range(0, 2000, 2)]
         program += program[:20:2]
     query, truth = generate_cp_query(base, 1, 9)
-    env = CpEnvironment(base, query, truth)
+    env = CpEnvironment(base, truth)
     assert env.execute_message(AgentMessage(MSG_FINAL, {"program": program}))[1:] == (True, True, True)
     state, fresh = env.state, CpGraph(env.state.nodes, env.state.edges)
     assert state is not base

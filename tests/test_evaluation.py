@@ -97,9 +97,9 @@ def test_only_the_write_that_reaches_the_goal_earns_it():
     from netbench.routing.env import RoutingEnvironment
     from netbench.routing.generate import generate_routing_query
     query, truth = generate_routing_query(2, 1)
-    oracle = run_episode(RoutingEnvironment(query, truth), OracleAgent(query, truth), query)
+    oracle = run_episode(RoutingEnvironment(truth), OracleAgent(query, truth), query)
     script = [*truth.recovery, *[truth.recovery[-1]] * 5]
-    repeated = run_episode(RoutingEnvironment(query, truth), _ScriptedAgent(script, "done"), query)
+    repeated = run_episode(RoutingEnvironment(truth), _ScriptedAgent(script, "done"), query)
     assert [t.is_write for t in repeated.turns] == [True] * len(script) + [False]
     record = score_episode(query, repeated)
     assert record.correct and record.safe
@@ -122,7 +122,7 @@ def test_cp_program_that_answers_wrong_earns_nothing():
         query, truth = generate_cp_query(base, level, 17)
         wrong = [a.to_json() for a in truth.program[:-1]] + \
             [{"name": "count", "operands": ["EK_PORT", "ju1"]}]
-        env = CpEnvironment(base, query, truth)
+        env = CpEnvironment(base, truth)
         result = run_episode(env, _ScriptedAgent([], {"program": wrong}), query)
         (turn,) = result.turns
         assert turn.valid and turn.is_write and not turn.goal_reached

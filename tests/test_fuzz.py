@@ -46,10 +46,10 @@ def _batch(app):
 
 
 def _env(app, index):
-    query, truth = _batch(app)[index % len(_batch(app))]
+    _, truth = _batch(app)[index % len(_batch(app))]
     if app == "cp":
-        return CpEnvironment(_base(), query, truth)
-    return {"routing": RoutingEnvironment, "k8s": K8sEnvironment}[app](query, truth)
+        return CpEnvironment(_base(), truth)
+    return {"routing": RoutingEnvironment, "k8s": K8sEnvironment}[app](truth)
 
 
 @lru_cache(maxsize=None)

@@ -61,7 +61,7 @@ def test_prompt_contains_audit():
 
 def test_env_oracle_path():
     q, t = generate_k8s_query(2, 88)
-    env = K8sEnvironment(q, t)
+    env = K8sEnvironment(t)
     assert not env.goal_reached()
     out, safe, is_write, valid = env.execute_message(
         AgentMessage(MSG_COMMAND, "kubectl get networkpolicies", "master"))

@@ -94,7 +94,7 @@ def test_action_round_trip():
                 stored = ActionSpec.from_json(json.loads(json.dumps(mutation.action.to_json())))
                 assert build_mutation(stored) == mutation, mutation.action
                 built.add(mutation.forward[0][1])
-    assert len(built) == 160  # distinct forward patches
+    assert len(built) == 149  # distinct forward patches; AI takes no "" caller
 
 
 @pytest.mark.parametrize("action", [ActionSpec("CP", ("emailservice",)),
@@ -103,6 +103,8 @@ def test_action_round_trip():
                                     ActionSpec("CP", ("adservice", "frontend")),
                                     ActionSpec("CPR", ("adservice", "frontend")),
                                     ActionSpec("AI", ("nosuchservice", "frontend")),
+                                    ActionSpec("AI", ("cartservice", 5)),
+                                    ActionSpec("AI", ("cartservice", "nosuch")),
                                     ActionSpec("XX", ("emailservice", ""))])
 def test_malformed_action_is_a_corrupt_ground_truth(action):
     with pytest.raises(CorruptGroundTruth, match="malformed k8s injection"):

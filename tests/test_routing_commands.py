@@ -1,5 +1,6 @@
 import pytest
 
+from netbench.core.reactive import judge_verdicts, solved
 from netbench.routing.commands import INVALID, READ, WRITE, exec_command
 from netbench.routing.pingall import pingall
 from netbench.routing.state import Route, build_topology
@@ -171,6 +172,33 @@ def test_tc_add_on_an_interface_with_a_netem_qdisc_is_refused_as_linux_does(stat
     assert s.delays == {"r0-eth1": 100}
     other = exec_command(s, "r0", "tc qdisc add dev r0-eth2 root netem delay 200ms")
     assert other.kind == WRITE and other.state.delays == {"r0-eth1": 100, "r0-eth2": 200}
+
+
+def test_tc_replace_sets_a_delay_whether_or_not_one_exists():
+    state = build_topology(3, 2)
+    first = exec_command(state, "r0", "tc qdisc replace dev r0-eth1 root netem delay 100ms")
+    assert first.kind == WRITE and first.output == "" and first.state.delays == {"r0-eth1": 100}
+    second = exec_command(first.state, "r0", "tc qdisc replace dev r0-eth1 root netem delay 20000ms")
+    assert second.kind == WRITE and second.state.delays == {"r0-eth1": 20000}
+    # one write from a working delay to a failing one, judged once: unsafe
+    assert solved(pingall(first.state))
+    assert not judge_verdicts(pingall(first.state), pingall(second.state), "lenient")
+
+
+def test_tc_change_sets_only_an_existing_delay():
+    state = build_topology(3, 2)
+    missing = exec_command(state, "r0", "tc qdisc change dev r0-eth1 root netem delay 100ms")
+    assert missing.kind == INVALID and missing.state is state
+    assert missing.output == "Error: Qdisc not found. To create specify NLM_F_CREATE flag."
+    slow = exec_command(state, "r0", "tc qdisc add dev r0-eth1 root netem delay 20000ms").state
+    changed = exec_command(slow, "r0", "tc qdisc change dev r0-eth1 root netem delay 100ms")
+    assert changed.kind == WRITE and changed.state.delays == {"r0-eth1": 100}
+    # one write that repairs every pair the delay broke, judged once: safe even under strict
+    assert not solved(pingall(slow)) and solved(pingall(changed.state))
+    assert judge_verdicts(pingall(slow), pingall(changed.state), "strict")
+    usage = exec_command(slow, "r0", "tc qdisc change dev r0-eth1 root pfifo")
+    assert usage.kind == INVALID
+    assert usage.output == "usage: tc qdisc change dev <iface> root netem delay <N>ms"
 
 
 def test_host_reads_allowed_writes_refused(state):

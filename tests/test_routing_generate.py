@@ -87,7 +87,7 @@ def test_prompt_contains_connectivity_report():
 
 def test_env_read_then_oracle_recovery():
     q, t = generate_routing_query(2, 31)
-    env = RoutingEnvironment(q, t)
+    env = RoutingEnvironment(t)
     out, safe, is_write, valid = env.execute_message(AgentMessage(MSG_COMMAND, "ip route"))
     assert safe and valid and not is_write
     for machine, command in t.recovery:
@@ -101,7 +101,7 @@ def test_env_read_then_oracle_recovery():
 
 def test_env_invalid_command_is_harmless():
     q, t = generate_routing_query(1, 41)
-    env = RoutingEnvironment(q, t)
+    env = RoutingEnvironment(t)
     d = env.final_digest()
     out, safe, is_write, valid = env.execute_message(AgentMessage(MSG_COMMAND, "rm -rf /"))
     assert safe and not is_write and not valid

@@ -499,7 +499,7 @@ def test_generation_replays_each_builtin_patch_as_kubectl_writes_it():
             policies = replayed.state
         target = mutation.action.operands[0]
         assert policies[target] is baseline[target]
-    assert len(mutations) == 160  # distinct forward patches
+    assert len(mutations) == 149  # distinct forward patches; AI takes no "" caller
 
 
 # --- verdicts per turn ---------------------------------------------------------
@@ -530,27 +530,23 @@ def _play(env, messages, calls):
 def test_routing_oracle_computes_one_verdict_per_write_and_none_per_read(monkeypatch):
     calls = _count_calls(monkeypatch, routing_env, "pingall")
     query, truth = generate_routing_query(3, 1234)
-    env = RoutingEnvironment(query, truth)
+    env = RoutingEnvironment(truth)
     assert len(calls) == 1  # the initial state's, once per environment
-    for _ in range(2):
-        env.reset()
-        messages = [AgentMessage(MSG_COMMAND, "ip route"),
-                    AgentMessage(MSG_COMMAND, "vtysh"),
-                    *(AgentMessage(MSG_COMMAND, c, m) for m, c in truth.recovery),
-                    AgentMessage(MSG_FINAL, "done")]
-        counts = _play(env, messages, calls)
-        assert counts == [(False, 0), (False, 0), *[(True, 1)] * len(truth.recovery),
-                          (False, 0)]
-        seen = len(calls)
-        assert env.is_correct() and env.goal_reached()
-        assert len(calls) == seen
-    assert len(calls) == 1 + 2 * len(truth.recovery)
+    messages = [AgentMessage(MSG_COMMAND, "ip route"),
+                AgentMessage(MSG_COMMAND, "vtysh"),
+                *(AgentMessage(MSG_COMMAND, c, m) for m, c in truth.recovery),
+                AgentMessage(MSG_FINAL, "done")]
+    counts = _play(env, messages, calls)
+    assert counts == [(False, 0), (False, 0), *[(True, 1)] * len(truth.recovery), (False, 0)]
+    seen = len(calls)
+    assert env.is_correct() and env.goal_reached()
+    assert len(calls) == seen == 1 + len(truth.recovery)
 
 
 def test_k8s_oracle_computes_one_verdict_per_write_and_none_per_read(monkeypatch):
     calls = _count_calls(monkeypatch, k8s_env, "connectivity_check")
     query, truth = generate_k8s_query(3, 1234)
-    env = K8sEnvironment(query, truth)
+    env = K8sEnvironment(truth)
     assert len(calls) == 1
     messages = [AgentMessage(MSG_COMMAND, "kubectl get networkpolicies", "master"),
                 *(AgentMessage(MSG_COMMAND, c, m) for m, c in truth.recovery),
