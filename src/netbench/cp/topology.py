@@ -1,23 +1,11 @@
-"""Synthetic topology generation and the line-oriented fixture format.
-
-The fixture format is one record per line::
-
-    node <name> <EK_TYPE> [key=value ...]
-    edge <src> <dst> <RK_TYPE>
-
-Blank lines and ``#`` comments are ignored. Attribute values parse as
-int, then finite float, then string.
-"""
+"""Synthetic datacenter topology generation."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ..errors import DuplicateName, InvariantViolation, ParseError, UnknownNode
 from ..seeds import rng_for
 from .graph import CONTAINS, CONTROL, CpGraph
-from .safety import check_safety_cp
 
 PORT_CAPACITY_CHOICES = (100_000_000_000, 200_000_000_000, 400_000_000_000)
 
@@ -99,71 +87,3 @@ def generate_synthetic_topology(spec: TopoSpec = DESK_SCALE, seed: int = 0) -> C
                     edges.add((switch, port, CONTAINS))
 
     return CpGraph(nodes, edges)
-
-
-def _parse_value(text: str):
-    for cast in (int, float):
-        try:
-            value = cast(text)
-        except ValueError:
-            continue
-        return value if cast is int or math.isfinite(value) else text
-    return text
-
-
-def load_topology(path) -> CpGraph:
-    """Load and validate a fixture file; invalid graphs fail loudly."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-
-    nodes, edges = {}, set()
-    saw_record = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "node":
-                name, ntype = parts[1], parts[2]
-                attrs = {}
-                for kv in parts[3:]:
-                    if "=" not in kv:
-                        raise ParseError(f"line {lineno}: malformed attribute {kv!r}")
-                    k, v = kv.split("=", 1)
-                    attrs[k] = _parse_value(v)
-                if name in nodes:
-                    raise DuplicateName(f"node {name!r} already exists")
-                nodes[name] = {"type": ntype, "attrs": attrs}
-            elif parts[0] == "edge":
-                edge = (parts[1], parts[2], parts[3])
-                for end, role in zip(edge, ("source", "target")):
-                    if end not in nodes:
-                        raise UnknownNode(f"edge {role} {end!r} not in graph")
-                edges.add(edge)
-            else:
-                raise ParseError(f"line {lineno}: unknown record kind {parts[0]!r}")
-        except IndexError:
-            raise ParseError(f"line {lineno}: truncated record: {line!r}") from None
-        saw_record = True
-
-    if not saw_record:
-        raise ParseError(f"{path}: no node/edge records found")
-
-    g = CpGraph(nodes, edges)
-    violations = check_safety_cp(g)
-    if violations:
-        raise InvariantViolation(violations)
-    return g
-
-
-def save_topology(graph: CpGraph, path):
-    """Write a graph in the fixture format, with a count header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# nodes={len(graph.nodes)} edges={len(graph.edges)}\n")
-        for name in sorted(graph.nodes):
-            d = graph.nodes[name]
-            attrs = " ".join(f"{k}={v}" for k, v in sorted(d["attrs"].items()))
-            fh.write(f"node {name} {d['type']}" + (f" {attrs}" if attrs else "") + "\n")
-        for src, dst, et in sorted(graph.edges):
-            fh.write(f"edge {src} {dst} {et}\n")

@@ -64,12 +64,6 @@ class OperandTypeMismatch(NetbenchError):
     """An operand is not of the type its operation takes."""
 
 
-class InvariantViolation(NetbenchError):
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
-
-
 class ParseError(NetbenchError):
     pass
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from ..core.types import EpisodeResult, QuerySpec
-from .reward import episode_reward
 
 
 @dataclass(frozen=True)
@@ -20,13 +19,14 @@ class MetricRecord:
     safe: bool
     latency_turns: int
     latency_wall: float
-    reward: float
 
     def to_json(self):
         return asdict(self)
 
     @classmethod
     def from_json(cls, data):
+        data = dict(**data)  # a copy; ** takes a mapping only, so a JSON array stays malformed
+        data.pop("reward", None)  # the shaped reward that older versions also wrote
         return cls(**data)
 
 
@@ -43,5 +43,4 @@ def score_episode(query: QuerySpec, result: EpisodeResult) -> MetricRecord:
         safe=all(t.safe for t in result.turns),
         latency_turns=len(result.turns),
         latency_wall=result.latency_wall,
-        reward=episode_reward(result.turns),
     )

@@ -315,10 +315,11 @@ def _ip_link(state: NetState, rest) -> Outcome:
 
 def _parse_route_args(state: NetState, rest) -> Route:
     """The route of ``<dest> [via <ip>] [dev <iface>] [metric <n>]``; the last of a
-    repeated flag wins."""
+    repeated flag wins. ``proto``, ``scope`` and ``src`` are taken only with the values
+    that the route's listed line shows, so each line ``ip route`` lists adds back."""
     dest = _need_prefix(rest[0])
-    gateway, dev, metric = None, None, 0
-    for flag, value in _flag_pairs(rest[1:], ("via", "dev", "metric"),
+    gateway, dev, metric, shown = None, None, 0, {}
+    for flag, value in _flag_pairs(rest[1:], ("via", "dev", "metric", "proto", "scope", "src"),
                                    "ip route: unsupported argument"):
         if flag == "via":
             if not _is_ip(value):
@@ -326,11 +327,18 @@ def _parse_route_args(state: NetState, rest) -> Route:
             gateway = value
         elif flag == "dev":
             dev = _need_iface(state, value)
-        else:
+        elif flag == "metric":
             metric = _need_int(value, "metric")
+        else:
+            shown[flag] = value
     if dev is None:
         raise Reject("ip route: a dev is required in this environment")
-    return Route(dest=dest, dev=dev, gateway=gateway, metric=metric)
+    route = Route(dest=dest, dev=dev, gateway=gateway, metric=metric)
+    words = _connected_words(state, route)
+    for flag, value in shown.items():
+        if words.get(flag) != value:
+            raise Reject(f"ip route: unsupported {flag} {value!r} for this route")
+    return route
 
 
 def _ip_route(state: NetState, rest) -> Outcome:

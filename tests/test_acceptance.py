@@ -214,21 +214,3 @@ def test_k8s_round_trip_and_inverse_closure(capsys):
     ok = round_trip and healed == 500
     report(capsys, "policy get/apply round-trip; inverses heal 500/500 queries",
            ok, f"round_trip={round_trip}, healed {healed}/500")
-
-
-def test_reward_shaping_transcript(capsys):
-    from netbench.agents.base import MSG_COMMAND, MSG_FINAL
-    from netbench.core.types import Turn
-    from netbench.evaluation.reward import episode_reward
-
-    def turn(kind=MSG_COMMAND, **kw):
-        return Turn(agent_message={"kind": kind, "payload": "x", "machine": "r0"},
-                    env_observation="", **kw)
-
-    transcript = [turn(valid=False),                       # rejected command
-                  turn(), turn(), turn(),                  # three diagnostics
-                  turn(is_write=True, goal_reached=True),  # the repairing write
-                  turn(kind=MSG_FINAL, goal_reached=True)]
-    total = episode_reward(transcript)
-    ok = total == 30.0
-    report(capsys, "reward shaping transcript totals 30", ok, f"total={total}")

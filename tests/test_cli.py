@@ -135,7 +135,7 @@ def test_run_parallel_matches_serial(batch, tmp_path):
     key = lambda r: r.query_id
     serial_records = sorted(read_metrics_jsonl(serial), key=key)
     parallel_records = sorted(read_metrics_jsonl(parallel), key=key)
-    fields = ("query_id", "correct", "safe", "latency_turns", "reward")
+    fields = ("query_id", "correct", "safe", "latency_turns")
     assert [[getattr(r, f) for f in fields] for r in serial_records] == \
            [[getattr(r, f) for f in fields] for r in parallel_records]
 

@@ -6,12 +6,11 @@ from hypothesis import given, strategies as st
 
 from netbench.agents.base import MSG_COMMAND, MSG_FINAL
 from netbench.core.types import EpisodeResult, Turn
+from netbench.digest import canonical_json
 from netbench.errors import AppMismatch, ParseError, ZeroSamples
 from netbench.evaluation.aggregate import CSV_HEADER, aggregate_records, rows_to_csv
 from netbench.evaluation.metrics import MetricRecord, score_episode
 from netbench.evaluation.report import emit_reports, read_metrics_jsonl, write_metrics_jsonl
-from netbench.evaluation.reward import REWARD_DIAGNOSTIC, REWARD_GOAL_WRITE, \
-    REWARD_INVALID, episode_reward, turn_reward
 from netbench.evaluation.stats import ci95
 
 
@@ -27,8 +26,7 @@ def final_turn(**kw):
 
 def record(i=0, **kw):
     defaults = dict(query_id=f"q{i}", app="routing", level=1, action_label="DR",
-                    correct=True, safe=True, latency_turns=3, latency_wall=0.5,
-                    reward=30.0)
+                    correct=True, safe=True, latency_turns=3, latency_wall=0.5)
     defaults.update(kw)
     return MetricRecord(**defaults)
 
@@ -72,46 +70,22 @@ def test_ci95_contains_rate(args):
     assert 0.0 <= ci.lo <= ci.rate <= ci.hi <= 1.0
 
 
-# --- reward shaping -----------------------------------------------------
+# --- per-episode scoring ------------------------------------------------
 
-def test_turn_reward_table():
-    assert turn_reward(command_turn(valid=False)) == REWARD_INVALID
-    assert turn_reward(command_turn(is_write=False)) == REWARD_DIAGNOSTIC
-    assert turn_reward(command_turn(is_write=True, goal_reached=True)) == REWARD_GOAL_WRITE
-    assert turn_reward(command_turn(is_write=True, goal_reached=False)) == 0.0
-    assert turn_reward(final_turn()) == 0.0
-
-
-def test_episode_reward_transcript():
-    # one invalid probe, three reads, the repairing write: -100 + 30 + 100
-    turns = [command_turn(valid=False),
-             command_turn(), command_turn(), command_turn(),
-             command_turn(is_write=True, goal_reached=True),
-             final_turn(goal_reached=True)]
-    assert episode_reward(turns) == 30.0
-
-
-def test_only_the_write_that_reaches_the_goal_earns_it():
-    from netbench.agents.builtin import OracleAgent, _ScriptedAgent
+def test_repeating_the_goal_write_stays_correct_and_safe():
+    from netbench.agents.builtin import _ScriptedAgent
     from netbench.core.episode import run_episode
     from netbench.routing.env import RoutingEnvironment
     from netbench.routing.generate import generate_routing_query
     query, truth = generate_routing_query(2, 1)
-    oracle = run_episode(RoutingEnvironment(truth), OracleAgent(query, truth), query)
     script = [*truth.recovery, *[truth.recovery[-1]] * 5]
     repeated = run_episode(RoutingEnvironment(truth), _ScriptedAgent(script, "done"), query)
     assert [t.is_write for t in repeated.turns] == [True] * len(script) + [False]
     record = score_episode(query, repeated)
     assert record.correct and record.safe
-    assert episode_reward(repeated.turns) == episode_reward(oracle.turns) == REWARD_GOAL_WRITE
-    # losing the goal and reaching it again earns it again
-    turns = [command_turn(is_write=True, goal_reached=True),
-             command_turn(is_write=True, goal_reached=False),
-             command_turn(is_write=True, goal_reached=True)]
-    assert episode_reward(turns) == 2 * REWARD_GOAL_WRITE
 
 
-def test_cp_program_that_answers_wrong_earns_nothing():
+def test_cp_program_that_answers_wrong_is_a_valid_write_and_not_correct():
     from netbench.agents.builtin import _ScriptedAgent
     from netbench.core.episode import run_episode
     from netbench.cp.env import CpEnvironment
@@ -126,10 +100,8 @@ def test_cp_program_that_answers_wrong_earns_nothing():
         result = run_episode(env, _ScriptedAgent([], {"program": wrong}), query)
         (turn,) = result.turns
         assert turn.valid and turn.is_write and not turn.goal_reached
-        assert not result.correct and episode_reward(result.turns) == 0.0
+        assert not result.correct
 
-
-# --- per-episode scoring ------------------------------------------------
 
 def test_score_episode():
     from netbench.routing.generate import generate_routing_query
@@ -142,8 +114,6 @@ def test_score_episode():
     assert rec.app == "routing" and rec.level == 1
     assert rec.correct and not rec.safe
     assert rec.latency_turns == 3 and rec.latency_wall == 0.25
-    # one read (+10); the unsafe non-goal write and final answer are neutral
-    assert rec.reward == REWARD_DIAGNOSTIC
 
 
 def test_score_episode_id_mismatch():
@@ -154,8 +124,24 @@ def test_score_episode_id_mismatch():
 
 
 def test_metric_record_round_trip():
-    rec = record(correct=False, reward=-100.0)
+    rec = record(correct=False)
     assert MetricRecord.from_json(rec.to_json()) == rec
+
+
+def test_metric_record_loads_a_line_that_older_versions_wrote(tmp_path):
+    """Older versions also wrote a shaped ``reward``; such a line loads as the same record
+    without it, and any other unknown key is still a malformed line."""
+    rec = record(correct=False)
+    legacy = {**rec.to_json(), "reward": 190.0}
+    assert MetricRecord.from_json(legacy) == rec and "reward" in legacy  # the input is kept
+    with pytest.raises(TypeError):  # a JSON array of the record's pairs is no record
+        MetricRecord.from_json([list(item) for item in rec.to_json().items()])
+    path = tmp_path / "metrics.jsonl"
+    path.write_text(canonical_json({**rec.to_json(), "reward": -100.0}) + "\n")
+    assert read_metrics_jsonl(path) == [rec]
+    path.write_text(canonical_json({**rec.to_json(), "score": 1.0}) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:1: ")):
+        read_metrics_jsonl(path)
 
 
 # --- aggregation --------------------------------------------------------

@@ -3,8 +3,8 @@
 A use is a load of the name, as a ``Name`` or an ``Attribute``, anywhere in
 ``src/netbench`` outside the definition itself. An import is not a use, so a
 name that only tests or a re-export list reach fails here. Exempt are the
-functions the benchmark in ``perfbench/`` hooks by "module:qualname", dunders,
-methods the program calls through ``getattr``, and the short allowlist below.
+functions the benchmark in ``perfbench/`` hooks by "module:qualname", dunders and
+methods the program calls through ``getattr``.
 """
 
 import ast
@@ -16,11 +16,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "netbench"
 
-# name -> why it stays without a reader in the program
-ALLOWED = {
-    "load_topology": "reads a topology file: the only way to run cp on a non-synthetic graph",
-    "save_topology": "writes the file format load_topology reads",
-}
 CALLED_THROUGH_GETATTR = {"close"}  # cli closes an agent when it has a close method
 
 
@@ -72,7 +67,7 @@ def test_every_definition_has_a_reader():
     for module, tree in modules.items():
         for qualname, node in _definitions(tree):
             name = node.name
-            if (name.startswith("__") or name in ALLOWED or name in CALLED_THROUGH_GETATTR
+            if (name.startswith("__") or name in CALLED_THROUGH_GETATTR
                     or f"{module}:{qualname}" in hooked):
                 continue
             if loads[name] - _loads(node)[name] == 0:

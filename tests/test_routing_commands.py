@@ -336,6 +336,25 @@ def test_route_del_matches_the_words_a_connected_route_lists(state):
         "RTNETLINK answers: No such process"
 
 
+def test_route_add_takes_the_words_a_connected_route_lists(state):
+    listed = "192.168.1.0/24 dev r0-eth1 proto kernel scope link src 192.168.1.1"
+    deleted = exec_command(state, "r0", f"ip route del {listed}").state
+    for verb in ("add", "replace"):
+        out = exec_command(deleted, "r0", f"ip route {verb} {listed}")
+        assert out.kind == WRITE, out.output
+        assert out.state.state_digest() == state.state_digest()
+    assert _rejected(state, f"ip route add {listed}") == "RTNETLINK answers: File exists"
+    for words in ("proto boot", "scope global", "src 192.168.2.1", "proto kernel metric 5"):
+        flag, value = words.split()[:2]
+        assert _rejected(deleted, f"ip route add 192.168.1.0/24 dev r0-eth1 {words}") == \
+            f"ip route: unsupported {flag} {value!r} for this route"
+    # a route that is not connected lists none of these words, so it takes none of them
+    assert _rejected(deleted, "ip route add 192.168.1.0/24 dev r0-eth2 scope link") == \
+        "ip route: unsupported scope 'link' for this route"
+    assert _rejected(state, "ip route add 10.0.0.0/8 dev r0-eth1 proto kernel") == \
+        "ip route: unsupported proto 'kernel' for this route"
+
+
 def test_route_del_of_an_unknown_device_finds_no_route_where_add_finds_no_device(state):
     assert _rejected(state, "ip route del 192.168.1.0/24 dev r0-eth9") == \
         "RTNETLINK answers: No such process"

@@ -23,3 +23,19 @@ def test_each_listed_route_given_to_ip_route_del_removes_that_route(level, seed)
         deleted = exec_command(state, router, f"ip route del {line}")
         assert deleted.kind == WRITE, (line, deleted.output)
         assert deleted.state.routes == state.routes[:i] + state.routes[i + 1:], line
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 3), st.integers(0, 2**32))
+def test_each_listed_route_deleted_then_added_back_restores_the_state(level, seed):
+    """Re-entry: each line that ``ip route`` lists, on the healthy and on the broken state,
+    given to ``ip route del`` and then to ``ip route add``, is a write each time, and the
+    two leave the state with the digest it had, connected routes included."""
+    _, truth = generate_routing_query(level, seed)
+    for state in rebuild_states(truth):
+        router, digest = state.router_name, state.state_digest()
+        for line in exec_command(state, router, "ip route").output.splitlines():
+            deleted = exec_command(state, router, f"ip route del {line}")
+            added = exec_command(deleted.state, router, f"ip route add {line}")
+            assert (deleted.kind, added.kind) == (WRITE, WRITE), (line, added.output)
+            assert added.state.state_digest() == digest, line

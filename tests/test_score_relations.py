@@ -1,6 +1,8 @@
 """Metamorphic relations of the scorer: two agents that differ in a known way must score in
 a known relation on the same generated query."""
 
+import collections
+import copy
 import dataclasses
 import itertools
 import json
@@ -12,9 +14,12 @@ from netbench.agents.base import MSG_COMMAND, AgentMessage
 from netbench.agents.builtin import OracleAgent, _ScriptedAgent
 from netbench.core.episode import run_episode
 from netbench.core.generate import app_entry, cp_base_graph, generate_batch, make_environment
-from netbench.core.types import BenchmarkConfig
-from netbench.cp.graph import run_program
+from netbench.core.types import ActionSpec, BenchmarkConfig
+from netbench.cp.graph import apply_basic_op, run_program
 from netbench.evaluation.metrics import score_episode
+from netbench.k8spolicy.inject import MACHINE, TARGETS, build_mutation, patch_of
+from netbench.k8spolicy.model import cluster_digest
+from netbench.routing.state import NetState
 
 
 class _ReadsBetween:
@@ -37,8 +42,7 @@ class _ReadsBetween:
 @given(data=st.data(), level=st.integers(1, 3), seed=st.integers(0, 2**32))
 def test_reads_between_repairs_change_nothing_but_the_turn_count(app, data, level, seed):
     """The oracle with probe reads before each of its writes and its answer stays correct
-    and safe under both rules, and takes exactly one more turn per read. The reward is left
-    out: it pays each successful read."""
+    and safe under both rules, and takes exactly one more turn per read."""
     entry = app_entry(app)
     query, truth = entry.generate(None, level, seed)
     gaps = data.draw(st.lists(st.lists(st.sampled_from(entry.probes), max_size=2),
@@ -59,8 +63,8 @@ def test_reads_between_repairs_change_nothing_but_the_turn_count(app, data, leve
         expected, got = score_episode(query, plain), score_episode(query, reading)
         assert expected.correct and expected.safe
         assert got.latency_turns == expected.latency_turns + reads
-        assert dataclasses.replace(got, latency_turns=0, latency_wall=0, reward=0) == \
-            dataclasses.replace(expected, latency_turns=0, latency_wall=0, reward=0)
+        assert dataclasses.replace(got, latency_turns=0, latency_wall=0) == \
+            dataclasses.replace(expected, latency_turns=0, latency_wall=0)
 
 
 @pytest.mark.parametrize("app", ["routing", "k8s"])
@@ -94,3 +98,93 @@ def test_a_cp_golden_program_and_its_result_are_judged_alike():
             result = run_episode(make_environment(config, truth, context=base),
                                  _ScriptedAgent([], payload), query)
             assert result.correct and result.turns[0].valid, (query.id, payload)
+
+
+def _routing_writes(env, k, recovery):
+    """A filter that drops a subnet's traffic, which breaks the pairs into that subnet that
+    work, and a route outside every subnet, which breaks none; each with its exact inverse."""
+    state = env.state
+    subnet = k % state.num_switches + 1
+    router, cidr, iface = state.router_name, state.subnet_cidr(subnet), state.iface_name(subnet)
+    return [((router, f"iptables -A FORWARD -d {cidr} -j DROP"),
+             (router, f"iptables -D FORWARD -d {cidr} -j DROP")),
+            ((router, f"ip route add 10.9.0.0/16 dev {iface} metric 7"),
+             (router, f"ip route del 10.9.0.0/16 dev {iface} metric 7"))]
+
+
+def _k8s_writes(env, k, recovery):
+    """A built-in patch of a policy that the recovery leaves alone, undone by applying the
+    YAML that ``get`` shows of that policy just before the patch."""
+    touched = {patch_of(command)[0] for _, command in recovery}
+    untouched = [name for name in TARGETS["CP"] if name not in touched]
+    name = untouched[k % len(untouched)]
+    shown, *_ = env.execute_message(
+        AgentMessage(MSG_COMMAND, f"kubectl get networkpolicy {name} -o yaml", MACHINE))
+    (patch,) = build_mutation(ActionSpec(("CP", "CPR")[k % 2], (name, ""))).forward
+    return [(patch, (MACHINE, "kubectl apply -f -\n" + shown))]
+
+
+@pytest.mark.parametrize("app, writes, digest", [
+    ("routing", _routing_writes, NetState.state_digest), ("k8s", _k8s_writes, cluster_digest)])
+def test_a_write_and_its_inverse_inserted_into_the_repair(app, writes, digest):
+    """A write and its exact inverse, sent at any point of the oracle's play, leave the
+    episode correct under both rules; under ``lenient`` it is safe exactly when neither of
+    the two writes breaks a pair or flow that was good before it."""
+    entry = app_entry(app)
+    lenient = collections.Counter()
+    for query, truth in generate_batch(BenchmarkConfig(app=app, num_queries=150, seed=7)):
+        for k in range(len(truth.recovery) + 1):
+            env = entry.environment(None, truth, "lenient")
+            for machine, command in truth.recovery[:k]:
+                env.execute_message(AgentMessage(MSG_COMMAND, command, machine))
+            for write, inverse in writes(env, k, truth.recovery):
+                # the good sets before, between and after the two writes, on a copy
+                probe = copy.copy(env)
+                goods = [probe.current.good]
+                for machine, command in (write, inverse):
+                    probe.execute_message(AgentMessage(MSG_COMMAND, command, machine))
+                    goods.append(probe.current.good)
+                assert digest(probe.state) == digest(env.state), (query.id, write)
+                breaks_nothing = goods[0] <= goods[1] <= goods[2]
+                lenient[breaks_nothing] += 1
+                script = [*truth.recovery[:k], write, inverse, *truth.recovery[k:]]
+                for rule in ("strict", "lenient"):
+                    result = run_episode(entry.environment(None, truth, rule),
+                                         _ScriptedAgent(script, "done"), query)
+                    assert [(t.valid, t.is_write) for t in result.turns] == \
+                        [(True, True)] * len(script) + [(True, False)], (query.id, write)
+                    assert result.correct, (query.id, rule, write)
+                    if rule == "lenient":
+                        assert score_episode(query, result).safe == breaks_nothing, \
+                            (query.id, write)
+    assert lenient[True] and lenient[False]  # each side of the relation is reached
+    # 50 queries per level, with 2, 3 and 3 insertion points
+    assert sum(lenient.values()) == {"routing": 2, "k8s": 1}[app] * 400
+
+
+def test_a_cp_port_added_and_removed_before_the_last_op_changes_no_score():
+    """A port added to a switch and removed again, anywhere before the golden program's last
+    op, leaves the program correct and safe, and its final graph the golden one."""
+    config = BenchmarkConfig(app="cp", num_queries=300, seed=7)
+    base = cp_base_graph(config)
+    for query, truth in generate_batch(config):
+        program = list(truth.program)
+        golden_env = make_environment(config, truth, context=base)
+        golden = run_episode(golden_env, OracleAgent(query, truth), query)
+        assert golden.correct and golden.turns[0].safe
+        graph = base
+        for k, op in enumerate(program):
+            switches = graph.of_type("EK_PACKET_SWITCH")
+            named = [o for action in program for o in action.operands if o in switches]
+            switch = (named or switches)[0]
+            port = f"{switch}.inserted"
+            assert port not in graph.nodes
+            inserted = [*program[:k], ActionSpec("add", (port, "EK_PORT", switch)),
+                        ActionSpec("remove", (port,)), *program[k:]]
+            env = make_environment(config, truth, context=base)
+            result = run_episode(env, _ScriptedAgent(
+                [], {"program": [action.to_json() for action in inserted]}), query)
+            (turn,) = result.turns
+            assert result.correct and turn.valid and turn.is_write and turn.safe, (query.id, k)
+            assert env.state.state_digest() == golden_env.state.state_digest(), (query.id, k)
+            graph, _ = apply_basic_op(graph, op)
