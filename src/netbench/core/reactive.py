@@ -15,9 +15,12 @@ Each app's interpreter, ``execute(state, machine, command)``, returns an
 a read, a write or an invalid turn. A read or an invalid turn returns the
 very input state. The environment goes through it; generation, injection
 replay and the recovery-order search may take a leaner ``execute`` for the
-commands an app's builder makes, as k8s replays its built-in patches
-through ``k8spolicy.generate._kubectl`` without kubectl's validation. Each
-app's builder turns a recorded ``ActionSpec`` into an :class:`Injection`.
+writes an app's builder makes. k8s does so without kubectl's validation:
+generation replays its built-in patch commands through
+``k8spolicy.generate._kubectl``, and ``rebuild`` replays a stored action as
+the patch itself, a (policy, patch dict) write, through
+``k8spolicy.generate._patched``, with no command text. Each app's builder
+turns a recorded ``ActionSpec`` into an :class:`Injection`.
 """
 
 from __future__ import annotations
@@ -74,23 +77,25 @@ def judge_verdicts(before, after, rule: str = "strict") -> bool:
     return True
 
 
-def replay(state, commands, execute):
-    """Apply (machine, command) ``commands`` in order; each must be a write."""
-    for machine, command in commands:
-        outcome = execute(state, machine, command)
+def replay(state, writes, execute):
+    """Make ``writes`` in order, each as ``execute(state, *write)``, which must be a write."""
+    for write in writes:
+        outcome = execute(state, *write)
         if outcome.kind != WRITE:
-            raise CorruptGroundTruth(f"injection command was not accepted as a write: {command!r}")
+            raise CorruptGroundTruth(
+                f"injection command was not accepted as a write: {write[-1]!r}")
         state = outcome.state
     return state
 
 
 def rebuild(app: str, healthy, actions, build, execute):
-    """The state that the stored ``actions`` leave in ``healthy``, each built into an
-    :class:`Injection` by ``build(action)``; a malformed action is a ``CorruptGroundTruth``."""
+    """The state that the stored ``actions`` leave in ``healthy``: ``build(action)`` gives the
+    writes that inject one, which ``replay`` makes through ``execute``; a malformed action is a
+    ``CorruptGroundTruth``."""
     forward = []
     for action in actions:
         try:
-            forward += build(action).forward
+            forward += build(action)
         except (AttributeError, TypeError, ValueError, NetbenchError) as exc:
             raise CorruptGroundTruth(f"malformed {app} injection {action.to_json()}: "
                                      f"{exc!r}") from None

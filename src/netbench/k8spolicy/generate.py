@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..core.reactive import WRITE, Outcome, generate_reactive_query, rebuild
 from ..core.types import ActionSpec, GroundTruth
 from .connectivity import MismatchReport, connectivity_check
-from .inject import AE_EGRESS_GRAPH, TARGETS, build_mutation, patch_of
+from .inject import AE_EGRESS_GRAPH, TARGETS, build_mutation, mutation_patches, patch_of
 from .kubectl import merge_patch
 from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, PolicyStore, cluster_digest, \
     default_policies
@@ -57,17 +57,21 @@ def _attempts(rng, families):
         yield baseline, (), _sample_mutations(rng, families)
 
 
-def _kubectl(policies: PolicyStore, machine: str, command: str) -> Outcome:
-    """What ``exec_kubectl`` does with the commands generation and ``rebuild`` replay,
-    the built-in injections and their inverses, less its validation: ``build_mutation`` builds
-    only valid merge patches of one stored policy. A patch that gives a baseline policy back
-    stores the very baseline object, whose views the baseline store already holds. The machine
-    is always the master."""
-    name, patch = patch_of(command)
+def _patched(policies: PolicyStore, name: str, patch: dict) -> Outcome:
+    """What ``exec_kubectl`` does with a built-in merge patch of the policy ``name``, less its
+    validation: ``mutation_patches`` builds only valid patches of one stored policy. A patch that
+    gives a baseline policy back stores the very baseline object, whose views the baseline store
+    already holds."""
     policy = merge_patch(policies[name], patch)
     baseline = default_policies()[name]
     return Outcome(policies.written(name, baseline if policy == baseline else policy),
                    f"networkpolicy.networking.k8s.io/{name} patched", WRITE)
+
+
+def _kubectl(policies: PolicyStore, machine: str, command: str) -> Outcome:
+    """``_patched`` for a command ``build_mutation`` built, as generation replays the built-in
+    injections and searches the order of their inverses. The machine is always the master."""
+    return _patched(policies, *patch_of(command))
 
 
 def generate_k8s_query(level: int, seed: int) -> tuple:
@@ -78,9 +82,11 @@ def generate_k8s_query(level: int, seed: int) -> tuple:
 
 
 def rebuild_cluster(truth: GroundTruth) -> tuple:
-    """Reconstruct (baseline, broken) policy stores from a ground truth."""
+    """Reconstruct (baseline, broken) policy stores from a ground truth: each stored mutation's
+    forward patch is merged as a dict, with no command text built or parsed."""
     baseline = default_policies()
-    return baseline, rebuild("k8s", baseline, truth.hidden_injection, build_mutation, _kubectl)
+    return baseline, rebuild("k8s", baseline, truth.hidden_injection,
+                             lambda action: [mutation_patches(action)[:2]], _patched)
 
 
 def render_k8s_prompt(report: MismatchReport) -> str:

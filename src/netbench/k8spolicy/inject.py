@@ -49,10 +49,12 @@ def patch_of(command: str) -> tuple[str, dict]:
     return target, json.loads(payload[1:-1])
 
 
-def build_mutation(action: ActionSpec) -> Injection:
-    """The patches of the mutation that ``action`` records: its name is the family, and its
-    operands are the policy patched and a family-specific parameter (the caller removed or
-    added, the egress target kept, or "")."""
+def mutation_patches(action: ActionSpec) -> tuple[str, dict, dict]:
+    """The policy that the mutation ``action`` records patches, and its forward and inverse
+    merge patches. The action's name is the family, and its operands are the policy patched and
+    a family-specific parameter (the caller removed or added, the egress target kept, or "").
+    Each dict's keys are in sorted order, as ``json.loads`` reads them from ``build_mutation``'s
+    commands, so a policy patched from either walks its keys alike."""
     family = action.name
     target, param = action.typed_operands(str, str)
     if family not in TARGETS:
@@ -61,7 +63,7 @@ def build_mutation(action: ActionSpec) -> Injection:
         raise MethodOutOfRange(f"{family} cannot patch {target!r}")
     if family in ("CP", "CPR") and param:
         raise MethodOutOfRange(f"{family} takes no parameter, got {param!r}")
-    restore_ingress = _patch_cmd(target, {"spec": {"ingress": baseline_ingress(target)}})
+    restore_ingress = {"spec": {"ingress": baseline_ingress(target)}}
 
     if family == "RI":
         if param not in EXPECTED_CALLERS[target]:
@@ -69,8 +71,7 @@ def build_mutation(action: ActionSpec) -> Injection:
         rule = baseline_ingress(target)[0]
         rule["from"] = [f for f in rule["from"]
                         if f["podSelector"]["matchLabels"]["app"] != param]
-        forward = _patch_cmd(target, {"spec": {"ingress": [rule]}})
-        return Injection(action, (forward,), restore_ingress)
+        return target, {"spec": {"ingress": [rule]}}, restore_ingress
 
     if family == "AI":
         if param not in SERVICES:
@@ -79,31 +80,29 @@ def build_mutation(action: ActionSpec) -> Injection:
             raise MethodOutOfRange(f"AI caller {param!r} is already expected for {target!r}")
         rule = baseline_ingress(target)[0]
         rule["from"] = rule["from"] + [{"podSelector": {"matchLabels": {"app": param}}}]
-        forward = _patch_cmd(target, {"spec": {"ingress": [rule]}})
-        return Injection(action, (forward,), restore_ingress)
+        return target, {"spec": {"ingress": [rule]}}, restore_ingress
 
     if family == "CP":
         rule = baseline_ingress(target)[0]
         rule["ports"] = [{"port": SERVICE_PORTS[target] + 1, "protocol": "TCP"}]
-        forward = _patch_cmd(target, {"spec": {"ingress": [rule]}})
-        return Injection(action, (forward,), restore_ingress)
+        return target, {"spec": {"ingress": [rule]}}, restore_ingress
 
     if family == "CPR":
-        forward = _patch_cmd(
-            target, {"spec": {"podSelector": {"matchLabels": {"app": f"{target}-pods"}}}})
-        inverse = _patch_cmd(
-            target, {"spec": {"podSelector": {"matchLabels": {"app": target}}}})
-        return Injection(action, (forward,), inverse)
+        return (target, {"spec": {"podSelector": {"matchLabels": {"app": f"{target}-pods"}}}},
+                {"spec": {"podSelector": {"matchLabels": {"app": target}}}})
 
     # AE: pin the client's egress to a single expected destination
     if param not in AE_EGRESS_GRAPH[target]:
         raise MethodOutOfRange(f"AE cannot pin {target!r} to {param!r}")
     egress = [{
-        "to": [{"podSelector": {"matchLabels": {"app": param}}}],
         "ports": [{"port": SERVICE_PORTS[param], "protocol": "TCP"}],
+        "to": [{"podSelector": {"matchLabels": {"app": param}}}],
     }]
-    forward = _patch_cmd(target, {"spec": {"egress": egress,
-                                           "policyTypes": ["Ingress", "Egress"]}})
-    inverse = _patch_cmd(target, {"spec": {"egress": None, "policyTypes": ["Ingress"]}})
-    return Injection(action, (forward,), inverse)
+    return (target, {"spec": {"egress": egress, "policyTypes": ["Ingress", "Egress"]}},
+            {"spec": {"egress": None, "policyTypes": ["Ingress"]}})
 
+
+def build_mutation(action: ActionSpec) -> Injection:
+    """The mutation that ``action`` records, as ``kubectl patch`` commands of its patches."""
+    target, forward, inverse = mutation_patches(action)
+    return Injection(action, (_patch_cmd(target, forward),), _patch_cmd(target, inverse))

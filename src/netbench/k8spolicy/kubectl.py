@@ -4,7 +4,8 @@ Supports exactly what the troubleshooting task needs: get/describe to
 inspect policies, apply with an inline manifest, merge patch, and
 delete. Errors come back as kubectl-style diagnostic text, never as
 exceptions. The input store is not mutated; writes return a new
-``PolicyStore``. Every policy lives in the ``default`` namespace.
+``PolicyStore``. Every policy lives in the ``default`` namespace: each verb
+takes the namespace flag, and finds no policy in another namespace.
 """
 
 from __future__ import annotations
@@ -53,14 +54,14 @@ def _encodes(text: str) -> bool:
     return True
 
 
-def _check_data(value, path: str) -> None:
+def _check_data(value, path: str) -> int:
     """Rejects ``value`` unless it is plain JSON data of bounded size whose strings are
-    valid UTF-8, as Kubernetes accepts."""
+    valid UTF-8, as Kubernetes accepts; returns its node count (each visit of a shared node)."""
     stack = [(value, path, None, 0)]  # (value, its container's trail, step, depth)
     try:
-        for _ in range(_MAX_NODES):
+        for count in range(_MAX_NODES):
             if not stack:
-                return
+                return count
             value, trail, step, depth = stack.pop()
             if depth > _MAX_DEPTH:
                 raise ValueError("nested too deeply")
@@ -83,6 +84,7 @@ def _check_data(value, path: str) -> None:
                 raise ValueError(f"unsupported value of type {type(value).__name__}")
         if stack:
             raise ValueError("too large")
+        return _MAX_NODES
     except ValueError as exc:  # the path is spelt out only for the value rejected
         steps = []
         while step is not None:
@@ -104,9 +106,9 @@ def _check_selector(selector, path: str) -> None:
         raise ValueError(f"{path}.matchLabels: expected an object")
 
 
-def _check_policy(doc) -> None:
-    """Rejects ``doc`` unless it is a NetworkPolicy the store can hold and audit."""
-    _check_data(doc, "NetworkPolicy")
+def _check_shape(doc) -> None:
+    """Rejects ``doc``, data that passed ``_check_data``, unless it is a NetworkPolicy the
+    store can hold and audit."""
     if not isinstance(doc, dict) or doc.get("kind") != "NetworkPolicy":
         raise ValueError("kind: must be NetworkPolicy")
     if doc.get("apiVersion", API_VERSION) != API_VERSION:
@@ -162,18 +164,61 @@ def exec_kubectl(policies: Mapping, command: str) -> Outcome:
         return Outcome(policies, str(exc), INVALID)
 
 
-def _named(policies: Mapping, args, usage: str) -> str:
-    """The stored policy ``args`` name as ``<kind> <name>``; rejects a wrong kind or a missing
-    name with ``usage``, a name not in the store with NotFound."""
-    if len(args) < 2 or args[0] not in _KINDS:
+def _namespaced(args) -> tuple[list, str]:
+    """``args`` less the namespace flags (``-n <ns>``, ``-n<ns>``, ``-n=<ns>``, ``--namespace
+    <ns>``, ``--namespace=<ns>``), and the namespace the last names, else the default."""
+    rest, namespace, tokens = [], NAMESPACE, iter(args)
+    for token in tokens:
+        if token in ("-n", "--namespace"):
+            flag, value = token, next(tokens, "")
+        elif token.startswith("--namespace="):
+            flag, value = "--namespace", token.removeprefix("--namespace=")
+        elif token.startswith("-n"):
+            flag, value = "-n", token[2:].removeprefix("=")
+        else:
+            rest.append(token)
+            continue
+        if not value or value.startswith("-"):
+            raise Reject("error: flag needs an argument: "
+                         + ("'n' in -n" if flag == "-n" else flag))
+        namespace = value
+    return rest, namespace
+
+
+def _named(policies: Mapping, args, usage: str, namespace: str) -> str:
+    """The stored policy ``args`` name as ``<kind> <name>``; rejects a wrong kind, a missing
+    name, a flag in its place or an extra word with ``usage``, and a name not in the store, or
+    in another namespace, with NotFound."""
+    if len(args) != 2 or args[0] not in _KINDS or args[1].startswith("-"):
         raise Reject(usage)
-    if args[1] not in policies:
+    if namespace != NAMESPACE or args[1] not in policies:
         raise Reject('Error from server (NotFound): '
-                      f'networkpolicies.networking.k8s.io "{args[1]}" not found')
+                     f'networkpolicies.networking.k8s.io "{args[1]}" not found')
     return args[1]
 
 
+def _yaml(name: str, policy: dict) -> str:
+    """A stored policy's YAML, as a view: a store reads it once however often it is shown."""
+    return policy_yaml(policy)
+
+
+def _size(name: str, policy: dict) -> int:
+    """A stored policy's node count, as a view: what ``_check_data`` returns for it, since every
+    stored policy passes that walk (kubectl stores none that fails it, and the baseline and the
+    built-in mutations, stored without it, pass it too)."""
+    stack, count = [policy], 0
+    while stack:
+        value = stack.pop()
+        count += 1
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+    return count
+
+
 def _get(policies: Mapping, args, head: str, manifest: str) -> Outcome:
+    args, namespace = _namespaced(args)
     if not args or args[0] not in _KINDS:
         raise Reject("kubectl get: only networkpolicy objects exist here")
     usage = "usage: kubectl get networkpolicy [<name> [-o yaml]]"
@@ -185,31 +230,34 @@ def _get(policies: Mapping, args, head: str, manifest: str) -> Outcome:
             as_yaml = True
         else:
             rest.append(token)
-    if not rest and as_yaml:
-        return Outcome(policies, policy_yaml({
-            "apiVersion": "v1", "items": [policies[name] for name in sorted(policies)],
-            "kind": "List", "metadata": {"resourceVersion": ""}}), READ)
-    if not rest:
-        lines = ["NAME                     POD-SELECTOR"]
-        for name, p in sorted(policies.items()):
-            sel = p["spec"].get("podSelector", {}).get("matchLabels", {})
-            sel_text = ",".join(f"{k}={v}" for k, v in sorted(sel.items())) or "<none>"
-            lines.append(f"{name:<24} {sel_text}")
-        return Outcome(policies, "\n".join(lines), READ)
-    if len(rest) > 1:
-        raise Reject(usage)
-    name = _named(policies, args[:1] + rest, usage)
+    if rest:
+        name = _named(policies, args[:1] + rest, usage, namespace)
+        if as_yaml:
+            return Outcome(policies, as_store(policies).view(name, _yaml), READ)
+        return Outcome(policies, name, READ)
+    shown = policies if namespace == NAMESPACE else {}  # every policy lives in the default
     if as_yaml:
-        return Outcome(policies, policy_yaml(policies[name]), READ)
-    return Outcome(policies, name, READ)
+        return Outcome(policies, policy_yaml({
+            "apiVersion": "v1", "items": [shown[name] for name in sorted(shown)],
+            "kind": "List", "metadata": {"resourceVersion": ""}}), READ)
+    if namespace != NAMESPACE:
+        return Outcome(policies, f"No resources found in {namespace} namespace.", READ)
+    lines = ["NAME                     POD-SELECTOR"]
+    for name, p in sorted(policies.items()):
+        sel = p["spec"].get("podSelector", {}).get("matchLabels", {})
+        sel_text = ",".join(f"{k}={v}" for k, v in sorted(sel.items())) or "<none>"
+        lines.append(f"{name:<24} {sel_text}")
+    return Outcome(policies, "\n".join(lines), READ)
 
 
 def _describe(policies: Mapping, args, head: str, manifest: str) -> Outcome:
-    name = _named(policies, args, "usage: kubectl describe networkpolicy <name>")
-    return Outcome(policies, policy_yaml(policies[name]), READ)
+    args, namespace = _namespaced(args)
+    name = _named(policies, args, "usage: kubectl describe networkpolicy <name>", namespace)
+    return Outcome(policies, as_store(policies).view(name, _yaml), READ)
 
 
 def _apply(policies: Mapping, args, head: str, manifest: str) -> Outcome:
+    args, namespace = _namespaced(args)
     if args[:2] != ["-f", "-"]:
         raise Reject("kubectl apply: only '-f -' with an inline manifest is supported")
     if not manifest.strip():
@@ -219,7 +267,10 @@ def _apply(policies: Mapping, args, head: str, manifest: str) -> Outcome:
     except (yaml.YAMLError, ValueError, RecursionError) as exc:  # ValueError: a huge integer
         raise Reject(f"error parsing manifest: {exc}") from None
     try:
-        _check_policy(doc)
+        _check_data(doc, "NetworkPolicy")
+        _check_shape(doc)
+        if namespace != NAMESPACE:  # the flag's namespace is the policy's
+            raise ValueError(f"metadata.namespace: must be {NAMESPACE}")
     except ValueError as exc:
         raise Reject(f"error validating data: {exc}") from None
     name = doc["metadata"]["name"]
@@ -229,8 +280,9 @@ def _apply(policies: Mapping, args, head: str, manifest: str) -> Outcome:
 
 
 def _patch(policies: Mapping, args, head: str, manifest: str) -> Outcome:
-    name = _named(policies, args,
-                  "usage: kubectl patch networkpolicy <name> --type merge -p '<json>'")
+    words, namespace = _namespaced(args[:args.index("-p")] if "-p" in args else args)
+    name = _named(policies, words[:2],
+                  "usage: kubectl patch networkpolicy <name> --type merge -p '<json>'", namespace)
     if not ("--type" in args and "merge" in args) and "--type=merge" not in args:
         raise Reject("kubectl patch: only --type merge is supported")
     m = _PATCH_RE.search(head)
@@ -242,21 +294,27 @@ def _patch(policies: Mapping, args, head: str, manifest: str) -> Outcome:
         raise Reject(f"error decoding patch: {exc}") from None
     if not isinstance(patch, dict):
         raise Reject("kubectl patch: a merge patch must be a JSON object")
+    store = as_store(policies)
     try:
-        _check_data(patch, "patch")
+        size = _check_data(patch, "patch")
         merged = merge_patch(policies[name], patch)
-        _check_policy(merged)
+        # merging adds no depth and no node the two parts lack, and the stored part passed,
+        # so the merged policy's walk can fail only for its size, and only past this bound
+        if store.view(name, _size) + size > _MAX_NODES:
+            _check_data(merged, "NetworkPolicy")
+        _check_shape(merged)
         for field in ("name", "namespace"):
             if merged["metadata"].get(field) != policies[name]["metadata"].get(field):
                 raise ValueError(f"metadata.{field}: field is immutable")
     except ValueError as exc:
         raise Reject(f'The NetworkPolicy "{name}" is invalid: {exc}') from None
-    return Outcome(as_store(policies).written(name, merged),
+    return Outcome(store.written(name, merged),
                    f"networkpolicy.networking.k8s.io/{name} patched", WRITE)
 
 
 def _delete(policies: Mapping, args, head: str, manifest: str) -> Outcome:
-    name = _named(policies, args, "usage: kubectl delete networkpolicy <name>")
+    args, namespace = _namespaced(args)
+    name = _named(policies, args, "usage: kubectl delete networkpolicy <name>", namespace)
     return Outcome(as_store(policies).without(name),
                    f'networkpolicy.networking.k8s.io "{name}" deleted', WRITE)
 

@@ -77,7 +77,7 @@ def rebuild_states(truth: GroundTruth) -> tuple:
         raise CorruptGroundTruth(f"malformed routing topology record {setup.to_json()}: "
                                  f"{exc!r}") from None
     return healthy, rebuild("routing", healthy, truth.hidden_injection[1:],
-                            lambda action: build_fault(healthy, action), exec_command)
+                            lambda action: build_fault(healthy, action).forward, exec_command)
 
 
 def sabotage(truth: GroundTruth) -> tuple:

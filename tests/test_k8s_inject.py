@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from netbench.core.reactive import rebuild
-from netbench.core.types import ActionSpec
+from netbench.core.types import GT_RECOVERY_PREDICATE, ActionSpec, GroundTruth
 from netbench.errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
 from netbench.k8spolicy.connectivity import connectivity_check
+from netbench.k8spolicy.generate import rebuild_cluster
 from netbench.k8spolicy.inject import AE_EGRESS_GRAPH, TARGETS, build_mutation
 from netbench.k8spolicy.kubectl import exec_kubectl
 from netbench.k8spolicy.model import EXPECTED_CALLERS, SERVICES, cluster_digest, \
@@ -108,8 +108,7 @@ def test_action_round_trip():
                                     ActionSpec("XX", ("emailservice", ""))])
 def test_malformed_action_is_a_corrupt_ground_truth(action):
     with pytest.raises(CorruptGroundTruth, match="malformed k8s injection"):
-        rebuild("k8s", default_policies(), [action], build_mutation,
-                lambda policies, machine, command: exec_kubectl(policies, command))
+        rebuild_cluster(GroundTruth(GT_RECOVERY_PREDICATE, "", hidden_injection=(action,)))
 
 
 def test_ri_blocks_only_the_removed_caller():

@@ -3,6 +3,7 @@ import json
 import pytest
 import yaml
 
+from netbench.k8spolicy import kubectl, model
 from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.kubectl import INVALID, READ, WRITE, exec_kubectl, merge_patch
 from netbench.digest import digest
@@ -440,3 +441,95 @@ def test_a_patch_whose_merged_policy_is_too_large_is_rejected(policies):
     assert out.state is applied.state
     assert out.output.startswith('The NetworkPolicy "big" is invalid: NetworkPolicy.')
     assert out.output.endswith(": too large")
+
+
+_NAMESPACE_FLAGS = ["-n default", "-ndefault", "-n=default", "--namespace default",
+                    "--namespace=default"]
+_NAMESPACED = [  # (command with {ns} where a flag may stand, expected kind)
+    ("kubectl get networkpolicies {ns}", READ),
+    ("kubectl get {ns} networkpolicy -o yaml", READ),
+    ("kubectl get networkpolicy frontend {ns} -o yaml", READ),
+    ("kubectl get networkpolicy {ns} frontend", READ),
+    ("kubectl describe networkpolicy frontend {ns}", READ),
+    ("kubectl describe {ns} netpol frontend", READ),
+    ("kubectl delete networkpolicy adservice {ns}", WRITE),
+    ("kubectl patch networkpolicy adservice {ns} --type merge "
+     "-p '{{\"spec\": {{\"ingress\": []}}}}'", WRITE),
+    ("kubectl apply {ns} -f -\nkind: NetworkPolicy\nmetadata: {{name: extra}}\nspec: {{}}", WRITE),
+]
+
+
+@pytest.mark.parametrize("flag", _NAMESPACE_FLAGS)
+@pytest.mark.parametrize("command, kind", _NAMESPACED,
+                         ids=[command.split("\n")[0] for command, _ in _NAMESPACED])
+def test_every_verb_reads_the_default_namespace_flag_as_no_flag(policies, flag, command, kind):
+    plain = exec_kubectl(policies, command.format(ns=""))
+    flagged = exec_kubectl(policies, command.format(ns=flag))
+    assert (flagged.kind, flagged.output) == (plain.kind, plain.output) and plain.kind == kind
+    assert cluster_digest(flagged.state) == cluster_digest(plain.state)
+
+
+@pytest.mark.parametrize("flag", ["-n other", "-nother", "-n=other", "--namespace other",
+                                  "--namespace=other"])
+def test_another_namespace_holds_no_policy(policies, flag):
+    assert exec_kubectl(policies, f"kubectl get networkpolicies {flag}").output == \
+        "No resources found in other namespace."
+    assert exec_kubectl(policies, f"kubectl get networkpolicies {flag} -o yaml").output == \
+        exec_kubectl({}, "kubectl get networkpolicies -o yaml").output
+    not_found = 'Error from server (NotFound): networkpolicies.networking.k8s.io "frontend" ' \
+                'not found'
+    for command in (f"kubectl get networkpolicy frontend {flag}",
+                    f"kubectl get networkpolicy frontend -o yaml {flag}",
+                    f"kubectl describe networkpolicy frontend {flag}",
+                    f"kubectl delete networkpolicy frontend {flag}",
+                    f"kubectl patch networkpolicy frontend {flag} --type merge -p '{{}}'"):
+        assert _assert_rejected(policies, command).output == not_found, command
+    manifest = "\nkind: NetworkPolicy\nmetadata: {name: extra}\nspec: {}"
+    assert _assert_rejected(policies, f"kubectl apply -f - {flag}" + manifest).output == \
+        "error validating data: metadata.namespace: must be default"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("kubectl get networkpolicies -A", "usage: kubectl get networkpolicy [<name> [-o yaml]]"),
+    ("kubectl get networkpolicy --all-namespaces -o yaml",
+     "usage: kubectl get networkpolicy [<name> [-o yaml]]"),
+    ("kubectl describe networkpolicy -A", "usage: kubectl describe networkpolicy <name>"),
+    ("kubectl describe networkpolicy frontend extra",
+     "usage: kubectl describe networkpolicy <name>"),
+    ("kubectl delete networkpolicy frontend extra", "usage: kubectl delete networkpolicy <name>"),
+    ("kubectl delete networkpolicy --all", "usage: kubectl delete networkpolicy <name>"),
+    ("kubectl patch networkpolicy --type merge -p '{}'", _PATCH_USAGE),
+    ("kubectl get networkpolicies -n", "error: flag needs an argument: 'n' in -n"),
+    ("kubectl get networkpolicies -n=", "error: flag needs an argument: 'n' in -n"),
+    ("kubectl describe networkpolicy frontend --namespace",
+     "error: flag needs an argument: --namespace"),
+    ("kubectl delete networkpolicy frontend --namespace= ",
+     "error: flag needs an argument: --namespace"),
+    ("kubectl get networkpolicy -n -o yaml", "error: flag needs an argument: 'n' in -n"),
+], ids=lambda value: value if value.startswith("kubectl") else "")
+def test_flags_are_never_names_and_extra_words_are_usage_errors(policies, command, message):
+    assert _assert_rejected(policies, command).output == message
+
+
+def test_a_store_reads_each_policy_yaml_once(policies, monkeypatch):
+    """``describe`` and ``get <name> -o yaml`` read a policy's YAML as a view of the store: one
+    ``policy_yaml`` key and at most one dump per policy and store, and a baseline policy's YAML,
+    shared by every store that holds the baseline's object, is dumped at most once per process
+    even after the process-wide memo has forgotten it."""
+    dumps, keys = [], []
+    safe_dump, policy_yaml = yaml.safe_dump, kubectl.policy_yaml
+    monkeypatch.setattr(yaml, "safe_dump", lambda *a, **k: dumps.append(a) or safe_dump(*a, **k))
+    monkeypatch.setattr(kubectl, "policy_yaml", lambda p: keys.append(p) or policy_yaml(p))
+    model._yaml_of.cache_clear()
+    patched = exec_kubectl(policies, _patch("frontend", '{"metadata": {"labels": {"a": "b"}}}'))
+    for command in ("kubectl describe networkpolicy frontend",
+                    "kubectl get networkpolicy frontend -o yaml",
+                    "kubectl describe networkpolicy frontend -n default"):
+        assert exec_kubectl(patched.state, command).kind == READ
+    assert len(dumps) <= 1 and len(keys) == 1
+    exec_kubectl(policies, "kubectl describe networkpolicy cartservice")
+    model._yaml_of.cache_clear()
+    dumps.clear()
+    for store in (policies, patched.state):
+        assert exec_kubectl(store, "kubectl get networkpolicy cartservice -o yaml").kind == READ
+    assert dumps == []

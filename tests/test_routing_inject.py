@@ -100,4 +100,4 @@ def test_faults_work_with_prefixed_names():
 def test_malformed_action_is_a_corrupt_ground_truth(action):
     s = build_topology(3, 2)
     with pytest.raises(CorruptGroundTruth, match="malformed routing injection"):
-        rebuild("routing", s, [action], lambda a: build_fault(s, a), exec_command)
+        rebuild("routing", s, [action], lambda a: build_fault(s, a).forward, exec_command)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from netbench.agents.base import MSG_COMMAND, MSG_FINAL, AgentMessage
 from netbench.core.reactive import WRITE
-from netbench.core.types import ActionSpec
+from netbench.core.types import GT_RECOVERY_PREDICATE, ActionSpec, GroundTruth
 from netbench.errors import MethodOutOfRange
 from netbench.digest import digest
 from netbench.k8spolicy import env as k8s_env, generate as k8s_generate
@@ -500,6 +500,25 @@ def test_generation_replays_each_builtin_patch_as_kubectl_writes_it():
         target = mutation.action.operands[0]
         assert policies[target] is baseline[target]
     assert len(mutations) == 149  # distinct forward patches; AI takes no "" caller
+
+
+def test_rebuild_merges_each_builtin_patch_as_kubectl_replays_its_command():
+    """``rebuild_cluster`` merges each stored action's forward patch as a dict, with no command
+    text: for every built-in mutation, the store must be the one that replaying its forward
+    command through ``exec_kubectl`` gives, with the same digest and audit, and every policy's
+    keys in the same order, which the walk of a later patch follows."""
+    baseline = default_policies()
+    mutations = _builtin_mutations().values()
+    for mutation in mutations:
+        (_, command), = mutation.forward
+        _, rebuilt = rebuild_cluster(GroundTruth(GT_RECOVERY_PREDICATE, cluster_digest(baseline),
+                                                 hidden_injection=(mutation.action,)))
+        replayed = exec_kubectl(baseline, command)
+        assert replayed.kind == WRITE
+        assert cluster_digest(rebuilt) == cluster_digest(replayed.state)
+        assert connectivity_check(rebuilt) == connectivity_check(replayed.state)
+        assert json.dumps(dict(rebuilt)) == json.dumps(dict(replayed.state))
+    assert len(mutations) == 149
 
 
 # --- verdicts per turn ---------------------------------------------------------
