@@ -34,8 +34,13 @@ _CP_BASE_INDEX = 0xFFFF_FFFF_0000_0001
 
 
 def cp_base_graph(config: BenchmarkConfig):
-    """The one synthetic topology all queries of a cp batch run against."""
-    return generate_synthetic_topology(DESK_SCALE, seed=derive_seed(config.seed, _CP_BASE_INDEX))
+    """The one synthetic topology all queries of a cp batch run against. Its digest is
+    computed here, with the JSON fragments that the digest of every graph written from it
+    splices: a view of the batch, built once, so no query or turn pays for being the first
+    to digest a written graph."""
+    base = generate_synthetic_topology(DESK_SCALE, seed=derive_seed(config.seed, _CP_BASE_INDEX))
+    base.state_digest()
+    return base
 
 
 @dataclass(frozen=True)

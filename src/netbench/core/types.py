@@ -109,8 +109,10 @@ class QuerySpec:
         if self.level not in (1, 2, 3):
             raise ValueError(f"level must be 1-3, got {self.level}")
 
-    def to_json(self):
-        return asdict(self)
+    def to_json(self):  # built directly: ``asdict`` deep-copies every field
+        return {"id": self.id, "app": self.app, "level": self.level,
+                "action_label": self.action_label, "prompt_text": self.prompt_text,
+                "seed": self.seed}
 
     @classmethod
     def from_json(cls, data):

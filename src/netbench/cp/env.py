@@ -12,7 +12,7 @@ from ..agents.base import MSG_FINAL, AgentMessage
 from ..core.types import ActionSpec, GroundTruth
 from ..errors import NetbenchError
 from .compare import compare_results, compared_value
-from .graph import CpGraph, CpResult, run_program
+from .graph import WRITE_OPS, CpGraph, CpResult, run_program
 from .safety import check_safety_cp
 
 
@@ -23,7 +23,10 @@ class CpEnvironment:
     def __init__(self, base_graph: CpGraph, truth: GroundTruth):
         self.base = self.state = base_graph
         self.result: CpResult | None = None
-        _, self.golden = run_program(base_graph, truth.program)
+        if truth.program[-1].name in WRITE_OPS:  # generation stored its graph's digest
+            self.golden = CpResult("graph", truth.target_digest)
+        else:
+            _, self.golden = run_program(base_graph, truth.program)
 
     # -- episode protocol ----------------------------------------------------
 

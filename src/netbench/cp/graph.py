@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,6 +65,7 @@ CONTROL_RULES = frozenset(
 DEFAULT_PORT_CAPACITY_BPS = 100_000_000_000  # capacity assigned to agent-added ports
 
 BASIC_OPS = ("add", "count", "update", "remove", "list", "rank")
+WRITE_OPS = ("add", "update", "remove")  # a program ending on one results in its graph's digest
 
 _OP_ARITY = {
     "add": 3,  # name, type, parent
@@ -95,7 +96,7 @@ class Violation:
 
 
 class _Empty:  # the parent that a graph built directly derives its views from
-    nodes, _by_type, faults, _links, _json = {}, {}, {}, ({}, {}, {}), (([], {}), ([], {}))
+    nodes, _by_type, faults, _links, _json = {}, {}, {}, ({}, {}, {}), (([], []), ([], []))
 
 
 class _Views:  # a written graph's nodes and views, all computed, that a write on it derives
@@ -144,8 +145,9 @@ class CpGraph:
         return by_type
 
     @cached_property
-    def _json(self) -> tuple[tuple[list, dict], tuple[list, dict]]:
-        """The sorted names and edges, each with its canonical JSON text (``"name":{...}``)."""
+    def _json(self) -> tuple[tuple[list, list], tuple[list, list]]:
+        """The sorted names and edges, each beside the list of their canonical JSON texts
+        (``"name":{...}``) in the same order."""
         parent, touched, added, removed = self._delta
         nodes, before = self.nodes, parent.nodes
         return (_spliced(parent._json[0], [n for n in touched if n in before and n not in nodes],
@@ -237,9 +239,8 @@ class CpGraph:
     @cached_property
     def _digest(self) -> str:
         """The SHA-256 of ``canonical_json({"nodes": ..., "edges": sorted edges})``, spliced."""
-        (names, node_json), (edges, edge_json) = self._json
-        text = '{"edges":[%s],"nodes":{%s}}' % (",".join([edge_json[e] for e in edges]),
-                                                ",".join([node_json[n] for n in names]))
+        (_, node_texts), (_, edge_texts) = self._json
+        text = '{"edges":[%s],"nodes":{%s}}' % (",".join(edge_texts), ",".join(node_texts))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -258,17 +259,21 @@ def _regroup(index: dict, added, removed, pairs) -> dict:
     return index
 
 
-def _spliced(view: tuple[list, dict], gone, changed: dict) -> tuple[list, dict]:
-    """A copy of ``view`` (sorted keys, key -> text) less the keys in ``gone``, plus ``changed``."""
-    order, texts = view
-    new = [key for key in changed if key not in texts]
-    texts = {**texts, **changed}
+def _spliced(view: tuple[list, list], gone, changed: dict) -> tuple[list, list]:
+    """A copy of ``view`` (sorted keys, their texts) less the keys in ``gone``, plus ``changed``
+    (key -> text), each key found by bisection."""
+    keys, texts = view[0][:], view[1][:]
     for key in gone:
-        del texts[key]
-    order = [key for key in order if key in texts] if gone else order[:]
-    for key in new:
-        insort(order, key)
-    return order, texts
+        i = bisect_left(keys, key)
+        del keys[i], texts[i]
+    for key, text in changed.items():
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            texts[i] = text
+        else:
+            keys.insert(i, key)
+            texts.insert(i, text)
+    return keys, texts
 
 
 def _fault(graph: CpGraph, section: int, subject) -> Violation | None:

@@ -13,9 +13,14 @@ from pathlib import Path
 from .errors import ParseError
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, no whitespace drift."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    """Deterministic JSON text: sorted keys, no whitespace drift. One encoder serves every
+    call: ``json.dumps`` with options builds a new one each time, and encoding keeps no state
+    on the encoder, so threads may share it."""
+    return _CANONICAL.encode(obj)
 
 
 def digest(obj) -> str:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..core.types import EpisodeResult, QuerySpec
 
@@ -20,8 +20,10 @@ class MetricRecord:
     latency_turns: int
     latency_wall: float
 
-    def to_json(self):
-        return asdict(self)
+    def to_json(self):  # built directly: ``asdict`` deep-copies every field
+        return {"query_id": self.query_id, "app": self.app, "level": self.level,
+                "action_label": self.action_label, "correct": self.correct, "safe": self.safe,
+                "latency_turns": self.latency_turns, "latency_wall": self.latency_wall}
 
     @classmethod
     def from_json(cls, data):

@@ -20,7 +20,7 @@ from ..core.reactive import INVALID, READ, WRITE, Outcome, Reject
 from .model import API_VERSION, NAMESPACE, as_store, policy_yaml
 
 _KINDS = ("networkpolicy", "networkpolicies", "netpol")
-_PATCH_RE = re.compile(r"-p\s+'(.*)'\s*$", re.DOTALL)
+_PATCH_RE = re.compile(r"-p\s+'(.*)'([^']*)$", re.DOTALL)  # the payload, then flag words
 _NAME_RE = re.compile(r"[a-z0-9]([-a-z0-9.]*[a-z0-9])?")  # a DNS-1123 subdomain
 
 
@@ -240,7 +240,7 @@ def _get(policies: Mapping, args, head: str, manifest: str) -> Outcome:
         return Outcome(policies, policy_yaml({
             "apiVersion": "v1", "items": [shown[name] for name in sorted(shown)],
             "kind": "List", "metadata": {"resourceVersion": ""}}), READ)
-    if namespace != NAMESPACE:
+    if not shown:
         return Outcome(policies, f"No resources found in {namespace} namespace.", READ)
     lines = ["NAME                     POD-SELECTOR"]
     for name, p in sorted(policies.items()):
@@ -280,12 +280,22 @@ def _apply(policies: Mapping, args, head: str, manifest: str) -> Outcome:
 
 
 def _patch(policies: Mapping, args, head: str, manifest: str) -> Outcome:
-    words, namespace = _namespaced(args[:args.index("-p")] if "-p" in args else args)
-    name = _named(policies, words[:2],
-                  "usage: kubectl patch networkpolicy <name> --type merge -p '<json>'", namespace)
-    if not ("--type" in args and "merge" in args) and "--type=merge" not in args:
-        raise Reject("kubectl patch: only --type merge is supported")
     m = _PATCH_RE.search(head)
+    # the flags stand before -p or after the payload, never inside it
+    flags = [*(args[:args.index("-p")] if "-p" in args else args), *(m[2].split() if m else ())]
+    flags, namespace = _namespaced(flags)
+    words, patch_type, tokens = [], None, iter(flags)
+    for token in tokens:
+        if token == "--type":
+            patch_type = next(tokens, None)
+        elif token.startswith("--type="):
+            patch_type = token.removeprefix("--type=")
+        else:
+            words.append(token)
+    name = _named(policies, words,
+                  "usage: kubectl patch networkpolicy <name> --type merge -p '<json>'", namespace)
+    if patch_type != "merge":
+        raise Reject("kubectl patch: only --type merge is supported")
     if not m:
         raise Reject("kubectl patch: missing -p '<json>' payload")
     try:

@@ -10,10 +10,9 @@ returns a new state, made once the command is known to be valid.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 from ..core.reactive import INVALID, READ, WRITE, Outcome, Reject
-from .state import FilterRule, NetState, Route, ip_to_int, parse_cidr
+from .state import FilterRule, NetState, Route, changed, ip_to_int, parse_cidr
 
 # re.ASCII: a kernel reads ASCII digits only, and \d would also match "١"
 _CIDR_RE = re.compile(r"^(\d{1,3}\.){3}\d{1,3}/\d{1,2}$", re.ASCII)
@@ -231,7 +230,7 @@ def _without(items: tuple, item) -> tuple:
 
 def _set_iface(state: NetState, iface: str, **fields) -> Outcome:
     """The write that sets ``fields`` of interface ``iface``."""
-    interfaces = {**state.interfaces, iface: replace(state.interfaces[iface], **fields)}
+    interfaces = {**state.interfaces, iface: changed(state.interfaces[iface], fields)}
     return Outcome(state.copy(interfaces=interfaces), "", WRITE)
 
 

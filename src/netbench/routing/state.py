@@ -16,7 +16,7 @@ written from a built one shares, with the views that depend on it alone.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 
@@ -25,6 +25,20 @@ from ..errors import ParameterOutOfRange
 
 DEFAULT_MTU = 1500
 MIN_DATAGRAM_MTU = 576  # below this, IPv4 traffic is considered lost
+
+
+def changed(value, changes: dict):
+    """``dataclasses.replace(value, **changes)`` for a frozen dataclass with no
+    ``__post_init__`` and no field outside ``__init__`` (``Interface``, ``NetState``), built
+    directly: it shares every other field, and neither walks the fields nor runs the frozen
+    ``__init__``, which sets each field through ``object.__setattr__``."""
+    fields = value.__dict__
+    unknown = changes.keys() - fields.keys()
+    if unknown:
+        raise TypeError(f"{type(value).__name__} has no field {sorted(unknown)}")
+    new = object.__new__(type(value))
+    new.__dict__.update(fields, **changes)
+    return new
 
 
 @dataclass(frozen=True)
@@ -203,7 +217,7 @@ class NetState:
 
     def copy(self, **changes) -> "NetState":
         """This state with ``changes`` to its fields; every other field is shared."""
-        return replace(self, **changes)
+        return changed(self, changes)
 
     def _members(self) -> tuple[dict, dict]:
         """The members of ``to_json()`` but the hosts: those whose keys sort before

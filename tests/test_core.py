@@ -11,11 +11,13 @@ from netbench.core.episode import run_episode
 from netbench.core.generate import REGISTRY, cp_base_graph, generate_batch, make_environment, \
     read_batch_jsonl, write_batch_jsonl
 from netbench.core.types import APPS, BenchmarkConfig
+from netbench.cp import graph as cp_graph
 from netbench.cp.env import CpEnvironment
 from netbench.errors import AgentProtocolError, ParseError, TransportError, UnknownApp
 from netbench.evaluation.metrics import score_episode
 from netbench.k8spolicy.env import K8sEnvironment
 from netbench.routing.env import RoutingEnvironment
+from netbench.seeds import derive_seed
 
 
 def config(app="routing", **kw):
@@ -90,6 +92,22 @@ def test_cp_base_graph_shared_and_seeded():
     assert a.state_digest() == b.state_digest()
     other = cp_base_graph(config(app="cp", seed=1))
     assert a.state_digest() != other.state_digest()
+
+
+def test_a_cp_batch_builds_its_base_fragments_before_any_turn(monkeypatch):
+    """The first episode to digest a written graph encodes only what its write added."""
+    cfg = config(app="cp")
+    base = cp_base_graph(cfg)
+    texts, canonical_json = [], cp_graph.canonical_json
+    monkeypatch.setattr(cp_graph, "canonical_json", lambda obj: texts.append(obj) or canonical_json(obj))
+    pairs = [REGISTRY["cp"].generate(base, 1, derive_seed(0, i)) for i in range(12)]
+    adds = [(q, t) for q, t in pairs if q.action_label == "add"]
+    assert adds and len(texts) == 2 * len(adds)  # generation: the new port and its edge
+    texts.clear()
+    query, truth = adds[0]
+    env = make_environment(cfg, truth, context=base)
+    assert run_episode(env, OracleAgent(query, truth), query).correct
+    assert len(texts) == 2
 
 
 @pytest.mark.parametrize("app", ["cp", "routing", "k8s"])

@@ -222,3 +222,28 @@ def test_an_add_query_digests_its_target_graph_once(base, monkeypatch):
     assert generate_cp_query(base, 1, derive_seed(1, 3)) == (query, truth)
     assert len(digested) == 1
     assert truth.target_digest == state_digest(run_program(base, truth.program)[0])
+
+
+@pytest.mark.parametrize("topology_seed", [0, 4])
+def test_the_stored_digest_is_the_golden_result_of_a_write_ending_program(topology_seed):
+    """The environment takes a write-ending golden result from ``target_digest``; it must be
+    what running the program gives, and score each kind of answer as that result would."""
+    graph = generate_synthetic_topology(seed=topology_seed)
+    write_ending = 0
+    for level in (1, 2, 3):
+        for i in range(30):
+            _, truth = generate_cp_query(graph, level, derive_seed(100 + level, i))
+            golden = run_program(graph, truth.program)[1]
+            if truth.program[-1].name in ("add", "remove", "update"):
+                write_ending += 1
+                assert CpResult("graph", truth.target_digest) == golden
+            wrong_kind = {"kind": "name-list" if golden.kind == "scalar" else "scalar",
+                          "value": [] if golden.kind == "scalar" else 0}
+            for payload in ({"program": [a.to_json() for a in truth.program]},
+                            {"answer": {"kind": golden.kind, "value": golden.value}},
+                            {"answer": wrong_kind}, "no action"):
+                env = CpEnvironment(graph, truth)
+                env.execute_message(AgentMessage(MSG_FINAL, payload))
+                assert env.is_correct() == compare_results(env.result, golden)
+                assert env.is_correct() == (payload not in ("no action", {"answer": wrong_kind}))
+    assert write_ending

@@ -489,6 +489,52 @@ def test_another_namespace_holds_no_policy(policies, flag):
         "error validating data: metadata.namespace: must be default"
 
 
+def test_an_empty_store_lists_no_resources(policies):
+    assert exec_kubectl({}, "kubectl get networkpolicies").output == \
+        "No resources found in default namespace."
+    emptied = policies
+    for name in sorted(policies):
+        emptied = exec_kubectl(emptied, f"kubectl delete networkpolicy {name}").state
+    listed = exec_kubectl(emptied, "kubectl get networkpolicies -n default")
+    assert (listed.kind, listed.output) == (READ, "No resources found in default namespace.")
+
+
+_LABELLED = "'{\"metadata\": {\"labels\": {\"a\": \"b\"}}}'"
+
+
+@pytest.mark.parametrize("command", [
+    f"kubectl patch networkpolicy adservice --type merge -p {_LABELLED}",
+    f"kubectl patch networkpolicy adservice --type=merge -p {_LABELLED}",
+    f"kubectl patch --type merge networkpolicy adservice -p {_LABELLED}",
+    f"kubectl patch networkpolicy adservice -p {_LABELLED} --type merge",
+    f"kubectl patch networkpolicy adservice -p {_LABELLED} --type=merge -n default",
+    f"kubectl patch networkpolicy adservice -p {_LABELLED}  --type merge  ",
+])
+def test_patch_reads_its_type_flag_before_or_after_the_payload(policies, command):
+    out = exec_kubectl(policies, command)
+    assert (out.kind, out.output) == (WRITE, "networkpolicy.networking.k8s.io/adservice patched")
+    assert out.state["adservice"]["metadata"]["labels"] == {"a": "b"}
+
+
+@pytest.mark.parametrize("command, message", [
+    ("kubectl patch networkpolicy adservice -p "
+     "'{\"metadata\": {\"labels\": {\"a\": \"x --type merge y\"}}}'",
+     "kubectl patch: only --type merge is supported"),
+    ("kubectl patch networkpolicy adservice -p '{\"merge\": 1}' --type",
+     "kubectl patch: only --type merge is supported"),
+    (f"kubectl patch networkpolicy adservice --type json -p {_LABELLED}",
+     "kubectl patch: only --type merge is supported"),
+    (f"kubectl patch networkpolicy adservice --type merge -p {_LABELLED} --type=json",
+     "kubectl patch: only --type merge is supported"),
+    (f"kubectl patch networkpolicy adservice -p {_LABELLED} --type merge extra", _PATCH_USAGE),
+    (f"kubectl patch networkpolicy adservice extra --type merge -p {_LABELLED}", _PATCH_USAGE),
+    (f"kubectl patch networkpolicy adservice -p {_LABELLED} --type merge -n other",
+     'Error from server (NotFound): networkpolicies.networking.k8s.io "adservice" not found'),
+])
+def test_patch_reads_no_flag_from_its_payload(policies, command, message):
+    assert _assert_rejected(policies, command).output == message
+
+
 @pytest.mark.parametrize("command, message", [
     ("kubectl get networkpolicies -A", "usage: kubectl get networkpolicy [<name> [-o yaml]]"),
     ("kubectl get networkpolicy --all-namespaces -o yaml",

@@ -3,8 +3,9 @@ from dataclasses import replace
 import pytest
 
 from netbench.errors import ParameterOutOfRange
-from netbench.routing.state import FilterRule, Host, Route, build_topology, ip_to_int, \
-    parse_cidr, prefix_len
+from netbench.routing.commands import exec_command
+from netbench.routing.state import FilterRule, Host, Route, build_topology, changed, \
+    ip_to_int, parse_cidr, prefix_len
 
 
 def test_parameter_ranges_enforced():
@@ -46,6 +47,33 @@ def test_digest_deterministic_and_copy_independent():
     assert a.copy() == a and a.copy().routes is a.routes
     assert a.state_digest() == b.state_digest() and a.interfaces["r0-eth1"].up
     assert c.state_digest() != a.state_digest()
+
+
+@pytest.mark.parametrize("changes", [
+    {}, {"ip_forward": False}, {"routes": ()}, {"delays": {"r0-eth1": 5}, "prohibit_rules": ("x",)},
+])
+def test_a_copy_is_what_replace_gives_and_shares_each_unchanged_field(changes):
+    state = build_topology(3, 2)
+    copied = state.copy(**changes)
+    assert copied == replace(state, **changes) and type(copied) is type(state)
+    assert copied is not state and vars(copied).keys() == vars(state).keys()
+    for name, value in vars(copied).items():
+        assert value is (changes[name] if name in changes else getattr(state, name))
+    iface = state.interfaces["r0-eth2"]
+    assert changed(iface, {"up": False}) == replace(iface, up=False)
+    with pytest.raises(TypeError, match="no field"):
+        state.copy(nosuch=1)
+
+
+def test_an_interface_write_shares_every_other_interface_and_field():
+    state = build_topology(3, 2)
+    written = exec_command(state, "r0", "ip link set r0-eth2 mtu 1400").state
+    iface = state.interfaces["r0-eth2"]
+    assert written.interfaces["r0-eth2"] == replace(iface, mtu=1400)
+    assert all(written.interfaces[n] is i for n, i in state.interfaces.items() if n != "r0-eth2")
+    assert all(vars(written.interfaces["r0-eth2"])[f] is v
+               for f, v in vars(iface).items() if f != "mtu")
+    assert all(getattr(written, f) is v for f, v in vars(state).items() if f != "interfaces")
 
 
 def test_elements_parse_their_text_when_built():

@@ -1,7 +1,11 @@
-import pytest
+import dataclasses
 
-from netbench.core.types import ActionSpec, BenchmarkConfig, GT_ACTION_PROGRAM, \
+import pytest
+from hypothesis import given, strategies as st
+
+from netbench.core.types import APPS, ActionSpec, BenchmarkConfig, GT_ACTION_PROGRAM, \
     GT_RECOVERY_PREDICATE, GroundTruth, QuerySpec
+from netbench.evaluation.metrics import MetricRecord
 
 
 def test_action_spec_round_trip():
@@ -59,3 +63,20 @@ def test_benchmark_config_defaults_and_validation():
 def test_benchmark_config_levels_sorted_deduped():
     cfg = BenchmarkConfig(app="cp", levels=(3, 1, 3))
     assert cfg.levels == (1, 3)
+
+
+_text = st.text()
+_levels = st.sampled_from((1, 2, 3))
+_queries = st.builds(QuerySpec, id=_text, app=st.sampled_from(APPS), level=_levels,
+                     action_label=_text, prompt_text=_text, seed=st.integers(0, 2**64))
+_records = st.builds(MetricRecord, query_id=_text, app=_text, level=_levels, action_label=_text,
+                     correct=st.booleans(), safe=st.booleans(),
+                     latency_turns=st.integers(0, 100), latency_wall=st.floats(0, 1e6))
+
+
+@given(st.one_of(_queries, _records))
+def test_to_json_has_the_dataclass_fields_and_round_trips(record):
+    data = record.to_json()
+    assert list(data) == [f.name for f in dataclasses.fields(record)]
+    assert data == dataclasses.asdict(record)
+    assert type(record).from_json(data) == record
