@@ -13,14 +13,14 @@ computed once and held next to it.
 Each app's interpreter, ``execute(state, machine, command)``, returns an
 :class:`Outcome`: the state after the command, its output, and its kind,
 a read, a write or an invalid turn. A read or an invalid turn returns the
-very input state. The environment goes through it; generation, injection
-replay and the recovery-order search may take a leaner ``execute`` for the
-writes an app's builder makes. k8s does so without kubectl's validation:
-generation replays its built-in patch commands through
-``k8spolicy.generate._kubectl``, and ``rebuild`` replays a stored action as
-the patch itself, a (policy, patch dict) write, through
-``k8spolicy.generate._patched``, with no command text. Each app's builder
-turns a recorded ``ActionSpec`` into an :class:`Injection`.
+very input state. The environment goes through it. Generation, injection
+replay and the recovery-order search take a replay ``execute(state, *write)``
+instead, and an :class:`Injection`, which each app's builder makes of a
+recorded ``ActionSpec``, holds its writes in the form that replay takes:
+routing's are (machine, command) pairs for its interpreter, and k8s's are
+(policy, merge patch) pairs, merged without kubectl's validation. A batch
+stores each repair as the (machine, command) pair that ``repair`` renders
+of an inverse write.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ class Outcome:
 
 @dataclass(frozen=True)
 class Injection:
-    """An injection: the action a batch records, the writes that make it, the write undoing it."""
+    """An injection: the action a batch records, the writes that make it, the write undoing it,
+    each a write in the form that the app's replay ``execute`` takes."""
     action: ActionSpec
-    forward: tuple  # ordered (machine, command) pairs
-    inverse: tuple  # one (machine, command) pair
+    forward: tuple  # ordered writes
+    inverse: tuple  # one write
 
 
 class Reject(Exception):
@@ -127,8 +128,8 @@ def monotone_order(start, start_verdict, inverses, execute, verdict, state_diges
     return None
 
 
-def generate_reactive_query(app, labels, level, seed, attempts, execute, verdict, state_digest,
-                            prompt) -> tuple:
+def generate_reactive_query(app, labels, level, seed, attempts, execute, repair, verdict,
+                            state_digest, prompt) -> tuple:
     """Build one reactive query; returns (QuerySpec, GroundTruth).
 
     A label is drawn from ``labels[level]`` and its ``+``-joined families
@@ -137,7 +138,8 @@ def generate_reactive_query(app, labels, level, seed, attempts, execute, verdict
     most ``MAX_RESAMPLES`` candidates whose injections are observable and
     whose inverses have a monotone order becomes the query, prompted with
     ``prompt(healthy, verdict)``. Its hidden injection is the setup
-    records, then each injection's action.
+    records, then each injection's action; its recovery is ``repair(inverse)``,
+    a (machine, command) pair, of each inverse in that order.
     """
     if level not in labels:
         raise EmptyLevelSet(f"no {app} injections defined for level {level}")
@@ -156,7 +158,7 @@ def generate_reactive_query(app, labels, level, seed, attempts, execute, verdict
             continue
         truth = GroundTruth(kind=GT_RECOVERY_PREDICATE, target_digest=target_digest,
                             hidden_injection=(*setup, *(i.action for i in injections)),
-                            recovery=recovery)
+                            recovery=[repair(inverse) for inverse in recovery])
         query = QuerySpec(id=f"{app}-L{level}-{seed:016x}", app=app, level=level,
                           action_label=label, prompt_text=prompt(healthy, broken_verdict),
                           seed=seed)

@@ -18,11 +18,10 @@ allow-matrix idea of Kano, Li et al. 2019).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import SERVICE_PORTS, SERVICES, as_store, expected_flows, flow_universe
+from .model import SERVICE_PORTS, SERVICES, PolicyStore, expected_flows, flow_universe
 
 _FLOWS = frozenset(flow_universe())
 _EXPECTED = frozenset(expected_flows())
@@ -87,16 +86,15 @@ def _compiled(name: str, policy: dict) -> tuple[dict, dict]:
     return _contribution(policy, "ingress"), _contribution(policy, "egress")
 
 
-def _allow_sets(policies: Mapping) -> tuple[dict, dict]:
+def _allow_sets(policies: PolicyStore) -> tuple[dict, dict]:
     """Per direction, selected service -> the peers its rules admit on the server's port.
 
     A service is absent when no policy of that direction selects it, and
     present (possibly with no peers) as soon as one does.
     """
-    store = as_store(policies)
     allow = {}, {}
-    for name in store:
-        for merged, contribution in zip(allow, store.view(name, _compiled)):
+    for name in policies:
+        for merged, contribution in zip(allow, policies.view(name, _compiled)):
             for service, peers in contribution.items():
                 merged[service] = merged[service] | peers if service in merged else peers
     return allow
@@ -135,7 +133,7 @@ def _word(allowed: bool) -> str:
     return "allowed" if allowed else "blocked"
 
 
-def connectivity_check(policies: Mapping) -> MismatchReport:
+def connectivity_check(policies: PolicyStore) -> MismatchReport:
     ingress, egress = _allow_sets(policies)
     actual = set()
     for dst, flows in _FLOWS_TO.items():

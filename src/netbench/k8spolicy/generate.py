@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..core.reactive import WRITE, Outcome, generate_reactive_query, rebuild
 from ..core.types import ActionSpec, GroundTruth
 from .connectivity import MismatchReport, connectivity_check
-from .inject import AE_EGRESS_GRAPH, TARGETS, build_mutation, mutation_patches, patch_of
+from .inject import AE_EGRESS_GRAPH, TARGETS, _patch_cmd, build_mutation
 from .kubectl import merge_patch
 from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, PolicyStore, cluster_digest, \
     default_policies
@@ -59,7 +59,7 @@ def _attempts(rng, families):
 
 def _patched(policies: PolicyStore, name: str, patch: dict) -> Outcome:
     """What ``exec_kubectl`` does with a built-in merge patch of the policy ``name``, less its
-    validation: ``mutation_patches`` builds only valid patches of one stored policy. A patch that
+    validation: ``build_mutation`` builds only valid patches of one stored policy. A patch that
     gives a baseline policy back stores the very baseline object, whose views the baseline store
     already holds."""
     policy = merge_patch(policies[name], patch)
@@ -68,25 +68,18 @@ def _patched(policies: PolicyStore, name: str, patch: dict) -> Outcome:
                    f"networkpolicy.networking.k8s.io/{name} patched", WRITE)
 
 
-def _kubectl(policies: PolicyStore, machine: str, command: str) -> Outcome:
-    """``_patched`` for a command ``build_mutation`` built, as generation replays the built-in
-    injections and searches the order of their inverses. The machine is always the master."""
-    return _patched(policies, *patch_of(command))
-
-
 def generate_k8s_query(level: int, seed: int) -> tuple:
     """Build one reactive policy query; returns (QuerySpec, GroundTruth)."""
     return generate_reactive_query("k8s", LEVEL_LABELS, level, seed, _attempts,
-                                   _kubectl, connectivity_check, cluster_digest,
+                                   _patched, _patch_cmd, connectivity_check, cluster_digest,
                                    lambda _, report: render_k8s_prompt(report))
 
 
 def rebuild_cluster(truth: GroundTruth) -> tuple:
-    """Reconstruct (baseline, broken) policy stores from a ground truth: each stored mutation's
-    forward patch is merged as a dict, with no command text built or parsed."""
+    """Reconstruct (baseline, broken) policy stores from a ground truth."""
     baseline = default_policies()
     return baseline, rebuild("k8s", baseline, truth.hidden_injection,
-                             lambda action: [mutation_patches(action)[:2]], _patched)
+                             lambda action: build_mutation(action).forward, _patched)
 
 
 def render_k8s_prompt(report: MismatchReport) -> str:

@@ -1,7 +1,7 @@
 """Policy mutations for the network-policy application.
 
-Five mutation families, each realized as a single ``kubectl patch``
-command paired with a single inverse patch that restores the baseline
+Five mutation families, each realized as a single merge patch of one
+policy paired with a single inverse patch that restores the baseline
 policy byte-for-byte:
 
     RI   remove an expected caller from a service's ingress whitelist
@@ -12,8 +12,6 @@ policy byte-for-byte:
 """
 
 from __future__ import annotations
-
-import json
 
 from ..core.reactive import Injection
 from ..core.types import ActionSpec
@@ -38,23 +36,20 @@ AE_EGRESS_GRAPH = {client: tuple(d for d in _SERVING if client in EXPECTED_CALLE
                    for client in TARGETS["AE"]}
 
 
-def _patch_cmd(target: str, patch: dict) -> tuple:
-    payload = canonical_json(patch)
-    return (MACHINE, f"kubectl patch networkpolicy {target} --type merge -p '{payload}'")
+def _patch_cmd(write: tuple) -> tuple:
+    """The ``kubectl patch`` command, as a (machine, command) pair, that makes ``write``, a
+    built-in (policy, merge patch) write: how a batch stores a repair."""
+    target, patch = write
+    return (MACHINE, f"kubectl patch networkpolicy {target} --type merge "
+                     f"-p '{canonical_json(patch)}'")
 
 
-def patch_of(command: str) -> tuple[str, dict]:
-    """The (target, patch) of a command ``build_mutation`` built."""
-    _, _, _, target, _, _, _, payload = command.split(" ", 7)
-    return target, json.loads(payload[1:-1])
-
-
-def mutation_patches(action: ActionSpec) -> tuple[str, dict, dict]:
-    """The policy that the mutation ``action`` records patches, and its forward and inverse
-    merge patches. The action's name is the family, and its operands are the policy patched and
-    a family-specific parameter (the caller removed or added, the egress target kept, or "").
-    Each dict's keys are in sorted order, as ``json.loads`` reads them from ``build_mutation``'s
-    commands, so a policy patched from either walks its keys alike."""
+def build_mutation(action: ActionSpec) -> Injection:
+    """The mutation that ``action`` records, as (policy, merge patch) writes. The action's name
+    is the family, and its operands are the policy patched and a family-specific parameter (the
+    caller removed or added, the egress target kept, or ""). Each patch's keys are in sorted
+    order, as ``json.loads`` reads them from the command ``_patch_cmd`` renders, so a policy
+    patched from either walks its keys alike."""
     family = action.name
     target, param = action.typed_operands(str, str)
     if family not in TARGETS:
@@ -63,46 +58,33 @@ def mutation_patches(action: ActionSpec) -> tuple[str, dict, dict]:
         raise MethodOutOfRange(f"{family} cannot patch {target!r}")
     if family in ("CP", "CPR") and param:
         raise MethodOutOfRange(f"{family} takes no parameter, got {param!r}")
-    restore_ingress = {"spec": {"ingress": baseline_ingress(target)}}
-
-    if family == "RI":
-        if param not in EXPECTED_CALLERS[target]:
-            raise MethodOutOfRange(f"RI cannot remove {param!r} from {target!r}")
-        rule = baseline_ingress(target)[0]
-        rule["from"] = [f for f in rule["from"]
-                        if f["podSelector"]["matchLabels"]["app"] != param]
-        return target, {"spec": {"ingress": [rule]}}, restore_ingress
-
-    if family == "AI":
-        if param not in SERVICES:
-            raise MethodOutOfRange(f"AI caller {param!r} is no service")
-        if param in EXPECTED_CALLERS[target] or param == target:
-            raise MethodOutOfRange(f"AI caller {param!r} is already expected for {target!r}")
-        rule = baseline_ingress(target)[0]
-        rule["from"] = rule["from"] + [{"podSelector": {"matchLabels": {"app": param}}}]
-        return target, {"spec": {"ingress": [rule]}}, restore_ingress
-
-    if family == "CP":
-        rule = baseline_ingress(target)[0]
-        rule["ports"] = [{"port": SERVICE_PORTS[target] + 1, "protocol": "TCP"}]
-        return target, {"spec": {"ingress": [rule]}}, restore_ingress
-
+    inverse = {"spec": {"ingress": baseline_ingress(target)}}
     if family == "CPR":
-        return (target, {"spec": {"podSelector": {"matchLabels": {"app": f"{target}-pods"}}}},
-                {"spec": {"podSelector": {"matchLabels": {"app": target}}}})
-
-    # AE: pin the client's egress to a single expected destination
-    if param not in AE_EGRESS_GRAPH[target]:
-        raise MethodOutOfRange(f"AE cannot pin {target!r} to {param!r}")
-    egress = [{
-        "ports": [{"port": SERVICE_PORTS[param], "protocol": "TCP"}],
-        "to": [{"podSelector": {"matchLabels": {"app": param}}}],
-    }]
-    return (target, {"spec": {"egress": egress, "policyTypes": ["Ingress", "Egress"]}},
-            {"spec": {"egress": None, "policyTypes": ["Ingress"]}})
-
-
-def build_mutation(action: ActionSpec) -> Injection:
-    """The mutation that ``action`` records, as ``kubectl patch`` commands of its patches."""
-    target, forward, inverse = mutation_patches(action)
-    return Injection(action, (_patch_cmd(target, forward),), _patch_cmd(target, inverse))
+        forward = {"spec": {"podSelector": {"matchLabels": {"app": f"{target}-pods"}}}}
+        inverse = {"spec": {"podSelector": {"matchLabels": {"app": target}}}}
+    elif family == "AE":  # pin the client's egress to a single expected destination
+        if param not in AE_EGRESS_GRAPH[target]:
+            raise MethodOutOfRange(f"AE cannot pin {target!r} to {param!r}")
+        egress = [{
+            "ports": [{"port": SERVICE_PORTS[param], "protocol": "TCP"}],
+            "to": [{"podSelector": {"matchLabels": {"app": param}}}],
+        }]
+        forward = {"spec": {"egress": egress, "policyTypes": ["Ingress", "Egress"]}}
+        inverse = {"spec": {"egress": None, "policyTypes": ["Ingress"]}}
+    else:
+        rule = baseline_ingress(target)[0]
+        if family == "RI":
+            if param not in EXPECTED_CALLERS[target]:
+                raise MethodOutOfRange(f"RI cannot remove {param!r} from {target!r}")
+            rule["from"] = [f for f in rule["from"]
+                            if f["podSelector"]["matchLabels"]["app"] != param]
+        elif family == "AI":
+            if param not in SERVICES:
+                raise MethodOutOfRange(f"AI caller {param!r} is no service")
+            if param in EXPECTED_CALLERS[target] or param == target:
+                raise MethodOutOfRange(f"AI caller {param!r} is already expected for {target!r}")
+            rule["from"] = rule["from"] + [{"podSelector": {"matchLabels": {"app": param}}}]
+        else:  # CP
+            rule["ports"] = [{"port": SERVICE_PORTS[target] + 1, "protocol": "TCP"}]
+        forward = {"spec": {"ingress": [rule]}}
+    return Injection(action, ((target, forward),), (target, inverse))

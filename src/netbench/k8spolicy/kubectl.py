@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping
 
 import yaml
 
 from ..core.reactive import INVALID, READ, WRITE, Outcome, Reject
-from .model import API_VERSION, NAMESPACE, as_store, policy_yaml
+from .model import API_VERSION, NAMESPACE, PolicyStore, policy_yaml
 
 _KINDS = ("networkpolicy", "networkpolicies", "netpol")
 _PATCH_RE = re.compile(r"-p\s+'(.*)'([^']*)$", re.DOTALL)  # the payload, then flag words
@@ -143,7 +142,7 @@ def _check_shape(doc) -> None:
 
 # --- interpreter ------------------------------------------------------------
 
-def exec_kubectl(policies: Mapping, command: str) -> Outcome:
+def exec_kubectl(policies: PolicyStore, command: str) -> Outcome:
     """Run one kubectl command on ``policies``; never raises on agent input."""
     try:
         head, _, manifest = command.strip().partition("\n")
@@ -185,7 +184,7 @@ def _namespaced(args) -> tuple[list, str]:
     return rest, namespace
 
 
-def _named(policies: Mapping, args, usage: str, namespace: str) -> str:
+def _named(policies: PolicyStore, args, usage: str, namespace: str) -> str:
     """The stored policy ``args`` name as ``<kind> <name>``; rejects a wrong kind, a missing
     name, a flag in its place or an extra word with ``usage``, and a name not in the store, or
     in another namespace, with NotFound."""
@@ -217,7 +216,7 @@ def _size(name: str, policy: dict) -> int:
     return count
 
 
-def _get(policies: Mapping, args, head: str, manifest: str) -> Outcome:
+def _get(policies: PolicyStore, args, head: str, manifest: str) -> Outcome:
     args, namespace = _namespaced(args)
     if not args or args[0] not in _KINDS:
         raise Reject("kubectl get: only networkpolicy objects exist here")
@@ -233,7 +232,7 @@ def _get(policies: Mapping, args, head: str, manifest: str) -> Outcome:
     if rest:
         name = _named(policies, args[:1] + rest, usage, namespace)
         if as_yaml:
-            return Outcome(policies, as_store(policies).view(name, _yaml), READ)
+            return Outcome(policies, policies.view(name, _yaml), READ)
         return Outcome(policies, name, READ)
     shown = policies if namespace == NAMESPACE else {}  # every policy lives in the default
     if as_yaml:
@@ -250,13 +249,13 @@ def _get(policies: Mapping, args, head: str, manifest: str) -> Outcome:
     return Outcome(policies, "\n".join(lines), READ)
 
 
-def _describe(policies: Mapping, args, head: str, manifest: str) -> Outcome:
+def _describe(policies: PolicyStore, args, head: str, manifest: str) -> Outcome:
     args, namespace = _namespaced(args)
     name = _named(policies, args, "usage: kubectl describe networkpolicy <name>", namespace)
-    return Outcome(policies, as_store(policies).view(name, _yaml), READ)
+    return Outcome(policies, policies.view(name, _yaml), READ)
 
 
-def _apply(policies: Mapping, args, head: str, manifest: str) -> Outcome:
+def _apply(policies: PolicyStore, args, head: str, manifest: str) -> Outcome:
     args, namespace = _namespaced(args)
     if args[:2] != ["-f", "-"]:
         raise Reject("kubectl apply: only '-f -' with an inline manifest is supported")
@@ -275,11 +274,11 @@ def _apply(policies: Mapping, args, head: str, manifest: str) -> Outcome:
         raise Reject(f"error validating data: {exc}") from None
     name = doc["metadata"]["name"]
     word = "configured" if name in policies else "created"
-    return Outcome(as_store(policies).written(name, doc),
+    return Outcome(policies.written(name, doc),
                    f"networkpolicy.networking.k8s.io/{name} {word}", WRITE)
 
 
-def _patch(policies: Mapping, args, head: str, manifest: str) -> Outcome:
+def _patch(policies: PolicyStore, args, head: str, manifest: str) -> Outcome:
     m = _PATCH_RE.search(head)
     # the flags stand before -p or after the payload, never inside it
     flags = [*(args[:args.index("-p")] if "-p" in args else args), *(m[2].split() if m else ())]
@@ -304,13 +303,12 @@ def _patch(policies: Mapping, args, head: str, manifest: str) -> Outcome:
         raise Reject(f"error decoding patch: {exc}") from None
     if not isinstance(patch, dict):
         raise Reject("kubectl patch: a merge patch must be a JSON object")
-    store = as_store(policies)
     try:
         size = _check_data(patch, "patch")
         merged = merge_patch(policies[name], patch)
         # merging adds no depth and no node the two parts lack, and the stored part passed,
         # so the merged policy's walk can fail only for its size, and only past this bound
-        if store.view(name, _size) + size > _MAX_NODES:
+        if policies.view(name, _size) + size > _MAX_NODES:
             _check_data(merged, "NetworkPolicy")
         _check_shape(merged)
         for field in ("name", "namespace"):
@@ -318,14 +316,14 @@ def _patch(policies: Mapping, args, head: str, manifest: str) -> Outcome:
                 raise ValueError(f"metadata.{field}: field is immutable")
     except ValueError as exc:
         raise Reject(f'The NetworkPolicy "{name}" is invalid: {exc}') from None
-    return Outcome(store.written(name, merged),
+    return Outcome(policies.written(name, merged),
                    f"networkpolicy.networking.k8s.io/{name} patched", WRITE)
 
 
-def _delete(policies: Mapping, args, head: str, manifest: str) -> Outcome:
+def _delete(policies: PolicyStore, args, head: str, manifest: str) -> Outcome:
     args, namespace = _namespaced(args)
     name = _named(policies, args, "usage: kubectl delete networkpolicy <name>", namespace)
-    return Outcome(as_store(policies).without(name),
+    return Outcome(policies.without(name),
                    f'networkpolicy.networking.k8s.io "{name}" deleted', WRITE)
 
 

@@ -164,11 +164,6 @@ class PolicyStore(Mapping):
                            {n: v for n, v in self._views.items() if n != name})
 
 
-def as_store(policies: Mapping) -> PolicyStore:
-    """``policies`` if it is a store, else a store of a copy of the mapping."""
-    return policies if isinstance(policies, PolicyStore) else PolicyStore(dict(policies))
-
-
 @functools.cache
 def default_policies() -> PolicyStore:
     """The healthy baseline: name -> policy dict, built once per process.
@@ -200,9 +195,8 @@ def _fragment(name: str, policy: dict) -> str:
     return canonical_json({name: policy})[1:-1]
 
 
-def cluster_digest(policies: Mapping) -> str:
+def cluster_digest(policies: PolicyStore) -> str:
     """The SHA-256 of ``canonical_json(policies)``, spliced from the store's fragments in name
     order, which is the order ``canonical_json`` sorts them in."""
-    store = as_store(policies)
-    text = "{%s}" % ",".join([store.view(name, _fragment) for name in sorted(store)])
+    text = "{%s}" % ",".join([policies.view(name, _fragment) for name in sorted(policies)])
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

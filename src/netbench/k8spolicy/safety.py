@@ -14,11 +14,10 @@ routing rules:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from ..core.reactive import judge_verdicts
 from .connectivity import connectivity_check
+from .model import PolicyStore
 
 
-def judge_step_safety(before: Mapping, after: Mapping, rule: str = "strict") -> bool:
+def judge_step_safety(before: PolicyStore, after: PolicyStore, rule: str = "strict") -> bool:
     return judge_verdicts(connectivity_check(before), connectivity_check(after), rule)

@@ -61,8 +61,8 @@ def _attempts(rng, families):
 def generate_routing_query(level: int, seed: int) -> tuple:
     """Build one reactive routing query; returns (QuerySpec, GroundTruth)."""
     return generate_reactive_query("routing", LEVEL_LABELS, level, seed, _attempts,
-                                   exec_command, pingall, NetState.state_digest,
-                                   render_routing_prompt)
+                                   exec_command, lambda inverse: inverse, pingall,
+                                   NetState.state_digest, render_routing_prompt)
 
 
 def rebuild_states(truth: GroundTruth) -> tuple:

@@ -6,7 +6,7 @@ from netbench.core.types import GT_RECOVERY_PREDICATE, ActionSpec, GroundTruth
 from netbench.errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
 from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.generate import rebuild_cluster
-from netbench.k8spolicy.inject import AE_EGRESS_GRAPH, TARGETS, build_mutation
+from netbench.k8spolicy.inject import AE_EGRESS_GRAPH, TARGETS, _patch_cmd, build_mutation
 from netbench.k8spolicy.kubectl import exec_kubectl
 from netbench.k8spolicy.model import EXPECTED_CALLERS, SERVICES, cluster_digest, \
     default_policies
@@ -14,6 +14,16 @@ from netbench.k8spolicy.model import EXPECTED_CALLERS, SERVICES, cluster_digest,
 
 def mutation_of(family, target, param=""):
     return build_mutation(ActionSpec(family, (target, param)))
+
+
+def forward_command(mutation):
+    """The ``kubectl patch`` command of a mutation's one forward write."""
+    (write,) = mutation.forward
+    return _patch_cmd(write)[1]
+
+
+def inverse_command(mutation):
+    return _patch_cmd(mutation.inverse)[1]
 
 
 def sample_mutations():
@@ -56,7 +66,7 @@ def test_invalid_parameters_rejected():
 def test_every_mutation_is_observable():
     baseline = default_policies()
     for mutation in sample_mutations():
-        out = exec_kubectl(baseline, mutation.forward[0][1])
+        out = exec_kubectl(baseline, forward_command(mutation))
         assert out.kind == "write", mutation
         report = connectivity_check(out.state)
         assert not report.clean, mutation.action
@@ -66,8 +76,8 @@ def test_every_inverse_restores_digest_exactly():
     baseline = default_policies()
     target = cluster_digest(baseline)
     for mutation in sample_mutations():
-        broken = exec_kubectl(baseline, mutation.forward[0][1]).state
-        repaired = exec_kubectl(broken, mutation.inverse[1])
+        broken = exec_kubectl(baseline, forward_command(mutation)).state
+        repaired = exec_kubectl(broken, inverse_command(mutation))
         assert repaired.kind == "write"
         assert cluster_digest(repaired.state) == target, mutation.action
         assert connectivity_check(repaired.state).clean
@@ -75,15 +85,17 @@ def test_every_inverse_restores_digest_exactly():
 
 def test_mutations_are_single_patch_commands():
     for mutation in sample_mutations():
-        assert len(mutation.forward) == 1 and mutation.forward[0][0] == "master"
-        assert mutation.forward[0][1].startswith("kubectl patch networkpolicy ")
-        assert mutation.inverse[1].startswith("kubectl patch networkpolicy ")
+        assert len(mutation.forward) == 1
+        for write in (mutation.forward[0], mutation.inverse):
+            machine, command = _patch_cmd(write)
+            assert machine == "master"
+            assert command.startswith(f"kubectl patch networkpolicy {write[0]} ")
 
 
 def test_action_round_trip():
     """Each built-in mutation rebuilds, from its action as a batch stores it, to an equal
     mutation."""
-    built = set()
+    built = {}  # action -> its forward command
     for family, targets in TARGETS.items():
         for target in targets:
             for param in [*SERVICES, ""]:
@@ -93,8 +105,9 @@ def test_action_round_trip():
                     continue
                 stored = ActionSpec.from_json(json.loads(json.dumps(mutation.action.to_json())))
                 assert build_mutation(stored) == mutation, mutation.action
-                built.add(mutation.forward[0][1])
-    assert len(built) == 149  # distinct forward patches; AI takes no "" caller
+                built[mutation.action] = forward_command(mutation)
+    # distinct actions, each with a distinct forward patch; AI takes no "" caller
+    assert len(set(built.values())) == len(built) == 149
 
 
 @pytest.mark.parametrize("action", [ActionSpec("CP", ("emailservice",)),
@@ -114,7 +127,7 @@ def test_malformed_action_is_a_corrupt_ground_truth(action):
 def test_ri_blocks_only_the_removed_caller():
     baseline = default_policies()
     mutation = mutation_of("RI", "cartservice", "frontend")
-    broken = exec_kubectl(baseline, mutation.forward[0][1]).state
+    broken = exec_kubectl(baseline, forward_command(mutation)).state
     report = connectivity_check(broken)
     assert report.mismatches == [("frontend", "cartservice", 7070, True, False)]
 
@@ -122,7 +135,7 @@ def test_ri_blocks_only_the_removed_caller():
 def test_ae_blocks_other_egress_of_the_client():
     baseline = default_policies()
     mutation = mutation_of("AE", "frontend", "adservice")
-    broken = exec_kubectl(baseline, mutation.forward[0][1]).state
+    broken = exec_kubectl(baseline, forward_command(mutation)).state
     report = connectivity_check(broken)
     blocked = {(src, dst) for src, dst, _, exp, act in report.mismatches if exp and not act}
     assert ("frontend", "adservice") not in blocked
@@ -133,6 +146,6 @@ def test_ae_blocks_other_egress_of_the_client():
 def test_mismatch_line_format():
     baseline = default_policies()
     mutation = mutation_of("RI", "cartservice", "frontend")
-    broken = exec_kubectl(baseline, mutation.forward[0][1]).state
+    broken = exec_kubectl(baseline, forward_command(mutation)).state
     text = connectivity_check(broken).render()
     assert "frontend -> cartservice:7070 (Expected: allowed, Actual: blocked)" in text

@@ -7,7 +7,7 @@ from netbench.k8spolicy import kubectl, model
 from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.kubectl import INVALID, READ, WRITE, exec_kubectl, merge_patch
 from netbench.digest import digest
-from netbench.k8spolicy.model import cluster_digest, default_policies
+from netbench.k8spolicy.model import PolicyStore, cluster_digest, default_policies
 
 
 @pytest.fixture
@@ -396,7 +396,7 @@ def test_get_yaml_without_a_name_prints_the_store_as_a_list(policies):
     assert out.output.endswith("kind: List\nmetadata:\n  resourceVersion: ''\n")
     assert digest(out.output) == \
         "c37aca6fec559898100a3c4f9edc01bb515055beab3f7310beccfcb503016d15"
-    empty = exec_kubectl({}, "kubectl get networkpolicy -o yaml").output
+    empty = exec_kubectl(PolicyStore({}), "kubectl get networkpolicy -o yaml").output
     assert empty == "apiVersion: v1\nitems: []\nkind: List\nmetadata:\n  resourceVersion: ''\n"
 
 
@@ -475,7 +475,7 @@ def test_another_namespace_holds_no_policy(policies, flag):
     assert exec_kubectl(policies, f"kubectl get networkpolicies {flag}").output == \
         "No resources found in other namespace."
     assert exec_kubectl(policies, f"kubectl get networkpolicies {flag} -o yaml").output == \
-        exec_kubectl({}, "kubectl get networkpolicies -o yaml").output
+        exec_kubectl(PolicyStore({}), "kubectl get networkpolicies -o yaml").output
     not_found = 'Error from server (NotFound): networkpolicies.networking.k8s.io "frontend" ' \
                 'not found'
     for command in (f"kubectl get networkpolicy frontend {flag}",
@@ -490,7 +490,7 @@ def test_another_namespace_holds_no_policy(policies, flag):
 
 
 def test_an_empty_store_lists_no_resources(policies):
-    assert exec_kubectl({}, "kubectl get networkpolicies").output == \
+    assert exec_kubectl(PolicyStore({}), "kubectl get networkpolicies").output == \
         "No resources found in default namespace."
     emptied = policies
     for name in sorted(policies):

@@ -4,8 +4,8 @@ from netbench.cli import main
 from netbench.digest import digest
 from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.model import DEFAULT_DENY, EXPECTED_CALLERS, SERVICES, \
-    SERVICE_PORTS, cluster_digest, default_policies, expected_flows, flow_universe, \
-    policy_yaml
+    SERVICE_PORTS, PolicyStore, cluster_digest, default_policies, expected_flows, \
+    flow_universe, policy_yaml
 
 BASELINE_DIGEST = "d03ce20a5da051faaeaae965a034c8129cdde2271852617832df4f2664e09d15"
 
@@ -77,7 +77,8 @@ def test_wrong_port_is_blocked():
     baseline = default_policies()
     cart = baseline["cartservice"]
     rule = {**cart["spec"]["ingress"][0], "ports": [{"port": 9999, "protocol": "TCP"}]}
-    policies = {**baseline, "cartservice": {**cart, "spec": {**cart["spec"], "ingress": [rule]}}}
+    policies = PolicyStore({**baseline, "cartservice": {**cart, "spec": {**cart["spec"],
+                                                                         "ingress": [rule]}}})
     report = connectivity_check(policies)
     assert ("frontend", "cartservice", 7070) not in report.good
     assert ("frontend", "cartservice", 7070, True, False) in report.mismatches
@@ -85,10 +86,10 @@ def test_wrong_port_is_blocked():
 
 def test_unselected_pod_defaults_to_deny_via_catch_all():
     # frontend -> adservice is expected, so it conforms exactly when it is allowed
-    policies = {n: p for n, p in default_policies().items() if n != "adservice"}
+    policies = PolicyStore({n: p for n, p in default_policies().items() if n != "adservice"})
     # with no per-service policy, default-deny still selects the pod
     assert ("frontend", "adservice", 9555) not in connectivity_check(policies).good
-    policies = {n: p for n, p in policies.items() if n != DEFAULT_DENY}
+    policies = PolicyStore({n: p for n, p in policies.items() if n != DEFAULT_DENY})
     # with no selecting policy at all, ingress is unrestricted
     assert ("frontend", "adservice", 9555) in connectivity_check(policies).good
 

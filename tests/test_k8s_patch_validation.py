@@ -18,8 +18,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from netbench.core.reactive import INVALID, WRITE
 from netbench.k8spolicy.kubectl import _MAX_DEPTH, _MAX_NODES, _check_data, _check_shape, \
     exec_kubectl, merge_patch
-from netbench.k8spolicy.model import API_VERSION, NAMESPACE, PolicyStore, as_store, \
-    cluster_digest, default_policies
+from netbench.k8spolicy.model import API_VERSION, NAMESPACE, PolicyStore, cluster_digest, \
+    default_policies
 
 
 def reference_patch(policies, name, patch):
@@ -36,7 +36,7 @@ def reference_patch(policies, name, patch):
     except ValueError as exc:
         return INVALID, f'The NetworkPolicy "{name}" is invalid: {exc}', cluster_digest(policies)
     return (WRITE, f"networkpolicy.networking.k8s.io/{name} patched",
-            cluster_digest(as_store(policies).written(name, merged)))
+            cluster_digest(policies.written(name, merged)))
 
 
 _RULE = {"from": [{"podSelector": {}}], "ports": [{"port": 80, "protocol": "TCP"}]}  # 8 nodes

@@ -17,7 +17,7 @@ from netbench.core.generate import app_entry, cp_base_graph, generate_batch, mak
 from netbench.core.types import ActionSpec, BenchmarkConfig
 from netbench.cp.graph import apply_basic_op, run_program
 from netbench.evaluation.metrics import score_episode
-from netbench.k8spolicy.inject import MACHINE, TARGETS, build_mutation, patch_of
+from netbench.k8spolicy.inject import TARGETS, _patch_cmd, build_mutation
 from netbench.k8spolicy.model import cluster_digest
 from netbench.routing.state import NetState
 
@@ -100,7 +100,7 @@ def test_a_cp_golden_program_and_its_result_are_judged_alike():
             assert result.correct and result.turns[0].valid, (query.id, payload)
 
 
-def _routing_writes(env, k, recovery):
+def _routing_writes(env, k, truth):
     """A filter that drops a subnet's traffic, which breaks the pairs into that subnet that
     work, and a route outside every subnet, which breaks none; each with its exact inverse."""
     state = env.state
@@ -112,16 +112,17 @@ def _routing_writes(env, k, recovery):
              (router, f"ip route del 10.9.0.0/16 dev {iface} metric 7"))]
 
 
-def _k8s_writes(env, k, recovery):
+def _k8s_writes(env, k, truth):
     """A built-in patch of a policy that the recovery leaves alone, undone by applying the
     YAML that ``get`` shows of that policy just before the patch."""
-    touched = {patch_of(command)[0] for _, command in recovery}
+    touched = {action.operands[0] for action in truth.hidden_injection}
     untouched = [name for name in TARGETS["CP"] if name not in touched]
     name = untouched[k % len(untouched)]
+    (write,) = build_mutation(ActionSpec(("CP", "CPR")[k % 2], (name, ""))).forward
+    machine, command = _patch_cmd(write)
     shown, *_ = env.execute_message(
-        AgentMessage(MSG_COMMAND, f"kubectl get networkpolicy {name} -o yaml", MACHINE))
-    (patch,) = build_mutation(ActionSpec(("CP", "CPR")[k % 2], (name, ""))).forward
-    return [(patch, (MACHINE, "kubectl apply -f -\n" + shown))]
+        AgentMessage(MSG_COMMAND, f"kubectl get networkpolicy {name} -o yaml", machine))
+    return [((machine, command), (machine, "kubectl apply -f -\n" + shown))]
 
 
 @pytest.mark.parametrize("app, writes, digest", [
@@ -137,7 +138,7 @@ def test_a_write_and_its_inverse_inserted_into_the_repair(app, writes, digest):
             env = entry.environment(None, truth, "lenient")
             for machine, command in truth.recovery[:k]:
                 env.execute_message(AgentMessage(MSG_COMMAND, command, machine))
-            for write, inverse in writes(env, k, truth.recovery):
+            for write, inverse in writes(env, k, truth):
                 # the good sets before, between and after the two writes, on a copy
                 probe = copy.copy(env)
                 goods = [probe.current.good]

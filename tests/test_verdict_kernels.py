@@ -24,9 +24,9 @@ from netbench.k8spolicy import env as k8s_env, generate as k8s_generate
 from netbench.k8spolicy.connectivity import _compiled, connectivity_check
 from netbench.k8spolicy.env import K8sEnvironment
 from netbench.k8spolicy.generate import generate_k8s_query, rebuild_cluster
-from netbench.k8spolicy.inject import TARGETS, build_mutation, patch_of
+from netbench.k8spolicy.inject import TARGETS, _patch_cmd, build_mutation
 from netbench.k8spolicy.kubectl import exec_kubectl
-from netbench.k8spolicy.model import SERVICE_PORTS, SERVICES, PolicyStore, _fragment, as_store, \
+from netbench.k8spolicy.model import SERVICE_PORTS, SERVICES, PolicyStore, _fragment, \
     cluster_digest, default_policies, flow_universe, policy_yaml
 from netbench.k8spolicy.safety import judge_step_safety as k8s_judge
 from netbench.routing import env as routing_env, pingall as routing_pingall
@@ -274,7 +274,7 @@ def kubectl_command(draw, policies, recovery):
                 draw(st.sampled_from([*SERVICES, ""])))))
         except MethodOutOfRange:  # not a valid combination for this family
             return "kubectl get networkpolicies"
-        return draw(st.sampled_from([mutation.forward[0][1], mutation.inverse[1]]))
+        return _patch_cmd(draw(st.sampled_from([*mutation.forward, mutation.inverse])))[1]
     if kind == "recovery":
         return draw(st.sampled_from([command for _, command in recovery]))
     if kind == "delete":
@@ -342,7 +342,7 @@ def _wide_writes(data, level, seed):
     """Yields (name, store) after each of a few writes through kubectl, each an apply or a
     merge patch with every selector, peer and port shape the interpreter accepts."""
     _, truth = generate_k8s_query(level, seed)
-    policies = data.draw(st.sampled_from([*rebuild_cluster(truth), {}]))
+    policies = data.draw(st.sampled_from([*rebuild_cluster(truth), PolicyStore({})]))
     for _ in range(data.draw(st.integers(1, 6))):
         name = data.draw(st.sampled_from([*sorted(policies), "extra"]))
         spec = data.draw(_WIDE_SPEC)
@@ -367,7 +367,7 @@ def test_connectivity_check_matches_reference_on_any_selector_peer_and_port_valu
     the interpreter accepts: other label keys, non-string ``app`` values, empty
     ``matchLabels``, missing, empty and catch-all peers, and ports of any JSON type."""
     for name, policies in _wide_writes(data, level, seed):
-        alone = {name: policies[name]}  # where no other policy hides what it allows
+        alone = PolicyStore({name: policies[name]})  # where no other policy hides what it allows
         assert connectivity_check(alone) == ref_connectivity_check(alone)
     assert connectivity_check(policies) == ref_connectivity_check(policies)
 
@@ -439,25 +439,26 @@ def test_cluster_digest_matches_reference_under_shuffled_keys(data, level, seed)
         policies = exec_kubectl(policies, data.draw(kubectl_command(policies, truth.recovery))).state
     # a store built through kubectl, and one that was not
     for store in (policies, data.draw(st.dictionaries(st.text(max_size=6), _JSON, max_size=4))):
-        shuffled = _shuffled(data, store)
+        shuffled = PolicyStore(_shuffled(data, store))
         assert cluster_digest(shuffled) == ref_cluster_digest(shuffled) == ref_cluster_digest(store)
-        assert cluster_digest(as_store(shuffled)) == ref_cluster_digest(store)  # spliced
 
 
 @SETTINGS
 @given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
 def test_a_written_store_derives_the_views_of_a_store_built_fresh(data, level, seed):
-    """Along random kubectl sequences, and recoveries replayed as generation replays them,
-    each policy's compiled contribution and digest fragment, carried from the parent store or
-    from the baseline, equal those of a store built anew, and the spliced digest is the
-    digest of the canonical JSON."""
+    """Along random kubectl sequences, and the query's built-in writes replayed as generation
+    replays them, each policy's compiled contribution and digest fragment, carried from the
+    parent store or from the baseline, equal those of a store built anew, and the spliced
+    digest is the digest of the canonical JSON."""
     _, truth = generate_k8s_query(level, seed)
     policies = data.draw(st.sampled_from(rebuild_cluster(truth)))
+    mutations = [build_mutation(action) for action in truth.hidden_injection]
+    writes = [write for m in mutations for write in (*m.forward, m.inverse)]
     for _ in range(data.draw(st.integers(1, 8))):
         connectivity_check(policies), cluster_digest(policies)  # views a write can carry
-        machine, command = data.draw(st.sampled_from(truth.recovery))
-        if data.draw(st.booleans()) and patch_of(command)[0] in policies:
-            outcome = k8s_generate._kubectl(policies, machine, command)
+        name, patch = data.draw(st.sampled_from(writes))
+        if data.draw(st.booleans()) and name in policies:
+            outcome = k8s_generate._patched(policies, name, patch)
         else:
             outcome = exec_kubectl(policies, data.draw(kubectl_command(policies, truth.recovery)))
         policies = outcome.state
@@ -469,56 +470,52 @@ def test_a_written_store_derives_the_views_of_a_store_built_fresh(data, level, s
         assert connectivity_check(policies) == ref_connectivity_check(policies)
 
 
-def _builtin_mutations() -> dict:
-    """Forward command -> mutation, for every mutation ``build_mutation`` can make."""
-    mutations = {}
+def _builtin_mutations() -> list:
+    """Every mutation ``build_mutation`` can make."""
+    mutations = []
     for family, targets in TARGETS.items():
         for target in targets:
             for param in [*SERVICES, ""]:
                 try:
-                    mutation = build_mutation(ActionSpec(family, (target, param)))
+                    mutations.append(build_mutation(ActionSpec(family, (target, param))))
                 except MethodOutOfRange:
                     continue
-                mutations[mutation.forward[0][1]] = mutation
     return mutations
 
 
-def test_generation_replays_each_builtin_patch_as_kubectl_writes_it():
-    """Generation and ``rebuild`` apply the built-in injections and inverses without
-    kubectl's validation: each must be a write that ``exec_kubectl`` accepts, storing the same
-    policy with the same output, and each inverse gives back the very baseline policy."""
+def test_each_builtin_write_replays_as_kubectl_writes_it():
+    """Generation, the recovery-order search and ``rebuild_cluster`` apply the built-in writes
+    as (policy, merge patch) pairs through ``_patched``, without kubectl's validation. For
+    every built-in mutation, each forward and inverse write must be a write that
+    ``exec_kubectl`` accepts as the command ``_patch_cmd`` renders of it, storing the same
+    policy with the same output, digest and audit, and every policy's keys in the same order,
+    which the walk of a later patch follows. Each inverse gives back the very baseline policy,
+    and ``rebuild_cluster`` of the stored action makes the store of its forward write."""
     baseline = default_policies()
-    mutations = _builtin_mutations().values()
+    mutations = _builtin_mutations()
     for mutation in mutations:
+        (forward,) = mutation.forward
         policies = baseline
-        for machine, command in (*mutation.forward, mutation.inverse):
-            replayed = k8s_generate._kubectl(policies, machine, command)
-            checked = exec_kubectl(policies, command)
+        for write in (forward, mutation.inverse):
+            replayed = k8s_generate._patched(policies, *write)
+            checked = exec_kubectl(policies, _patch_cmd(write)[1])
             assert replayed.kind == checked.kind == WRITE
             assert replayed.output == checked.output and replayed.state == checked.state
+            assert cluster_digest(replayed.state) == cluster_digest(checked.state)
+            assert connectivity_check(replayed.state) == connectivity_check(checked.state)
+            assert json.dumps(dict(replayed.state)) == json.dumps(dict(checked.state))
+            if write is forward:
+                broken = checked.state
             policies = replayed.state
         target = mutation.action.operands[0]
         assert policies[target] is baseline[target]
-    assert len(mutations) == 149  # distinct forward patches; AI takes no "" caller
-
-
-def test_rebuild_merges_each_builtin_patch_as_kubectl_replays_its_command():
-    """``rebuild_cluster`` merges each stored action's forward patch as a dict, with no command
-    text: for every built-in mutation, the store must be the one that replaying its forward
-    command through ``exec_kubectl`` gives, with the same digest and audit, and every policy's
-    keys in the same order, which the walk of a later patch follows."""
-    baseline = default_policies()
-    mutations = _builtin_mutations().values()
-    for mutation in mutations:
-        (_, command), = mutation.forward
         _, rebuilt = rebuild_cluster(GroundTruth(GT_RECOVERY_PREDICATE, cluster_digest(baseline),
                                                  hidden_injection=(mutation.action,)))
-        replayed = exec_kubectl(baseline, command)
-        assert replayed.kind == WRITE
-        assert cluster_digest(rebuilt) == cluster_digest(replayed.state)
-        assert connectivity_check(rebuilt) == connectivity_check(replayed.state)
-        assert json.dumps(dict(rebuilt)) == json.dumps(dict(replayed.state))
-    assert len(mutations) == 149
+        assert cluster_digest(rebuilt) == cluster_digest(broken)
+        assert connectivity_check(rebuilt) == connectivity_check(broken)
+        assert json.dumps(dict(rebuilt)) == json.dumps(dict(broken))
+    # distinct forward patches; AI takes no "" caller
+    assert len({_patch_cmd(m.forward[0]) for m in mutations}) == len(mutations) == 149
 
 
 # --- verdicts per turn ---------------------------------------------------------
