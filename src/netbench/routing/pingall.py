@@ -9,9 +9,9 @@ traverses the router.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, compress, permutations
+from itertools import chain, combinations, compress, permutations
 
-from .state import MIN_DATAGRAM_MTU, NetState, ip_to_int
+from .state import MIN_DATAGRAM_MTU, SUBNET_MASK, NetState, ip_to_int
 
 DEFAULT_DELAY_CEILING_MS = 10_000
 MAX_ROUTE_HOPS = 8
@@ -96,12 +96,11 @@ def render_summary(received: int, total: int) -> str:
     return f"*** Results: {dropped_pct}% dropped ({received}/{total} received)"
 
 
-def _iface_healthy(state: NetState, subnet: int) -> bool:
+def _iface_healthy(iface, gateway: str) -> bool:
     """Link up with a datagram-sized MTU, holding exactly the gateway address
     the hosts expect."""
-    iface = state.interfaces.get(state.iface_name(subnet))
     return (iface is not None and iface.up and iface.mtu >= MIN_DATAGRAM_MTU
-            and iface.ip == state.expected_gateway(subnet) and iface.mask == 24)
+            and iface.ip == gateway and iface.mask == 24)
 
 
 def _route_delivers(routes, own: set, addr: int, egress: str) -> bool:
@@ -131,34 +130,44 @@ def _route_delivers(routes, own: set, addr: int, egress: str) -> bool:
 class _Facts:
     """The pair-independent facts of one state, computed once per pingall.
 
-    Per subnet: interface health and whether its interface is delayed. Per
-    host: whether the routing table delivers to it, and its class key: its
-    subnet, its delivery, and per FORWARD filter that can match ICMP whether
-    the source and the destination prefix match its address. That is all
-    ``oneway`` reads of a host, so hosts of one class are judged alike; the
-    router is its own class. Globally: forwarding, and whether the total
-    delay is too much.
+    A cut is a route destination, or a source or destination prefix of a FORWARD
+    filter that can match ICMP, longer than /24: any shorter prefix holds all or none
+    of a subnet. A host's class key is its subnet and, per cut, whether its address
+    lies in it, so that the routing table and the filters treat hosts of one class
+    alike; the router is its own class. Per class, on its first node: its subnet,
+    whether the router reaches it (its subnet's interface is healthy and the routing
+    table delivers to it), and whether its subnet's interface is delayed. Globally:
+    forwarding, and whether the total delay is too much.
     """
 
     def __init__(self, state: NetState):
-        self.router = state.router_name
-        self.hosts = state.hosts
-        subnets = {h.subnet for h in state.hosts.values()}
-        self.healthy = {k: _iface_healthy(state, k) for k in subnets}
-        self.delayed = {k: state.delays.get(state.iface_name(k), 0) > 0 for k in subnets}
+        self.router = router = state.router_name
+        self.hosts = hosts = state.hosts
         self.forwarding = state.ip_forward and not state.prohibit_rules
         self.too_slow = sum(state.delays.values()) > DEFAULT_DELAY_CEILING_MS
-        own = state.router_own_ips()
-        egress = {k: state.iface_name(k) for k in subnets}
-        self.delivers = {name: _route_delivers(state.routes, own, h.addr, egress[h.subnet])
-                         for name, h in state.hosts.items()}
         # first match wins; injected sets are non-conflicting so any match blocks
         self.filters = [(*r.match, r.verdict in ("DROP", "REJECT")) for r in state.filter_rules
                         if r.chain == "FORWARD" and r.proto in (None, "icmp")]
-        self.key = {name: (h.subnet, self.delivers[name],
-                           *[(h.addr & f[1] == f[0], h.addr & f[3] == f[2]) for f in self.filters])
-                    for name, h in state.hosts.items()}
-        self.key[self.router] = None
+        prefixes = chain((r.match[:2] for r in state.routes),
+                         *((f[:2], f[2:4]) for f in self.filters))
+        cuts = [(net, mask) for net, mask in prefixes if mask > SUBNET_MASK]
+        self.key = {name: (h.subnet, *[h.addr & mask == net for net, mask in cuts])
+                    for name, h in hosts.items()}
+        self.key[router] = None
+        self.reps = {}  # class key -> the first node of the class
+        for node in state.topology.nodes:
+            self.reps.setdefault(self.key[node], node)
+        own, subnets = state.router_own_ips(), {}
+        for k in range(1, state.num_switches + 1):
+            dev = state.iface_name(k)
+            subnets[k] = (dev, _iface_healthy(state.interfaces.get(dev), state.expected_gateway(k)),
+                          state.delays.get(dev, 0) > 0)
+        self.node = {router: (None, True, False)}
+        for key, name in self.reps.items():
+            if key is not None:
+                dev, healthy, delayed = subnets[key[0]]
+                self.node[name] = (key[0], healthy and _route_delivers(
+                    state.routes, own, hosts[name].addr, dev), delayed)
 
     def _blocked(self, src: str, dst: str) -> bool:
         a, b = self.hosts[src].addr, self.hosts[dst].addr
@@ -167,47 +176,37 @@ class _Facts:
                 return blocks
         return False
 
-    def oneway(self, src: str, dst: str) -> tuple[bool, bool]:
-        """(delivered, crossed_delayed_iface) for a single packet src->dst."""
-        if src != self.router and dst != self.router:
-            a, b = self.hosts[src].subnet, self.hosts[dst].subnet
-            if a == b:
-                return True, False  # switch-local
-            if not (self.healthy[a] and self.healthy[b] and self.forwarding):
-                return False, False
-            if self._blocked(src, dst) or not self.delivers[dst]:
-                return False, False
-            return True, self.delayed[a] or self.delayed[b]
-
-        if src != self.router:  # host -> router: deliver to the subnet gateway address
-            a = self.hosts[src].subnet
-            return self.healthy[a], self.healthy[a] and self.delayed[a]
-
-        # router -> host: locally originated, uses the routing table
-        b = self.hosts[dst].subnet
-        if not (self.healthy[b] and self.delivers[dst]):
-            return False, False
-        return True, self.delayed[b]
-
     def pair(self, a: str, b: str) -> bool:
-        """Ping semantics: request and reply must both be deliverable, and a
-        pair crossing a delayed interface fails when the total delay is too much."""
-        fwd, d1 = self.oneway(a, b)
-        if not fwd:
+        """Ping semantics: request and reply must both be deliverable, and a pair
+        crossing a delayed interface fails when the total delay is too much. Symmetric:
+        the request of one direction is the reply of the other.
+
+        Within a subnet, traffic is switch-local. Between a host and the router, the
+        host's gateway takes the request and the routing table sends the reply. Between
+        subnets, the router also forwards, and its FORWARD filters see both packets.
+        """
+        (subnet_a, reached_a, delayed_a), (subnet_b, reached_b, delayed_b) = \
+            self.node[a], self.node[b]
+        if subnet_a == subnet_b:
+            return True
+        if not (reached_a and reached_b):
             return False
-        rev, d2 = self.oneway(b, a)
-        return rev and not ((d1 or d2) and self.too_slow)
+        if a != self.router and b != self.router and not (
+                self.forwarding and not self._blocked(a, b) and not self._blocked(b, a)):
+            return False
+        return not ((delayed_a or delayed_b) and self.too_slow)
 
 
 def pingall(state: NetState) -> PingMatrix:
-    """Judges one pair per ordered pair of host classes, and keeps the verdict in that form."""
+    """Judges one pair per unordered pair of host classes, and keeps the verdict in that
+    form."""
     facts = _Facts(state)
     nodes = state.node_names()
-    reps = {}  # class key -> the first node of the class
-    for node in nodes:
-        reps.setdefault(facts.key[node], node)
-    number = {key: i for i, key in enumerate(reps)}
+    reps = list(facts.reps.values())
+    number = {key: i for i, key in enumerate(facts.reps)}
     # two nodes of one class share a subnet, so they reach each other
-    verdict = [[a == b or facts.pair(a, b) for b in reps.values()] for a in reps.values()]
+    verdict = [[True] * len(reps) for _ in reps]
+    for i, j in combinations(range(len(reps)), 2):
+        verdict[i][j] = verdict[j][i] = facts.pair(reps[i], reps[j])
     return PingMatrix(nodes, ids=[number[facts.key[node]] for node in nodes], verdict=verdict,
                       pairs=state.topology.pairs)

@@ -8,9 +8,11 @@ interfaces, addresses, routes, filter rules, policy prohibitions,
 forwarding flag and netem delays.
 A state is a value: it and its elements are frozen, a write builds a new
 state that shares every element it leaves, and hosts, routes and filter
-rules parse their text when they are built. What no command writes (the
-prefix, the sizes and the hosts) is one ``Topology`` value that every state
-written from a built one shares, with the views that depend on it alone.
+rules hold their text parsed (``addr``, ``match``): their constructors parse
+it, and ``build_topology``, which builds its elements directly, sets it from
+the numbers it makes their text of. What no command writes (the prefix, the
+sizes and the hosts) is one ``Topology`` value that every state written from
+a built one shares, with the views that depend on it alone.
 """
 
 from __future__ import annotations
@@ -25,20 +27,28 @@ from ..errors import ParameterOutOfRange
 
 DEFAULT_MTU = 1500
 MIN_DATAGRAM_MTU = 576  # below this, IPv4 traffic is considered lost
+SUBNET_MASK = 0xFFFFFF00  # /24: the netmask of each subnet
+
+
+def built(cls, fields: dict, **changes):
+    """The frozen dataclass ``cls`` with ``fields`` updated by ``changes``, built directly:
+    it runs neither the frozen ``__init__``, which sets each field through
+    ``object.__setattr__``, nor ``__post_init__``, so the caller gives every field,
+    derived ones (``Host.addr``, ``Route.match``) included."""
+    new = object.__new__(cls)
+    new.__dict__.update(fields, **changes)
+    return new
 
 
 def changed(value, changes: dict):
     """``dataclasses.replace(value, **changes)`` for a frozen dataclass with no
-    ``__post_init__`` and no field outside ``__init__`` (``Interface``, ``NetState``), built
-    directly: it shares every other field, and neither walks the fields nor runs the frozen
-    ``__init__``, which sets each field through ``object.__setattr__``."""
+    ``__post_init__`` and no field outside ``__init__`` (``Interface``, ``NetState``), made by
+    ``built``: it shares every other field and does not walk the fields."""
     fields = value.__dict__
     unknown = changes.keys() - fields.keys()
     if unknown:
         raise TypeError(f"{type(value).__name__} has no field {sorted(unknown)}")
-    new = object.__new__(type(value))
-    new.__dict__.update(fields, **changes)
-    return new
+    return built(type(value), fields, **changes)
 
 
 @dataclass(frozen=True)
@@ -263,13 +273,15 @@ def build_topology(num_switches: int, hosts_per_subnet: int, prefix: str = "") -
 
     interfaces, hosts, routes = {}, {}, []
     for k in range(1, num_switches + 1):
-        gateway = NetState.expected_gateway(k)
-        iface = Interface(name=f"{prefix}r0-eth{k}", subnet=k, ip=gateway, mask=24)
-        interfaces[iface.name] = iface
-        routes.append(Route(dest=NetState.subnet_cidr(k), dev=iface.name))
-        for i in range(hosts_per_subnet):
+        gateway, dev = NetState.expected_gateway(k), f"{prefix}r0-eth{k}"
+        net = ip_to_int(f"192.168.{k}.0")
+        interfaces[dev] = built(Interface, {"name": dev, "subnet": k, "ip": gateway, "mask": 24,
+                                            "up": True, "mtu": DEFAULT_MTU})
+        routes.append(built(Route, {"dest": NetState.subnet_cidr(k), "dev": dev, "gateway": None,
+                                    "metric": 0, "match": (net, SUBNET_MASK, (24, 0))}))
+        for i in range(2, hosts_per_subnet + 2):
             name = f"{prefix}h{len(hosts) + 1}"
-            hosts[name] = Host(name=name, subnet=k, ip=f"192.168.{k}.{i + 2}", mask=24,
-                               gateway=gateway)
+            hosts[name] = built(Host, {"name": name, "subnet": k, "ip": f"192.168.{k}.{i}",
+                                       "mask": 24, "gateway": gateway, "addr": net | i})
     return NetState(Topology(prefix, num_switches, hosts_per_subnet, hosts), interfaces,
                     tuple(routes))

@@ -39,3 +39,68 @@ def test_each_listed_route_deleted_then_added_back_restores_the_state(level, see
             added = exec_command(deleted.state, router, f"ip route add {line}")
             assert (deleted.kind, added.kind) == (WRITE, WRITE), (line, added.output)
             assert added.state.state_digest() == digest, line
+
+
+def _states(truth):
+    """The healthy and the injected state of ``truth``, and each state its stored repair
+    passes through."""
+    healthy, state = rebuild_states(truth)
+    states = [healthy, state]
+    for machine, command in truth.recovery:
+        state = exec_command(state, machine, command).state
+        states.append(state)
+    return states
+
+
+@st.composite
+def inverse_pair(draw, state):
+    """Two router commands, each a write, the second undoing the first on ``state``."""
+    iface = draw(st.sampled_from(sorted(state.interfaces)))
+    current = state.interfaces[iface]
+    name = draw(st.sampled_from([iface, iface[len(state.prefix):]]))  # the prefix is optional
+    kind = draw(st.sampled_from(["ifconfig", "link", "mtu", "netem", "iptables", "rule",
+                                 "sysctl"]))
+    flip = ("down", "up") if current.up else ("up", "down")
+    if kind == "ifconfig":
+        return f"ifconfig {name} {flip[0]}", f"ifconfig {name} {flip[1]}"
+    if kind == "link":
+        dev = draw(st.sampled_from(["", "dev "]))
+        return f"ip link set {dev}{name} {flip[0]}", f"ip link set {dev}{name} {flip[1]}"
+    if kind == "mtu":
+        mtu = draw(st.integers(68, 9000))
+        return f"ip link set {name} mtu {mtu}", f"ip link set {name} mtu {current.mtu}"
+    if kind == "netem":
+        add = f"tc qdisc add dev {name} root netem delay {{}}ms"
+        if iface in state.delays:
+            return f"tc qdisc del dev {name} root", add.format(state.delays[iface])
+        return add.format(draw(st.integers(1, 20_000))), f"tc qdisc del dev {name} root"
+    if kind == "iptables":
+        k = draw(st.integers(1, state.num_switches))
+        flags = " ".join(draw(st.lists(st.sampled_from([
+            f"-s 192.168.{k}.0/24", f"-d 192.168.{k}.0/24", f"-d 192.168.{k}.2",
+            "-p icmp", "-p tcp"]), max_size=2, unique=True)))
+        rule = f"FORWARD {flags} -j {draw(st.sampled_from(['DROP', 'REJECT']))}"
+        return f"iptables -A {rule}", f"iptables -D {rule}"
+    if kind == "rule":
+        verbs = ("del", "add") if "from all" in state.prohibit_rules else ("add", "del")
+        return tuple(f"ip rule {verb} prohibit from all" for verb in verbs)
+    values = (0, 1) if state.ip_forward else (1, 0)
+    return tuple(f"sysctl -w net.ipv4.ip_forward={value}" for value in values)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+def test_each_write_and_its_inverse_restore_the_state(data, level, seed):
+    """Inverses: on the states a generated query passes through, an interface taken down
+    and up (or up and down) by ``ifconfig`` or ``ip link``, an MTU set and set back, a
+    netem delay added and deleted (or deleted and added back), an ``iptables`` rule
+    appended and deleted, a prohibit rule added and deleted and forwarding flipped and
+    flipped back are two writes that leave the state with the digest it had."""
+    _, truth = generate_routing_query(level, seed)
+    for state in _states(truth):
+        router, digest = state.router_name, state.state_digest()
+        first, second = data.draw(inverse_pair(state))
+        written = exec_command(state, router, first)
+        undone = exec_command(written.state, router, second)
+        assert (written.kind, undone.kind) == (WRITE, WRITE), (first, second, undone.output)
+        assert undone.state.state_digest() == digest, (first, second)

@@ -1,9 +1,13 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from netbench.routing import pingall as routing_pingall
 from netbench.routing.commands import exec_command
 from netbench.core.reactive import solved
+from netbench.routing.generate import generate_routing_query, rebuild_states
 from netbench.routing.pingall import DEFAULT_DELAY_CEILING_MS, pingall, render_summary
-from netbench.routing.state import build_topology
+from netbench.routing.state import build_topology, prefix_len
+from reference_kernels import ref_pingall
 
 
 def run(state, *cmds):
@@ -120,3 +124,29 @@ def test_pingall_symmetry_and_bounds(num_switches, hosts):
     # ping reachability is symmetric by construction (request+reply)
     for (a, b), ok in m.reachable.items():
         assert m.reachable[(b, a)] == ok
+
+
+@pytest.mark.parametrize("level,seed", [(1, 0), (2, 1), (3, 5), (2, 10)])
+def test_delivery_is_computed_per_class_not_per_host(monkeypatch, level, seed):
+    """With no prefix longer than /24, a subnet's hosts form one class, and the routing
+    table is consulted once per class; a host route splits its host from the class."""
+    state = rebuild_states(generate_routing_query(level, seed)[1])[1]
+    prefixes = [r.dest for r in state.routes] + [p for f in state.filter_rules
+                                                 for p in (f.src, f.dst) if p]
+    assert all(prefix_len(p) <= 24 for p in prefixes)  # no cut
+    lookups = []
+    route_delivers = routing_pingall._route_delivers
+    monkeypatch.setattr(routing_pingall, "_route_delivers",
+                        lambda *args: lookups.append(args) or route_delivers(*args))
+    before = pingall(state)
+    assert len(lookups) <= state.num_switches < len(state.hosts)
+
+    router = state.router_name
+    host = next(h for h in state.hosts.values() if before.reachable[(router, h.name)])
+    dev = state.iface_name(host.subnet)
+    split = exec_command(state, router,
+                         f"ip route replace {host.ip}/32 via 192.168.{host.subnet}.250 dev {dev}")
+    assert split.kind == "write", split.output
+    after = pingall(split.state)
+    assert after == ref_pingall(split.state)
+    assert not after.reachable[(router, host.name)]  # the host route is a blackhole

@@ -1,11 +1,12 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from netbench.digest import digest
 from netbench.errors import ParameterOutOfRange
 from netbench.routing.commands import exec_command
-from netbench.routing.state import FilterRule, Host, Route, build_topology, changed, \
-    ip_to_int, parse_cidr, prefix_len
+from netbench.routing.state import FilterRule, Host, Interface, Route, build_topology, \
+    changed, ip_to_int, parse_cidr, prefix_len
 
 
 def test_parameter_ranges_enforced():
@@ -83,6 +84,26 @@ def test_elements_parse_their_text_when_built():
         (*parse_cidr("192.168.1.0/24"), (24, -5))
     assert vars(FilterRule("FORWARD", "DROP", dst="192.168.1.0/24"))["match"] == \
         (0, 0, *parse_cidr("192.168.1.0/24"))
+
+
+@pytest.mark.parametrize("prefix", ["", "n7_"])
+@pytest.mark.parametrize("num_switches,hosts", [(n, h) for n in (2, 3, 4) for h in (2, 3, 4)])
+def test_built_elements_are_what_their_constructors_make(num_switches, hosts, prefix):
+    """``build_topology`` builds its elements directly; each must equal, field by field
+    (the derived ``addr`` and ``match`` too), what its dataclass constructor makes from
+    the same text, and stay frozen."""
+    state = build_topology(num_switches, hosts, prefix)
+    elements = [*state.hosts.values(), *state.interfaces.values(), *state.routes]
+    assert len(elements) == num_switches * (hosts + 2)
+    for element in elements:
+        given = {name: value for name, value in vars(element).items()
+                 if name not in ("addr", "match")}
+        assert vars(type(element)(**given)) == vars(element), element
+        for name in vars(element):
+            with pytest.raises(FrozenInstanceError):
+                setattr(element, name, None)
+    assert {type(e) for e in elements} == {Host, Interface, Route}
+    assert state.state_digest() == digest(state.to_json())
 
 
 def test_a_topology_holds_its_own_views():
