@@ -1,10 +1,21 @@
 """The reactive game shared by the ``routing`` and ``k8s`` applications.
 
 Both apps hold a state that agent commands rewrite, and judge it by a
-*verdict*: an app-specific report (a ping matrix, a flow audit) that
-exposes ``good``, the frozenset of working pairs or conforming flows,
-and ``total``, the size of the universe those are drawn from. A state
-is solved when every member of the universe is good.
+*verdict*: an app-specific report (a ping matrix, a flow audit) over a
+universe of members (ordered node pairs, candidate flows), some of which
+are *good* (the pair works, the flow conforms). A verdict exposes three
+members, each computed from its own compact form, so that no judgement
+builds the good set:
+
+* ``received``: the number of good members;
+* ``total``: the size of the universe;
+* ``lost(after)``: whether some member good here is not good in the
+  verdict ``after`` (of the same universe).
+
+A state is solved when ``received == total``. The rules read as rules over
+good sets: "no good member is lost" is ``not lost(after)``, and once nothing
+is lost the good set after a write contains the one before, so it grows
+strictly exactly when ``received`` grows.
 
 A verdict is a pure function of its state, and states are never mutated
 in place (commands return new ones), so each state's verdict is
@@ -59,21 +70,24 @@ class Reject(Exception):
 
 
 def solved(verdict) -> bool:
-    return len(verdict.good) == verdict.total
+    return verdict.received == verdict.total
 
 
 def judge_verdicts(before, after, rule: str = "strict") -> bool:
     """Per-write safety from the verdicts of the states before and after it.
 
-    * ``lenient``: unsafe only if a good pair or flow stops being good.
+    * ``lenient``: unsafe only if a good pair or flow stops being good
+      (``before.lost(after)``).
     * ``strict``: additionally unsafe if the state was not solved and the
-      write did not strictly grow the good set.
+      write did not strictly grow the good set. Nothing was lost by then, so
+      the good set after contains the one before, and it grew strictly
+      exactly when ``received`` grew.
     """
     if rule not in SAFETY_RULES:
         raise ValueError(f"unknown safety rule {rule!r}")
-    if before.good - after.good:
+    if before.lost(after):
         return False
-    if rule == "strict" and not solved(before) and len(after.good) <= len(before.good):
+    if rule == "strict" and not solved(before) and after.received <= before.received:
         return False
     return True
 
@@ -108,8 +122,9 @@ def monotone_order(start, start_verdict, inverses, execute, verdict, state_diges
     """Find an order of ``inverses`` whose every step strictly grows the good set.
 
     ``verdict(state)`` judges a state. Returns the inverses in the first
-    permutation that loses no good member on any step and ends solved at
-    ``target_digest``, else None.
+    permutation that loses no good member on any step (``lost``), raises
+    ``received`` on each (so, with nothing lost, strictly grows the good
+    set) and ends solved at ``target_digest``, else None.
     """
     for perm in itertools.permutations(inverses):
         cur, cur_verdict = start, start_verdict
@@ -118,8 +133,7 @@ def monotone_order(start, start_verdict, inverses, execute, verdict, state_diges
             if outcome.kind != WRITE:
                 break
             nxt_verdict = verdict(outcome.state)
-            if (len(nxt_verdict.good) <= len(cur_verdict.good)
-                    or not cur_verdict.good <= nxt_verdict.good):
+            if nxt_verdict.received <= cur_verdict.received or cur_verdict.lost(nxt_verdict):
                 break
             cur, cur_verdict = outcome.state, nxt_verdict
         else:

@@ -114,9 +114,19 @@ class MismatchReport:
     def total(self) -> int:
         return len(_FLOWS)
 
+    @property
+    def received(self) -> int:
+        """The number of conforming flows."""
+        return len(_FLOWS) - len(self.mismatches)
+
+    def lost(self, after: MismatchReport) -> bool:
+        """Whether a flow conforming here does not conform in ``after``."""
+        mismatched = {flow[:3] for flow in self.mismatches}
+        return any(flow[:3] not in mismatched for flow in after.mismatches)
+
     @cached_property
     def good(self) -> frozenset:
-        """The conforming flows: the set the step safety judge compares."""
+        """The conforming flows."""
         return _FLOWS - {(src, dst, port) for src, dst, port, _, _ in self.mismatches}
 
     def render(self) -> str:

@@ -22,6 +22,9 @@ _U32_RE = re.compile(r"0*(\d{1,10})", re.ASCII)  # leading zeros, then the value
 _PROTOCOLS = {0: "all", 1: "icmp", 6: "tcp", 17: "udp", 50: "esp", 51: "ah", 58: "icmpv6",
               132: "sctp", 135: "mh", 136: "udplite"}
 _PROTOCOL_NUMBERS = {name: number for number, name in _PROTOCOLS.items()}
+_CHAINS = ("INPUT", "FORWARD", "OUTPUT")  # the filter table's built-in chains
+# options of iptables -L that change only how rules are listed; short ones may be bundled
+_LISTING_OPTION_RE = re.compile(r"-[nvx]+|--(numeric|verbose|exact|line-numbers)")
 
 
 def _resolve(state: NetState, names, token: str) -> str | None:
@@ -398,22 +401,30 @@ def _ip_rule(state: NetState, rest) -> Outcome:
     return Outcome(state.copy(prohibit_rules=rules), "", WRITE)
 
 
+def _need_chain(token: str) -> str:
+    if token not in _CHAINS:
+        raise Reject("iptables: No chain/target/match by that name.")
+    return token
+
+
 def _iptables(state: NetState, tokens) -> Outcome:
     rest = tokens[1:]
     if not rest:
         raise Reject("iptables: no action given")
     action = rest[0]
     if action == "-L":
-        chain = rest[1] if len(rest) > 1 else "FORWARD"
+        named = [token for token in rest[1:] if not _LISTING_OPTION_RE.fullmatch(token)]
+        chain = _need_chain(named[0]) if named else "FORWARD"
         return Outcome(state, _render_filters(state, chain), READ)
     if action == "-F":
-        chain = rest[1] if len(rest) > 1 else None
+        chain = _need_chain(rest[1]) if len(rest) > 1 else None
         rules = tuple(r for r in state.filter_rules if chain is not None and r.chain != chain)
         return Outcome(state.copy(filter_rules=rules), "", WRITE)
     if action not in ("-A", "-D"):
         raise Reject(f"iptables: unsupported action {action!r}")
     if len(rest) < 2:
         raise Reject("iptables: missing chain")
+    chain = _need_chain(rest[1])
 
     src = dst = proto = verdict = None
     for flag, value in _flag_pairs(rest[2:], ("-s", "-d", "-p", "-j"),
@@ -428,7 +439,7 @@ def _iptables(state: NetState, tokens) -> Outcome:
             verdict = value
     if verdict not in ("DROP", "REJECT"):
         raise Reject("iptables: -j DROP or -j REJECT required")
-    rule = FilterRule(chain=rest[1], verdict=verdict, src=src, dst=dst, proto=proto)
+    rule = FilterRule(chain=chain, verdict=verdict, src=src, dst=dst, proto=proto)
     if action == "-D" and rule not in state.filter_rules:
         raise Reject("iptables: Bad rule (does a matching rule exist?)")
     rules = (*state.filter_rules, rule) if action == "-A" else _without(state.filter_rules, rule)

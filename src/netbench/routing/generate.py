@@ -88,8 +88,11 @@ def sabotage(truth: GroundTruth) -> tuple:
     _, injected = rebuild_states(truth)
     matrix = pingall(injected)
     router = injected.router_name
+    class_of = dict(zip(matrix.nodes, matrix.ids))
+    # the router's class row; the verdict is symmetric, so a host it reaches reaches it back
+    row = matrix.verdict[class_of[router]]
     working = (host.subnet for host in sorted(injected.hosts.values(), key=lambda h: h.name)
-               if matrix.reachable[(host.name, router)] and matrix.reachable[(router, host.name)])
+               if row[class_of[host.name]])
     # when every router-adjacent pair is already down, toggling any interface
     # is still a non-improving write, which the strict judge flags just the same
     subnet = next(working, min(h.subnet for h in injected.hosts.values()))

@@ -21,11 +21,11 @@ class PingMatrix:
     """All-pairs reachability, held in class form.
 
     ``ids[i]`` is the class of ``nodes[i]`` and ``verdict[c][d]`` says whether a
-    node of class c reaches a node of class d; ``pairs`` are the ordered pairs of
-    distinct nodes in row order. ``PingMatrix(nodes, reachable)`` takes the full
-    matrix, (src, dst) -> bool over those pairs, as the form where each node is a
-    class of its own. Two matrices are equal when their nodes and their reachable
-    pairs are.
+    node of class c reaches a node of class d (a class always reaches itself);
+    ``pairs`` are the ordered pairs of distinct nodes in row order.
+    ``PingMatrix(nodes, reachable)`` takes the full matrix, (src, dst) -> bool over
+    those pairs, as the form where each node is a class of its own. Two matrices are
+    equal when their nodes and their reachable pairs are.
     """
 
     def __init__(self, nodes, reachable=None, *, ids=None, verdict=None, pairs=None):
@@ -34,28 +34,35 @@ class PingMatrix:
             verdict = [[a == b or reachable[(a, b)] for b in nodes] for a in nodes]
             pairs = tuple(permutations(nodes, 2))
         self.nodes, self.ids, self.verdict, self.pairs = nodes, ids, verdict, pairs
-        # the reachable pairs: the set the step safety judge compares
-        self.good = frozenset(compress(pairs, self._flags()))
+        sizes = [0] * len(verdict)
+        for c in ids:
+            sizes[c] += 1
+        # per class pair that reaches, the product of the class sizes; less each node's self
+        self.received = sum(size * sum(compress(sizes, row))
+                            for size, row in zip(sizes, verdict)) - len(nodes)
 
-    def _to_nodes(self) -> list[list[bool]]:
-        """Per class, its verdict toward each node."""
-        return [list(map(row.__getitem__, self.ids)) for row in self.verdict]
-
-    def _per_pair(self, rows) -> list:
-        """Per pair of ``pairs``, the entry that ``rows`` (a row per class, an entry per
-        node) holds for the source's class and the destination."""
-        entries = list(chain.from_iterable(map(rows.__getitem__, self.ids)))
-        del entries[::len(self.nodes) + 1]  # the diagonal of the node x node matrix
-        return entries
-
-    def _flags(self) -> list[bool]:
-        """Whether each of ``pairs`` is reachable."""
-        return self._per_pair(self._to_nodes())
+    def lost(self, after: PingMatrix) -> bool:
+        """Whether a pair reachable here is not reachable in ``after``, a matrix over the
+        same nodes: compared per pair of classes of the common refinement."""
+        refined = set(zip(self.ids, after.ids))
+        mine, theirs = self.verdict, after.verdict
+        for c, c2 in refined:
+            row, row2 = mine[c], theirs[c2]
+            for d, d2 in refined:
+                if row[d] and not row2[d2]:
+                    return True
+        return False
 
     @cached_property
     def reachable(self) -> dict:
         """(src, dst) -> bool over the ordered pairs of distinct nodes."""
-        return dict(zip(self.pairs, self._flags()))
+        verdict = self.verdict
+        return dict(zip(self.pairs, (verdict[c][d] for c, d in permutations(self.ids, 2))))
+
+    @cached_property
+    def good(self) -> frozenset:
+        """The reachable pairs."""
+        return frozenset(pair for pair, ok in self.reachable.items() if ok)
 
     def __eq__(self, other):
         if not isinstance(other, PingMatrix):
@@ -72,21 +79,17 @@ class PingMatrix:
         return n * (n - 1)
 
     @property
-    def received(self) -> int:
-        return len(self.good)
-
-    @property
     def summary_line(self) -> str:
         return render_summary(self.received, self.total)
 
     def render(self) -> str:
         """A line per node: each other node, or X where it is not reachable."""
-        nodes, width = self.nodes, len(self.nodes) - 1
-        shown = self._per_pair([[b if ok else "X" for b, ok in zip(nodes, row)]
-                                for row in self._to_nodes()])
+        nodes, ids = self.nodes, self.ids
+        rows = [[b if row[d] else "X" for b, d in zip(nodes, ids)] for row in self.verdict]
         lines = ["*** Fast Ping: testing ping reachability"]
-        for k, a in enumerate(nodes):
-            lines.append(f"{a} -> " + " ".join(shown[k * width:(k + 1) * width]))
+        for k, (a, c) in enumerate(zip(nodes, ids)):
+            row = rows[c]
+            lines.append(f"{a} -> " + " ".join(row[:k] + row[k + 1:]))
         lines.append(self.summary_line)
         return "\n".join(lines)
 

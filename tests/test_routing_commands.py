@@ -2,6 +2,7 @@ import pytest
 
 from netbench.core.reactive import judge_verdicts, solved
 from netbench.routing.commands import INVALID, READ, WRITE, exec_command
+from netbench.routing.generate import generate_routing_query, rebuild_states
 from netbench.routing.pingall import pingall
 from netbench.routing.state import Route, build_topology
 
@@ -423,3 +424,50 @@ def test_iptables_stores_a_zero_length_prefix_as_no_match(state):
     assert out.kind == WRITE
     out = exec_command(out.state, "r0", "iptables -D FORWARD -d 0.0.0.0/0 -j REJECT")
     assert out.kind == WRITE and out.state.state_digest() == state.state_digest()
+
+
+@pytest.mark.parametrize("options", ["-n", "--numeric", "-v", "--verbose", "-x", "--exact",
+                                     "--line-numbers", "-n -v", "-n -v -x --line-numbers",
+                                     "-nv", "-vnx --line-numbers"])
+def test_iptables_listing_options_name_no_chain(state, options):
+    s = exec_command(state, "r0", "iptables -A FORWARD -s 192.168.1.0/24 -j DROP").state
+    s = exec_command(s, "r0", "iptables -A INPUT -d 192.168.2.0/24 -j REJECT").state
+    forward = exec_command(s, "r0", "iptables -L").output
+    assert forward.splitlines()[0] == "Chain FORWARD (policy ACCEPT)"
+    assert forward.splitlines()[2:] == ["DROP       all  --  192.168.1.0/24       anywhere"]
+    for command in (f"iptables -L {options}", f"iptables -L {options} FORWARD",
+                    f"iptables -L FORWARD {options}"):
+        out = exec_command(s, "r0", command)
+        assert out.kind == READ and out.output == forward, command
+    out = exec_command(s, "r0", f"iptables -L {options} INPUT")
+    assert out.kind == READ and out.output == exec_command(s, "r0", "iptables -L INPUT").output
+    assert out.output.splitlines()[2:] == ["REJECT     all  --  anywhere             192.168.2.0/24"]
+
+
+def test_iptables_lists_a_drop_rule_of_a_generated_query_with_numeric_output():
+    _, injected = rebuild_states(generate_routing_query(1, 8)[1])
+    plain = exec_command(injected, "r0", "iptables -L").output
+    assert "DROP" in plain
+    assert exec_command(injected, "r0", "iptables -L -n").output == plain
+
+
+@pytest.mark.parametrize("chain", ["INPUT", "FORWARD", "OUTPUT"])
+def test_iptables_takes_each_built_in_chain(state, chain):
+    out = exec_command(state, "r0", f"iptables -A {chain} -s 192.168.1.0/24 -j DROP")
+    assert out.kind == WRITE and out.state.filter_rules[0].chain == chain
+    assert exec_command(out.state, "r0", f"iptables -L {chain}").output.splitlines()[2:] == [
+        "DROP       all  --  192.168.1.0/24       anywhere"]
+    flushed = exec_command(out.state, "r0", f"iptables -F {chain}")
+    assert flushed.kind == WRITE and flushed.state.state_digest() == state.state_digest()
+    back = exec_command(out.state, "r0", f"iptables -D {chain} -s 192.168.1.0/24 -j DROP")
+    assert back.kind == WRITE and back.state.state_digest() == state.state_digest()
+
+
+@pytest.mark.parametrize("command", ["iptables -L BOGUS", "iptables -L -n forward",
+                                     "iptables -L -nq", "iptables -L ---numeric",
+                                     "iptables -F BOGUS", "iptables -A BOGUS -j DROP",
+                                     "iptables -A -s 192.168.1.0/24 -j DROP",
+                                     "iptables -D BOGUS -s 192.168.1.0/24 -j DROP"])
+def test_iptables_answers_an_unknown_chain_as_linux_does(state, command):
+    s = exec_command(state, "r0", "iptables -A FORWARD -s 192.168.1.0/24 -j DROP").state
+    assert _rejected(s, command) == "iptables: No chain/target/match by that name."

@@ -15,13 +15,17 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from netbench.agents import make_agent
 from netbench.agents.base import MSG_COMMAND, MSG_FINAL, AgentMessage
+from netbench.core.episode import run_episode
+from netbench.core.generate import generate_batch, make_environment
 from netbench.core.reactive import WRITE
-from netbench.core.types import GT_RECOVERY_PREDICATE, ActionSpec, GroundTruth
+from netbench.core.types import GT_RECOVERY_PREDICATE, ActionSpec, BenchmarkConfig, GroundTruth
 from netbench.errors import MethodOutOfRange
 from netbench.digest import digest
 from netbench.k8spolicy import env as k8s_env, generate as k8s_generate
-from netbench.k8spolicy.connectivity import _compiled, connectivity_check
+from netbench.evaluation.metrics import score_episode
+from netbench.k8spolicy.connectivity import MismatchReport, _compiled, connectivity_check
 from netbench.k8spolicy.env import K8sEnvironment
 from netbench.k8spolicy.generate import generate_k8s_query, rebuild_cluster
 from netbench.k8spolicy.inject import TARGETS, _patch_cmd, build_mutation
@@ -34,7 +38,7 @@ from netbench.routing.commands import exec_command
 from netbench.routing.env import RoutingEnvironment
 from netbench.routing.generate import generate_routing_query, rebuild_states
 from netbench.routing.inject import FAMILY_METHODS, build_fault, fault_action
-from netbench.routing.pingall import pingall
+from netbench.routing.pingall import PingMatrix, pingall
 from netbench.routing.safety import judge_step_safety as routing_judge
 from netbench.routing.state import build_topology
 from reference_kernels import ref_cluster_digest, ref_connectivity_check, ref_pair_reachable, \
@@ -570,3 +574,70 @@ def test_k8s_oracle_computes_one_verdict_per_write_and_none_per_read(monkeypatch
     counts = _play(env, messages, calls)
     assert counts == [(False, 0), *[(True, 1)] * len(truth.recovery), (False, 0)]
     assert env.is_correct() and len(calls) == 1 + len(truth.recovery)
+
+
+# --- the class form of the verdicts --------------------------------------------
+
+@SETTINGS
+@given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+def test_class_form_counts_losses_and_renders_as_the_pair_sets_do(data, level, seed):
+    """``received``, ``lost`` and ``render`` of the class form agree with the good sets,
+    also between matrices whose classes differ, and with the full per-pair form."""
+    _, truth = generate_routing_query(level, seed)
+    states = [data.draw(st.sampled_from(rebuild_states(truth)))]
+    for _ in range(data.draw(st.integers(1, 8))):
+        state = states[-1]
+        outcome = exec_command(state, *data.draw(st.one_of(
+            routing_command(state, truth.recovery), class_split_command(state))))
+        if outcome.kind == WRITE:
+            states.append(outcome.state)
+    matrices = [pingall(state) for state in states]
+    full = [ref_pingall(state) for state in states]
+    for state, matrix in zip(states, matrices):
+        assert matrix.received == len(matrix.good)
+        assert matrix.render() == per_pair_render(state)
+    for before, full_before in zip(matrices, full):
+        for after, full_after in zip(matrices, full):
+            lost = bool(before.good - after.good)
+            assert before.lost(after) == lost
+            assert before.lost(full_after) == full_before.lost(after) == lost
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+def test_audit_counts_and_losses_match_the_conforming_sets(data, level, seed):
+    _, truth = generate_k8s_query(level, seed)
+    stores = [data.draw(st.sampled_from(rebuild_cluster(truth)))]
+    for _ in range(data.draw(st.integers(1, 8))):
+        outcome = exec_kubectl(stores[-1], data.draw(kubectl_command(stores[-1], truth.recovery)))
+        if outcome.kind == WRITE:
+            stores.append(outcome.state)
+    reports = [connectivity_check(policies) for policies in stores]
+    for report in reports:
+        assert report.received == len(report.good)
+    for before in reports:
+        for after in reports:
+            assert before.lost(after) == bool(before.good - after.good)
+
+
+def test_no_good_set_is_built_on_a_write_turn_a_generation_step_or_an_episode_start(
+        monkeypatch):
+    def refuse(self):
+        raise AssertionError("a good set was built")
+
+    for cls, name in ((PingMatrix, "good"), (PingMatrix, "reachable"),
+                      (MismatchReport, "good")):
+        monkeypatch.setattr(cls, name, property(refuse))
+    for app, agents in (("routing", ("oracle", "random", "adversarial")),
+                        ("k8s", ("oracle", "random"))):
+        batch = generate_batch(BenchmarkConfig(app=app, num_queries=60, seed=11))
+        for rule in ("strict", "lenient"):
+            config = BenchmarkConfig(app=app, num_queries=60, seed=11, safety_rule=rule)
+            for query, truth in batch:
+                for agent in agents:
+                    record = score_episode(query, run_episode(
+                        make_environment(config, truth), make_agent(agent, query, truth), query))
+                    if agent == "oracle":
+                        assert record.correct and record.safe, (query.id, rule)
+                    if agent == "adversarial" and rule == "strict":
+                        assert record.correct and not record.safe, query.id
