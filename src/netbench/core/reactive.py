@@ -28,10 +28,11 @@ very input state. The environment goes through it. Generation, injection
 replay and the recovery-order search take a replay ``execute(state, *write)``
 instead, and an :class:`Injection`, which each app's builder makes of a
 recorded ``ActionSpec``, holds its writes in the form that replay takes:
-routing's are (machine, command) pairs for its interpreter, and k8s's are
-(policy, merge patch) pairs, merged without kubectl's validation. A batch
-stores each repair as the (machine, command) pair that ``repair`` renders
-of an inverse write.
+routing's are (apply, machine, command) triples, made by ``apply``, one of
+its interpreter's state transforms over typed operands, and k8s's are
+(policy, merge patch) pairs, merged without kubectl's validation; neither
+parses command text. A batch stores each repair as the (machine, command)
+pair that ``repair`` renders of an inverse write.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class Injection:
 
 
 class Reject(Exception):
-    """An invalid command, whose message is its output; only an interpreter catches it."""
+    """An invalid command, whose message is its output; only an interpreter, or an app's
+    replay ``execute``, catches it."""
 
 
 def solved(verdict) -> bool:

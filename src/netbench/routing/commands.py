@@ -4,7 +4,9 @@ Every agent-visible interaction goes through :func:`exec_command`. The
 grammar covers the standard Linux diagnostic and repair commands for
 this topology; anything else (notably ``vtysh`` and ``ping``) yields a
 diagnostic string, never an exception. States are values: a write
-returns a new state, made once the command is known to be valid.
+returns a new state, made once the command is known to be valid, by one
+named state transform over the parsed operands, which the built-in faults
+of ``routing.inject`` call directly.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ _PROTOCOL_NUMBERS = {name: number for number, name in _PROTOCOLS.items()}
 _CHAINS = ("INPUT", "FORWARD", "OUTPUT")  # the filter table's built-in chains
 # options of iptables -L that change only how rules are listed; short ones may be bundled
 _LISTING_OPTION_RE = re.compile(r"-[nvx]+|--(numeric|verbose|exact|line-numbers)")
+_LIST_ACTION_RE = re.compile(r"-[nvx]*L")  # -L, with short listing options bundled before it
+_REJECT_WITH = "icmp-port-unreachable"  # the reply of a REJECT rule, the only one modelled
 
 
 def _resolve(state: NetState, names, token: str) -> str | None:
@@ -96,6 +100,25 @@ def _render_filters(state: NetState, chain: str = "FORWARD") -> str:
     return "\n".join(lines)
 
 
+def _rule_spec(rule: FilterRule) -> str:
+    """The ``-A`` line that re-creates ``rule``, as ``iptables -S`` prints it."""
+    words = ["-A", rule.chain]
+    for flag, value in (("-s", rule.src), ("-d", rule.dst), ("-p", rule.proto)):
+        if value is not None:
+            words += [flag, value]
+    words += ["-j", rule.verdict]
+    if rule.verdict == "REJECT":
+        words += ["--reject-with", _REJECT_WITH]
+    return " ".join(words)
+
+
+def _render_specs(state: NetState, chains) -> str:
+    """``iptables -S``: the chains' policies, then their rules, chain by chain."""
+    return "\n".join([*(f"-P {chain} ACCEPT" for chain in chains),
+                      *(_rule_spec(r) for chain in chains
+                        for r in state.filter_rules if r.chain == chain)])
+
+
 def _render_rules(state: NetState) -> str:
     lines = ["0:\tfrom all lookup local",
              "32766:\tfrom all lookup main"]
@@ -114,6 +137,104 @@ def _render_qdiscs(state: NetState) -> str:
 def _render_host(state: NetState, host) -> str:
     return (f"{host.name}-eth0: inet {host.ip}/{host.mask}\n"
             f"default via {host.gateway} dev {host.name}-eth0")
+
+
+# --- writes -----------------------------------------------------------------
+# Each transform takes its operands in the form the parser gives them: interface names
+# resolved, prefixes in canonical text, ``Route`` and ``FilterRule`` values. It raises
+# ``Reject`` where Linux refuses the write in the state it is given.
+
+def _without(items: tuple, item) -> tuple:
+    """``items`` without its first element equal to ``item``, as ``list.remove`` drops it."""
+    i = items.index(item)
+    return items[:i] + items[i + 1:]
+
+
+def set_interface(state: NetState, iface: str, **fields) -> Outcome:
+    """Set ``fields`` of interface ``iface``."""
+    interfaces = {**state.interfaces, iface: changed(state.interfaces[iface], fields)}
+    return Outcome(state.copy(interfaces=interfaces), "", WRITE)
+
+
+def add_address(state: NetState, iface: str, ip: str, mask: int) -> Outcome:
+    if state.interfaces[iface].ip is not None:
+        raise Reject("RTNETLINK answers: File exists")
+    return set_interface(state, iface, ip=ip, mask=mask)
+
+
+def delete_address(state: NetState, iface: str, ip: str, mask: int) -> Outcome:
+    current = state.interfaces[iface]
+    if current.ip != ip or current.mask != mask:
+        raise Reject("RTNETLINK answers: Cannot assign requested address")
+    return set_interface(state, iface, ip=None, mask=None)
+
+
+def add_route(state: NetState, route: Route) -> Outcome:
+    """One route per destination and metric, so no two routes tie in a lookup."""
+    if any(r.dest == route.dest and r.metric == route.metric for r in state.routes):
+        raise Reject("RTNETLINK answers: File exists")
+    return Outcome(state.copy(routes=(*state.routes, route)), "", WRITE)
+
+
+def replace_route(state: NetState, route: Route) -> Outcome:
+    routes = tuple(r for r in state.routes if r.dest != route.dest)
+    return Outcome(state.copy(routes=(*routes, route)), "", WRITE)
+
+
+def delete_route(state: NetState, route: Route) -> Outcome:
+    """Remove ``route``, one the table holds."""
+    return Outcome(state.copy(routes=_without(state.routes, route)), "", WRITE)
+
+
+def append_rule(state: NetState, rule: FilterRule) -> Outcome:
+    return Outcome(state.copy(filter_rules=(*state.filter_rules, rule)), "", WRITE)
+
+
+def delete_rule(state: NetState, rule: FilterRule) -> Outcome:
+    if rule not in state.filter_rules:
+        raise Reject("iptables: Bad rule (does a matching rule exist?)")
+    return Outcome(state.copy(filter_rules=_without(state.filter_rules, rule)), "", WRITE)
+
+
+def flush_rules(state: NetState, chain: str | None) -> Outcome:
+    """Remove the rules of ``chain``, or of every chain for None."""
+    rules = tuple(r for r in state.filter_rules if chain is not None and r.chain != chain)
+    return Outcome(state.copy(filter_rules=rules), "", WRITE)
+
+
+def add_prohibit(state: NetState, spec: str) -> Outcome:
+    if spec in state.prohibit_rules:
+        raise Reject("RTNETLINK answers: File exists")
+    return Outcome(state.copy(prohibit_rules=(*state.prohibit_rules, spec)), "", WRITE)
+
+
+def delete_prohibit(state: NetState, spec: str) -> Outcome:
+    if spec not in state.prohibit_rules:
+        raise Reject("RTNETLINK answers: No such file or directory")
+    return Outcome(state.copy(prohibit_rules=_without(state.prohibit_rules, spec)), "", WRITE)
+
+
+def set_forwarding(state: NetState, on: bool) -> Outcome:
+    return Outcome(state.copy(ip_forward=on), f"net.ipv4.ip_forward = {int(on)}", WRITE)
+
+
+def set_delay(state: NetState, iface: str, ms: int, create: bool = True,
+              exclusive: bool = False) -> Outcome:
+    """Give ``iface`` a netem delay of ``ms``. ``create`` and ``exclusive`` are the netlink
+    flags NLM_F_CREATE and NLM_F_EXCL: ``tc qdisc replace`` sets the first, ``add`` both and
+    ``change`` neither."""
+    if exclusive and iface in state.delays:
+        raise Reject("Error: Exclusivity flag on, cannot modify.")
+    if not create and iface not in state.delays:
+        raise Reject("Error: Qdisc not found. To create specify NLM_F_CREATE flag.")
+    return Outcome(state.copy(delays={**state.delays, iface: ms}), "", WRITE)
+
+
+def delete_delay(state: NetState, iface: str) -> Outcome:
+    if iface not in state.delays:
+        raise Reject("Error: Invalid handle.")
+    delays = {name: ms for name, ms in state.delays.items() if name != iface}
+    return Outcome(state.copy(delays=delays), "", WRITE)
 
 
 # --- interpreter ------------------------------------------------------------
@@ -225,18 +346,6 @@ def _need_proto(token: str) -> str | None:
     return _PROTOCOLS.get(number, str(number)) if number else None
 
 
-def _without(items: tuple, item) -> tuple:
-    """``items`` without its first element equal to ``item``, as ``list.remove`` drops it."""
-    i = items.index(item)
-    return items[:i] + items[i + 1:]
-
-
-def _set_iface(state: NetState, iface: str, **fields) -> Outcome:
-    """The write that sets ``fields`` of interface ``iface``."""
-    interfaces = {**state.interfaces, iface: changed(state.interfaces[iface], fields)}
-    return Outcome(state.copy(interfaces=interfaces), "", WRITE)
-
-
 def _exec_on_host(state: NetState, node: str, tokens) -> Outcome:
     if tokens == ["ifconfig"] or tokens[:2] in (["ip", "addr"], ["ip", "route"]):
         return Outcome(state, _render_host(state, state.hosts[node]), READ)
@@ -250,7 +359,7 @@ def _ifconfig(state: NetState, tokens) -> Outcome:
     if len(tokens) == 2:
         return Outcome(state, _render_iface(state.interfaces[iface], "ifconfig"), READ)
     if len(tokens) == 3 and tokens[2] in ("up", "down"):
-        return _set_iface(state, iface, up=tokens[2] == "up")
+        return set_interface(state, iface, up=tokens[2] == "up")
     raise Reject(f"ifconfig: unsupported arguments: {' '.join(tokens[2:])}")
 
 
@@ -277,21 +386,18 @@ def _ip_addr(state: NetState, rest) -> Outcome:
     if verb == "flush":
         if len(rest) != 3 or rest[1] != "dev":
             raise Reject("usage: ip addr flush dev <iface>")
-        return _set_iface(state, _need_iface(state, rest[2]), ip=None, mask=None)
+        return set_interface(state, _need_iface(state, rest[2]), ip=None, mask=None)
     if verb not in ("add", "del", "replace"):
         raise Reject(f"ip addr: unknown verb {verb!r}")
     if len(rest) != 4 or rest[2] != "dev":
         raise Reject(f"usage: ip addr {verb} <addr>/<mask> dev <iface>")
     ip, mask = _need_cidr(rest[1]).split("/")
     iface = _need_iface(state, rest[3])
-    current = state.interfaces[iface]
-    if verb == "add" and current.ip is not None:
-        raise Reject("RTNETLINK answers: File exists")
+    if verb == "add":
+        return add_address(state, iface, ip, int(mask))
     if verb == "del":
-        if current.ip != ip or current.mask != int(mask):
-            raise Reject("RTNETLINK answers: Cannot assign requested address")
-        return _set_iface(state, iface, ip=None, mask=None)
-    return _set_iface(state, iface, ip=ip, mask=int(mask))
+        return delete_address(state, iface, ip, int(mask))
+    return set_interface(state, iface, ip=ip, mask=int(mask))
 
 
 def _ip_link(state: NetState, rest) -> Outcome:
@@ -306,12 +412,12 @@ def _ip_link(state: NetState, rest) -> Outcome:
         raise Reject("usage: ip link set <iface> up|down|mtu <bytes>")
     iface = _need_iface(state, args[0])
     if args[1] in ("up", "down") and len(args) == 2:
-        return _set_iface(state, iface, up=args[1] == "up")
+        return set_interface(state, iface, up=args[1] == "up")
     if args[1] == "mtu" and len(args) == 3:
         mtu = _need_int(args[2], "mtu")
         if mtu < 68:
             raise Reject("Error: mtu less than device minimum")
-        return _set_iface(state, iface, mtu=mtu)
+        return set_interface(state, iface, mtu=mtu)
     raise Reject(f"ip link set: unsupported arguments: {' '.join(args[1:])}")
 
 
@@ -370,18 +476,10 @@ def _ip_route(state: NetState, rest) -> Outcome:
         if not matching:
             raise Reject("RTNETLINK answers: No such process")
         # as in Linux, whose table keeps a prefix's routes in ascending metric order
-        lowest = min(matching, key=lambda r: r.metric)
-        return Outcome(state.copy(routes=_without(state.routes, lowest)), "", WRITE)
+        return delete_route(state, min(matching, key=lambda r: r.metric))
 
     route = _parse_route_args(state, rest[1:])
-    # add: one route per destination and metric, so no two routes tie in a lookup
-    if verb == "add" and any(r.dest == route.dest and r.metric == route.metric
-                             for r in state.routes):
-        raise Reject("RTNETLINK answers: File exists")
-    routes = state.routes
-    if verb == "replace":
-        routes = tuple(r for r in routes if r.dest != route.dest)
-    return Outcome(state.copy(routes=(*routes, route)), "", WRITE)
+    return (add_route if verb == "add" else replace_route)(state, route)
 
 
 def _ip_rule(state: NetState, rest) -> Outcome:
@@ -393,12 +491,7 @@ def _ip_rule(state: NetState, rest) -> Outcome:
     if "prohibit" not in rest[1:]:
         raise Reject("ip rule: only prohibit rules are supported")
     spec = " ".join(t for t in rest[1:] if t != "prohibit") or "from all"
-    if verb == "add" and spec in state.prohibit_rules:
-        raise Reject("RTNETLINK answers: File exists")
-    if verb == "del" and spec not in state.prohibit_rules:
-        raise Reject("RTNETLINK answers: No such file or directory")
-    rules = (*state.prohibit_rules, spec) if verb == "add" else _without(state.prohibit_rules, spec)
-    return Outcome(state.copy(prohibit_rules=rules), "", WRITE)
+    return (add_prohibit if verb == "add" else delete_prohibit)(state, spec)
 
 
 def _need_chain(token: str) -> str:
@@ -409,17 +502,24 @@ def _need_chain(token: str) -> str:
 
 def _iptables(state: NetState, tokens) -> Outcome:
     rest = tokens[1:]
+    # listing options may also come before -L, or be bundled into it (-nvL)
+    lead = 0
+    while lead < len(rest) - 1 and _LISTING_OPTION_RE.fullmatch(rest[lead]):
+        lead += 1
+    if rest and _LIST_ACTION_RE.fullmatch(rest[lead]):
+        named = [token for token in rest[lead + 1:] if not _LISTING_OPTION_RE.fullmatch(token)]
+        chains = (_need_chain(named[0]),) if named else _CHAINS
+        return Outcome(state, "\n\n".join(_render_filters(state, c) for c in chains), READ)
     if not rest:
         raise Reject("iptables: no action given")
     action = rest[0]
-    if action == "-L":
-        named = [token for token in rest[1:] if not _LISTING_OPTION_RE.fullmatch(token)]
-        chain = _need_chain(named[0]) if named else "FORWARD"
-        return Outcome(state, _render_filters(state, chain), READ)
+    if action == "-S":
+        if len(rest) > 2:
+            raise Reject(f"iptables: unsupported argument {rest[2]!r}")
+        chains = (_need_chain(rest[1]),) if len(rest) > 1 else _CHAINS
+        return Outcome(state, _render_specs(state, chains), READ)
     if action == "-F":
-        chain = _need_chain(rest[1]) if len(rest) > 1 else None
-        rules = tuple(r for r in state.filter_rules if chain is not None and r.chain != chain)
-        return Outcome(state.copy(filter_rules=rules), "", WRITE)
+        return flush_rules(state, _need_chain(rest[1]) if len(rest) > 1 else None)
     if action not in ("-A", "-D"):
         raise Reject(f"iptables: unsupported action {action!r}")
     if len(rest) < 2:
@@ -427,7 +527,7 @@ def _iptables(state: NetState, tokens) -> Outcome:
     chain = _need_chain(rest[1])
 
     src = dst = proto = verdict = None
-    for flag, value in _flag_pairs(rest[2:], ("-s", "-d", "-p", "-j"),
+    for flag, value in _flag_pairs(rest[2:], ("-s", "-d", "-p", "-j", "--reject-with"),
                                    "iptables: unsupported flag"):
         if flag == "-s":
             src = _need_host_or_cidr(value)
@@ -435,15 +535,16 @@ def _iptables(state: NetState, tokens) -> Outcome:
             dst = _need_host_or_cidr(value)
         elif flag == "-p":
             proto = _need_proto(value)
-        else:
+        elif flag == "-j":
             verdict = value
+        elif verdict != "REJECT":  # an option of the REJECT target, so only after it
+            raise Reject('iptables: unknown option "--reject-with"')
+        elif value != _REJECT_WITH:
+            raise Reject(f"iptables: unsupported reject type {value!r}; only {_REJECT_WITH}")
     if verdict not in ("DROP", "REJECT"):
         raise Reject("iptables: -j DROP or -j REJECT required")
     rule = FilterRule(chain=chain, verdict=verdict, src=src, dst=dst, proto=proto)
-    if action == "-D" and rule not in state.filter_rules:
-        raise Reject("iptables: Bad rule (does a matching rule exist?)")
-    rules = (*state.filter_rules, rule) if action == "-A" else _without(state.filter_rules, rule)
-    return Outcome(state.copy(filter_rules=rules), "", WRITE)
+    return (append_rule if action == "-A" else delete_rule)(state, rule)
 
 
 def _sysctl(state: NetState, tokens) -> Outcome:
@@ -454,8 +555,7 @@ def _sysctl(state: NetState, tokens) -> Outcome:
         value = rest[1].split("=", 1)[1]
         if value not in ("0", "1"):
             raise Reject(f"sysctl: invalid value {value!r}")
-        return Outcome(state.copy(ip_forward=value == "1"),
-                              f"net.ipv4.ip_forward = {value}", WRITE)
+        return set_forwarding(state, value == "1")
     raise Reject("sysctl: only net.ipv4.ip_forward is supported")
 
 
@@ -476,19 +576,11 @@ def _tc(state: NetState, tokens) -> Outcome:
         ms = _u32(m[5][:-2])
         if ms is None:
             raise Reject(f"invalid delay: {m[5]!r}")
-        if verb == "add" and iface in state.delays:  # Linux wants change or replace
-            raise Reject("Error: Exclusivity flag on, cannot modify.")
-        if verb == "change" and iface not in state.delays:
-            raise Reject("Error: Qdisc not found. To create specify NLM_F_CREATE flag.")
-        return Outcome(state.copy(delays={**state.delays, iface: ms}), "", WRITE)
+        return set_delay(state, iface, ms, create=verb != "change", exclusive=verb == "add")
     if verb == "del":
         if not (len(m) == 3 and m[0] == "dev" and m[2] == "root"):
             raise Reject("usage: tc qdisc del dev <iface> root")
-        iface = _need_iface(state, m[1])
-        if iface not in state.delays:
-            raise Reject("Error: Invalid handle.")
-        delays = {name: ms for name, ms in state.delays.items() if name != iface}
-        return Outcome(state.copy(delays=delays), "", WRITE)
+        return delete_delay(state, _need_iface(state, m[1]))
     raise Reject(f"tc qdisc: unsupported verb {verb!r}")
 
 

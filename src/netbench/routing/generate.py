@@ -11,10 +11,9 @@ sampled parameters are resampled.
 
 from __future__ import annotations
 
-from ..core.reactive import generate_reactive_query, rebuild
+from ..core.reactive import INVALID, Outcome, Reject, generate_reactive_query, rebuild
 from ..core.types import ActionSpec, GroundTruth
 from ..errors import CorruptGroundTruth, NetbenchError
-from .commands import exec_command
 from .inject import BAD_MASKS, FAMILY_METHODS, GLOBAL, NEEDS_AUX, build_fault, fault_action
 from .pingall import PingMatrix, pingall
 from .state import NetState, build_topology
@@ -58,11 +57,25 @@ def _attempts(rng, families):
         yield healthy, (setup,), _sample_faults(rng, healthy, families)
 
 
+def _applied(state: NetState, apply, machine: str, command: str) -> Outcome:
+    """A built-in ``(apply, machine, command)`` write, made by ``apply`` alone: what
+    ``exec_command`` makes of the command, which it need not parse."""
+    try:
+        return apply(state)
+    except Reject as exc:
+        return Outcome(state, str(exc), INVALID)
+
+
+def _command(write: tuple) -> tuple:
+    """The (machine, command) pair of a built-in write: how a batch stores a repair."""
+    return write[1:]
+
+
 def generate_routing_query(level: int, seed: int) -> tuple:
     """Build one reactive routing query; returns (QuerySpec, GroundTruth)."""
     return generate_reactive_query("routing", LEVEL_LABELS, level, seed, _attempts,
-                                   exec_command, lambda inverse: inverse, pingall,
-                                   NetState.state_digest, render_routing_prompt)
+                                   _applied, _command, pingall, NetState.state_digest,
+                                   render_routing_prompt)
 
 
 def rebuild_states(truth: GroundTruth) -> tuple:
@@ -77,7 +90,7 @@ def rebuild_states(truth: GroundTruth) -> tuple:
         raise CorruptGroundTruth(f"malformed routing topology record {setup.to_json()}: "
                                  f"{exc!r}") from None
     return healthy, rebuild("routing", healthy, truth.hidden_injection[1:],
-                            lambda action: build_fault(healthy, action).forward, exec_command)
+                            lambda action: build_fault(healthy, action).forward, _applied)
 
 
 def sabotage(truth: GroundTruth) -> tuple:

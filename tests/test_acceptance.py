@@ -112,7 +112,8 @@ def test_pinned_reachability_summaries(capsys):
     from netbench.routing.state import build_topology
 
     healthy = build_topology(2, 2)
-    injected = replay(healthy, build_fault(healthy, fault_action("DI", 1, 1, 0)).forward,
+    injected = replay(healthy, [write[1:] for write in
+                                build_fault(healthy, fault_action("DI", 1, 1, 0)).forward],
                       exec_command)
     derived = pingall(injected).summary_line
     ok = derived == "*** Results: 60% dropped (8/20 received)"

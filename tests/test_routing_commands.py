@@ -399,7 +399,7 @@ def test_iptables_reads_a_protocol_as_linux_does(state):
     s = exec_command(state, "r0", "iptables -A FORWARD -p icmp -j DROP").state
     s = exec_command(s, "r0", "iptables -A FORWARD -p ALL -j REJECT").state
     s = exec_command(s, "r0", "iptables -A FORWARD -p 17 -j DROP").state
-    assert exec_command(s, "r0", "iptables -L").output.splitlines()[2:] == [
+    assert exec_command(s, "r0", "iptables -L FORWARD").output.splitlines()[2:] == [
         "DROP       icmp --  anywhere             anywhere",
         "REJECT     all  --  anywhere             anywhere",
         "DROP       udp  --  anywhere             anywhere"]
@@ -417,7 +417,7 @@ def test_iptables_reads_a_protocol_as_linux_does(state):
 def test_iptables_stores_a_zero_length_prefix_as_no_match(state):
     s = exec_command(state, "r0", "iptables -A FORWARD -s 0.0.0.0/0 -j DROP").state
     s = exec_command(s, "r0", "iptables -A FORWARD -d 10.1.2.3/0 -j REJECT").state
-    assert exec_command(s, "r0", "iptables -L").output.splitlines()[2:] == [
+    assert exec_command(s, "r0", "iptables -L FORWARD").output.splitlines()[2:] == [
         "DROP       all  --  anywhere             anywhere",
         "REJECT     all  --  anywhere             anywhere"]
     out = exec_command(s, "r0", "iptables -D FORWARD -j DROP")
@@ -432,13 +432,15 @@ def test_iptables_stores_a_zero_length_prefix_as_no_match(state):
 def test_iptables_listing_options_name_no_chain(state, options):
     s = exec_command(state, "r0", "iptables -A FORWARD -s 192.168.1.0/24 -j DROP").state
     s = exec_command(s, "r0", "iptables -A INPUT -d 192.168.2.0/24 -j REJECT").state
-    forward = exec_command(s, "r0", "iptables -L").output
+    forward = exec_command(s, "r0", "iptables -L FORWARD").output
     assert forward.splitlines()[0] == "Chain FORWARD (policy ACCEPT)"
     assert forward.splitlines()[2:] == ["DROP       all  --  192.168.1.0/24       anywhere"]
-    for command in (f"iptables -L {options}", f"iptables -L {options} FORWARD",
-                    f"iptables -L FORWARD {options}"):
+    for command in (f"iptables -L {options} FORWARD", f"iptables -L FORWARD {options}"):
         out = exec_command(s, "r0", command)
         assert out.kind == READ and out.output == forward, command
+    out = exec_command(s, "r0", f"iptables -L {options}")
+    assert out.kind == READ and out.output == exec_command(s, "r0", "iptables -L").output
+    assert forward in out.output
     out = exec_command(s, "r0", f"iptables -L {options} INPUT")
     assert out.kind == READ and out.output == exec_command(s, "r0", "iptables -L INPUT").output
     assert out.output.splitlines()[2:] == ["REJECT     all  --  anywhere             192.168.2.0/24"]
@@ -471,3 +473,77 @@ def test_iptables_takes_each_built_in_chain(state, chain):
 def test_iptables_answers_an_unknown_chain_as_linux_does(state, command):
     s = exec_command(state, "r0", "iptables -A FORWARD -s 192.168.1.0/24 -j DROP").state
     assert _rejected(s, command) == "iptables: No chain/target/match by that name."
+
+
+def _with_a_rule_per_chain(state):
+    for command in ("iptables -A INPUT -s 192.168.1.2 -p tcp -j DROP",
+                    "iptables -A FORWARD -d 192.168.2.0/24 -p icmp -j REJECT",
+                    "iptables -A OUTPUT -d 10.0.0.0/8 -j DROP",
+                    "iptables -A FORWARD -s 192.168.1.0/24 -j DROP"):
+        out = exec_command(state, "r0", command)
+        assert out.kind == WRITE, command
+        state = out.state
+    return state
+
+
+@pytest.mark.parametrize("options", ["-n -L", "-nvL", "-vnL", "-n -v -L", "--numeric -L",
+                                     "-x -nL"])
+def test_iptables_takes_listing_options_before_the_action(state, options):
+    s = _with_a_rule_per_chain(state)
+    listed = exec_command(s, "r0", "iptables -L -nv")
+    assert listed.kind == READ and "DROP" in listed.output
+    out = exec_command(s, "r0", f"iptables {options}")
+    assert out.kind == READ and out.output == listed.output
+    out = exec_command(s, "r0", f"iptables {options} INPUT")
+    assert out.kind == READ and out.output == exec_command(s, "r0", "iptables -L INPUT").output
+
+
+def test_iptables_lists_every_built_in_chain_when_it_names_none(state):
+    s = _with_a_rule_per_chain(state)
+    header = "target     prot opt source               destination"
+    assert exec_command(s, "r0", "iptables -L").output.split("\n") == [
+        "Chain INPUT (policy ACCEPT)", header,
+        "DROP       tcp  --  192.168.1.2/32       anywhere",
+        "",
+        "Chain FORWARD (policy ACCEPT)", header,
+        "REJECT     icmp --  anywhere             192.168.2.0/24",
+        "DROP       all  --  192.168.1.0/24       anywhere",
+        "",
+        "Chain OUTPUT (policy ACCEPT)", header,
+        "DROP       all  --  anywhere             10.0.0.0/8"]
+    assert exec_command(state, "r0", "iptables -L").output == "\n\n".join(
+        f"Chain {chain} (policy ACCEPT)\n{header}" for chain in ("INPUT", "FORWARD", "OUTPUT"))
+
+
+def test_iptables_S_prints_the_lines_that_re_create_the_rules(state):
+    s = _with_a_rule_per_chain(state)
+    assert exec_command(s, "r0", "iptables -S").output.split("\n") == [
+        "-P INPUT ACCEPT", "-P FORWARD ACCEPT", "-P OUTPUT ACCEPT",
+        "-A INPUT -s 192.168.1.2/32 -p tcp -j DROP",
+        "-A FORWARD -d 192.168.2.0/24 -p icmp -j REJECT --reject-with icmp-port-unreachable",
+        "-A FORWARD -s 192.168.1.0/24 -j DROP",
+        "-A OUTPUT -d 10.0.0.0/8 -j DROP"]
+    assert exec_command(s, "r0", "iptables -S OUTPUT").output == \
+        "-P OUTPUT ACCEPT\n-A OUTPUT -d 10.0.0.0/8 -j DROP"
+    assert exec_command(state, "r0", "iptables -S FORWARD").output == "-P FORWARD ACCEPT"
+    assert exec_command(s, "r0", "iptables -S").state is s
+    assert _rejected(s, "iptables -S forward") == "iptables: No chain/target/match by that name."
+    assert _rejected(s, "iptables -S FORWARD 1") == "iptables: unsupported argument '1'"
+
+
+def test_iptables_takes_the_reject_reply_only_of_a_reject_rule(state):
+    rule = "iptables -A FORWARD -d 192.168.2.0/24 -j REJECT"
+    plain = exec_command(state, "r0", rule).state
+    out = exec_command(state, "r0", f"{rule} --reject-with icmp-port-unreachable")
+    assert out.kind == WRITE and out.state.to_json() == plain.to_json()
+    out = exec_command(plain, "r0", "iptables -D FORWARD -d 192.168.2.0/24 -j REJECT "
+                                    "--reject-with icmp-port-unreachable")
+    assert out.kind == WRITE and out.state.state_digest() == state.state_digest()
+    assert _rejected(state, f"{rule} --reject-with icmp-host-unreachable") == \
+        "iptables: unsupported reject type 'icmp-host-unreachable'; only icmp-port-unreachable"
+    for command in ("iptables -A FORWARD -d 192.168.2.0/24 -j DROP "
+                    "--reject-with icmp-port-unreachable",
+                    "iptables -A FORWARD --reject-with icmp-port-unreachable -j REJECT"):
+        assert _rejected(state, command) == 'iptables: unknown option "--reject-with"'
+    assert _rejected(state, f"{rule} --reject-with") == \
+        "iptables: unsupported flag '--reject-with'"

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from netbench.agents.base import AgentMessage, MSG_COMMAND, MSG_FINAL
@@ -6,7 +8,8 @@ from netbench.core.types import GT_RECOVERY_PREDICATE, ActionSpec, GroundTruth
 from netbench.errors import CorruptGroundTruth, EmptyLevelSet, NodeSetMismatch
 from netbench.routing.commands import exec_command
 from netbench.routing.env import RoutingEnvironment
-from netbench.routing.generate import LEVEL_LABELS, generate_routing_query, rebuild_states
+from netbench.routing.generate import LEVEL_LABELS, generate_routing_query, rebuild_states, \
+    sabotage
 from netbench.routing.pingall import pingall
 from netbench.routing.safety import judge_step_safety
 from netbench.routing.state import build_topology
@@ -138,3 +141,26 @@ def test_node_set_mismatch_detected():
     b = build_topology(3, 2)
     with pytest.raises(NodeSetMismatch):
         judge_step_safety(a, b)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("routing generation parsed command text")
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_generation_and_rebuild_parse_no_command_text(monkeypatch, level):
+    """The built-in writes are typed from generation through rebuild and the adversary's
+    second rebuild: with the interpreter and its parse helpers refused in every module that
+    holds them, each query, rebuilt state and sabotage comes out as before."""
+    seeds = [derive_seed(729, seed) for seed in range(20)]
+    pairs = [generate_routing_query(level, seed) for seed in seeds]
+    digests = [[s.state_digest() for s in rebuild_states(t)] for _, t in pairs]
+    sabotages = [sabotage(t) for _, t in pairs]
+    for module in [m for name, m in sys.modules.items() if name.startswith("netbench.")]:
+        for name in ("exec_command", "_parse_route_args", "_need_prefix", "_need_host_or_cidr"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _refuse)
+    for seed, pair, digest, undo in zip(seeds, pairs, digests, sabotages):
+        assert generate_routing_query(level, seed) == pair
+        assert [s.state_digest() for s in rebuild_states(pair[1])] == digest
+        assert sabotage(pair[1]) == undo

@@ -104,3 +104,46 @@ def test_each_write_and_its_inverse_restore_the_state(data, level, seed):
         undone = exec_command(written.state, router, second)
         assert (written.kind, undone.kind) == (WRITE, WRITE), (first, second, undone.output)
         assert undone.state.state_digest() == digest, (first, second)
+
+
+@st.composite
+def rule_command(draw, state):
+    """An ``iptables -A`` of a drawn rule in any built-in chain."""
+    k = draw(st.integers(1, state.num_switches))
+    chain = draw(st.sampled_from(["INPUT", "FORWARD", "OUTPUT"]))
+    flags = draw(st.lists(st.sampled_from([f"-s 192.168.{k}.0/24", f"-d 192.168.{k}.2",
+                                           "-d 10.0.0.0/8", "-p icmp", "-p 47"]), max_size=3))
+    verdict = draw(st.sampled_from(["DROP", "REJECT"]))
+    return " ".join(["iptables -A", chain, *flags, "-j", verdict])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+def test_each_rule_iptables_S_prints_re_enters_through_D_and_A(data, level, seed):
+    """Re-entry: on a state a generated query passes through, with rules of any chain
+    appended, ``iptables -S`` prints each chain's policy and then each rule, chain by
+    chain, as the ``-A`` line that re-creates it; each such line given to ``-D`` removes
+    exactly that rule, and given to ``-A`` afterwards restores the digest."""
+    _, truth = generate_routing_query(level, seed)
+    state = data.draw(st.sampled_from(_states(truth)))
+    router = state.router_name
+    for command in data.draw(st.lists(rule_command(state), max_size=3)):
+        written = exec_command(state, router, command)
+        assert written.kind == WRITE, (command, written.output)
+        state = written.state
+    lines = exec_command(state, router, "iptables -S").output.splitlines()
+    assert lines[:3] == ["-P INPUT ACCEPT", "-P FORWARD ACCEPT", "-P OUTPUT ACCEPT"]
+    rules = [r for chain in ("INPUT", "FORWARD", "OUTPUT")
+             for r in state.filter_rules if r.chain == chain]
+    assert len(lines) == 3 + len(rules)
+    digest = state.state_digest()
+    for line, rule in zip(lines[3:], rules):
+        assert line.startswith(f"-A {rule.chain} "), line
+        deleted = exec_command(state, router, f"iptables -D {line[3:]}")
+        assert deleted.kind == WRITE, (line, deleted.output)
+        i = state.filter_rules.index(rule)
+        assert deleted.state.filter_rules == state.filter_rules[:i] + state.filter_rules[i + 1:]
+        added = exec_command(deleted.state, router, f"iptables {line}")
+        assert added.kind == WRITE, (line, added.output)
+        assert vars(added.state.filter_rules[-1]) == vars(rule), line
+        assert added.state.state_digest() == digest, line

@@ -78,7 +78,7 @@ def routing_command(draw, state, recovery):
         fault = build_fault(state, fault_action(
             family, draw(st.integers(1, FAMILY_METHODS[family])), k,
             draw(st.sampled_from([s for s in range(1, state.num_switches + 1) if s != k]))))
-        return draw(st.sampled_from([*fault.forward, fault.inverse]))
+        return draw(st.sampled_from([*fault.forward, fault.inverse]))[1:]  # (machine, command)
     if kind == "recovery":
         return draw(st.sampled_from(recovery))
     if kind == "link":
