@@ -6,47 +6,51 @@ matched by some selecting policy's rules pass. A flow is allowed only
 if both the destination's ingress side and the source's egress side
 permit it.
 
-``connectivity_check`` merges a policy store into allow sets: per
-direction, each selected service maps to the peers some rule admits on
-the flow's server port. Each policy's contribution to them is one of its
-views in the store (``PolicyStore.view``), compiled once, so a verdict
-after a write compiles only the policy written. Pods carry only the
-``app`` label, so every selector becomes a set of services in one pass
-over its keys, and each candidate flow is then two set lookups (the
-allow-matrix idea of Kano, Li et al. 2019).
+Each service is one bit of an int mask (the allow-matrix idea of Kano,
+Li et al. 2019). Pods carry only the ``app`` label, so every selector
+becomes a mask in one pass over its keys. Each policy compiles once, to
+a view in the store (``PolicyStore.view``): per direction, the services
+it selects and, per server, a mask of who it admits on the server's
+port, the callers on ingress and, transposed, the selected sources on
+egress. So a verdict after a write compiles only the policy written,
+ORs the views, and finds each server's mismatched callers in a few mask
+operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .model import SERVICE_PORTS, SERVICES, PolicyStore, expected_flows, flow_universe
 
 _FLOWS = frozenset(flow_universe())
-_EXPECTED = frozenset(expected_flows())
 
-_ALL = frozenset(SERVICES)
-_SERVERS = frozenset(SERVICE_PORTS)
-_FLOWS_TO = {dst: {src: (src, dst, port) for src, d, port in sorted(_FLOWS) if d == dst}
-             for dst in sorted(_SERVERS)}  # dst -> {src: its flow}
+_BIT = {service: 1 << i for i, service in enumerate(SERVICES)}
+_ALL = (1 << len(SERVICES)) - 1
+_PORTS = tuple((i, SERVICE_PORTS[s]) for i, s in enumerate(SERVICES) if s in SERVICE_PORTS)
+# per server: (name, port, bit position, callers but itself, expected callers)
+_SERVERS = tuple((SERVICES[i], port, i, _ALL & ~(1 << i),
+                  sum(_BIT[src] for src, dst, _ in expected_flows() if dst == SERVICES[i]))
+                 for i, port in _PORTS)
 
 
-def _selected(selector: dict) -> frozenset:
+def _selected(selector: dict) -> int:
     """The services whose pod (labelled only ``app: <service>``) ``selector`` matches."""
     chosen = _ALL  # an empty selector matches every pod in the namespace
     for key, value in (selector.get("matchLabels", {}) if selector else {}).items():
         if key == "app":
-            chosen &= {value} if isinstance(value, str) else set()
+            chosen &= _BIT.get(value, 0) if isinstance(value, str) else 0
         elif value is not None:  # the pod lacks the label, which only None equals
-            return frozenset()
+            return 0
     return chosen
 
 
-def _peers(peers) -> frozenset:
+def _peers(peers) -> int:
     if not peers:
         return _ALL  # a rule without peers matches all sources/destinations
-    return frozenset().union(*(_selected(p.get("podSelector", {})) for p in peers))
+    return reduce(or_, (_selected(p.get("podSelector", {})) for p in peers))
 
 
 def _ports_match(ports, port: int) -> bool:
@@ -55,49 +59,32 @@ def _ports_match(ports, port: int) -> bool:
     return any(p.get("port") == port for p in ports)
 
 
-def _contribution(policy: dict, direction: str) -> dict:
-    """Selected service -> the peers ``policy``'s ``direction`` rules admit on the server's port.
+def _contribution(policy: dict, direction: str) -> tuple[int, tuple]:
+    """(selected, ((server bit index, admitted), ...)) of ``policy``'s ``direction`` rules.
 
-    Empty unless the policy is of that direction; then every service it
-    selects is present, possibly with no peers.
+    On ingress, admitted are the callers a rule lets into a selected
+    server on its port; on egress, the selected sources a rule lets out
+    to the server on its port. Servers with none are left out, and a
+    policy not of that direction selects nothing.
     """
     policy_type, peer_key = ("Ingress", "from") if direction == "ingress" else ("Egress", "to")
     spec = policy["spec"]
     if policy_type not in spec.get("policyTypes", []):
-        return {}
+        return 0, ()
     selected = _selected(spec.get("podSelector", {}))
-    allow = {service: set() for service in selected}
+    admitted = [0] * len(SERVICES)
     for rule in spec.get(direction) or []:
         peers, ports = _peers(rule.get(peer_key)), rule.get("ports")
-        if direction == "ingress":
-            for service in selected & _SERVERS:
-                if _ports_match(ports, SERVICE_PORTS[service]):
-                    allow[service] |= peers
-        else:
-            admitted = {peer for peer in peers & _SERVERS
-                        if _ports_match(ports, SERVICE_PORTS[peer])}
-            for service in selected:
-                allow[service] |= admitted
-    return {service: frozenset(peers) for service, peers in allow.items()}
+        servers, sources = (selected, peers) if direction == "ingress" else (peers, selected)
+        for i, port in _PORTS:
+            if servers >> i & 1 and _ports_match(ports, port):
+                admitted[i] |= sources
+    return selected, tuple((i, mask) for i, mask in enumerate(admitted) if mask)
 
 
-def _compiled(name: str, policy: dict) -> tuple[dict, dict]:
+def _compiled(name: str, policy: dict) -> tuple[tuple, tuple]:
     """A stored policy's view: its ingress and its egress contribution."""
     return _contribution(policy, "ingress"), _contribution(policy, "egress")
-
-
-def _allow_sets(policies: PolicyStore) -> tuple[dict, dict]:
-    """Per direction, selected service -> the peers its rules admit on the server's port.
-
-    A service is absent when no policy of that direction selects it, and
-    present (possibly with no peers) as soon as one does.
-    """
-    allow = {}, {}
-    for name in policies:
-        for merged, contribution in zip(allow, policies.view(name, _compiled)):
-            for service, peers in contribution.items():
-                merged[service] = merged[service] | peers if service in merged else peers
-    return allow
 
 
 @dataclass
@@ -144,12 +131,25 @@ def _word(allowed: bool) -> str:
 
 
 def connectivity_check(policies: PolicyStore) -> MismatchReport:
-    ingress, egress = _allow_sets(policies)
-    actual = set()
-    for dst, flows in _FLOWS_TO.items():
-        callers = ingress.get(dst)
-        for src in flows if callers is None else callers & flows.keys():
-            if dst in egress.get(src, _ALL):
-                actual.add(flows[src])
-    return MismatchReport(mismatches=sorted(
-        (*flow, flow in _EXPECTED, flow in actual) for flow in actual ^ _EXPECTED))
+    ingress_selected = egress_selected = 0
+    ingress, egress = [0] * len(SERVICES), [0] * len(SERVICES)  # admitted, by server bit
+    for name in policies:
+        (selected_in, admitted_in), (selected_out, admitted_out) = policies.view(name, _compiled)
+        ingress_selected |= selected_in
+        egress_selected |= selected_out
+        for i, mask in admitted_in:
+            ingress[i] |= mask
+        for i, mask in admitted_out:
+            egress[i] |= mask
+    mismatches = []
+    for dst, port, i, callers, expected in _SERVERS:
+        actual = callers & (ingress[i] if ingress_selected >> i & 1 else _ALL) \
+            & (~egress_selected | egress[i])
+        wrong = actual ^ expected
+        while wrong:
+            low = wrong & -wrong
+            allowed = bool(actual & low)
+            mismatches.append((SERVICES[low.bit_length() - 1], dst, port, not allowed, allowed))
+            wrong ^= low
+    mismatches.sort()
+    return MismatchReport(mismatches=mismatches)

@@ -500,6 +500,12 @@ def _need_chain(token: str) -> str:
     return token
 
 
+def _no_second_chain(named) -> None:
+    """-L and -F take at most one chain; Linux refuses the first argument after it."""
+    if len(named) > 1:
+        raise Reject(f"iptables: Bad argument {named[1]!r}")
+
+
 def _iptables(state: NetState, tokens) -> Outcome:
     rest = tokens[1:]
     # listing options may also come before -L, or be bundled into it (-nvL)
@@ -508,6 +514,7 @@ def _iptables(state: NetState, tokens) -> Outcome:
         lead += 1
     if rest and _LIST_ACTION_RE.fullmatch(rest[lead]):
         named = [token for token in rest[lead + 1:] if not _LISTING_OPTION_RE.fullmatch(token)]
+        _no_second_chain(named)
         chains = (_need_chain(named[0]),) if named else _CHAINS
         return Outcome(state, "\n\n".join(_render_filters(state, c) for c in chains), READ)
     if not rest:
@@ -519,6 +526,7 @@ def _iptables(state: NetState, tokens) -> Outcome:
         chains = (_need_chain(rest[1]),) if len(rest) > 1 else _CHAINS
         return Outcome(state, _render_specs(state, chains), READ)
     if action == "-F":
+        _no_second_chain(rest[1:])
         return flush_rules(state, _need_chain(rest[1]) if len(rest) > 1 else None)
     if action not in ("-A", "-D"):
         raise Reject(f"iptables: unsupported action {action!r}")

@@ -547,3 +547,11 @@ def test_iptables_takes_the_reject_reply_only_of_a_reject_rule(state):
         assert _rejected(state, command) == 'iptables: unknown option "--reject-with"'
     assert _rejected(state, f"{rule} --reject-with") == \
         "iptables: unsupported flag '--reject-with'"
+
+
+@pytest.mark.parametrize("command", ["iptables -L FORWARD INPUT", "iptables -L -n FORWARD INPUT",
+                                     "iptables -L FORWARD -n INPUT", "iptables -nL FORWARD INPUT",
+                                     "iptables -F FORWARD INPUT"])
+def test_iptables_refuses_a_second_chain_as_linux_does(state, command):
+    s = _with_a_rule_per_chain(state)
+    assert _rejected(s, command) == "iptables: Bad argument 'INPUT'"

@@ -30,8 +30,8 @@ from netbench.k8spolicy.env import K8sEnvironment
 from netbench.k8spolicy.generate import generate_k8s_query, rebuild_cluster
 from netbench.k8spolicy.inject import TARGETS, _patch_cmd, build_mutation
 from netbench.k8spolicy.kubectl import exec_kubectl
-from netbench.k8spolicy.model import SERVICE_PORTS, SERVICES, PolicyStore, _fragment, \
-    cluster_digest, default_policies, flow_universe, policy_yaml
+from netbench.k8spolicy.model import DEFAULT_DENY, SERVICE_PORTS, SERVICES, PolicyStore, \
+    _fragment, cluster_digest, default_policies, flow_universe, policy_yaml
 from netbench.k8spolicy.safety import judge_step_safety as k8s_judge
 from netbench.routing import env as routing_env, pingall as routing_pingall
 from netbench.routing.commands import exec_command
@@ -374,6 +374,46 @@ def test_connectivity_check_matches_reference_on_any_selector_peer_and_port_valu
         alone = PolicyStore({name: policies[name]})  # where no other policy hides what it allows
         assert connectivity_check(alone) == ref_connectivity_check(alone)
     assert connectivity_check(policies) == ref_connectivity_check(policies)
+
+
+def _app(service):
+    return {"matchLabels": {"app": service}}
+
+
+# specs at the edges of the selector, peer and port shapes; each is stored alone on the baseline
+_EDGE_SPECS = [
+    # a non-server, which has no port, selected on each side
+    {"podSelector": _app("loadgenerator"), "policyTypes": ["Ingress"],
+     "ingress": [{"from": [{"podSelector": _app("frontend")}]}]},
+    {"podSelector": _app("loadgenerator"), "policyTypes": ["Egress"],
+     "egress": [{"to": [{"podSelector": _app("frontend")}], "ports": [{"port": 8080}]}]},
+    # egress toward a non-server, an unknown service and a non-string app
+    *({"podSelector": _app("frontend"), "policyTypes": ["Egress"],
+       "egress": [{"to": [{"podSelector": _app(app)}]}]} for app in ("loadgenerator", "nosuch", 7)),
+    # a selector with an extra label, which only None matches on these pods
+    *({"podSelector": {"matchLabels": {"app": "cartservice", "tier": tier}},
+       "policyTypes": ["Ingress", "Egress"], "ingress": [{}], "egress": [{}]}
+      for tier in (None, "web")),
+    # a rule without peers, on the port of another service
+    {"podSelector": _app("frontend"), "policyTypes": ["Ingress", "Egress"],
+     "ingress": [{"ports": [{"port": 7070}]}], "egress": [{"ports": [{"port": 7070}]}]},
+    # both directions and no rules
+    {"podSelector": _app("frontend"), "policyTypes": ["Ingress", "Egress"]},
+]
+
+
+def test_connectivity_check_matches_reference_on_edge_stores():
+    """The empty store, the baseline less default-deny, and the baseline plus each edge
+    policy alone: unselected servers, egress keyed by destination, peers and selectors that
+    match no server, and policies that admit nothing."""
+    baseline = default_policies()
+    stores = [PolicyStore({}), baseline.without(DEFAULT_DENY)]
+    stores += [baseline.written("edge", {"apiVersion": "networking.k8s.io/v1",
+                                         "kind": "NetworkPolicy",
+                                         "metadata": {"name": "edge"}, "spec": spec})
+               for spec in _EDGE_SPECS]
+    for store in stores:
+        assert connectivity_check(store) == ref_connectivity_check(store)
 
 
 @SETTINGS
