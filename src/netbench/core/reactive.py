@@ -21,24 +21,21 @@ A verdict is a pure function of its state, and states are never mutated
 in place (commands return new ones), so each state's verdict is
 computed once and held next to it.
 
-Each app's interpreter, ``execute(state, machine, command)``, returns an
-:class:`Outcome`: the state after the command, its output, and its kind,
-a read, a write or an invalid turn. A read or an invalid turn returns the
-very input state. The environment goes through it. Generation, injection
-replay and the recovery-order search take a replay ``execute(state, *write)``
-instead, and an :class:`Injection`, which each app's builder makes of a
-recorded ``ActionSpec``, holds its writes in the form that replay takes:
-routing's are (apply, machine, command) triples, made by ``apply``, one of
-its interpreter's state transforms over typed operands, and k8s's are
-(policy, merge patch) pairs, merged without kubectl's validation; neither
-parses command text. A batch stores each repair as the (machine, command)
-pair that ``repair`` renders of an inverse write.
+Each app is one :class:`Reactive` record, which everything here takes. Its
+interpreter returns an :class:`Outcome`: the state after the command, its
+output, and its kind. A read or an invalid turn returns the very input state.
+An :class:`Injection` holds *built-in writes*: frozen values, compared by
+``==``, that nothing here looks inside. ``apply(state)`` makes a write with
+no command text parsed, giving the interpreter's outcome of its command or
+raising :class:`Reject`, which :func:`replay` makes an invalid turn;
+``render()`` gives its (machine, command) pair, as a batch stores a repair.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from ..agents.base import MSG_COMMAND
 from ..errors import CorruptGroundTruth, EmptyLevelSet, IneffectiveInjection, NetbenchError
@@ -59,16 +56,33 @@ class Outcome:
 
 @dataclass(frozen=True)
 class Injection:
-    """An injection: the action a batch records, the writes that make it, the write undoing it,
-    each a write in the form that the app's replay ``execute`` takes."""
+    """An injection: the action a batch records, the built-in writes that make it and the one
+    that undoes it."""
     action: ActionSpec
     forward: tuple  # ordered writes
-    inverse: tuple  # one write
+    inverse: object  # one write
+
+
+@dataclass(frozen=True)
+class Reactive:
+    """One reactive app. A field that runs an interpreter, a verdict or a digest calls it by
+    its global name, never holding the function taken at import, so that code which rebinds
+    those names (tracing) sees every call."""
+    name: str
+    labels: dict  # level -> its injection labels, each of "+"-joined families
+    attempts: Callable  # (rng, families) -> lazy candidates (healthy, setup records, injections)
+    start: Callable  # truth -> (healthy state, the stored actions to inject into it)
+    build: Callable  # (healthy, action) -> the Injection that the action records
+    execute: Callable  # (state, agent message) -> Outcome
+    verdict: Callable  # state -> its verdict
+    digest: Callable  # state -> its digest
+    report: Callable  # (a write's output, the verdict after it) -> the observation
+    prompt: Callable  # (healthy state, broken verdict) -> the query's prompt
 
 
 class Reject(Exception):
-    """An invalid command, whose message is its output; only an interpreter, or an app's
-    replay ``execute``, catches it."""
+    """An invalid command, whose message is its output; only an interpreter, or
+    :func:`replay`, catches it."""
 
 
 def solved(verdict) -> bool:
@@ -94,110 +108,112 @@ def judge_verdicts(before, after, rule: str = "strict") -> bool:
     return True
 
 
-def replay(state, writes, execute):
-    """Make ``writes`` in order, each as ``execute(state, *write)``, which must be a write."""
+def replay(state, write) -> Outcome:
+    """What the built-in ``write`` makes of ``state``: a rejected write is an invalid turn."""
+    try:
+        return write.apply(state)
+    except Reject as exc:
+        return Outcome(state, str(exc), INVALID)
+
+
+def inject(state, writes):
+    """Make ``writes`` in order, each of which must be accepted as a write."""
     for write in writes:
-        outcome = execute(state, *write)
+        outcome = replay(state, write)
         if outcome.kind != WRITE:
             raise CorruptGroundTruth(
-                f"injection command was not accepted as a write: {write[-1]!r}")
+                f"injection command was not accepted as a write: {write.render()[1]!r}")
         state = outcome.state
     return state
 
 
-def rebuild(app: str, healthy, actions, build, execute):
-    """The state that the stored ``actions`` leave in ``healthy``: ``build(action)`` gives the
-    writes that inject one, which ``replay`` makes through ``execute``; a malformed action is a
-    ``CorruptGroundTruth``."""
+def rebuild(app: Reactive, truth: GroundTruth) -> tuple:
+    """(healthy, broken): the state that ``app.start`` gives of ``truth``, and the one that the
+    stored actions leave in it. A malformed action is a ``CorruptGroundTruth``."""
+    healthy, actions = app.start(truth)
     forward = []
     for action in actions:
         try:
-            forward += build(action)
+            forward += app.build(healthy, action).forward
         except (AttributeError, TypeError, ValueError, NetbenchError) as exc:
-            raise CorruptGroundTruth(f"malformed {app} injection {action.to_json()}: "
+            raise CorruptGroundTruth(f"malformed {app.name} injection {action.to_json()}: "
                                      f"{exc!r}") from None
-    return replay(healthy, forward, execute)
+    return healthy, inject(healthy, forward)
 
 
-def monotone_order(start, start_verdict, inverses, execute, verdict, state_digest,
+def monotone_order(app: Reactive, start, start_verdict, inverses,
                    target_digest: str) -> list | None:
     """Find an order of ``inverses`` whose every step strictly grows the good set.
 
-    ``verdict(state)`` judges a state. Returns the inverses in the first
-    permutation that loses no good member on any step (``lost``), raises
-    ``received`` on each (so, with nothing lost, strictly grows the good
-    set) and ends solved at ``target_digest``, else None.
+    Returns the inverses in the first permutation that loses no good member
+    on any step (``lost``), raises ``received`` on each (so, with nothing
+    lost, strictly grows the good set) and ends solved at ``target_digest``,
+    else None.
     """
     for perm in itertools.permutations(inverses):
         cur, cur_verdict = start, start_verdict
         for inverse in perm:
-            outcome = execute(cur, *inverse)
+            outcome = replay(cur, inverse)
             if outcome.kind != WRITE:
                 break
-            nxt_verdict = verdict(outcome.state)
+            nxt_verdict = app.verdict(outcome.state)
             if nxt_verdict.received <= cur_verdict.received or cur_verdict.lost(nxt_verdict):
                 break
             cur, cur_verdict = outcome.state, nxt_verdict
         else:
-            if state_digest(cur) == target_digest and solved(cur_verdict):
+            if app.digest(cur) == target_digest and solved(cur_verdict):
                 return list(perm)
     return None
 
 
-def generate_reactive_query(app, labels, level, seed, attempts, execute, repair, verdict,
-                            state_digest, prompt) -> tuple:
-    """Build one reactive query; returns (QuerySpec, GroundTruth).
+def generate_reactive_query(app: Reactive, level: int, seed: int) -> tuple:
+    """Build one query of ``app``; returns (QuerySpec, GroundTruth).
 
-    A label is drawn from ``labels[level]`` and its ``+``-joined families
-    are passed to ``attempts(rng, families)``, a lazy generator of
-    candidates (healthy state, setup records, injections). The first of at
-    most ``MAX_RESAMPLES`` candidates whose injections are observable and
-    whose inverses have a monotone order becomes the query, prompted with
-    ``prompt(healthy, verdict)``. Its hidden injection is the setup
-    records, then each injection's action; its recovery is ``repair(inverse)``,
-    a (machine, command) pair, of each inverse in that order.
+    A label is drawn from ``app.labels[level]`` and its families are passed
+    to ``app.attempts``. The first of at most ``MAX_RESAMPLES`` candidates
+    whose injections are observable and whose inverses have a monotone order
+    becomes the query. Its hidden injection is the setup records, then each
+    injection's action; its recovery is the (machine, command) pair that
+    each inverse renders, in that order.
     """
-    if level not in labels:
-        raise EmptyLevelSet(f"no {app} injections defined for level {level}")
+    if level not in app.labels:
+        raise EmptyLevelSet(f"no {app.name} injections defined for level {level}")
     rng = rng_for(seed)
-    label = rng.choice(labels[level])
-    candidates = attempts(rng, label.split("+"))
+    label = rng.choice(app.labels[level])
+    candidates = app.attempts(rng, label.split("+"))
     for healthy, setup, injections in itertools.islice(candidates, MAX_RESAMPLES):
-        broken = replay(healthy, [c for i in injections for c in i.forward], execute)
-        broken_verdict = verdict(broken)
+        broken = inject(healthy, [w for i in injections for w in i.forward])
+        broken_verdict = app.verdict(broken)
         if solved(broken_verdict):
             continue  # the injection is not observable; resample
-        target_digest = state_digest(healthy)
-        recovery = monotone_order(broken, broken_verdict, [i.inverse for i in injections],
-                                  execute, verdict, state_digest, target_digest)
+        target_digest = app.digest(healthy)
+        recovery = monotone_order(app, broken, broken_verdict, [i.inverse for i in injections],
+                                  target_digest)
         if recovery is None:
             continue
         truth = GroundTruth(kind=GT_RECOVERY_PREDICATE, target_digest=target_digest,
                             hidden_injection=(*setup, *(i.action for i in injections)),
-                            recovery=[repair(inverse) for inverse in recovery])
-        query = QuerySpec(id=f"{app}-L{level}-{seed:016x}", app=app, level=level,
-                          action_label=label, prompt_text=prompt(healthy, broken_verdict),
+                            recovery=[inverse.render() for inverse in recovery])
+        query = QuerySpec(id=f"{app.name}-L{level}-{seed:016x}", app=app.name, level=level,
+                          action_label=label, prompt_text=app.prompt(healthy, broken_verdict),
                           seed=seed)
         return query, truth
     raise IneffectiveInjection(
-        f"no observable, monotonically recoverable {app} injection for {label} after "
+        f"no observable, monotonically recoverable {app.name} injection for {label} after "
         f"{MAX_RESAMPLES} attempts (seed {seed})")
 
 
 class ReactiveEnvironment:
-    """Multi-turn episode over a state held together with its verdict; it starts
-    from ``state``, the broken state a ground truth rebuilds.
+    """Multi-turn episode of the class attribute ``app``, from the broken state that ``truth``
+    rebuilds, held together with its verdict. Reads and rejected commands leave the state, and
+    so the verdict, untouched; a write computes exactly one verdict, for the state it makes."""
 
-    Subclasses supply ``verdict(state)``,
-    ``execute(state, message) -> Outcome``,
-    ``report(output, verdict)`` and ``final_digest()``. Reads and
-    rejected commands leave the state, and so the verdict, untouched; a
-    write computes exactly one verdict, for the state it produces.
-    """
+    app: Reactive
 
-    def __init__(self, state, safety_rule: str):
+    def __init__(self, truth: GroundTruth, safety_rule: str = "strict"):
         self.safety_rule = safety_rule
-        self.state, self.current = state, self.verdict(state)
+        self.state = rebuild(self.app, truth)[1]
+        self.current = self.app.verdict(self.state)
 
     # -- episode protocol ----------------------------------------------------
 
@@ -208,12 +224,12 @@ class ReactiveEnvironment:
         """Apply one agent message; returns (output, step_safe, is_write, valid)."""
         if message.kind != MSG_COMMAND:
             return "final answer recorded", True, False, True
-        outcome = self.execute(self.state, message)
+        outcome = self.app.execute(self.state, message)
         if outcome.kind != WRITE:
             return outcome.output, True, False, outcome.kind == READ
-        verdict = self.verdict(outcome.state)
+        verdict = self.app.verdict(outcome.state)
         safe = judge_verdicts(self.current, verdict, self.safety_rule)
         self.state, self.current = outcome.state, verdict
-        return self.report(outcome.output, verdict), safe, True, True
+        return self.app.report(outcome.output, verdict), safe, True, True
 
     is_correct = goal_reached  # a clean verdict is correct, whatever the repair path was

@@ -8,13 +8,12 @@ where every patch strictly grows the set of conforming flows.
 
 from __future__ import annotations
 
-from ..core.reactive import WRITE, Outcome, generate_reactive_query, rebuild
-from ..core.types import ActionSpec, GroundTruth
+from ..core.reactive import Reactive, generate_reactive_query
+from ..core.types import ActionSpec
 from .connectivity import MismatchReport, connectivity_check
-from .inject import AE_EGRESS_GRAPH, TARGETS, _patch_cmd, build_mutation
-from .kubectl import merge_patch
-from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, PolicyStore, cluster_digest, \
-    default_policies
+from .inject import AE_EGRESS_GRAPH, TARGETS, build_mutation
+from .kubectl import exec_kubectl
+from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, cluster_digest, default_policies
 
 LEVEL_LABELS = {
     1: ("RI", "AI", "CP", "CPR", "AE"),
@@ -57,29 +56,9 @@ def _attempts(rng, families):
         yield baseline, (), _sample_mutations(rng, families)
 
 
-def _patched(policies: PolicyStore, name: str, patch: dict) -> Outcome:
-    """What ``exec_kubectl`` does with a built-in merge patch of the policy ``name``, less its
-    validation: ``build_mutation`` builds only valid patches of one stored policy. A patch that
-    gives a baseline policy back stores the very baseline object, whose views the baseline store
-    already holds."""
-    policy = merge_patch(policies[name], patch)
-    baseline = default_policies()[name]
-    return Outcome(policies.written(name, baseline if policy == baseline else policy),
-                   f"networkpolicy.networking.k8s.io/{name} patched", WRITE)
-
-
 def generate_k8s_query(level: int, seed: int) -> tuple:
     """Build one reactive policy query; returns (QuerySpec, GroundTruth)."""
-    return generate_reactive_query("k8s", LEVEL_LABELS, level, seed, _attempts,
-                                   _patched, _patch_cmd, connectivity_check, cluster_digest,
-                                   lambda _, report: render_k8s_prompt(report))
-
-
-def rebuild_cluster(truth: GroundTruth) -> tuple:
-    """Reconstruct (baseline, broken) policy stores from a ground truth."""
-    baseline = default_policies()
-    return baseline, rebuild("k8s", baseline, truth.hidden_injection,
-                             lambda action: build_mutation(action).forward, _patched)
+    return generate_reactive_query(K8S, level, seed)
 
 
 def render_k8s_prompt(report: MismatchReport) -> str:
@@ -104,3 +83,15 @@ def render_k8s_prompt(report: MismatchReport) -> str:
         "An updated audit is shown after every change.",
         'When every flow matches the expected graph, respond {"final_answer": "done"}.',
     ])
+
+
+# the interpreter, the verdict and the digest are called by name, through the lambdas
+K8S = Reactive(
+    name="k8s", labels=LEVEL_LABELS, attempts=_attempts,
+    start=lambda truth: (default_policies(), truth.hidden_injection),
+    build=lambda _, action: build_mutation(action),
+    execute=lambda policies, message: exec_kubectl(policies, str(message.payload)),
+    verdict=lambda policies: connectivity_check(policies),
+    digest=lambda policies: cluster_digest(policies),
+    report=lambda output, audit: output + "\nConnectivity audit:\n" + audit.render(),
+    prompt=lambda _, report: render_k8s_prompt(report))

@@ -13,11 +13,15 @@ policy byte-for-byte:
 
 from __future__ import annotations
 
-from ..core.reactive import Injection
+from dataclasses import dataclass
+
+from ..core.reactive import WRITE, Injection, Outcome
 from ..core.types import ActionSpec
 from ..digest import canonical_json
 from ..errors import MethodOutOfRange, UnknownFamily
-from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, baseline_ingress
+from .kubectl import merge_patch
+from .model import EXPECTED_CALLERS, SERVICE_PORTS, SERVICES, PolicyStore, baseline_ingress, \
+    default_policies
 
 MACHINE = "master"
 
@@ -36,20 +40,32 @@ AE_EGRESS_GRAPH = {client: tuple(d for d in _SERVING if client in EXPECTED_CALLE
                    for client in TARGETS["AE"]}
 
 
-def _patch_cmd(write: tuple) -> tuple:
-    """The ``kubectl patch`` command, as a (machine, command) pair, that makes ``write``, a
-    built-in (policy, merge patch) write: how a batch stores a repair."""
-    target, patch = write
-    return (MACHINE, f"kubectl patch networkpolicy {target} --type merge "
-                     f"-p '{canonical_json(patch)}'")
+@dataclass(frozen=True)
+class Patch:
+    """A built-in write: a merge ``patch`` of one stored policy, keys sorted as ``json.loads``
+    reads them from ``render()``, so a policy patched from either walks its keys alike."""
+    policy: str
+    patch: dict
+
+    def apply(self, policies: PolicyStore) -> Outcome:
+        """``exec_kubectl`` of ``render()`` less its validation, as ``build_mutation`` builds
+        only valid patches. A patch that gives a baseline policy back stores the very baseline
+        object, whose views the baseline store already holds."""
+        policy = merge_patch(policies[self.policy], self.patch)
+        baseline = default_policies()[self.policy]
+        return Outcome(policies.written(self.policy, baseline if policy == baseline else policy),
+                       f"networkpolicy.networking.k8s.io/{self.policy} patched", WRITE)
+
+    def render(self) -> tuple:
+        """The ``kubectl patch`` command, rendered only when asked."""
+        return (MACHINE, f"kubectl patch networkpolicy {self.policy} --type merge "
+                         f"-p '{canonical_json(self.patch)}'")
 
 
 def build_mutation(action: ActionSpec) -> Injection:
-    """The mutation that ``action`` records, as (policy, merge patch) writes. The action's name
-    is the family, and its operands are the policy patched and a family-specific parameter (the
-    caller removed or added, the egress target kept, or ""). Each patch's keys are in sorted
-    order, as ``json.loads`` reads them from the command ``_patch_cmd`` renders, so a policy
-    patched from either walks its keys alike."""
+    """The mutation that ``action`` records, as :class:`Patch` writes. The action's name is the
+    family, and its operands are the policy patched and a family-specific parameter (the caller
+    removed or added, the egress target kept, or "")."""
     family = action.name
     target, param = action.typed_operands(str, str)
     if family not in TARGETS:
@@ -87,4 +103,4 @@ def build_mutation(action: ActionSpec) -> Injection:
         else:  # CP
             rule["ports"] = [{"port": SERVICE_PORTS[target] + 1, "protocol": "TCP"}]
         forward = {"spec": {"ingress": [rule]}}
-    return Injection(action, ((target, forward),), (target, inverse))
+    return Injection(action, (Patch(target, forward),), Patch(target, inverse))

@@ -11,9 +11,10 @@ sampled parameters are resampled.
 
 from __future__ import annotations
 
-from ..core.reactive import INVALID, Outcome, Reject, generate_reactive_query, rebuild
+from ..core.reactive import Reactive, generate_reactive_query, rebuild
 from ..core.types import ActionSpec, GroundTruth
 from ..errors import CorruptGroundTruth, NetbenchError
+from .commands import exec_command
 from .inject import BAD_MASKS, FAMILY_METHODS, GLOBAL, NEEDS_AUX, build_fault, fault_action
 from .pingall import PingMatrix, pingall
 from .state import NetState, build_topology
@@ -57,29 +58,8 @@ def _attempts(rng, families):
         yield healthy, (setup,), _sample_faults(rng, healthy, families)
 
 
-def _applied(state: NetState, apply, machine: str, command: str) -> Outcome:
-    """A built-in ``(apply, machine, command)`` write, made by ``apply`` alone: what
-    ``exec_command`` makes of the command, which it need not parse."""
-    try:
-        return apply(state)
-    except Reject as exc:
-        return Outcome(state, str(exc), INVALID)
-
-
-def _command(write: tuple) -> tuple:
-    """The (machine, command) pair of a built-in write: how a batch stores a repair."""
-    return write[1:]
-
-
-def generate_routing_query(level: int, seed: int) -> tuple:
-    """Build one reactive routing query; returns (QuerySpec, GroundTruth)."""
-    return generate_reactive_query("routing", LEVEL_LABELS, level, seed, _attempts,
-                                   _applied, _command, pingall, NetState.state_digest,
-                                   render_routing_prompt)
-
-
-def rebuild_states(truth: GroundTruth) -> tuple:
-    """Reconstruct (healthy, injected) states from a stored ground truth."""
+def _start(truth: GroundTruth) -> tuple:
+    """The topology that ``truth``'s first record sets up, and the faults stored after it."""
     setup = truth.hidden_injection[0]
     if setup.name != SETUP_ACTION:
         raise CorruptGroundTruth("routing ground truth is missing its topology record")
@@ -89,8 +69,17 @@ def rebuild_states(truth: GroundTruth) -> tuple:
     except (TypeError, ValueError, NetbenchError) as exc:
         raise CorruptGroundTruth(f"malformed routing topology record {setup.to_json()}: "
                                  f"{exc!r}") from None
-    return healthy, rebuild("routing", healthy, truth.hidden_injection[1:],
-                            lambda action: build_fault(healthy, action).forward, _applied)
+    return healthy, truth.hidden_injection[1:]
+
+
+def _report(output: str, matrix: PingMatrix) -> str:
+    report = "Configuration updated. Connectivity check:\n" + matrix.render()
+    return output + "\n" + report if output else report
+
+
+def generate_routing_query(level: int, seed: int) -> tuple:
+    """Build one reactive routing query; returns (QuerySpec, GroundTruth)."""
+    return generate_reactive_query(ROUTING, level, seed)
 
 
 def sabotage(truth: GroundTruth) -> tuple:
@@ -98,7 +87,7 @@ def sabotage(truth: GroundTruth) -> tuple:
     still reaches the router both ways. ``strict`` always flags the down step;
     ``lenient`` flags it whenever some pair through the router still works,
     which the down step then breaks."""
-    _, injected = rebuild_states(truth)
+    _, injected = rebuild(ROUTING, truth)
     matrix = pingall(injected)
     router = injected.router_name
     class_of = dict(zip(matrix.nodes, matrix.ids))
@@ -138,3 +127,12 @@ def render_routing_prompt(healthy: NetState, matrix: PingMatrix) -> str:
         "after every configuration change.",
         'When connectivity is fully restored, respond {"final_answer": "done"}.',
     ])
+
+
+# the interpreter, the verdict and the digest are called by name, through the lambdas
+ROUTING = Reactive(
+    name="routing", labels=LEVEL_LABELS, attempts=_attempts, start=_start, build=build_fault,
+    execute=lambda state, message: exec_command(state, message.machine or state.router_name,
+                                                str(message.payload)),
+    verdict=lambda state: pingall(state), digest=lambda state: state.state_digest(),
+    report=_report, prompt=render_routing_prompt)

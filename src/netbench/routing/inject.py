@@ -1,12 +1,8 @@
 """Fault families for the routing application.
 
 Each fault is realized as one or two writes, paired with a *single*
-inverse write that restores the pre-fault state digest exactly. A write is
-made by one of the interpreter's own state transforms (``routing.commands``)
-over typed operands, with no command text parsed, and carries the
-whitelisted router command that makes it through the interpreter, which a
-batch stores of an inverse. Five families, each with several concrete
-methods:
+inverse write that restores the pre-fault state digest exactly. Each write
+is a :class:`Write`. Five families, each with several concrete methods:
 
     DR  disable routing (forwarding flag, filter drop-all, policy prohibit,
         per-source drop)
@@ -21,9 +17,10 @@ methods:
 
 from __future__ import annotations
 
-from functools import partial
+from dataclasses import dataclass
+from typing import Callable
 
-from ..core.reactive import Injection
+from ..core.reactive import Injection, Outcome
 from ..core.types import ActionSpec
 from ..errors import MethodOutOfRange, ParameterOutOfRange, UnknownFamily
 from .commands import add_prohibit, add_route, append_rule, delete_delay, delete_prohibit, \
@@ -42,6 +39,22 @@ BAD_MASKS = (8, 16, 30, 31, 32)
 _NETEM_DELAY_MS = 20_000  # comfortably above the ping delay ceiling
 
 
+@dataclass(frozen=True)
+class Write:
+    """A built-in write: one of the interpreter's state transforms over typed operands, and
+    the command that makes it, carried as two commands may make one write (DI m1 and m2)."""
+    transform: Callable
+    operands: tuple  # (keyword, value) pairs
+    machine: str
+    command: str
+
+    def apply(self, state: NetState) -> Outcome:
+        return self.transform(state, **dict(self.operands))
+
+    def render(self) -> tuple:
+        return self.machine, self.command
+
+
 def fault_action(family: str, method: int, subnet: int, aux: int) -> ActionSpec:
     return ActionSpec(f"{family}-m{method}", (subnet, aux))
 
@@ -51,9 +64,6 @@ def build_fault(state: NetState, action: ActionSpec) -> Injection:
 
     Its operands are the target subnet, read by subnet-scoped methods, and
     ``aux``: a second distinct subnet, or a mask-choice index for RI m3.
-    Each write is a ``(apply, machine, command)`` triple: ``apply(state)`` makes
-    it by the interpreter's own transform, and ``(machine, command)`` is the
-    command that makes it on the router, which a batch stores of an inverse.
     """
     family, method_text = action.name.split("-m")
     method = int(method_text)
@@ -78,8 +88,8 @@ def build_fault(state: NetState, action: ActionSpec) -> Injection:
     cidr = state.subnet_cidr(subnet)
     gw = state.expected_gateway(subnet)
 
-    def write(command: str, transform, **operands) -> tuple:
-        return partial(transform, **operands), r, command
+    def write(command: str, transform, **operands) -> Write:
+        return Write(transform, tuple(operands.items()), r, command)
 
     if family == "DR":
         if method == 1:

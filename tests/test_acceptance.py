@@ -87,17 +87,17 @@ def test_confidence_interval_math(capsys):
 
 
 def test_every_reactive_query_starts_broken(capsys):
-    from netbench.core.reactive import solved
+    from netbench.core.reactive import rebuild, solved
     from netbench.k8spolicy.connectivity import connectivity_check
-    from netbench.k8spolicy.generate import rebuild_cluster
-    from netbench.routing.generate import rebuild_states
+    from netbench.k8spolicy.generate import K8S
+    from netbench.routing.generate import ROUTING
     from netbench.routing.pingall import pingall
 
     broken_routing = sum(
-        not solved(pingall(rebuild_states(truth)[1]))
+        not solved(pingall(rebuild(ROUTING, truth)[1]))
         for _, truth in generate_batch(config("routing", 1000)))
     broken_k8s = sum(
-        not connectivity_check(rebuild_cluster(truth)[1]).clean
+        not connectivity_check(rebuild(K8S, truth)[1]).clean
         for _, truth in generate_batch(config("k8s", 1000)))
     ok = broken_routing == 1000 and broken_k8s == 1000
     report(capsys, "1000/1000 reactive queries per app start with a failure",
@@ -105,16 +105,14 @@ def test_every_reactive_query_starts_broken(capsys):
 
 
 def test_pinned_reachability_summaries(capsys):
-    from netbench.core.reactive import replay
     from netbench.routing.commands import exec_command
     from netbench.routing.inject import build_fault, fault_action
     from netbench.routing.pingall import pingall, render_summary
     from netbench.routing.state import build_topology
 
     healthy = build_topology(2, 2)
-    injected = replay(healthy, [write[1:] for write in
-                                build_fault(healthy, fault_action("DI", 1, 1, 0)).forward],
-                      exec_command)
+    (write,) = build_fault(healthy, fault_action("DI", 1, 1, 0)).forward
+    injected = exec_command(healthy, *write.render()).state
     derived = pingall(injected).summary_line
     ok = derived == "*** Results: 60% dropped (8/20 received)"
 
@@ -193,8 +191,9 @@ def test_capacity_oracle_and_violation_detection(capsys):
 
 
 def test_k8s_round_trip_and_inverse_closure(capsys):
+    from netbench.core.reactive import rebuild
     from netbench.k8spolicy.connectivity import connectivity_check
-    from netbench.k8spolicy.generate import rebuild_cluster
+    from netbench.k8spolicy.generate import K8S
     from netbench.k8spolicy.kubectl import exec_kubectl
     from netbench.k8spolicy.model import cluster_digest, default_policies
 
@@ -207,7 +206,7 @@ def test_k8s_round_trip_and_inverse_closure(capsys):
 
     healed = 0
     for _, truth in generate_batch(config("k8s", 500)):
-        _, broken = rebuild_cluster(truth)
+        _, broken = rebuild(K8S, truth)
         for machine, command in truth.recovery:
             broken = exec_kubectl(broken, command).state
         if connectivity_check(broken).clean and cluster_digest(broken) == truth.target_digest:

@@ -11,11 +11,12 @@ from netbench.agents.extract import extract_message
 from netbench.agents.external import ExecAgent, HttpAgent
 from netbench.core.episode import run_episode
 from netbench.core.generate import app_entry, generate_batch, make_environment
+from netbench.core.reactive import rebuild
 from netbench.core.types import BenchmarkConfig
 from netbench.errors import AgentProtocolError, AgentTimeout, TransportError
 from netbench.evaluation.metrics import score_episode
 from netbench.k8spolicy.generate import generate_k8s_query
-from netbench.routing.generate import generate_routing_query, rebuild_states
+from netbench.routing.generate import ROUTING, generate_routing_query
 from netbench.routing.pingall import pingall
 
 
@@ -114,7 +115,7 @@ def test_adversarial_is_flagged_always_under_strict_and_under_lenient_while_a_ro
             env = make_environment(config, truth)
             record = score_episode(query, run_episode(env, make_agent("adversarial", query, truth),
                                                       query))
-            _, injected = rebuild_states(truth)
+            _, injected = rebuild(ROUTING, truth)
             hosts = injected.hosts
             router_pair_works = any(a not in hosts or b not in hosts
                                     or hosts[a].subnet != hosts[b].subnet

@@ -3,12 +3,13 @@ import json
 import pytest
 
 from netbench.agents.base import AgentMessage, MSG_COMMAND
+from netbench.core.reactive import rebuild
 from netbench.core.types import GT_RECOVERY_PREDICATE
 from netbench.errors import EmptyLevelSet
 from netbench.k8spolicy import kubectl
 from netbench.k8spolicy.connectivity import connectivity_check
 from netbench.k8spolicy.env import K8sEnvironment
-from netbench.k8spolicy.generate import LEVEL_LABELS, generate_k8s_query, rebuild_cluster
+from netbench.k8spolicy.generate import K8S, LEVEL_LABELS, generate_k8s_query
 from netbench.k8spolicy.kubectl import exec_kubectl
 from netbench.k8spolicy.model import cluster_digest, default_policies
 from netbench.k8spolicy.safety import judge_step_safety
@@ -35,7 +36,7 @@ def test_truth_shape_and_initial_mismatch():
         q, t = generate_k8s_query(2, derive_seed(600, seed))
         assert t.kind == GT_RECOVERY_PREDICATE
         assert len(t.hidden_injection) == 2
-        baseline, broken = rebuild_cluster(t)
+        baseline, broken = rebuild(K8S, t)
         assert not connectivity_check(broken).clean
         assert connectivity_check(baseline).clean
 
@@ -44,7 +45,7 @@ def test_truth_shape_and_initial_mismatch():
 def test_recovery_monotone_and_digest_exact(level):
     for seed in range(8):
         q, t = generate_k8s_query(level, derive_seed(700, seed))
-        _, policies = rebuild_cluster(t)
+        _, policies = rebuild(K8S, t)
         size = len(connectivity_check(policies).good)
         for machine, command in t.recovery:
             out = exec_kubectl(policies, command)
@@ -63,7 +64,7 @@ def test_prompt_audits_the_broken_store_that_rebuild_makes(level):
     of the broken store that every episode rebuilds from the ground truth."""
     for seed in range(100):
         q, t = generate_k8s_query(level, derive_seed(710, seed))
-        assert connectivity_check(rebuild_cluster(t)[1]).render() in q.prompt_text, q.id
+        assert connectivity_check(rebuild(K8S, t)[1]).render() in q.prompt_text, q.id
 
 
 def _refuse(*args, **kwargs):
@@ -77,12 +78,12 @@ def test_generation_and_rebuild_parse_no_command_text(monkeypatch, level):
     as before."""
     seeds = [derive_seed(720, seed) for seed in range(20)]
     pairs = [generate_k8s_query(level, seed) for seed in seeds]
-    stores = [rebuild_cluster(t) for _, t in pairs]
+    stores = [rebuild(K8S, t) for _, t in pairs]
     monkeypatch.setattr(json, "loads", _refuse)
     monkeypatch.setattr(kubectl, "exec_kubectl", _refuse)
     for seed, pair, (baseline, broken) in zip(seeds, pairs, stores):
         assert generate_k8s_query(level, seed) == pair
-        again = rebuild_cluster(pair[1])
+        again = rebuild(K8S, pair[1])
         assert again == (baseline, broken) and again[0] is default_policies()
         assert cluster_digest(again[1]) == cluster_digest(broken)
 

@@ -2,14 +2,15 @@ import json
 
 import pytest
 
+from netbench.core.reactive import rebuild
 from netbench.core.types import GT_RECOVERY_PREDICATE, ActionSpec, GroundTruth
 from netbench.errors import CorruptGroundTruth, MethodOutOfRange, UnknownFamily
 from netbench.k8spolicy.connectivity import connectivity_check
-from netbench.k8spolicy.generate import rebuild_cluster
-from netbench.k8spolicy.inject import AE_EGRESS_GRAPH, TARGETS, _patch_cmd, build_mutation
+from netbench.k8spolicy.generate import K8S
+from netbench.k8spolicy.inject import AE_EGRESS_GRAPH, TARGETS, build_mutation
 from netbench.k8spolicy.kubectl import exec_kubectl
-from netbench.k8spolicy.model import EXPECTED_CALLERS, SERVICES, cluster_digest, \
-    default_policies
+from netbench.k8spolicy.model import EXPECTED_CALLERS, cluster_digest, default_policies
+from builtin_writes import k8s_mutations
 
 
 def mutation_of(family, target, param=""):
@@ -19,11 +20,11 @@ def mutation_of(family, target, param=""):
 def forward_command(mutation):
     """The ``kubectl patch`` command of a mutation's one forward write."""
     (write,) = mutation.forward
-    return _patch_cmd(write)[1]
+    return write.render()[1]
 
 
 def inverse_command(mutation):
-    return _patch_cmd(mutation.inverse)[1]
+    return mutation.inverse.render()[1]
 
 
 def sample_mutations():
@@ -87,25 +88,19 @@ def test_mutations_are_single_patch_commands():
     for mutation in sample_mutations():
         assert len(mutation.forward) == 1
         for write in (mutation.forward[0], mutation.inverse):
-            machine, command = _patch_cmd(write)
+            machine, command = write.render()
             assert machine == "master"
-            assert command.startswith(f"kubectl patch networkpolicy {write[0]} ")
+            assert command.startswith(f"kubectl patch networkpolicy {write.policy} ")
 
 
 def test_action_round_trip():
     """Each built-in mutation rebuilds, from its action as a batch stores it, to an equal
     mutation."""
     built = {}  # action -> its forward command
-    for family, targets in TARGETS.items():
-        for target in targets:
-            for param in [*SERVICES, ""]:
-                try:
-                    mutation = mutation_of(family, target, param)
-                except MethodOutOfRange:
-                    continue
-                stored = ActionSpec.from_json(json.loads(json.dumps(mutation.action.to_json())))
-                assert build_mutation(stored) == mutation, mutation.action
-                built[mutation.action] = forward_command(mutation)
+    for mutation in k8s_mutations():
+        stored = ActionSpec.from_json(json.loads(json.dumps(mutation.action.to_json())))
+        assert build_mutation(stored) == mutation, mutation.action
+        built[mutation.action] = forward_command(mutation)
     # distinct actions, each with a distinct forward patch; AI takes no "" caller
     assert len(set(built.values())) == len(built) == 149
 
@@ -121,7 +116,7 @@ def test_action_round_trip():
                                     ActionSpec("XX", ("emailservice", ""))])
 def test_malformed_action_is_a_corrupt_ground_truth(action):
     with pytest.raises(CorruptGroundTruth, match="malformed k8s injection"):
-        rebuild_cluster(GroundTruth(GT_RECOVERY_PREDICATE, "", hidden_injection=(action,)))
+        rebuild(K8S, GroundTruth(GT_RECOVERY_PREDICATE, "", hidden_injection=(action,)))
 
 
 def test_ri_blocks_only_the_removed_caller():

@@ -1,8 +1,8 @@
 import pytest
 
-from netbench.core.reactive import judge_verdicts, solved
+from netbench.core.reactive import judge_verdicts, rebuild, solved
 from netbench.routing.commands import INVALID, READ, WRITE, exec_command
-from netbench.routing.generate import generate_routing_query, rebuild_states
+from netbench.routing.generate import ROUTING, generate_routing_query
 from netbench.routing.pingall import pingall
 from netbench.routing.state import Route, build_topology
 
@@ -447,7 +447,7 @@ def test_iptables_listing_options_name_no_chain(state, options):
 
 
 def test_iptables_lists_a_drop_rule_of_a_generated_query_with_numeric_output():
-    _, injected = rebuild_states(generate_routing_query(1, 8)[1])
+    _, injected = rebuild(ROUTING, generate_routing_query(1, 8)[1])
     plain = exec_command(injected, "r0", "iptables -L").output
     assert "DROP" in plain
     assert exec_command(injected, "r0", "iptables -L -n").output == plain

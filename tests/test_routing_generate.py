@@ -3,12 +3,12 @@ import sys
 import pytest
 
 from netbench.agents.base import AgentMessage, MSG_COMMAND, MSG_FINAL
-from netbench.core.reactive import solved
+from netbench.core.reactive import rebuild, solved
 from netbench.core.types import GT_RECOVERY_PREDICATE, ActionSpec, GroundTruth
 from netbench.errors import CorruptGroundTruth, EmptyLevelSet, NodeSetMismatch
 from netbench.routing.commands import exec_command
 from netbench.routing.env import RoutingEnvironment
-from netbench.routing.generate import LEVEL_LABELS, generate_routing_query, rebuild_states, \
+from netbench.routing.generate import LEVEL_LABELS, ROUTING, generate_routing_query, \
     sabotage
 from netbench.routing.pingall import pingall
 from netbench.routing.safety import judge_step_safety
@@ -38,7 +38,7 @@ def test_out_of_range_topology_record_is_a_corrupt_ground_truth(operands):
     setup = ActionSpec("topology", operands)
     truth = GroundTruth(GT_RECOVERY_PREDICATE, "", hidden_injection=(setup,))
     with pytest.raises(CorruptGroundTruth):
-        rebuild_states(truth)
+        rebuild(ROUTING, truth)
 
 
 def test_generation_deterministic():
@@ -58,7 +58,7 @@ def test_truth_shape():
 def test_initial_state_has_failures_and_matches_target():
     for seed in range(10):
         q, t = generate_routing_query(3, derive_seed(400, seed))
-        healthy, injected = rebuild_states(t)
+        healthy, injected = rebuild(ROUTING, t)
         assert healthy.state_digest() == t.target_digest
         assert not solved(pingall(injected))
         assert solved(pingall(healthy))
@@ -67,7 +67,7 @@ def test_initial_state_has_failures_and_matches_target():
 def test_recovery_is_monotone_and_complete():
     for seed in range(12):
         q, t = generate_routing_query(2, derive_seed(500, seed))
-        _, state = rebuild_states(t)
+        _, state = rebuild(ROUTING, t)
         received = pingall(state).received
         for machine, command in t.recovery:
             outcome = exec_command(state, machine, command)
@@ -84,7 +84,7 @@ def test_prompt_contains_connectivity_report():
     q, t = generate_routing_query(1, 21)
     assert "*** Results:" in q.prompt_text
     assert "sudo" in q.prompt_text  # the no-sudo instruction
-    _, injected = rebuild_states(t)
+    _, injected = rebuild(ROUTING, t)
     assert pingall(injected).summary_line in q.prompt_text
 
 
@@ -154,7 +154,7 @@ def test_generation_and_rebuild_parse_no_command_text(monkeypatch, level):
     holds them, each query, rebuilt state and sabotage comes out as before."""
     seeds = [derive_seed(729, seed) for seed in range(20)]
     pairs = [generate_routing_query(level, seed) for seed in seeds]
-    digests = [[s.state_digest() for s in rebuild_states(t)] for _, t in pairs]
+    digests = [[s.state_digest() for s in rebuild(ROUTING, t)] for _, t in pairs]
     sabotages = [sabotage(t) for _, t in pairs]
     for module in [m for name, m in sys.modules.items() if name.startswith("netbench.")]:
         for name in ("exec_command", "_parse_route_args", "_need_prefix", "_need_host_or_cidr"):
@@ -162,5 +162,5 @@ def test_generation_and_rebuild_parse_no_command_text(monkeypatch, level):
                 monkeypatch.setattr(module, name, _refuse)
     for seed, pair, digest, undo in zip(seeds, pairs, digests, sabotages):
         assert generate_routing_query(level, seed) == pair
-        assert [s.state_digest() for s in rebuild_states(pair[1])] == digest
+        assert [s.state_digest() for s in rebuild(ROUTING, pair[1])] == digest
         assert sabotage(pair[1]) == undo

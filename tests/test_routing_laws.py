@@ -3,9 +3,9 @@ generated queries."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from netbench.core.reactive import WRITE
+from netbench.core.reactive import WRITE, rebuild
 from netbench.routing.commands import exec_command
-from netbench.routing.generate import generate_routing_query, rebuild_states
+from netbench.routing.generate import ROUTING, generate_routing_query
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -15,7 +15,7 @@ def test_each_listed_route_given_to_ip_route_del_removes_that_route(level, seed)
     write that removes exactly the route the line lists, connected routes
     (``... proto kernel scope link src <ip>``) included."""
     _, truth = generate_routing_query(level, seed)
-    state = rebuild_states(truth)[1]
+    state = rebuild(ROUTING, truth)[1]
     router = state.router_name
     lines = exec_command(state, router, "ip route").output.splitlines()
     assert len(lines) == len(state.routes)  # one line per route, in table order
@@ -32,7 +32,7 @@ def test_each_listed_route_deleted_then_added_back_restores_the_state(level, see
     given to ``ip route del`` and then to ``ip route add``, is a write each time, and the
     two leave the state with the digest it had, connected routes included."""
     _, truth = generate_routing_query(level, seed)
-    for state in rebuild_states(truth):
+    for state in rebuild(ROUTING, truth):
         router, digest = state.router_name, state.state_digest()
         for line in exec_command(state, router, "ip route").output.splitlines():
             deleted = exec_command(state, router, f"ip route del {line}")
@@ -44,7 +44,7 @@ def test_each_listed_route_deleted_then_added_back_restores_the_state(level, see
 def _states(truth):
     """The healthy and the injected state of ``truth``, and each state its stored repair
     passes through."""
-    healthy, state = rebuild_states(truth)
+    healthy, state = rebuild(ROUTING, truth)
     states = [healthy, state]
     for machine, command in truth.recovery:
         state = exec_command(state, machine, command).state
@@ -58,8 +58,8 @@ def inverse_pair(draw, state):
     iface = draw(st.sampled_from(sorted(state.interfaces)))
     current = state.interfaces[iface]
     name = draw(st.sampled_from([iface, iface[len(state.prefix):]]))  # the prefix is optional
-    kind = draw(st.sampled_from(["ifconfig", "link", "mtu", "netem", "iptables", "rule",
-                                 "sysctl"]))
+    kind = draw(st.sampled_from(["ifconfig", "link", "mtu", "netem", "replace", "iptables",
+                                 "rule", "sysctl"]))
     flip = ("down", "up") if current.up else ("up", "down")
     if kind == "ifconfig":
         return f"ifconfig {name} {flip[0]}", f"ifconfig {name} {flip[1]}"
@@ -74,6 +74,11 @@ def inverse_pair(draw, state):
         if iface in state.delays:
             return f"tc qdisc del dev {name} root", add.format(state.delays[iface])
         return add.format(draw(st.integers(1, 20_000))), f"tc qdisc del dev {name} root"
+    if kind == "replace":  # creates the qdisc, or changes the delay of the one there
+        replace = f"tc qdisc replace dev {name} root netem delay {{}}ms"
+        undo = (replace.format(state.delays[iface]) if iface in state.delays
+                else f"tc qdisc del dev {name} root")
+        return replace.format(draw(st.integers(1, 20_000))), undo
     if kind == "iptables":
         k = draw(st.integers(1, state.num_switches))
         flags = " ".join(draw(st.lists(st.sampled_from([
@@ -93,7 +98,8 @@ def inverse_pair(draw, state):
 def test_each_write_and_its_inverse_restore_the_state(data, level, seed):
     """Inverses: on the states a generated query passes through, an interface taken down
     and up (or up and down) by ``ifconfig`` or ``ip link``, an MTU set and set back, a
-    netem delay added and deleted (or deleted and added back), an ``iptables`` rule
+    netem delay added and deleted (or deleted and added back), a netem delay replaced and
+    then deleted or replaced by the delay it had, an ``iptables`` rule
     appended and deleted, a prohibit rule added and deleted and forwarding flipped and
     flipped back are two writes that leave the state with the digest it had."""
     _, truth = generate_routing_query(level, seed)

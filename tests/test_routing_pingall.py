@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from netbench.routing import pingall as routing_pingall
 from netbench.routing.commands import exec_command
-from netbench.core.reactive import solved
-from netbench.routing.generate import generate_routing_query, rebuild_states
+from netbench.core.reactive import rebuild, solved
+from netbench.routing.generate import ROUTING, generate_routing_query
 from netbench.routing.pingall import DEFAULT_DELAY_CEILING_MS, pingall, render_summary
 from netbench.routing.state import build_topology, prefix_len
 from reference_kernels import ref_pingall
@@ -130,7 +130,7 @@ def test_pingall_symmetry_and_bounds(num_switches, hosts):
 def test_delivery_is_computed_per_class_not_per_host(monkeypatch, level, seed):
     """With no prefix longer than /24, a subnet's hosts form one class, and the routing
     table is consulted once per class; a host route splits its host from the class."""
-    state = rebuild_states(generate_routing_query(level, seed)[1])[1]
+    state = rebuild(ROUTING, generate_routing_query(level, seed)[1])[1]
     prefixes = [r.dest for r in state.routes] + [p for f in state.filter_rules
                                                  for p in (f.src, f.dst) if p]
     assert all(prefix_len(p) <= 24 for p in prefixes)  # no cut

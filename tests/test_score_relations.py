@@ -17,7 +17,7 @@ from netbench.core.generate import app_entry, cp_base_graph, generate_batch, mak
 from netbench.core.types import ActionSpec, BenchmarkConfig
 from netbench.cp.graph import apply_basic_op, run_program
 from netbench.evaluation.metrics import score_episode
-from netbench.k8spolicy.inject import TARGETS, _patch_cmd, build_mutation
+from netbench.k8spolicy.inject import TARGETS, build_mutation
 from netbench.k8spolicy.model import cluster_digest
 from netbench.routing.state import NetState
 
@@ -119,7 +119,7 @@ def _k8s_writes(env, k, truth):
     untouched = [name for name in TARGETS["CP"] if name not in touched]
     name = untouched[k % len(untouched)]
     (write,) = build_mutation(ActionSpec(("CP", "CPR")[k % 2], (name, ""))).forward
-    machine, command = _patch_cmd(write)
+    machine, command = write.render()
     shown, *_ = env.execute_message(
         AgentMessage(MSG_COMMAND, f"kubectl get networkpolicy {name} -o yaml", machine))
     return [((machine, command), (machine, "kubectl apply -f -\n" + shown))]

@@ -19,24 +19,24 @@ from netbench.agents import make_agent
 from netbench.agents.base import MSG_COMMAND, MSG_FINAL, AgentMessage
 from netbench.core.episode import run_episode
 from netbench.core.generate import generate_batch, make_environment
-from netbench.core.reactive import WRITE
-from netbench.core.types import GT_RECOVERY_PREDICATE, ActionSpec, BenchmarkConfig, GroundTruth
+from netbench.core.reactive import WRITE, rebuild
+from netbench.core.types import ActionSpec, BenchmarkConfig
 from netbench.errors import MethodOutOfRange
 from netbench.digest import digest
-from netbench.k8spolicy import env as k8s_env, generate as k8s_generate
+from netbench.k8spolicy import generate as k8s_generate
 from netbench.evaluation.metrics import score_episode
 from netbench.k8spolicy.connectivity import MismatchReport, _compiled, connectivity_check
 from netbench.k8spolicy.env import K8sEnvironment
-from netbench.k8spolicy.generate import generate_k8s_query, rebuild_cluster
-from netbench.k8spolicy.inject import TARGETS, _patch_cmd, build_mutation
+from netbench.k8spolicy.generate import K8S, generate_k8s_query
+from netbench.k8spolicy.inject import TARGETS, build_mutation
 from netbench.k8spolicy.kubectl import exec_kubectl
 from netbench.k8spolicy.model import DEFAULT_DENY, SERVICE_PORTS, SERVICES, PolicyStore, \
     _fragment, cluster_digest, default_policies, flow_universe, policy_yaml
 from netbench.k8spolicy.safety import judge_step_safety as k8s_judge
-from netbench.routing import env as routing_env, pingall as routing_pingall
+from netbench.routing import generate as routing_generate, pingall as routing_pingall
 from netbench.routing.commands import exec_command
 from netbench.routing.env import RoutingEnvironment
-from netbench.routing.generate import generate_routing_query, rebuild_states
+from netbench.routing.generate import ROUTING, generate_routing_query
 from netbench.routing.inject import FAMILY_METHODS, build_fault, fault_action
 from netbench.routing.pingall import PingMatrix, pingall
 from netbench.routing.safety import judge_step_safety as routing_judge
@@ -78,7 +78,7 @@ def routing_command(draw, state, recovery):
         fault = build_fault(state, fault_action(
             family, draw(st.integers(1, FAMILY_METHODS[family])), k,
             draw(st.sampled_from([s for s in range(1, state.num_switches + 1) if s != k]))))
-        return draw(st.sampled_from([*fault.forward, fault.inverse]))[1:]  # (machine, command)
+        return draw(st.sampled_from([*fault.forward, fault.inverse])).render()
     if kind == "recovery":
         return draw(st.sampled_from(recovery))
     if kind == "link":
@@ -119,7 +119,7 @@ def routing_command(draw, state, recovery):
 @given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
 def test_pingall_matches_reference_on_reachable_states(data, level, seed):
     _, truth = generate_routing_query(level, seed)
-    state = data.draw(st.sampled_from(rebuild_states(truth)))  # healthy or injected
+    state = data.draw(st.sampled_from(rebuild(ROUTING, truth)))  # healthy or injected
     for _ in range(data.draw(st.integers(1, 8))):
         machine, command = data.draw(routing_command(state, truth.recovery))
         outcome = exec_command(state, machine, command)
@@ -151,7 +151,7 @@ def per_pair_render(state) -> str:
 @given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
 def test_spliced_digest_and_class_form_render_match_their_references(data, level, seed):
     _, truth = generate_routing_query(level, seed)
-    states = [data.draw(st.sampled_from(rebuild_states(truth)))]
+    states = [data.draw(st.sampled_from(rebuild(ROUTING, truth)))]
     for _ in range(data.draw(st.integers(1, 8))):
         state = states[-1]
         states.append(exec_command(state, *data.draw(routing_command(state, truth.recovery))).state)
@@ -217,7 +217,7 @@ def test_pingall_judges_one_pair_per_pair_of_classes(monkeypatch):
 @given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
 def test_a_write_shares_the_elements_it_leaves_and_keeps_its_parent(data, level, seed):
     _, truth = generate_routing_query(level, seed)
-    state = data.draw(st.sampled_from(rebuild_states(truth)))
+    state = data.draw(st.sampled_from(rebuild(ROUTING, truth)))
     for _ in range(data.draw(st.integers(1, 8))):
         parent = state.state_digest()
         outcome = exec_command(state, *data.draw(routing_command(state, truth.recovery)))
@@ -278,7 +278,7 @@ def kubectl_command(draw, policies, recovery):
                 draw(st.sampled_from([*SERVICES, ""])))))
         except MethodOutOfRange:  # not a valid combination for this family
             return "kubectl get networkpolicies"
-        return _patch_cmd(draw(st.sampled_from([*mutation.forward, mutation.inverse])))[1]
+        return draw(st.sampled_from([*mutation.forward, mutation.inverse])).render()[1]
     if kind == "recovery":
         return draw(st.sampled_from([command for _, command in recovery]))
     if kind == "delete":
@@ -295,7 +295,7 @@ def kubectl_command(draw, policies, recovery):
 @given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
 def test_connectivity_check_matches_reference_on_reachable_states(data, level, seed):
     _, truth = generate_k8s_query(level, seed)
-    policies = data.draw(st.sampled_from(rebuild_cluster(truth)))  # baseline or broken
+    policies = data.draw(st.sampled_from(rebuild(K8S, truth)))  # baseline or broken
     for _ in range(data.draw(st.integers(1, 8))):
         outcome = exec_kubectl(policies, data.draw(kubectl_command(policies, truth.recovery)))
         if outcome.kind == "write":
@@ -346,7 +346,7 @@ def _wide_writes(data, level, seed):
     """Yields (name, store) after each of a few writes through kubectl, each an apply or a
     merge patch with every selector, peer and port shape the interpreter accepts."""
     _, truth = generate_k8s_query(level, seed)
-    policies = data.draw(st.sampled_from([*rebuild_cluster(truth), PolicyStore({})]))
+    policies = data.draw(st.sampled_from([*rebuild(K8S, truth), PolicyStore({})]))
     for _ in range(data.draw(st.integers(1, 6))):
         name = data.draw(st.sampled_from([*sorted(policies), "extra"]))
         spec = data.draw(_WIDE_SPEC)
@@ -461,7 +461,7 @@ def test_reads_audits_and_digests_ignore_the_key_order_of_a_stored_policy(data, 
     must read alike: the table, each policy as YAML, the store as a YAML List and each
     description are byte-identical, and the audits and digests are equal."""
     _, truth = generate_k8s_query(level, seed)
-    policies = data.draw(st.sampled_from(rebuild_cluster(truth)))
+    policies = data.draw(st.sampled_from(rebuild(K8S, truth)))
     for _ in range(data.draw(st.integers(0, 6))):
         policies = exec_kubectl(policies, data.draw(kubectl_command(policies, truth.recovery))).state
     shuffled = PolicyStore(_shuffled(data, policies))
@@ -478,7 +478,7 @@ def test_reads_audits_and_digests_ignore_the_key_order_of_a_stored_policy(data, 
 @given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
 def test_cluster_digest_matches_reference_under_shuffled_keys(data, level, seed):
     _, truth = generate_k8s_query(level, seed)
-    policies = data.draw(st.sampled_from(rebuild_cluster(truth)))
+    policies = data.draw(st.sampled_from(rebuild(K8S, truth)))
     for _ in range(data.draw(st.integers(0, 4))):
         policies = exec_kubectl(policies, data.draw(kubectl_command(policies, truth.recovery))).state
     # a store built through kubectl, and one that was not
@@ -495,14 +495,14 @@ def test_a_written_store_derives_the_views_of_a_store_built_fresh(data, level, s
     parent store or from the baseline, equal those of a store built anew, and the spliced
     digest is the digest of the canonical JSON."""
     _, truth = generate_k8s_query(level, seed)
-    policies = data.draw(st.sampled_from(rebuild_cluster(truth)))
+    policies = data.draw(st.sampled_from(rebuild(K8S, truth)))
     mutations = [build_mutation(action) for action in truth.hidden_injection]
     writes = [write for m in mutations for write in (*m.forward, m.inverse)]
     for _ in range(data.draw(st.integers(1, 8))):
         connectivity_check(policies), cluster_digest(policies)  # views a write can carry
-        name, patch = data.draw(st.sampled_from(writes))
-        if data.draw(st.booleans()) and name in policies:
-            outcome = k8s_generate._patched(policies, name, patch)
+        write = data.draw(st.sampled_from(writes))
+        if data.draw(st.booleans()) and write.policy in policies:
+            outcome = write.apply(policies)
         else:
             outcome = exec_kubectl(policies, data.draw(kubectl_command(policies, truth.recovery)))
         policies = outcome.state
@@ -512,54 +512,6 @@ def test_a_written_store_derives_the_views_of_a_store_built_fresh(data, level, s
                 assert policies.view(name, view) == fresh.view(name, view)
         assert cluster_digest(policies) == cluster_digest(fresh) == digest(dict(policies))
         assert connectivity_check(policies) == ref_connectivity_check(policies)
-
-
-def _builtin_mutations() -> list:
-    """Every mutation ``build_mutation`` can make."""
-    mutations = []
-    for family, targets in TARGETS.items():
-        for target in targets:
-            for param in [*SERVICES, ""]:
-                try:
-                    mutations.append(build_mutation(ActionSpec(family, (target, param))))
-                except MethodOutOfRange:
-                    continue
-    return mutations
-
-
-def test_each_builtin_write_replays_as_kubectl_writes_it():
-    """Generation, the recovery-order search and ``rebuild_cluster`` apply the built-in writes
-    as (policy, merge patch) pairs through ``_patched``, without kubectl's validation. For
-    every built-in mutation, each forward and inverse write must be a write that
-    ``exec_kubectl`` accepts as the command ``_patch_cmd`` renders of it, storing the same
-    policy with the same output, digest and audit, and every policy's keys in the same order,
-    which the walk of a later patch follows. Each inverse gives back the very baseline policy,
-    and ``rebuild_cluster`` of the stored action makes the store of its forward write."""
-    baseline = default_policies()
-    mutations = _builtin_mutations()
-    for mutation in mutations:
-        (forward,) = mutation.forward
-        policies = baseline
-        for write in (forward, mutation.inverse):
-            replayed = k8s_generate._patched(policies, *write)
-            checked = exec_kubectl(policies, _patch_cmd(write)[1])
-            assert replayed.kind == checked.kind == WRITE
-            assert replayed.output == checked.output and replayed.state == checked.state
-            assert cluster_digest(replayed.state) == cluster_digest(checked.state)
-            assert connectivity_check(replayed.state) == connectivity_check(checked.state)
-            assert json.dumps(dict(replayed.state)) == json.dumps(dict(checked.state))
-            if write is forward:
-                broken = checked.state
-            policies = replayed.state
-        target = mutation.action.operands[0]
-        assert policies[target] is baseline[target]
-        _, rebuilt = rebuild_cluster(GroundTruth(GT_RECOVERY_PREDICATE, cluster_digest(baseline),
-                                                 hidden_injection=(mutation.action,)))
-        assert cluster_digest(rebuilt) == cluster_digest(broken)
-        assert connectivity_check(rebuilt) == connectivity_check(broken)
-        assert json.dumps(dict(rebuilt)) == json.dumps(dict(broken))
-    # distinct forward patches; AI takes no "" caller
-    assert len({_patch_cmd(m.forward[0]) for m in mutations}) == len(mutations) == 149
 
 
 # --- verdicts per turn ---------------------------------------------------------
@@ -588,8 +540,8 @@ def _play(env, messages, calls):
 
 
 def test_routing_oracle_computes_one_verdict_per_write_and_none_per_read(monkeypatch):
-    calls = _count_calls(monkeypatch, routing_env, "pingall")
     query, truth = generate_routing_query(3, 1234)
+    calls = _count_calls(monkeypatch, routing_generate, "pingall")
     env = RoutingEnvironment(truth)
     assert len(calls) == 1  # the initial state's, once per environment
     messages = [AgentMessage(MSG_COMMAND, "ip route"),
@@ -604,8 +556,8 @@ def test_routing_oracle_computes_one_verdict_per_write_and_none_per_read(monkeyp
 
 
 def test_k8s_oracle_computes_one_verdict_per_write_and_none_per_read(monkeypatch):
-    calls = _count_calls(monkeypatch, k8s_env, "connectivity_check")
     query, truth = generate_k8s_query(3, 1234)
+    calls = _count_calls(monkeypatch, k8s_generate, "connectivity_check")
     env = K8sEnvironment(truth)
     assert len(calls) == 1
     messages = [AgentMessage(MSG_COMMAND, "kubectl get networkpolicies", "master"),
@@ -624,7 +576,7 @@ def test_class_form_counts_losses_and_renders_as_the_pair_sets_do(data, level, s
     """``received``, ``lost`` and ``render`` of the class form agree with the good sets,
     also between matrices whose classes differ, and with the full per-pair form."""
     _, truth = generate_routing_query(level, seed)
-    states = [data.draw(st.sampled_from(rebuild_states(truth)))]
+    states = [data.draw(st.sampled_from(rebuild(ROUTING, truth)))]
     for _ in range(data.draw(st.integers(1, 8))):
         state = states[-1]
         outcome = exec_command(state, *data.draw(st.one_of(
@@ -647,7 +599,7 @@ def test_class_form_counts_losses_and_renders_as_the_pair_sets_do(data, level, s
 @given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
 def test_audit_counts_and_losses_match_the_conforming_sets(data, level, seed):
     _, truth = generate_k8s_query(level, seed)
-    stores = [data.draw(st.sampled_from(rebuild_cluster(truth)))]
+    stores = [data.draw(st.sampled_from(rebuild(K8S, truth)))]
     for _ in range(data.draw(st.integers(1, 8))):
         outcome = exec_kubectl(stores[-1], data.draw(kubectl_command(stores[-1], truth.recovery)))
         if outcome.kind == WRITE:
