@@ -20,7 +20,7 @@ from .core.episode import run_episode
 from .core.generate import app_entry, apps_with, generate_batch, make_environment, \
     read_batch_jsonl, write_batch_jsonl
 from .core.types import APPS, SAFETY_RULES, BenchmarkConfig
-from .digest import canonical_json, digest
+from .digest import TextDigest, canonical_json
 from .errors import NetbenchError, ParseError
 from .evaluation.aggregate import aggregate_records, rows_to_csv
 from .evaluation.metrics import score_episode
@@ -58,11 +58,12 @@ def cmd_generate(args) -> int:
                          f"({apps_with('export_sft')}), not {config.app!r}")
     pairs = generate_batch(config)
     out = Path(args.out)
-    write_batch_jsonl(pairs, out)
+    batch_digest = TextDigest()
+    write_batch_jsonl(pairs, out, batch_digest)
     manifest = {
         "config": config.to_json(),
         "num_queries": len(pairs),
-        "batch_digest": digest(out.read_text(encoding="utf-8")),
+        "batch_digest": batch_digest.hexdigest(),
     }
     _manifest_path(out).write_text(canonical_json(manifest) + "\n", encoding="utf-8")
     if args.sft:
@@ -102,7 +103,8 @@ def _read_manifest(path: Path) -> tuple[dict, BenchmarkConfig]:
 
 def cmd_run(args) -> int:
     batch_path = Path(args.batch)
-    pairs = read_batch_jsonl(batch_path)
+    batch_digest = TextDigest()
+    pairs = read_batch_jsonl(batch_path, batch_digest)
     if not pairs:
         raise ParseError(f"batch {batch_path} holds no queries")
 
@@ -110,7 +112,7 @@ def cmd_run(args) -> int:
     if not manifest_path.exists():
         raise ParseError(f"missing manifest {manifest_path}; regenerate the batch")
     manifest, config = _read_manifest(manifest_path)
-    if digest(batch_path.read_text(encoding="utf-8")) != manifest.get("batch_digest"):
+    if batch_digest.hexdigest() != manifest.get("batch_digest"):
         raise ParseError(f"batch {batch_path} does not match the batch_digest in "
                          f"{manifest_path}; regenerate the batch")
     config = replace(config, **_flag_values(args))
@@ -125,26 +127,35 @@ def cmd_run(args) -> int:
         out.unlink()
 
     todo = [(q, t) for q, t in pairs if q.id not in done]
-    context = app_entry(config.app).context(config)
-    failures = 0
-    with out.open("a", encoding="utf-8") as fh:
-        pool = ThreadPoolExecutor(max_workers=config.parallelism)
+    context = app_entry(config.app).context(config) if todo else None
+
+    def attempt(pair):
+        """(metrics record, None) for one episode, or (None, why it failed)."""
+        query, truth = pair
         try:
-            futures = [(query.id, pool.submit(_run_one, config, query, truth, config.agent,
-                                              context))
-                       for query, truth in todo]
-            for query_id, future in futures:
-                try:
-                    record = future.result()
-                except Exception as exc:  # one episode's failure is not the batch's
-                    detail = str(exc) if isinstance(exc, NetbenchError) else traceback.format_exc()
-                    print(f"episode failed ({query_id}): {detail}", file=sys.stderr)
+            return _run_one(config, query, truth, config.agent, context), None
+        except Exception as exc:  # one episode's failure is not the batch's
+            return None, str(exc) if isinstance(exc, NetbenchError) else traceback.format_exc()
+
+    # A built-in agent is pure Python and holds the interpreter lock for its whole episode,
+    # so episode threads could only take turns: it runs in this thread. Threads overlap an
+    # external agent's waits.
+    pool = None if config.agent in BUILTIN_AGENTS else \
+        ThreadPoolExecutor(max_workers=config.parallelism)
+    failures = 0
+    try:
+        with out.open("a", encoding="utf-8") as fh:
+            outcomes = map(attempt, todo) if pool is None else pool.map(attempt, todo)
+            for (query, _), (record, failure) in zip(todo, outcomes):
+                if failure is not None:
+                    print(f"episode failed ({query.id}): {failure}", file=sys.stderr)
                     failures += 1
                     continue
                 fh.write(canonical_json(record.to_json()) + "\n")
                 fh.flush()
-        finally:
-            # when an exception leaves the loop, episodes not yet started never run
+    finally:
+        # when an exception leaves the loop, episodes not yet started never run
+        if pool is not None:
             pool.shutdown(cancel_futures=True)
 
     print(f"ran {len(todo) - failures} episodes ({len(done)} resumed, {failures} failed); "

@@ -121,12 +121,16 @@ def make_environment(config: BenchmarkConfig, truth: GroundTruth, context=None):
     return app.environment(context, truth, config.safety_rule)
 
 
-def write_batch_jsonl(pairs, path) -> int:
+def write_batch_jsonl(pairs, path, text_digest=None) -> int:
+    """Write ``pairs`` as canonical JSONL; each line written also goes to
+    ``text_digest.update`` when given. Returns the number of lines."""
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for query, truth in pairs:
-            fh.write(canonical_json({"query": query.to_json(),
-                                     "truth": truth.to_json()}) + "\n")
+            line = canonical_json({"query": query.to_json(), "truth": truth.to_json()}) + "\n"
+            fh.write(line)
+            if text_digest is not None:
+                text_digest.update(line)
     return len(pairs)
 
 
@@ -136,5 +140,5 @@ def _batch_pair(data) -> tuple:
     return QuerySpec.from_json(data["query"]), GroundTruth.from_json(data["truth"])
 
 
-def read_batch_jsonl(path) -> list:
-    return read_jsonl(path, _batch_pair)
+def read_batch_jsonl(path, text_digest=None) -> list:
+    return read_jsonl(path, _batch_pair, text_digest)

@@ -28,16 +28,39 @@ def digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def read_jsonl(path, parse) -> list:
+class TextDigest:
+    """``digest(text)`` of a text that arrives in pieces, so that nothing holds or rereads it.
+
+    ``digest`` hashes the text as a JSON string literal: a quote, each character escaped
+    on its own, a quote. So the escaped pieces hash, in order, to the same value as the
+    escaped whole.
+    """
+
+    def __init__(self):
+        self._sha = hashlib.sha256(b'"')
+
+    def update(self, piece: str) -> None:
+        self._sha.update(canonical_json(piece)[1:-1].encode("ascii"))
+
+    def hexdigest(self) -> str:
+        sha = self._sha.copy()
+        sha.update(b'"')
+        return sha.hexdigest()
+
+
+def read_jsonl(path, parse, text_digest=None) -> list:
     """``parse(obj)`` for the object on each nonblank line of a JSONL file.
 
     A line that is not JSON, or whose object ``parse`` rejects with a
     KeyError, TypeError or ValueError, raises ParseError naming the file
-    and the line.
+    and the line. Every line read, blank ones too, also goes to
+    ``text_digest.update`` when given, so one read yields the file's digest.
     """
     parsed = []
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if text_digest is not None:
+                text_digest.update(line)
             if line.strip():
                 try:
                     parsed.append(parse(json.loads(line)))

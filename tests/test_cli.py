@@ -1,7 +1,8 @@
 import json
 import sys
+import threading
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -140,6 +141,58 @@ def test_run_parallel_matches_serial(batch, tmp_path):
            [[getattr(r, f) for f in fields] for r in parallel_records]
 
 
+def _episode_threads(monkeypatch) -> list:
+    """The thread of each episode ``run`` plays from now on, in the order they start."""
+    threads, original = [], cli.run_episode
+
+    def episode(*args, **kw):
+        threads.append(threading.get_ident())
+        return original(*args, **kw)
+
+    monkeypatch.setattr(cli, "run_episode", episode)
+    return threads
+
+
+def test_run_plays_a_builtin_agent_in_the_calling_thread(batch, tmp_path, monkeypatch):
+    threads = _episode_threads(monkeypatch)
+    assert main(["run", "--batch", str(batch), "--agent", "oracle",
+                 "--parallelism", "2", "--out", str(tmp_path / "m.jsonl")]) == 0
+    assert threads == [threading.get_ident()] * 6
+
+
+def _replay_agent(tmp_path, batch) -> str:
+    """An ``exec:`` agent that plays each query's stored recovery, then answers."""
+    script = tmp_path / "replay.py"
+    script.write_text(
+        "import json, sys\n"
+        f"batch = [json.loads(line) for line in open({str(batch)!r})]\n"
+        "recovery = {r['query']['id']: r['truth']['recovery'] for r in batch}\n"
+        "replies = None\n"
+        "for line in sys.stdin:\n"
+        "    if replies is None:\n"
+        "        query_id = json.loads(line)['query_id']\n"
+        "        replies = [{'machine': m, 'command': c} for m, c in recovery[query_id]]\n"
+        "        replies.append({'final_answer': 'done'})\n"
+        "    print(json.dumps(replies.pop(0) if len(replies) > 1 else replies[0]), flush=True)\n")
+    return f"exec:{sys.executable} {script}"
+
+
+def test_run_plays_an_exec_agent_on_worker_threads_as_serially(batch, tmp_path, monkeypatch):
+    agent = _replay_agent(tmp_path, batch)
+    threads = _episode_threads(monkeypatch)
+    metrics = {}
+    for parallelism in ("1", "2"):
+        out = tmp_path / f"p{parallelism}.jsonl"
+        assert main(["run", "--batch", str(batch), "--agent", agent,
+                     "--parallelism", parallelism, "--out", str(out)]) == 0
+        metrics[parallelism] = [{k: v for k, v in json.loads(line).items() if k != "latency_wall"}
+                                for line in out.read_text().splitlines()]
+    assert len(threads) == 12 and threading.get_ident() not in threads
+    assert [r["query_id"] for r in metrics["1"]] == _batch_ids(batch)
+    assert all(r["correct"] and r["safe"] for r in metrics["1"])
+    assert metrics["2"] == metrics["1"]
+
+
 def test_run_resume_skips_done(batch, tmp_path, capsys):
     metrics = tmp_path / "metrics.jsonl"
     main(["run", "--batch", str(batch), "--agent", "oracle", "--out", str(metrics)])
@@ -151,6 +204,18 @@ def test_run_resume_skips_done(batch, tmp_path, capsys):
                  "--resume", "--out", str(metrics)]) == 0
     assert "ran 1 episodes (5 resumed" in capsys.readouterr().out
     assert len(read_metrics_jsonl(metrics)) == 6
+
+
+def test_run_with_nothing_left_builds_no_batch_context(batch, tmp_path, capsys, monkeypatch):
+    metrics = tmp_path / "metrics.jsonl"
+    assert main(["run", "--batch", str(batch), "--agent", "oracle", "--out", str(metrics)]) == 0
+    built, entry = [], cli.app_entry
+    monkeypatch.setattr(cli, "app_entry",
+                        lambda app: replace(entry(app), context=lambda config: built.append(app)))
+    assert main(["run", "--batch", str(batch), "--agent", "oracle",
+                 "--resume", "--out", str(metrics)]) == 0
+    assert "ran 0 episodes (6 resumed, 0 failed)" in capsys.readouterr().out
+    assert built == [] and len(read_metrics_jsonl(metrics)) == 6
 
 
 def test_run_unknown_agent_spec(batch, tmp_path):

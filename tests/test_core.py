@@ -13,6 +13,7 @@ from netbench.core.generate import REGISTRY, cp_base_graph, generate_batch, make
 from netbench.core.types import APPS, BenchmarkConfig
 from netbench.cp import graph as cp_graph
 from netbench.cp.env import CpEnvironment
+from netbench.digest import TextDigest, digest
 from netbench.errors import AgentProtocolError, ParseError, TransportError, UnknownApp
 from netbench.evaluation.metrics import score_episode
 from netbench.k8spolicy.env import K8sEnvironment
@@ -120,6 +121,18 @@ def test_batch_jsonl_round_trip_and_regeneration(app, tmp_path):
     again = tmp_path / "again.jsonl"
     write_batch_jsonl(generate_batch(cfg), again)
     assert path.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("app", ["cp", "routing", "k8s"])
+def test_batch_jsonl_digests_the_text_it_writes_and_reads(app, tmp_path):
+    path = tmp_path / "batch.jsonl"
+    written = TextDigest()
+    write_batch_jsonl(generate_batch(config(app=app)), path, written)
+    assert written.hexdigest() == digest(path.read_text(encoding="utf-8"))
+    path.write_text("\n" + path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8")
+    read = TextDigest()
+    assert len(read_batch_jsonl(path, read)) == 6
+    assert read.hexdigest() == digest(path.read_text(encoding="utf-8"))  # blank lines too
 
 
 @pytest.mark.parametrize("edit", [

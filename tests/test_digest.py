@@ -5,7 +5,7 @@ import threading
 
 from hypothesis import given, settings, strategies as st
 
-from netbench.digest import canonical_json, digest
+from netbench.digest import TextDigest, canonical_json, digest
 
 
 def test_canonical_json_sorts_keys():
@@ -85,3 +85,24 @@ def test_canonical_json_from_threads_at_once(objs):
         sys.setswitchinterval(saved)
     assert not any(thread.is_alive() for thread in threads)
     assert got == {slot: expected * 20 for slot in range(4)}
+
+
+# any code point, lone surrogates too: each is escaped on its own
+any_text = st.text(st.characters(exclude_categories=()))
+
+
+@given(st.lists(any_text))
+def test_text_digest_of_the_pieces_is_the_digest_of_their_text(pieces):
+    streamed = TextDigest()
+    for piece in pieces:
+        streamed.update(piece)
+    assert streamed.hexdigest() == digest("".join(pieces))
+
+
+def test_text_digest_escapes_what_a_json_string_escapes():
+    pieces = ["caf\u00e9 \U0001f600", "\"quoted\" \\", "\n", "\x01", ""]
+    streamed = TextDigest()
+    for piece in pieces:
+        streamed.update(piece)
+    assert streamed.hexdigest() == digest("".join(pieces))
+    assert streamed.hexdigest() == streamed.hexdigest()  # reading it ends nothing
